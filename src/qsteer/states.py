@@ -222,15 +222,6 @@ def validate_state(
     )
 
 
-def assert_valid_state(rho: np.ndarray, **tols) -> np.ndarray:
-    """Return rho unchanged, raising ValueError when validate_state fails."""
-    rho = np.asarray(rho, dtype=complex)
-    diag = validate_state(rho, **tols)
-    if not diag.passed:
-        raise ValueError(f"invalid density matrix: {diag.as_dict()}")
-    return rho
-
-
 def state_to_payload(state: np.ndarray, kind: str | None = None) -> dict:
     """JSON-serializable payload for a pure state vector or density matrix.
 

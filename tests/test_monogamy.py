@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qsteer.monogamy import (
     ALL_SIGN_REGIONS,
+    SIGN_BOUNDARY_TOL,
     MinimizeConfig,
     VerifyConfig,
     boundary_f,
@@ -16,9 +17,10 @@ from qsteer.monogamy import (
     sign_region,
     verify_monogamy,
 )
+from qsteer.monogamy import _fgwv_arrays, _pair_norms, _region_codes, _sobol_sphere
 from qsteer.states import density_from_pure, permute_qubits, schmidt_state
 
-from conftest import random_octant_point
+from conftest import SIGMA, oracle_ptrace, oracle_theta2, random_octant_point
 
 R2 = 1 / np.sqrt(2)
 INTERIOR = (0.39036823927218467, 0.0, 0.7886176857851448, 0.47507345056784694)
@@ -54,6 +56,96 @@ class TestPipeline:
             relabeled = permute_qubits(density_from_pure(schmidt_state((x, y, z, h))),
                                        ("A", "C", "B"))
             assert_allclose(direct, relabeled, atol=1e-15)
+
+
+def _oracle_blocks(p):
+    """Spatial 3x3 covariance blocks of AB, AC, BC, through the index-loop oracles."""
+    rho = density_from_pure(schmidt_state(p))
+    blocks = []
+    for keep in ((0, 1), (0, 2), (1, 2)):
+        t = oracle_theta2(oracle_ptrace(rho, keep))
+        blocks.append(0.5 * (t - np.outer(t[:, 0], t[0, :]))[1:, 1:])
+    return blocks
+
+
+_SIGMA2_REAL = np.stack([np.kron(a, b) for a in SIGMA for b in SIGMA]).real
+
+
+def _svd_pair_norms(pts):
+    """Reference pair norms: batched SVD of the full 3x3 blocks, from the state vector.
+
+    Works for real coordinates of either sign; the real parts of the Pauli
+    strings carry every expectation of a real state.
+    """
+    psi = np.zeros((len(pts), 2, 2, 2))
+    psi[:, 0, 0, 0], psi[:, 1, 0, 0], psi[:, 1, 0, 1], psi[:, 1, 1, 0] = pts.T
+    norms = []
+    for expr in ("nabc,ndec->nabde", "nabc,ndbf->nacdf", "nabc,naef->nbcef"):
+        rho2 = np.einsum(expr, psi, psi).reshape(-1, 4, 4)
+        t = np.einsum("pij,nji->np", _SIGMA2_REAL, rho2).reshape(-1, 4, 4)
+        block = 0.5 * (t - t[:, :, :1] * t[:, :1, :])[:, 1:, 1:]
+        norms.append(np.linalg.svd(block, compute_uv=False).sum(axis=1))
+    return norms
+
+
+def _unit(pts):
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _fragile_points(rng):
+    """Faces, edges, the c_xx = 0 set y^2 = 1/2, and the zero sets of f+-g, w+-v."""
+    out = []
+    for k in range(4):
+        face = np.abs(rng.standard_normal((500, 4)))
+        face[:, k] = 0.0
+        out.append(face)
+        for j in range(k + 1, 4):
+            edge = np.abs(rng.standard_normal((100, 4)))
+            edge[:, [k, j]] = 0.0
+            out.append(edge)
+    rest = _unit(np.abs(rng.standard_normal((500, 3))))
+    out.append(np.insert(np.sqrt(0.5) * rest, 1, np.sqrt(0.5), axis=1))
+    # bisect between neighbouring scan points whose sign patterns differ
+    pts = _sobol_sphere(2**12, 4, 7)
+    sign = np.sign(_quads(pts))
+    changed = sign[:-1] * sign[1:] < 0
+    rows = np.flatnonzero(changed.any(axis=1))
+    col = changed[rows].argmax(axis=1)
+    a, b, side = pts[rows], pts[rows + 1], sign[rows, col]
+    for _ in range(60):
+        mid = _unit(a + b)
+        left = np.sign(_quads(mid)[np.arange(len(mid)), col]) == side
+        a = np.where(left[:, None], mid, a)
+        b = np.where(left[:, None], b, mid)
+    assert len(a) > 50 and np.all(np.abs(_quads(a)[np.arange(len(a)), col]) < 1e-12)
+    out.append(a)
+    return _unit(np.concatenate(out))
+
+
+def _quads(pts):
+    f, g, w, v, _ = _fgwv_arrays(pts)
+    return np.stack([f + g, f - g, w + v, w - v], axis=1)
+
+
+class TestPairKernel:
+    def test_family_blocks_split(self, rng):
+        # the structural fact behind the closed form: xy, yx, yz, zy vanish
+        pts = [random_octant_point(rng) for _ in range(40)] + [CORNER, BELL, INTERIOR]
+        pts += list(_unit(1.0 - np.eye(4)))  # one point on each face
+        for p in pts:
+            blocks = _oracle_blocks(p)
+            for block in blocks:
+                assert block[0, 1] == block[1, 0] == block[1, 2] == block[2, 1] == 0.0
+            oracle = [np.linalg.svd(b, compute_uv=False).sum() for b in blocks]
+            assert_allclose(np.ravel(_pair_norms(*np.array(p, dtype=float))), oracle, rtol=0, atol=1e-13)
+
+    def test_matches_svd(self, rng):
+        # on the octant det B2 and c_yy vanish only on the faces; signed
+        # coordinates take both through a sign change
+        pts = np.concatenate([_sobol_sphere(2**16, 4, 3), _fragile_points(rng),
+                              _unit(rng.standard_normal((4096, 4)))])
+        for got, ref in zip(_pair_norms(*pts.T), _svd_pair_norms(pts)):
+            assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 class TestAuxiliaries:
@@ -174,6 +266,34 @@ class TestVerify:
         assert report.min_value >= -1e-9
         assert report.min_value < 1e-3  # the zero set is reachable by sampling
         assert set(report.regions) <= set(ALL_SIGN_REGIONS) | {"boundary", "undefined"}
+        assert sum(r["samples"] for r in report.regions.values()) == report.samples
+
+    def test_chunk_size_does_not_change_report(self):
+        small = verify_monogamy(VerifyConfig(samples=2**14, seed=5, chunk=2**10))
+        large = verify_monogamy(VerifyConfig(samples=2**14, seed=5, chunk=2**16))
+        assert small.to_dict() == large.to_dict()
+
+    def test_regions_match_string_route(self):
+        # per-point sign strings built from fgwv, as the scan labelled points
+        # before it switched to integer codes
+        pts = _sobol_sphere(2**12, 4, 4)
+        strings = []
+        for p in pts:
+            try:
+                f, g, w, v = fgwv(p)
+            except ValueError:
+                strings.append("undefined")
+                continue
+            quads = (f + g, f - g, w + v, w - v)
+            strings.append("boundary" if min(map(abs, quads)) <= SIGN_BOUNDARY_TOL
+                           else "".join("+" if q > 0 else "-" for q in quads))
+        assert list(_region_codes(pts)) == strings
+
+        sel = np.array(strings) == "++++"
+        report = verify_monogamy(VerifyConfig(samples=2**12, seed=4, restrict_region="++++"))
+        assert set(report.regions) == {"++++"}
+        assert report.regions["++++"]["samples"] == sel.sum() > 0
+        assert report.min_value == schmidt_f_batch(pts[sel])["f"].min()
 
     def test_region_restricted_scan(self):
         # the sampled infimum of the ++++ region sits near its closure at the
