@@ -16,7 +16,14 @@ from .monogamy import (
     verify_monogamy,
 )
 from .pauli import density_from_theta, pauli_tensor, pauli_tensor_pair, purity_from_theta
-from .randgen import RandomStateSpec, random_eigenvalues, random_hermitian, random_state, random_states
+from .randgen import (
+    RandomStateSpec,
+    random_eigenvalues,
+    random_hermitian,
+    random_state,
+    random_state_batch,
+    random_states,
+)
 from .states import (
     SchmidtParams,
     StateDiagnostics,
@@ -41,6 +48,7 @@ from .steering import (
     h_one_to_two,
     h_pair,
     h_two_to_one,
+    steering_batch,
     steering_report,
     steering_value,
     trace_norm,

@@ -12,7 +12,6 @@ state, 3 verification fixture mismatch.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import re
@@ -28,6 +27,8 @@ _TOLERANCE_PROFILES = {
     "strict": {"herm_tol": 1e-13, "trace_tol": 1e-13, "eig_tol": 1e-12},
     "loose": {"herm_tol": 1e-9, "trace_tol": 1e-9, "eig_tol": 1e-6},
 }
+
+CHUNK = 256  # states per steering_batch call in montecarlo and sweep
 
 _PI_RE = re.compile(r"^(-?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?$", re.IGNORECASE)
 
@@ -54,6 +55,10 @@ def parse_angle(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
 
 
+_SWEEP_COLUMNS = ("h_a_bc", "s_a_bc", "h_ab", "h_ac", "h_bc", "h_tot")
+_MC_COLUMNS = ("s_a_bc", "h_ab", "h_ac", "h_bc", "s_ab", "s_ac", "s_bc", "h_tot", "s_tot", "margin")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -67,13 +72,14 @@ def _out_path(name: str | None, default_name: str) -> Path:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--out", help="output path (CSV or JSON, subcommand specific)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for batch analysis")
-    parser.add_argument(
-        "--tolerance-profile", choices=sorted(_TOLERANCE_PROFILES), default="default",
-        help="state validation tolerances",
-    )
+
+
+def _chunks(count: int, make_states):
+    """(indices, report columns) per CHUNK states; make_states(start, stop) gives (n, 8, 8)."""
+    for start in range(0, count, CHUNK):
+        stop = min(start + CHUNK, count)
+        yield range(start, stop), steering.steering_batch(make_states(start, stop)).to_dict()
 
 
 def cmd_analyze(args) -> int:
@@ -103,16 +109,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_rows(family: str, theta: float, grid: np.ndarray):
-    for val in grid:
-        if family == "ghz":
-            psi = states.ghz_state(val)
-        else:
-            psi = states.w_state(theta, val)
-        rep = steering.steering_report(states.density_from_pure(psi), validate=False)
-        yield val, rep
-
-
 def cmd_sweep(args) -> int:
     if args.points < 2:
         print("error: --points must be >= 2", file=sys.stderr)
@@ -121,12 +117,16 @@ def cmd_sweep(args) -> int:
         print("error: grid bounds must be finite", file=sys.stderr)
         return 1
     grid = np.linspace(args.start, args.stop, args.points)
-    lines = ["param,h_a_bc,s_a_bc,h_ab,h_ac,h_bc,h_tot"]
-    for val, rep in _sweep_rows(args.family, args.theta, grid):
-        lines.append(",".join(_fmt(v) for v in (
-            val, rep.h_a_bc, rep.s_a_bc,
-            rep.pair_h["AB"], rep.pair_h["AC"], rep.pair_h["BC"], rep.h_tot,
-        )))
+
+    def densities(start, stop):
+        psi = np.stack([states.ghz_state(v) if args.family == "ghz" else states.w_state(args.theta, v)
+                        for v in grid[start:stop]])
+        return psi[:, :, None] * psi.conj()[:, None, :]
+
+    lines = ["param," + ",".join(_SWEEP_COLUMNS)]
+    for idx, cols in _chunks(len(grid), densities):
+        table = np.column_stack([grid[idx.start:idx.stop]] + [cols[k] for k in _SWEEP_COLUMNS])
+        lines += [",".join(map(_fmt, row)) for row in table.tolist()]
     text = "\n".join(lines) + "\n"
     if args.out is None and "QSTEER_OUT_DIR" not in os.environ:
         sys.stdout.write(text)
@@ -138,41 +138,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _mc_row(spec: randgen.RandomStateSpec, index: int):
-    rho = randgen.random_state(spec, index)
-    return steering.steering_report(rho, validate=False)
-
-
 def cmd_montecarlo(args) -> int:
     try:
         spec = randgen.RandomStateSpec(seed=args.seed, mode=args.mode, count=args.count)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    indices = range(spec.count)
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda i: _mc_row(spec, i), indices))
-    else:
-        reports = [_mc_row(spec, i) for i in indices]
 
     counts = {"corollary1": 0, "corollary2": 0, "mixed": 0}
     min_margin = np.inf
     violations = 0
-    rows = ["index,s_a_bc,h_ab,h_ac,h_bc,s_ab,s_ac,s_bc,h_tot,s_tot,margin,classification"]
+    rows = ["index," + ",".join(_MC_COLUMNS) + ",classification"]
     written = 0
-    for i, rep in zip(indices, reports):
-        counts[rep.classification] += 1
-        min_margin = min(min_margin, rep.margin)
-        if rep.margin < -1e-9:
-            violations += 1
-        if args.filter != "all" and rep.classification != args.filter:
-            continue
-        d = rep.to_dict()
-        rows.append(",".join([str(i)] + [_fmt(d[k]) for k in (
-            "s_a_bc", "h_ab", "h_ac", "h_bc", "s_ab", "s_ac", "s_bc",
-            "h_tot", "s_tot", "margin")] + [rep.classification]))
-        written += 1
+    for idx, cols in _chunks(spec.count, lambda a, b: randgen.random_state_batch(spec, a, b)):
+        min_margin = min(min_margin, float(cols["margin"].min()))
+        violations += int(np.sum(cols["margin"] < -1e-9))
+        table = np.column_stack([cols[k] for k in _MC_COLUMNS]).tolist()
+        for i, values, label in zip(idx, table, cols["classification"].tolist()):
+            counts[label] += 1
+            if args.filter != "all" and label != args.filter:
+                continue
+            rows.append(",".join([str(i)] + [_fmt(v) for v in values] + [label]))
+            written += 1
 
     path = _out_path(args.out, "montecarlo.csv")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -307,6 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-cuts", action="store_true", help="include B|CA and C|AB cuts")
     p.add_argument("--two-to-one", action="store_true", help="include pair-to-qubit directions")
     p.add_argument("--reverse-pairs", action="store_true", help="include B->A, C->A, C->B")
+    p.add_argument(
+        "--tolerance-profile", choices=sorted(_TOLERANCE_PROFILES), default="default",
+        help="state validation tolerances",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -324,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10_000)
     p.add_argument("--mode", choices=("pure", "mixed"), default="pure")
     p.add_argument("--filter", choices=("all", "corollary1", "corollary2"), default="all")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
     p.set_defaults(func=cmd_montecarlo)
 
@@ -332,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stationary-starts", type=int, default=256)
     p.add_argument("--face-starts", type=int, default=64)
     p.add_argument("--samples", type=int, default=2**20)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
     p.set_defaults(func=cmd_verify_appendix)
 
@@ -339,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--mode", choices=("pure", "mixed"), default="pure")
     p.add_argument("--jsonl", action="store_true", help="single JSON-lines stream with metadata header")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
     p.set_defaults(func=cmd_random)
 

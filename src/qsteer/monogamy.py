@@ -37,8 +37,10 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .states import SchmidtParams, density_from_pure, partial_trace, schmidt_state
-from .steering import h_one_to_two, h_pair
+from .states import SchmidtParams, density_from_pure, schmidt_state
+from .states import partial_trace  # noqa: F401  kept: perfbench/spans.py patches this name here
+from .steering import h_pair  # noqa: F401  kept: perfbench/spans.py patches this name here
+from .steering import steering_report
 
 __all__ = [
     "ALL_SIGN_REGIONS",
@@ -74,27 +76,18 @@ _COORDS = ("x", "y", "z", "h")
 
 def f_pipeline(p) -> float:
     """Monogamy gap at one parameter point, via the generic steering stack."""
-    rho = density_from_pure(schmidt_state(p))
-    h_abc = h_one_to_two(rho)
-    h_ab = h_pair(partial_trace(rho, ("A", "B")))
-    h_ac = h_pair(partial_trace(rho, ("A", "C")))
-    h_bc = h_pair(partial_trace(rho, ("B", "C")))
-    return h_abc - (h_ab + h_ac + h_bc)
+    return f_components(p)["f"]
 
 
 def f_components(p) -> dict:
-    """The gap together with its four H ingredients."""
-    rho = density_from_pure(schmidt_state(p))
-    h_abc = h_one_to_two(rho)
-    h_ab = h_pair(partial_trace(rho, ("A", "B")))
-    h_ac = h_pair(partial_trace(rho, ("A", "C")))
-    h_bc = h_pair(partial_trace(rho, ("B", "C")))
+    """The gap H_A->BC - (H_AB + H_AC + H_BC) together with its four H ingredients."""
+    rep = steering_report(density_from_pure(schmidt_state(p)), validate=False)
     return {
-        "f": h_abc - (h_ab + h_ac + h_bc),
-        "h_a_bc": h_abc,
-        "h_ab": h_ab,
-        "h_ac": h_ac,
-        "h_bc": h_bc,
+        "f": rep.h_a_bc - rep.h_tot,
+        "h_a_bc": rep.h_a_bc,
+        "h_ab": rep.pair_h["AB"],
+        "h_ac": rep.pair_h["AC"],
+        "h_bc": rep.pair_h["BC"],
     }
 
 

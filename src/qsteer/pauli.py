@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import ordered_sum
+
 __all__ = [
     "PAULI",
     "pauli_tensor",
@@ -37,8 +39,23 @@ PAULI3 = np.stack(
 _IMAG_TOL = 1e-12
 
 
-def _real_traces(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    vals = np.einsum("nij,ji->n", stack, rho)
+def _entry_tables(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each Pauli string has one nonzero entry per column: tr(rho P) = sum_c
+    rho[c, r(c)] P[r(c), c]. Returns the flat indices c*d + r(c) and the values."""
+    d = strings.shape[-1]
+    rows = np.argmax(strings != 0, axis=1)
+    values = np.take_along_axis(strings, rows[:, None, :], axis=1)[:, 0, :]
+    return np.arange(d) * d + rows, values
+
+
+_ENTRIES = {d: _entry_tables(s) for d, s in ((4, PAULI2), (8, PAULI3))}
+
+
+def _real_traces(rho: np.ndarray, d: int) -> np.ndarray:
+    # a gather and an ordered sum, not a BLAS product: its blocking, and so
+    # its rounding, would depend on how many states are stacked
+    index, values = _ENTRIES[d]
+    vals = ordered_sum(rho.reshape(rho.shape[:-2] + (d * d,))[..., index] * values)
     worst = float(np.max(np.abs(vals.imag)))
     if worst > _IMAG_TOL:
         raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")
@@ -46,11 +63,15 @@ def _real_traces(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def pauli_tensor(rho: np.ndarray) -> np.ndarray:
-    """All 64 coefficients of an 8x8 state as a real (4, 4, 4) array."""
+    """All 64 coefficients of an 8x8 state as a real (4, 4, 4) array.
+
+    A stack of states (..., 8, 8) gives (..., 4, 4, 4); each state's
+    coefficients are bit-identical to those it gets on its own.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
+    if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 density matrix, got {rho.shape}")
-    return _real_traces(PAULI3, rho).reshape(4, 4, 4)
+    return _real_traces(rho, 8).reshape(rho.shape[:-2] + (4, 4, 4))
 
 
 def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
@@ -58,7 +79,7 @@ def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
     rho2 = np.asarray(rho2, dtype=complex)
     if rho2.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
-    return _real_traces(PAULI2, rho2).reshape(4, 4)
+    return _real_traces(rho2, 4).reshape(4, 4)
 
 
 def density_from_theta(theta: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ two. Pure mode keeps only the leading eigenvector.
 
 Determinism contract: state number i is generated from the child stream
 SeedSequence(seed, spawn_key=(i,)), so identical (seed, mode, count) specs
-give bit-identical output regardless of batching, ordering, or worker count.
+give bit-identical output regardless of batching or ordering.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "random_hermitian",
     "random_pure_vector",
     "random_state",
+    "random_state_batch",
     "random_states",
 ]
 
@@ -77,30 +78,49 @@ def random_hermitian(rng: np.random.Generator) -> np.ndarray:
     D, U, L are the diagonal, strictly upper, and strictly lower parts of K;
     the diagonal of H equals the diagonal of K.
     """
-    k = rng.uniform(-1.0, 1.0, size=(8, 8))
-    d = np.diag(np.diag(k))
+    return _hermitian(rng.uniform(-1.0, 1.0, size=(8, 8)))
+
+
+def _hermitian(k: np.ndarray) -> np.ndarray:
+    """The random_hermitian construction on a stack of K matrices (..., 8, 8)."""
+    d = k * np.eye(8)
     u = np.triu(k, 1)
     lo = np.tril(k, -1)
-    return d + (u.T + u) + 1j * (lo.T - lo)
+    return d + (np.swapaxes(u, -1, -2) + u) + 1j * (np.swapaxes(lo, -1, -2) - lo)
 
 
-def _one_state(rng: np.random.Generator, mode: str, cascade_variant: str) -> np.ndarray:
+def _draw(rng: np.random.Generator, mode: str, cascade_variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and the K matrix of random_hermitian for one state, read
+    from its stream in this order."""
     if mode == "mixed":
         lams = random_eigenvalues(rng, cascade_variant)
     else:
         lams = np.zeros(8)
         lams[0] = 1.0
-    h = random_hermitian(rng)
-    _, vecs = np.linalg.eigh(h)
-    vecs = vecs[:, ::-1]  # descending eigenvalue order; lambda_1 pairs with the top eigenvector
-    return (vecs * lams) @ vecs.conj().T
+    return lams, rng.uniform(-1.0, 1.0, size=(8, 8))
+
+
+def random_state_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarray:
+    """States start, ..., stop - 1 of the batch as an (n, 8, 8) stack.
+
+    Each state is drawn from its own stream; the eigendecompositions and the
+    spectral sums run batched, and each state is bit-identical to
+    random_state(spec, i).
+    """
+    if not 0 <= start < stop <= spec.count:
+        raise IndexError(f"indices {start}..{stop - 1} outside batch of {spec.count}")
+    lams, ks = zip(*(_draw(_stream(spec.seed, i), spec.mode, spec.cascade_variant)
+                     for i in range(start, stop)))
+    # descending eigenvalue order; lambda_1 pairs with the top eigenvector
+    vecs = np.linalg.eigh(_hermitian(np.stack(ks)))[1][..., ::-1]
+    return (vecs * np.stack(lams)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def random_state(spec: RandomStateSpec, index: int) -> np.ndarray:
     """Density matrix number `index` of the batch described by `spec`."""
     if not 0 <= index < spec.count:
         raise IndexError(f"index {index} outside batch of {spec.count}")
-    return _one_state(_stream(spec.seed, index), spec.mode, spec.cascade_variant)
+    return random_state_batch(spec, index, index + 1)[0]
 
 
 def random_pure_vector(spec: RandomStateSpec, index: int) -> np.ndarray:
@@ -109,9 +129,8 @@ def random_pure_vector(spec: RandomStateSpec, index: int) -> np.ndarray:
         raise ValueError("state vectors exist only in pure mode")
     if not 0 <= index < spec.count:
         raise IndexError(f"index {index} outside batch of {spec.count}")
-    h = random_hermitian(_stream(spec.seed, index))
-    _, vecs = np.linalg.eigh(h)
-    return vecs[:, -1]
+    _, k = _draw(_stream(spec.seed, index), spec.mode, spec.cascade_variant)
+    return np.linalg.eigh(_hermitian(k))[1][:, -1]
 
 
 def random_states(spec: RandomStateSpec) -> Iterator[np.ndarray]:

@@ -35,17 +35,6 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_TOL = 1e-9
 
-# einsum contractions for tracing a 3-qubit state down to a subsystem;
-# row indices abc, column indices def.
-_PTRACE_EXPR = {
-    (0,): "abcdbc->ad",
-    (1,): "abcaec->be",
-    (2,): "abcabf->cf",
-    (0, 1): "abcdec->abde",
-    (0, 2): "abcdbf->acdf",
-    (1, 2): "abcaef->bcef",
-}
-
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
 
 
@@ -109,6 +98,30 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, adding the terms left to right.
+
+    numpy's reductions pick their summation order by array shape, so a state
+    summed alone and inside a stack can differ in the last bit; the running
+    sum of np.add.accumulate is computed elementwise and does not.
+    """
+    return np.add.accumulate(x, axis=-1)[..., -1]
+
+
+def _trace_terms(keep: tuple[int, ...]) -> np.ndarray:
+    """Flat 8x8 indices of the terms of each reduced-state entry: (d, d, terms)."""
+    out, qubits = np.arange(64).reshape((2,) * 6), 3
+    for q in sorted({0, 1, 2} - set(keep), reverse=True):  # row axis q, column axis qubits + q
+        out = out.diagonal(axis1=q, axis2=qubits + q)
+        qubits -= 1
+    d = 2 ** len(keep)
+    return out.reshape(d, d, -1)
+
+
+# keys are the subsystems partial_trace can keep, as sorted qubit indices
+_TRACE_TERMS = {k: _trace_terms(k) for k in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
+
+
 def _as_qubit_tensor(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (8, 8):
         raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
@@ -119,14 +132,16 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Reduced state of a three-qubit density matrix.
 
     `keep` is a subset of {"A","B","C"} (or qubit indices {0,1,2}); the
-    remaining qubits are traced out. Result dimension is 2 or 4.
+    remaining qubits are traced out. Result dimension is 2 or 4. A stack of
+    states (..., 8, 8) gives a stack of reduced states.
     """
     idx = tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep))
-    if idx not in _PTRACE_EXPR:
+    if idx not in _TRACE_TERMS:
         raise ValueError(f"invalid subsystem set {keep!r}")
-    out = np.einsum(_PTRACE_EXPR[idx], _as_qubit_tensor(np.asarray(rho, dtype=complex)))
-    d = 2 ** len(idx)
-    return out.reshape(d, d)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
+    return ordered_sum(rho.reshape(rho.shape[:-2] + (64,))[..., _TRACE_TERMS[idx]])
 
 
 def purity(rho: np.ndarray) -> float:
@@ -140,23 +155,33 @@ def purity(rho: np.ndarray) -> float:
 DEFICIT_FLOOR = 1e-14
 
 
-def purity_deficit(rho: np.ndarray) -> float:
+def _minor_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of rho[i, i], rho[j, j] and rho[i, j] for the i < j minors."""
+    i, j = np.triu_indices(d, 1)
+    return i * (d + 1), j * (d + 1), i * d + j
+
+
+_MINOR_ENTRIES = {d: _minor_entries(d) for d in (2, 4, 8)}
+
+
+def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     """1 - tr(rho^2) for a unit-trace matrix, clamped at 0.
 
     Computed as twice the sum of principal 2x2 minors, which is an exact
     identity and, unlike 1 - sum|rho_ij|^2, does not cancel catastrophically
     when rho is nearly pure. That matters because this quantity sits under a
-    square root in the steering bounds.
+    square root in the steering bounds. For a qubit it is 2 det(rho). A stack
+    (..., d, d) gives one deficit per matrix.
     """
     rho = np.asarray(rho)
-    diag = rho.diagonal().real
-    gram = (rho.real**2 + rho.imag**2) if np.iscomplexobj(rho) else rho**2
-    total = 0.0
-    for i in range(rho.shape[0]):
-        for j in range(i + 1, rho.shape[0]):
-            total += diag[i] * diag[j] - gram[i, j]
-    deficit = 2.0 * total
-    return 0.0 if deficit < DEFICIT_FLOOR else deficit
+    d = rho.shape[-1]
+    ii, jj, ij = _MINOR_ENTRIES[d] if d in _MINOR_ENTRIES else _minor_entries(d)
+    flat = rho.reshape(rho.shape[:-2] + (d * d,))
+    off = flat[..., ij]
+    gram = (off.real**2 + off.imag**2) if np.iscomplexobj(off) else off**2
+    deficit = 2.0 * ordered_sum(flat[..., ii].real * flat[..., jj].real - gram)
+    deficit = np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
+    return float(deficit) if deficit.ndim == 0 else deficit
 
 
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
@@ -244,36 +269,39 @@ def state_to_payload(state: np.ndarray, kind: str | None = None) -> dict:
     return {"qubits": q, "kind": "mixed", "matrix": mat}
 
 
+def _pairs_to_complex(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Complex array of `shape` from nested lists of finite [re, im] numbers."""
+    try:
+        arr = np.array(value)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise ValueError(f"malformed {what}: {exc}") from None
+    if arr.shape != shape + (2,) or arr.dtype.kind not in "iuf":
+        dims = "x".join(map(str, shape))
+        raise ValueError(f"expected {what} as {dims} [re, im] number pairs")
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite number in {what}")
+    return arr.view(complex)[..., 0]
+
+
 def state_from_payload(payload: dict) -> np.ndarray:
     """Parse the JSON state payload back into a density matrix.
 
-    Raises ValueError on schema or dimension problems. Pure payloads are
-    converted to rank-1 density matrices. Validity of the state itself
-    (norm, positivity) is the caller's concern via validate_state.
+    Raises ValueError on schema or dimension problems, including non-list
+    rows, non-numeric or non-finite (NaN, Infinity) entries and a qubit count
+    that is not an integer 1, 2 or 3. Pure payloads are converted to rank-1
+    density matrices. Validity of the state itself (norm, positivity) is the
+    caller's concern via validate_state.
     """
     if not isinstance(payload, dict):
         raise ValueError("state payload must be a JSON object")
     q = payload.get("qubits")
     kind = payload.get("kind")
-    if q not in (1, 2, 3):
+    if isinstance(q, bool) or not isinstance(q, int) or q not in (1, 2, 3):
         raise ValueError(f"unsupported qubit count {q!r}")
     d = 2**q
     if kind == "pure":
-        amps = payload.get("amplitudes")
-        if not isinstance(amps, list) or len(amps) != d:
-            raise ValueError(f"expected {d} amplitude pairs, got {amps if amps is None else len(amps)}")
-        try:
-            vec = np.array([complex(re, im) for re, im in amps])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed amplitude entry: {exc}") from None
-        return density_from_pure(vec)
+        return density_from_pure(_pairs_to_complex(payload.get("amplitudes"), (d,), "amplitudes"))
     if kind == "mixed":
-        mat = payload.get("matrix")
-        if not isinstance(mat, list) or len(mat) != d or any(len(r) != d for r in mat):
-            raise ValueError(f"expected a {d}x{d} matrix of [re, im] pairs")
-        try:
-            rho = np.array([[complex(re, im) for re, im in row] for row in mat])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed matrix entry: {exc}") from None
-        return rho
+        return _pairs_to_complex(payload.get("matrix"), (d, d), "matrix")
     raise ValueError(f"unknown state kind {kind!r}")

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import pauli_tensor, pauli_tensor_pair, purity_from_theta
-from .states import DEFICIT_FLOOR as _DEFICIT_FLOOR
-from .states import partial_trace, permute_qubits, purity_deficit, validate_state
+from .pauli import pauli_tensor, pauli_tensor_pair
+from .states import ordered_sum, partial_trace, purity_deficit, validate_state
+from .states import permute_qubits  # noqa: F401  kept: perfbench/spans.py patches this name here
 
 __all__ = [
     "CorrelationMatrix",
@@ -30,6 +30,7 @@ __all__ = [
     "h_two_to_one",
     "h_pair",
     "steering_value",
+    "steering_batch",
     "steering_report",
 ]
 
@@ -37,6 +38,15 @@ ONE_TWO_SCALE = 1.0 / (2.0 * np.sqrt(2.0))  # 1/sqrt(2) qubit LOOs times 1/2 pai
 PAIR_SCALE = 0.5  # two 1/sqrt(2) qubit LOO factors
 
 _PURE_DEFICIT_TOL = 1e-12
+
+# theta axes of each cut: steering qubit, then the pair; the pair-to-qubit
+# direction uses the transposed matrix, so it shares the trace norm
+_CUTS = {"A->BC": (0, 1, 2), "B->CA": (1, 2, 0), "C->AB": (2, 0, 1)}
+_TWO_TO_ONE = {"A->BC": "BC->A", "B->CA": "CA->B", "C->AB": "AB->C"}
+_CUT_ORDER = ("A->BC", "BC->A", "B->CA", "C->AB", "CA->B", "AB->C")
+# qubits of the pairs AB, AC, BC; the first steers the second, and the
+# reverse pairs BA, CA, CB the other way round
+_FIRST, _SECOND = [0, 0, 1], [1, 2, 2]
 
 
 @dataclass
@@ -51,21 +61,24 @@ class CorrelationMatrix:
         return trace_norm(self.entries)
 
 
-def trace_norm(matrix) -> float:
-    """Sum of singular values."""
+def trace_norm(matrix) -> float | np.ndarray:
+    """Sum of singular values; one per matrix of a stack (..., m, n)."""
     entries = matrix.entries if isinstance(matrix, CorrelationMatrix) else matrix
-    return float(np.linalg.svd(np.asarray(entries, dtype=float), compute_uv=False).sum())
+    norms = ordered_sum(np.linalg.svd(np.asarray(entries, dtype=float), compute_uv=False))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def correlation_one_to_two(theta: np.ndarray) -> CorrelationMatrix:
     """4x16 covariance matrix for steering the leading qubit into the pair.
 
     M[m, 4j+k] = (theta[m,j,k] - theta[m,0,0] * theta[0,j,k]) / (2*sqrt(2)).
-    Row m=0 and column n=0 vanish identically.
+    Row m=0 and column n=0 vanish identically. A stack of tensors
+    (..., 4, 4, 4) gives a stack of matrices.
     """
     theta = np.asarray(theta, dtype=float)
-    cov = theta - np.einsum("m,jk->mjk", theta[:, 0, 0], theta[0])
-    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(4, 16), cut="A|BC", direction="A->BC")
+    cov = theta - theta[..., :, 0, 0, None, None] * theta[..., None, 0, :, :]
+    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16)),
+                             cut="A|BC", direction="A->BC")
 
 
 def correlation_two_to_one(theta: np.ndarray) -> CorrelationMatrix:
@@ -91,31 +104,14 @@ def _pair_marginals(rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("abcb->ac", r), np.einsum("abac->bc", r)
 
 
-def _qubit_deficit(rho1: np.ndarray) -> float:
-    # 1 - tr(rho^2) = 2 det(rho) for a unit-trace qubit state; exact when an
-    # amplitude sector is empty, unlike the cancellation-prone direct form.
-    det = rho1[0, 0].real * rho1[1, 1].real - (rho1[0, 1].real**2 + rho1[0, 1].imag**2)
-    deficit = 2.0 * det
-    return 0.0 if deficit < _DEFICIT_FLOOR else deficit
-
-
-def _steered_pair_deficit(rho: np.ndarray) -> float:
-    # For a globally pure state the two cut marginals share a spectrum, so the
-    # 4-dim deficit equals 2 det(rho_a); that route stays exact at points where
-    # the cut factorizes.
-    if purity_deficit(rho) <= _PURE_DEFICIT_TOL:
-        return _qubit_deficit(partial_trace(rho, ("A",)))
-    return purity_deficit(partial_trace(rho, ("B", "C")))
-
-
 def h_one_to_two(rho: np.ndarray) -> float:
     """H for steering qubit A into the BC pair: ||M||_tr - sqrt((2 - tr rho_a^2)(1 - tr rho_bc^2))."""
-    return _one_to_two_quantities(np.asarray(rho, dtype=complex)).h
+    return steering_report(rho, validate=False).h_a_bc
 
 
 def h_two_to_one(rho: np.ndarray) -> float:
     """H for steering the BC pair into qubit A: ||M'||_tr - sqrt((4 - tr rho_bc^2)(1 - tr rho_a^2))."""
-    return _two_to_one_quantities(np.asarray(rho, dtype=complex)).h
+    return steering_report(rho, include_two_to_one=True, validate=False).cuts["BC->A"].h
 
 
 def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
@@ -130,17 +126,19 @@ def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
     m0, m1 = _pair_marginals(rho2)
     steer, steered = (m0, m1) if steering_side == 0 else (m1, m0)
     p_steer = float(np.real(np.einsum("ij,ji->", steer, steer)))
-    return norm - float(np.sqrt((2.0 - p_steer) * _qubit_deficit(steered)))
+    return norm - float(np.sqrt((2.0 - p_steer) * purity_deficit(steered)))
 
 
-def steering_value(h: float) -> float:
-    """Steering quantifier max(H, 0)."""
-    return max(float(h), 0.0)
+def steering_value(h) -> float | np.ndarray:
+    """Steering quantifier max(H, 0), elementwise on arrays."""
+    s = np.maximum(h, 0.0)
+    return float(s) if s.ndim == 0 else s
 
 
 @dataclass
 class CutQuantities:
-    """Trace norm, purity bound, and H/S for one cut and direction."""
+    """Trace norm, purity bound, and H/S for one cut and direction (floats,
+    or arrays over the states of a batch)."""
 
     norm: float
     bound: float
@@ -156,7 +154,12 @@ class CutQuantities:
 
 @dataclass
 class SteeringReport:
-    """All requested H and S values plus the monogamy verdict for one state."""
+    """All requested H and S values plus the monogamy verdict.
+
+    For one state (steering_report) every value is a float and the
+    classification a str; for a batch (steering_batch) they are arrays with
+    one entry per state, and row(i) gives state i's report.
+    """
 
     cuts: dict[str, CutQuantities]
     pair_h: dict[str, float]
@@ -215,30 +218,82 @@ class SteeringReport:
         out.update(self.extras)
         return out
 
+    def row(self, i: int) -> SteeringReport:
+        """The float-valued report of state i of a batch."""
+        return SteeringReport(
+            cuts={k: CutQuantities(float(c.norm[i]), float(c.bound[i])) for k, c in self.cuts.items()},
+            pair_h={k: float(v[i]) for k, v in self.pair_h.items()},
+            classification=str(self.classification[i]),
+            extras={k: float(v[i]) for k, v in self.extras.items()},
+        )
 
-def _one_to_two_quantities(rho: np.ndarray) -> CutQuantities:
+
+def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
+    """corollary1 when all pair H >= 0, corollary2 when all < 0, else mixed.
+
+    Elementwise on arrays of H values.
+    """
+    h = np.array([h_ab, h_ac, h_bc], dtype=float)
+    label = np.where(np.all(h >= 0.0, axis=0), "corollary1",
+                     np.where(np.all(h < 0.0, axis=0), "corollary2", "mixed"))
+    return str(label) if label.ndim == 0 else label
+
+
+def steering_batch(
+    rho: np.ndarray,
+    include_all_cuts: bool = False,
+    include_two_to_one: bool = False,
+    include_reverse_pairs: bool = False,
+) -> SteeringReport:
+    """Steering analysis of a stack of three-qubit states rho[n, 8, 8].
+
+    One Pauli tensor per state gives every cut (B|CA and C|AB as axis
+    transposes) and pair (its slices); both directions of a cut share one
+    trace norm. Returns a SteeringReport of arrays. A state's values are
+    bit-identical to those it gets alone: every sum runs in a fixed order per
+    state, with no BLAS product, whose rounding depends on the stack size.
+    The states are not validated.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 3:
+        raise ValueError(f"expected a stack of 8x8 density matrices, got shape {rho.shape}")
     theta = pauli_tensor(rho)
-    norm = trace_norm(correlation_one_to_two(theta))
-    bound = float(np.sqrt((2.0 - purity_from_theta(theta, "A")) * _steered_pair_deficit(rho)))
-    return CutQuantities(norm=norm, bound=bound)
+    qubit_deficit = purity_deficit(np.stack([partial_trace(rho, (q,)) for q in range(3)], axis=1))
+    bloch = np.stack([theta[:, :, 0, 0], theta[:, 0, :, 0], theta[:, 0, 0, :]], axis=1)
+    qubit_purity = ordered_sum(bloch**2) / 2.0
 
+    names = list(_CUTS) if include_all_cuts else ["A->BC"]
+    steer = [_CUTS[c][0] for c in names]
+    cut_theta = np.stack([theta.transpose((0,) + tuple(1 + a for a in _CUTS[c])) for c in names], axis=1)
+    norm = trace_norm(correlation_one_to_two(cut_theta))
+    # for a globally pure state the pair deficit equals its complement's 2 det,
+    # which stays exact where the cut factorizes
+    pure = purity_deficit(rho) <= _PURE_DEFICIT_TOL
+    pair_deficit = purity_deficit(np.stack([partial_trace(rho, _CUTS[c][1:]) for c in names], axis=1))
+    steered_deficit = np.where(pure[:, None], qubit_deficit[:, steer], pair_deficit)
+    bound = np.sqrt((2.0 - qubit_purity[:, steer]) * steered_deficit)
+    found = {c: CutQuantities(norm[:, k], bound[:, k]) for k, c in enumerate(names)}
+    if include_two_to_one:
+        pair_purity = ordered_sum(cut_theta[:, :, 0].reshape(len(rho), len(names), 16) ** 2) / 4.0
+        bound = np.sqrt((4.0 - pair_purity) * qubit_deficit[:, steer])
+        found.update({_TWO_TO_ONE[c]: CutQuantities(norm[:, k], bound[:, k]) for k, c in enumerate(names)})
+    cuts = {c: found[c] for c in _CUT_ORDER if c in found}
 
-def _two_to_one_quantities(rho: np.ndarray) -> CutQuantities:
-    theta = pauli_tensor(rho)
-    norm = trace_norm(correlation_two_to_one(theta))
-    deficit_a = _qubit_deficit(partial_trace(rho, ("A",)))
-    bound = float(np.sqrt((4.0 - purity_from_theta(theta, "BC")) * deficit_a))
-    return CutQuantities(norm=norm, bound=bound)
-
-
-def classify_pairs(h_ab: float, h_ac: float, h_bc: float) -> str:
-    """corollary1 when all pair H >= 0, corollary2 when all < 0, else mixed."""
-    values = (h_ab, h_ac, h_bc)
-    if all(v >= 0.0 for v in values):
-        return "corollary1"
-    if all(v < 0.0 for v in values):
-        return "corollary2"
-    return "mixed"
+    pair_theta = np.stack([theta[:, :, :, 0], theta[:, :, 0, :], theta[:, 0, :, :]], axis=1)
+    cov = pair_theta[..., 1:, 1:] - pair_theta[..., 1:, :1] * pair_theta[..., :1, 1:]
+    pair_norm = trace_norm(PAIR_SCALE * cov)
+    h = pair_norm - np.sqrt((2.0 - qubit_purity[:, _FIRST]) * qubit_deficit[:, _SECOND])
+    pair_h = {"AB": h[:, 0], "AC": h[:, 1], "BC": h[:, 2]}
+    extras = {}
+    if include_reverse_pairs:
+        h = pair_norm - np.sqrt((2.0 - qubit_purity[:, _SECOND]) * qubit_deficit[:, _FIRST])
+        extras = {"h_ba": h[:, 0], "h_ca": h[:, 1], "h_cb": h[:, 2]}
+    return SteeringReport(
+        cuts=cuts,
+        pair_h=pair_h,
+        classification=classify_pairs(pair_h["AB"], pair_h["AC"], pair_h["BC"]),
+        extras=extras,
+    )
 
 
 def steering_report(
@@ -248,48 +303,16 @@ def steering_report(
     include_reverse_pairs: bool = False,
     validate: bool = True,
 ) -> SteeringReport:
-    """Full steering analysis of a three-qubit state.
+    """Full steering analysis of one three-qubit state: steering_batch on a
+    batch of one, after validating the state.
 
     Defaults compute the A->BC cut and the three pair directions A->B, A->C,
-    B->C. The B|CA and C|AB cuts reuse the same machinery on the relabeled
-    state (qubit permutation), and the two->one directions are available per
-    cut on request.
+    B->C; the B|CA and C|AB cuts, the pair-to-qubit directions and the
+    reverse pair directions are available on request.
     """
     rho = np.asarray(rho, dtype=complex)
     if validate:
         diag = validate_state(rho)
         if not diag.passed:
             raise ValueError(f"invalid density matrix: {diag.as_dict()}")
-
-    cuts = {"A->BC": _one_to_two_quantities(rho)}
-    if include_two_to_one:
-        cuts["BC->A"] = _two_to_one_quantities(rho)
-    if include_all_cuts:
-        rho_bca = permute_qubits(rho, ("B", "C", "A"))
-        rho_cab = permute_qubits(rho, ("C", "A", "B"))
-        cuts["B->CA"] = _one_to_two_quantities(rho_bca)
-        cuts["C->AB"] = _one_to_two_quantities(rho_cab)
-        if include_two_to_one:
-            cuts["CA->B"] = _two_to_one_quantities(rho_bca)
-            cuts["AB->C"] = _two_to_one_quantities(rho_cab)
-
-    rho_ab = partial_trace(rho, ("A", "B"))
-    rho_ac = partial_trace(rho, ("A", "C"))
-    rho_bc = partial_trace(rho, ("B", "C"))
-    pair_h = {
-        "AB": h_pair(rho_ab, steering_side=0),
-        "AC": h_pair(rho_ac, steering_side=0),
-        "BC": h_pair(rho_bc, steering_side=0),
-    }
-    extras = {}
-    if include_reverse_pairs:
-        extras["h_ba"] = h_pair(rho_ab, steering_side=1)
-        extras["h_ca"] = h_pair(rho_ac, steering_side=1)
-        extras["h_cb"] = h_pair(rho_bc, steering_side=1)
-
-    return SteeringReport(
-        cuts=cuts,
-        pair_h=pair_h,
-        classification=classify_pairs(pair_h["AB"], pair_h["AC"], pair_h["BC"]),
-        extras=extras,
-    )
+    return steering_batch(rho[None], include_all_cuts, include_two_to_one, include_reverse_pairs).row(0)

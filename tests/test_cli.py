@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qsteer import cli
+from qsteer.randgen import RandomStateSpec, random_state
 from qsteer.states import ghz_state, state_from_payload, state_to_payload, validate_state
+from qsteer.steering import steering_report
 
 
 def run_cli(args, capsys):
@@ -65,6 +67,33 @@ class TestAnalyze:
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"qubits": 3, "kind": "pure", "amplitudes": [[1, 0]] * 5}))
         assert run_cli(["analyze", str(path)], capsys)[0] == 1
+
+    @pytest.mark.parametrize("payload", [
+        {"qubits": 3, "kind": "mixed", "matrix": list(range(8))},
+        {"qubits": 3, "kind": "mixed", "matrix": [[[0.0, 0.0]] * 8] * 7 + [[[0.0, 0.0]] * 7 + [7]]},
+        {"qubits": True, "kind": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+    ], ids=["non-list-rows", "non-pair-entry", "bool-qubits"])
+    def test_malformed_payload_exit_1(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: cannot parse state file")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_non_finite_payload_exit_1(self, tmp_path, capsys, kind, bad):
+        payload = state_to_payload(ghz_state(np.pi / 4), kind="pure")
+        if kind == "mixed":
+            payload = state_to_payload(state_from_payload(payload))
+            payload["matrix"][7][0][0] = bad
+        else:
+            payload["amplitudes"][7][1] = bad
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(payload))  # writes NaN / Infinity / -Infinity tokens
+        code, _, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 1
+        assert "non-finite" in err
 
     def test_invalid_state_exit_2(self, tmp_path, capsys):
         payload = state_to_payload(ghz_state(np.pi / 4))
@@ -166,13 +195,25 @@ class TestMonteCarlo:
         assert s["min_margin"] >= -1e-9
         assert sum(s["counts"].values()) == 200
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        out1 = tmp_path / "t1.csv"
-        out2 = tmp_path / "t2.csv"
-        run_cli(["montecarlo", "--count", "60", "--seed", "4", "--out", str(out1)], capsys)
-        run_cli(["montecarlo", "--count", "60", "--seed", "4", "--threads", "4",
-                 "--out", str(out2)], capsys)
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_chunking_does_not_change_output(self, tmp_path, capsys, monkeypatch):
+        count = 2 * cli.CHUNK + 37  # two full chunks and a partial one
+        for mode in ("pure", "mixed"):
+            argv = ["montecarlo", "--count", str(count), "--seed", "4", "--mode", mode]
+            chunked, single = tmp_path / f"{mode}-chunked.csv", tmp_path / f"{mode}-single.csv"
+            run_cli(argv + ["--out", str(chunked)], capsys)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "CHUNK", 1)
+                run_cli(argv + ["--out", str(single)], capsys)
+            assert chunked.read_bytes() == single.read_bytes()
+
+            lines = chunked.read_text().strip().splitlines()
+            header = lines[0].split(",")
+            spec = RandomStateSpec(seed=4, mode=mode, count=count)
+            assert len(lines) == count + 1
+            for i, line in enumerate(lines[1:]):
+                d = steering_report(random_state(spec, i), validate=False).to_dict()
+                expect = [str(i)] + [format(d[k], ".17g") for k in header[1:-1]] + [d["classification"]]
+                assert line.split(",") == expect
 
     def test_corollary_filters(self, tmp_path, capsys):
         out = tmp_path / "c1.csv"

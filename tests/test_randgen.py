@@ -10,6 +10,7 @@ from qsteer.randgen import (
     random_hermitian,
     random_pure_vector,
     random_state,
+    random_state_batch,
     random_states,
 )
 from qsteer.states import purity, validate_state
@@ -97,3 +98,30 @@ def test_spec_validation():
         RandomStateSpec(seed=0, mode="pure", count=1, cascade_variant="n5")
     with pytest.raises(IndexError):
         random_state(RandomStateSpec(seed=0, mode="pure", count=2), 2)
+
+
+def _reference_state(spec, index):
+    """The recipe for one state with 2-D numpy calls, as the generator ran before batching."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(index,)))
+    lams = random_eigenvalues(rng, spec.cascade_variant) if spec.mode == "mixed" else np.eye(8)[0]
+    vecs = np.linalg.eigh(random_hermitian(rng))[1][:, ::-1]
+    return (vecs * lams) @ vecs.conj().T
+
+
+@pytest.mark.parametrize("mode", ["pure", "mixed"])
+def test_batch_generator_bit_identical(mode):
+    spec = RandomStateSpec(seed=31, mode=mode, count=2000)
+    batched = np.concatenate([random_state_batch(spec, s, min(s + 300, spec.count))
+                              for s in range(0, spec.count, 300)])
+    assert batched.shape == (2000, 8, 8)
+    for i in range(spec.count):
+        assert np.array_equal(batched[i], random_state(spec, i))
+        assert np.array_equal(batched[i], _reference_state(spec, i))
+
+
+def test_batch_generator_bounds():
+    spec = RandomStateSpec(seed=1, mode="pure", count=4)
+    with pytest.raises(IndexError):
+        random_state_batch(spec, 2, 5)
+    with pytest.raises(IndexError):
+        random_state_batch(spec, 3, 3)

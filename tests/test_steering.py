@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from qsteer.pauli import pauli_tensor
 from qsteer.states import (
+    DEFICIT_FLOOR,
     density_from_pure,
     ghz_state,
     partial_trace,
     permute_qubits,
+    purity_deficit,
     schmidt_state,
     w_state,
 )
@@ -19,6 +24,7 @@ from qsteer.steering import (
     h_one_to_two,
     h_pair,
     h_two_to_one,
+    steering_batch,
     steering_report,
     steering_value,
     trace_norm,
@@ -28,6 +34,8 @@ from conftest import (
     SIGMA,
     kron3,
     oracle_ptrace,
+    oracle_theta2,
+    oracle_theta3,
     random_mixed_density,
     random_pure_density,
     random_unitary_2,
@@ -309,3 +317,153 @@ class TestInvariance:
                 assert rep.s_a_bc >= 0.0
                 seen["corollary2"] += 1
         assert seen["corollary2"] > 0  # the ensemble hits this class often
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel
+
+ALL = dict(include_all_cuts=True, include_two_to_one=True, include_reverse_pairs=True)
+# multiples of 1/8 give exact zeros (product and sector-empty states) and keep
+# every nonzero deficit far from the 1e-14 floor, where sqrt amplifies rounding
+GRID = st.integers(-8, 8).map(lambda k: k / 8.0)
+
+
+@st.composite
+def states(draw, pure=None):
+    """(rho, pure): a normalised pure state, or G G^+ / tr mixed with the identity."""
+    pure = draw(st.booleans()) if pure is None else pure
+    if pure:
+        v = draw(arrays(np.float64, (2, 8), elements=GRID))
+        psi = v[0] + 1j * v[1]
+        assume(np.linalg.norm(psi) > 0)
+        psi = psi / np.linalg.norm(psi)
+        return np.outer(psi, psi.conj()), True
+    g = draw(arrays(np.float64, (2, 8, 8), elements=GRID))
+    g = g[0] + 1j * g[1]
+    m = g @ g.conj().T
+    assume(np.trace(m).real > 0)
+    t = draw(st.sampled_from([0.05, 0.3, 1.0]))  # weight of the identity
+    return (1 - t) * m / np.trace(m).real + t * np.eye(8) / 8, False
+
+
+def _qubit_deficit_oracle(rho1):
+    d = 2.0 * (rho1[0, 0] * rho1[1, 1] - abs(rho1[0, 1]) ** 2).real
+    return 0.0 if d < DEFICIT_FLOOR else d
+
+
+def oracle_report(rho, pure):
+    """Every H from kron-loop Pauli coefficients and index-loop partial traces.
+
+    Qubit deficits are 2 det(rho_q); a pair's deficit is 1 - tr(rho_pair^2),
+    or for a pure state the deficit of the complementary qubit (Schmidt).
+    """
+    theta = oracle_theta3(rho)
+    qubit = [oracle_ptrace(rho, (q,)) for q in range(3)]
+    p_q = [np.trace(r @ r).real for r in qubit]
+    d_q = [_qubit_deficit_oracle(r) for r in qubit]
+    out = {}
+    for name, axes, key21 in (("a_bc", (0, 1, 2), "bc_to_a"), ("b_to_ca", (1, 2, 0), "ca_to_b"),
+                              ("c_to_ab", (2, 0, 1), "ab_to_c")):
+        t = np.transpose(theta, axes)
+        m = (t - np.einsum("m,jk->mjk", t[:, 0, 0], t[0])).reshape(4, 16) / (2 * np.sqrt(2))
+        norm = np.linalg.svd(m, compute_uv=False).sum()
+        q, rest = axes[0], oracle_ptrace(rho, axes[1:])
+        p_rest = np.trace(rest @ rest).real
+        d_rest = d_q[q] if pure else 1.0 - p_rest
+        out[f"h_{name}"] = norm - np.sqrt((2 - p_q[q]) * d_rest)
+        out[f"h_{key21}"] = norm - np.sqrt((4 - p_rest) * d_q[q])
+    for (a, b), fwd, rev in (((0, 1), "h_ab", "h_ba"), ((0, 2), "h_ac", "h_ca"), ((1, 2), "h_bc", "h_cb")):
+        t2 = oracle_theta2(oracle_ptrace(rho, (a, b)))
+        norm = np.linalg.svd((t2[1:, 1:] - np.outer(t2[1:, 0], t2[0, 1:])) / 2, compute_uv=False).sum()
+        out[fwd] = norm - np.sqrt((2 - p_q[a]) * d_q[b])
+        out[rev] = norm - np.sqrt((2 - p_q[b]) * d_q[a])
+    return out
+
+
+def _h_values(d):
+    return {k: v for k, v in d.items() if k.startswith("h_") and k != "h_tot"}
+
+
+class TestBatchKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(states(), min_size=1, max_size=10))
+    def test_rows_bit_identical_to_batch_of_one(self, drawn):
+        rhos = np.stack([rho for rho, _ in drawn])
+        batch = steering_batch(rhos, **ALL)
+        for i, rho in enumerate(rhos):
+            assert batch.row(i).to_dict() == steering_report(rho, validate=False, **ALL).to_dict()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(states(), min_size=2, max_size=12), st.integers(1, 5))
+    def test_bit_identical_across_chunk_sizes(self, drawn, chunk):
+        rhos = np.stack([rho for rho, _ in drawn])
+        whole = steering_batch(rhos, **ALL).to_dict()
+        parts = [steering_batch(rhos[i:i + chunk], **ALL).to_dict() for i in range(0, len(rhos), chunk)]
+        for key, values in whole.items():
+            assert np.array_equal(np.concatenate([p[key] for p in parts]), values), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(states())
+    def test_every_h_matches_oracle(self, drawn):
+        rho, pure = drawn
+        got = _h_values(steering_report(rho, validate=False, **ALL).to_dict())
+        expect = oracle_report(rho, pure)
+        assert set(got) == set(expect)
+        for key, value in expect.items():
+            assert abs(got[key] - value) <= 1e-12, key
+
+    def test_every_h_matches_oracle_on_random_states(self, rng):
+        for maker, pure in ((random_pure_density, True), (random_mixed_density, False)):
+            for _ in range(20):
+                rho = maker(rng)
+                got = _h_values(steering_report(rho, validate=False, **ALL).to_dict())
+                for key, value in oracle_report(rho, pure).items():
+                    assert abs(got[key] - value) <= 1e-12, key
+
+    @settings(max_examples=40, deadline=None)
+    @given(states())
+    def test_qubit_permutation_covariance(self, drawn):
+        rho, _ = drawn
+        rep = steering_report(rho, validate=False, **ALL)
+        for perm, one_two, two_one in ((("B", "C", "A"), "B->CA", "CA->B"),
+                                       (("C", "A", "B"), "C->AB", "AB->C")):
+            moved = steering_report(permute_qubits(rho, perm), validate=False, include_two_to_one=True)
+            assert abs(rep.cuts[one_two].h - moved.cuts["A->BC"].h) <= 1e-12
+            assert abs(rep.cuts[two_one].h - moved.cuts["BC->A"].h) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(states(pure=True))
+    def test_continuous_across_pure_switch(self, drawn):
+        # the full deficit crosses the 1e-12 switch near eps = 5.7e-13
+        rho, _ = drawn
+        base = _h_values(steering_report(rho, validate=False, **ALL).to_dict())
+        entangled = min(purity_deficit(partial_trace(rho, (q,))) for q in range(3)) >= 1e-2
+        for eps in 10.0 ** np.arange(-16, -7.75, 0.5):
+            mixed = (1 - eps) * rho + eps * np.eye(8) / 8
+            h = _h_values(steering_report(mixed, validate=False, **ALL).to_dict())
+            for key, value in base.items():
+                assert abs(h[key] - value) <= 4 * np.sqrt(eps) + 1e-12, (key, eps)
+                if entangled:
+                    assert abs(h[key] - value) <= 100 * eps + 1e-12, (key, eps)
+
+    @pytest.mark.parametrize("t", [1e-7, 3e-7, 1e-6])
+    def test_pure_route_exact_near_product(self, t):
+        # GHZ(t) with Hadamards on B and C: rho_bc has O(1) entries whose
+        # minors cancel to a 2t^2 deficit, while rho_a stays diagonal, so the
+        # pure-state route 2 det(rho_a) keeps H_A->BC at its closed form
+        hd = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        rho = density_from_pure(np.kron(np.eye(2), np.kron(hd, hd)) @ ghz_state(t))
+        c, s = np.cos(t), np.sin(t)
+        norm = 2 * c * s + 2 * c**2 * s**2
+        expect = norm - np.sqrt((5 - np.cos(4 * t)) / 4 * 2 * c**2 * s**2)
+        assert abs(h_one_to_two(rho) - expect) <= 1e-12
+
+    def test_batch_values_are_arrays(self, rng):
+        rhos = np.stack([random_mixed_density(rng) for _ in range(3)])
+        batch = steering_batch(rhos, include_all_cuts=True)
+        assert list(batch.cuts) == ["A->BC", "B->CA", "C->AB"]
+        assert batch.cuts["A->BC"].h.shape == (3,)
+        assert batch.classification.shape == (3,)
+        assert isinstance(batch.row(2).classification, str)
+        with pytest.raises(ValueError, match="stack"):
+            steering_batch(rhos[0])
