@@ -8,8 +8,8 @@ evaluated on the family x|000> + y|100> + z|101> + h|110> over the unit
 3-sphere octant (all coordinates nonnegative). Monogamy of steering is the
 claim f >= 0 everywhere on that domain. This module provides:
 
-* f_pipeline      - per-point evaluation through the generic steering stack
-                    (the source of truth),
+* f_pipeline      - evaluation through the generic steering stack (the
+                    source of truth); f_components takes point stacks,
 * schmidt_f_batch - an independent, SVD-free vectorized route for bulk
                     sampling/optimization: each pair trace norm is the exact
                     |c_yy| + sqrt(||B2||_F^2 + 2|det B2|) of the real family,
@@ -40,7 +40,7 @@ from scipy.stats import qmc
 from .states import SchmidtParams, density_from_pure, schmidt_state
 from .states import partial_trace  # noqa: F401  kept: perfbench/spans.py patches this name here
 from .steering import h_pair  # noqa: F401  kept: perfbench/spans.py patches this name here
-from .steering import steering_report
+from .steering import steering_batch
 
 __all__ = [
     "ALL_SIGN_REGIONS",
@@ -66,6 +66,11 @@ _REGION_NAMES = np.array(ALL_SIGN_REGIONS + ["boundary", "undefined"], dtype=obj
 RADICAND_TOL = -1e-12  # rounding below 0 in a g/v radicand that still counts as defined
 SIGN_BOUNDARY_TOL = 1e-12  # |f+-g| or |w+-v| this small is a region boundary, not a sign
 FACE_TOL = 1e-6  # face/boundary slack for critical points, resolved only to ~1e-8
+GRAD_TOL = 1e-10  # descent convergence: central-difference gradient norm at a critical point
+MAX_ITER = 400  # descent iterations before a search start counts as dropped
+FD_STEP = 1e-6  # central-difference step of the search phases, well above f's ~1e-16 rounding
+DEDUP_RADIUS = 1e-6  # refined points closer than this in parameter space are one critical point
+PASS_TOL = -1e-9  # scan passes at or above this; f's rounding on its zero set is ~1e-16
 
 _COORDS = ("x", "y", "z", "h")
 
@@ -80,15 +85,21 @@ def f_pipeline(p) -> float:
 
 
 def f_components(p) -> dict:
-    """The gap H_A->BC - (H_AB + H_AC + H_BC) together with its four H ingredients."""
-    rep = steering_report(density_from_pure(schmidt_state(p)), validate=False)
-    return {
+    """The gap H_A->BC - (H_AB + H_AC + H_BC) together with its four H ingredients.
+
+    A point (4,) gives floats; an (n, 4) stack gives arrays from one
+    steering_batch call, each row bit-identical to its point evaluated alone.
+    """
+    psi = schmidt_state(p)
+    rep = steering_batch(density_from_pure(np.atleast_2d(psi)))
+    comps = {
         "f": rep.h_a_bc - rep.h_tot,
         "h_a_bc": rep.h_a_bc,
         "h_ab": rep.pair_h["AB"],
         "h_ac": rep.pair_h["AC"],
         "h_bc": rep.pair_h["BC"],
     }
+    return comps if psi.ndim == 2 else {k: float(v[0]) for k, v in comps.items()}
 
 
 def _block_norm(cxx, cxz, czx, czz, cyy):
@@ -245,7 +256,7 @@ def boundary_f(p, boundary: str) -> float:
     closed 2x2 expressions:
 
       x=0: f depends on t = z*h only:  sqrt(2) t (2 + sqrt(1+2t^2)) - 2t(1+t)
-      y=0: all pair covariance matrices are diagonal; see the component form
+      y=0: every pair covariance block is diagonal; schmidt_f_batch's exact form
       z=0: qubit C factorizes and both steered deficits vanish, so f == 0
       h=0: qubit B factorizes and f reduces to sqrt(2) x z
     """
@@ -263,20 +274,7 @@ def boundary_f(p, boundary: str) -> float:
         return 0.0
     if boundary == "h":
         return float(np.sqrt(2.0) * x * z)
-
-    # y = 0
-    x2, z2, h2 = x * x, z * z, h * h
-    q_a = 2.0 * x2 * (z2 + h2)
-    q_b = 2.0 * h2 * (x2 + z2)
-    q_c = 2.0 * z2 * (x2 + h2)
-    h_abc = np.sqrt(2.0 * q_a) + q_a - np.sqrt(q_a * (1.0 + q_a))
-    czz_ab = 0.5 * ((x2 - z2 + h2) - (x2 - z2 - h2) * (x2 + z2 - h2))
-    czz_ac = 0.5 * ((x2 - h2 + z2) - (x2 - h2 - z2) * (x2 + h2 - z2))
-    czz_bc = 0.5 * ((x2 - z2 - h2) - (x2 + z2 - h2) * (x2 - z2 + h2))
-    h_ab = 2.0 * x * h + abs(czz_ab) - np.sqrt((1.0 + q_a) * q_b)
-    h_ac = 2.0 * x * z + abs(czz_ac) - np.sqrt((1.0 + q_a) * q_c)
-    h_bc = 2.0 * z * h + abs(czz_bc) - np.sqrt((1.0 + q_b) * q_c)
-    return float(h_abc - (h_ab + h_ac + h_bc))
+    return float(schmidt_f_batch(np.array([x, y, z, h]))["f"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +287,6 @@ class MinimizeConfig:
 
     starts: int = 2000
     seed: int = 0
-    grad_tol: float = 1e-10
-    max_iter: int = 400
-    fd_step: float = 1e-6
-    dedup_radius: float = 1e-6
     boundary: str | None = None  # restrict the search to one face
     stationary_starts: int = 256  # projected-gradient-norm phase
     face_starts: int = 64  # per-face stationary passes (full-domain runs only)
@@ -360,8 +354,7 @@ def _batch_grad(u: np.ndarray, mask: np.ndarray, step: float) -> np.ndarray:
     return (fv[:, :d] - fv[:, d:]) / (2.0 * step) * mask
 
 
-def _descent(u0: np.ndarray, mask: np.ndarray, cfg: MinimizeConfig,
-             fd_step: float, eta_floor: float, max_iter: int):
+def _descent(u0: np.ndarray, mask: np.ndarray, fd_step: float, eta_floor: float, max_iter: int):
     """Lockstep projected descent with backtracking; returns endpoints and flags."""
     u = u0.copy()
     fval = _batch_f(u, mask)
@@ -377,7 +370,7 @@ def _descent(u0: np.ndarray, mask: np.ndarray, cfg: MinimizeConfig,
         g = _batch_grad(u[idx], mask, fd_step)
         gn = np.linalg.norm(g, axis=1)
         gnorm[idx] = gn
-        done = gn <= cfg.grad_tol
+        done = gn <= GRAD_TOL
         converged[idx[done]] = True
         active[idx[done]] = False
         idx = idx[~done]
@@ -408,11 +401,6 @@ def _descent(u0: np.ndarray, mask: np.ndarray, cfg: MinimizeConfig,
                 searching[sub[stalled]] = False
     dropped = active.copy()
     return u, fval, gnorm, converged, dropped
-
-
-def _grad_norm_sq_batch(u: np.ndarray, mask: np.ndarray, step: float) -> np.ndarray:
-    g = _batch_grad(np.atleast_2d(u), mask, step)
-    return np.einsum("ij,ij->i", g, g)
 
 
 def _lockstep_nelder_mead(phi, x0s: np.ndarray, iters: int = 300,
@@ -481,21 +469,6 @@ def _lockstep_nelder_mead(phi, x0s: np.ndarray, iters: int = 300,
     return simplex[rows, best], values[rows, best]
 
 
-# converged coordinates are only resolved to ~1e-8, so sign quantities below
-# FACE_TOL cannot be distinguished from a region boundary when labeling
-def _critical_region(p: np.ndarray) -> str:
-    return str(_region_codes(p[None, :], tol=FACE_TOL)[0])
-
-
-def _classify_location(p: np.ndarray) -> str:
-    for name, val in zip(_COORDS, p):
-        if val <= FACE_TOL:
-            return f"{name}=0"
-    if _critical_region(p) == "boundary":
-        return "internal-boundary"
-    return "interior"
-
-
 def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     """Multi-start search for constrained critical points of f.
 
@@ -503,8 +476,10 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     gradients on the folded sphere parametrization) and collects local minima;
     phase two polishes quasi-random starts with a Nelder-Mead minimization of
     the squared projected-gradient norm, which also captures saddle- and
-    maximum-type stationary points. Results are deduplicated, refined, and
-    re-evaluated through f_pipeline.
+    maximum-type stationary points. All candidates are then refined by one
+    more descent at a tighter tolerance, sorted by refined f, deduplicated
+    (a point within DEDUP_RADIUS of a lower kept one is dropped), and the
+    survivors evaluated through f_components in one batch.
     """
     cfg = config or MinimizeConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -517,13 +492,9 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     u0 = np.abs(rng.standard_normal((cfg.starts, 4))) * mask
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
 
-    u, fval, gnorm, converged, dropped = _descent(
-        u0, mask, cfg, cfg.fd_step, eta_floor=1e-13, max_iter=cfg.max_iter
-    )
-
-    candidates: list[tuple[np.ndarray, float, str]] = []
-    for i in np.flatnonzero(converged):
-        candidates.append((_octant_points(u[i], mask), gnorm[i], "descent"))
+    u, _, gnorm, converged, dropped = _descent(u0, mask, FD_STEP, eta_floor=1e-13, max_iter=MAX_ITER)
+    points, grads = [_octant_points(u[converged], mask)], [gnorm[converged]]
+    kinds = ["descent"] * int(converged.sum())
 
     # stationary phase: minimize ||grad||^2 in lockstep Nelder-Mead; unlike the
     # descent it also lands on saddle- and maximum-type critical points
@@ -532,12 +503,17 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
             return
         starts = np.abs(rng.standard_normal((n_starts, 4))) * pass_mask
         starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-        phi = lambda pts: _grad_norm_sq_batch(pts * pass_mask, pass_mask, cfg.fd_step)
+
+        def phi(pts):
+            g = _batch_grad(pts * pass_mask, pass_mask, FD_STEP)
+            return np.einsum("ij,ij->i", g, g)
+
         xs, vals = _lockstep_nelder_mead(phi, starts)
-        for xv, gv in zip(xs, vals):
-            gn = float(np.sqrt(max(gv, 0.0)))
-            if gn <= 1e-6:
-                candidates.append((_octant_points(xv, pass_mask), gn, "stationary"))
+        gn = np.sqrt(np.maximum(vals, 0.0))
+        hit = gn <= 1e-6
+        points.append(_octant_points(xs[hit], pass_mask))
+        grads.append(gn[hit])
+        kinds.extend(["stationary"] * int(hit.sum()))
 
     _stationary_pass(mask, min(cfg.stationary_starts, cfg.starts))
     if cfg.boundary is None:
@@ -548,39 +524,32 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
             face_mask[coord] = 0.0
             _stationary_pass(face_mask, cfg.face_starts)
 
-    # final refinement at tighter tolerance, then dedup (radius in parameter space)
-    refined: list[tuple[np.ndarray, float, float, str]] = []
-    if candidates:
-        pts = np.stack([c[0] for c in candidates])
-        u2, f2, g2, _, _ = _descent(
-            pts, mask, cfg, fd_step=1e-7, eta_floor=1e-14, max_iter=150
-        )
-        for i, (_, gn, kind) in enumerate(candidates):
-            p = _octant_points(u2[i], mask)
-            refined.append((p, float(f2[i]), min(float(g2[i]), gn), kind))
+    # final refinement at tighter tolerance, then a greedy dedup in order of f
+    u2, f2, g2, _, _ = _descent(np.concatenate(points), mask, fd_step=1e-7, eta_floor=1e-14, max_iter=150)
+    order = np.argsort(f2, kind="stable")
+    p = _octant_points(u2, mask)[order]
+    grad = np.minimum(g2, np.concatenate(grads))[order]
+    kind = np.array(kinds, dtype=object)[order]
+    keep = np.ones(len(p), dtype=bool)
+    for i in range(len(p)):
+        if keep[i]:
+            keep[i + 1:] &= np.linalg.norm(p[i + 1:] - p[i], axis=1) > DEDUP_RADIUS
+    p, grad, kind = p[keep], grad[keep], kind[keep]
 
-    refined.sort(key=lambda item: item[1])
-    accepted: list[tuple[np.ndarray, float, float, str]] = []
-    for p, fv, gn, kind in refined:
-        if all(np.linalg.norm(p - other[0]) > cfg.dedup_radius for other in accepted):
-            accepted.append((p, fv, gn, kind))
-
-    points = []
-    for p, _, gn, kind in accepted:
-        sp = SchmidtParams(*np.clip(p, 0.0, None))
-        fv = f_pipeline(sp)
-        points.append(
-            CriticalPoint(
-                params=sp,
-                f_value=fv,
-                location=_classify_location(p),
-                region=_critical_region(p),
-                grad_norm=gn,
-                kind=kind,
-            )
-        )
+    f_value = f_components(p)["f"]
+    # converged coordinates are only resolved to ~1e-8, so sign quantities
+    # below FACE_TOL cannot be told apart from a region boundary
+    region = _region_codes(p, tol=FACE_TOL)
+    on_face = p <= FACE_TOL
+    face = np.array([f"{c}=0" for c in _COORDS])[on_face.argmax(axis=1)]
+    location = np.where(on_face.any(axis=1), face,
+                        np.where(region == "boundary", "internal-boundary", "interior"))
     return MinimizeResult(
-        points=points,
+        points=[
+            CriticalPoint(params=SchmidtParams(*q), f_value=float(fv), location=str(loc),
+                          region=reg, grad_norm=float(gn), kind=k)
+            for q, fv, loc, reg, gn, k in zip(p, f_value, location, region, grad, kind)
+        ],
         starts=cfg.starts,
         converged=int(converged.sum()),
         dropped=int(dropped.sum()),
@@ -600,7 +569,6 @@ class VerifyConfig:
     restrict_region: str | None = None
     restrict_boundary: str | None = None
     chunk: int = 2**16
-    pass_tol: float = -1e-9
 
 
 @dataclass
@@ -732,7 +700,7 @@ def verify_monogamy(
         argmin=[float(v) for v in (best_arg if best_arg is not None else [])],
         samples=int(cfg.samples),
         seed=int(cfg.seed),
-        passed=bool(best_val >= cfg.pass_tol),
+        passed=bool(best_val >= PASS_TOL),
         generator="sobol-scrambled+gauss-fold",
         critical_min=crit_min,
         critical_argmin=crit_arg,

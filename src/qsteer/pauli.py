@@ -56,7 +56,7 @@ def _real_traces(rho: np.ndarray, d: int) -> np.ndarray:
     # its rounding, would depend on how many states are stacked
     index, values = _ENTRIES[d]
     vals = ordered_sum(rho.reshape(rho.shape[:-2] + (d * d,))[..., index] * values)
-    worst = float(np.max(np.abs(vals.imag)))
+    worst = float(np.max(np.abs(vals.imag), initial=0.0))
     if worst > _IMAG_TOL:
         raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")
     return vals.real

@@ -85,17 +85,20 @@ def w_state(theta: float, alpha: float) -> np.ndarray:
 
 
 def schmidt_state(p: SchmidtParams | tuple[float, float, float, float]) -> np.ndarray:
-    """Pure state x|000> + y|100> + z|101> + h|110> from sphere coordinates."""
-    p = SchmidtParams(*p).validate()
-    psi = np.zeros(8, dtype=complex)
-    psi[0], psi[4], psi[5], psi[6] = p.x, p.y, p.z, p.h
+    """Pure state x|000> + y|100> + z|101> + h|110> from sphere coordinates;
+    an (n, 4) stack of coordinates gives an (n, 8) stack of states."""
+    p = np.asarray(p, dtype=float)
+    for q in np.atleast_2d(p):
+        SchmidtParams(*q).validate()
+    psi = np.zeros(p.shape[:-1] + (8,), dtype=complex)
+    psi[..., [0, 4, 5, 6]] = p
     return psi
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 density matrix |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    return np.outer(psi, psi.conj())
+    """Rank-1 density matrix |psi><psi|; a stack of vectors gives a stack of matrices."""
+    psi = np.asarray(psi, dtype=complex)
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def ordered_sum(x: np.ndarray) -> np.ndarray:

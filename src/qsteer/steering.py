@@ -51,14 +51,9 @@ _FIRST, _SECOND = [0, 0, 1], [1, 2, 2]
 
 @dataclass
 class CorrelationMatrix:
-    """LOO covariance matrix with its cut and direction labels."""
+    """LOO covariance matrix (or a stack of them)."""
 
     entries: np.ndarray
-    cut: str
-    direction: str
-
-    def trace_norm(self) -> float:
-        return trace_norm(self.entries)
 
 
 def trace_norm(matrix) -> float | np.ndarray:
@@ -77,8 +72,7 @@ def correlation_one_to_two(theta: np.ndarray) -> CorrelationMatrix:
     """
     theta = np.asarray(theta, dtype=float)
     cov = theta - theta[..., :, 0, 0, None, None] * theta[..., None, 0, :, :]
-    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16)),
-                             cut="A|BC", direction="A->BC")
+    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16)))
 
 
 def correlation_two_to_one(theta: np.ndarray) -> CorrelationMatrix:
@@ -89,14 +83,14 @@ def correlation_two_to_one(theta: np.ndarray) -> CorrelationMatrix:
     """
     theta_bca = np.transpose(np.asarray(theta, dtype=float), (1, 2, 0))
     cov = theta_bca - np.einsum("jk,m->jkm", theta_bca[:, :, 0], theta_bca[0, 0])
-    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(16, 4), cut="A|BC", direction="BC->A")
+    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(16, 4))
 
 
 def correlation_pair(rho2: np.ndarray) -> CorrelationMatrix:
     """4x4 covariance matrix c_ij = (theta_ij - theta_i0 * theta_0j) / 2."""
     theta = pauli_tensor_pair(rho2)
     cov = theta - np.outer(theta[:, 0], theta[0])
-    return CorrelationMatrix(PAIR_SCALE * cov, cut="pair", direction="0->1")
+    return CorrelationMatrix(PAIR_SCALE * cov)
 
 
 def _pair_marginals(rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from qsteer.monogamy import (
     ALL_SIGN_REGIONS,
+    DEDUP_RADIUS,
+    FACE_TOL,
     SIGN_BOUNDARY_TOL,
     MinimizeConfig,
     VerifyConfig,
@@ -47,6 +49,14 @@ class TestPipeline:
         pipe = [f_components(p) for p in pts]
         for key in ("f", "h_a_bc", "h_ab", "h_ac", "h_bc"):
             assert_allclose(batch[key], [c[key] for c in pipe], atol=1e-10)
+
+    def test_stack_rows_match_single_points(self, rng):
+        faces = [_unit(np.abs(rng.standard_normal((8, 4))) * (np.arange(4) != k)) for k in range(4)]
+        pts = np.concatenate([_sobol_sphere(64, 4, 2), *faces, [CORNER, BELL, INTERIOR]])
+        stack = f_components(pts)
+        for i, p in enumerate(pts):
+            assert {k: v[i] for k, v in stack.items()} == f_components(p)
+        assert f_components(np.empty((0, 4)))["f"].shape == (0,)
 
     def test_swap_symmetry_via_permutation(self, rng):
         # exchanging z and h is the same relabeling as swapping qubits B and C
@@ -248,6 +258,26 @@ class TestMinimize:
             assert pt.params.constraint_residual() < 1e-10
             assert pt.f_value >= -1e-9
         assert search.dropped + search.converged <= search.starts
+
+    def test_points_are_distinct(self, search):
+        p = np.array([pt.params for pt in search.points])
+        dist = np.linalg.norm(p[:, None] - p[None], axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        assert dist.min() > DEDUP_RADIUS
+
+    def test_values_are_pipeline_values(self, search):
+        for pt in search.points:
+            assert pt.f_value == f_pipeline(pt.params)
+
+    def test_labels_match_single_point_rule(self, search):
+        for pt in search.points:
+            p = pt.params.as_array()
+            region = str(_region_codes(p[None], tol=FACE_TOL)[0])
+            faces = [f"{c}=0" for c, v in zip("xyzh", p) if v <= FACE_TOL]
+            location = faces[0] if faces else "internal-boundary" if region == "boundary" else "interior"
+            assert (pt.region, pt.location) == (region, location)
+        assert {"x=0", "y=0", "z=0"} <= {pt.location for pt in search.points}
+        assert {"++++", "boundary", "undefined"} <= {pt.region for pt in search.points}
 
     def test_boundary_run_finds_face_points(self):
         res = minimize_f(MinimizeConfig(starts=60, stationary_starts=48,
