@@ -228,6 +228,7 @@ def cmd_verify_appendix(args) -> int:
         "starts": result.starts,
         "converged": result.converged,
         "dropped": result.dropped,
+        "dropped_grad_norms": result.dropped_summary(),
         "scan": scan.to_dict(),
         "pass": bool(all_ok),
     }

@@ -319,7 +319,14 @@ class MinimizeResult:
     points: list[CriticalPoint]
     starts: int
     converged: int
-    dropped: int
+    dropped: int  # descent starts still above GRAD_TOL after MAX_ITER iterations
+    dropped_grad_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))  # at their last iteration
+
+    def dropped_summary(self) -> dict:
+        """Count, min, median and max of the dropped starts' final gradient norms."""
+        g = self.dropped_grad_norms
+        stats = (float(g.min()), float(np.median(g)), float(g.max())) if g.size else (None,) * 3
+        return {"count": int(g.size), **dict(zip(("min", "median", "max"), stats))}
 
     def min_value(self) -> float:
         return min(pt.f_value for pt in self.points)
@@ -469,6 +476,25 @@ def _lockstep_nelder_mead(phi, x0s: np.ndarray, iters: int = 300,
     return simplex[rows, best], values[rows, best]
 
 
+_FACES = np.array([f"{c}=0" for c in _COORDS])
+
+
+def _labels(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Region and location label of each converged point of an (n, 4) stack.
+
+    Converged coordinates are only resolved to ~1e-8, so sign quantities below
+    FACE_TOL cannot be told apart from a region boundary: the region is read at
+    FACE_TOL. The location is the first face, in x, y, z, h order, within
+    FACE_TOL of the point; off the faces it is internal-boundary on a region
+    boundary and interior elsewhere.
+    """
+    region = _region_codes(p, tol=FACE_TOL)
+    on_face = p <= FACE_TOL
+    location = np.where(on_face.any(axis=1), _FACES[on_face.argmax(axis=1)],
+                        np.where(region == "boundary", "internal-boundary", "interior"))
+    return region, location
+
+
 def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     """Multi-start search for constrained critical points of f.
 
@@ -537,13 +563,7 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     p, grad, kind = p[keep], grad[keep], kind[keep]
 
     f_value = f_components(p)["f"]
-    # converged coordinates are only resolved to ~1e-8, so sign quantities
-    # below FACE_TOL cannot be told apart from a region boundary
-    region = _region_codes(p, tol=FACE_TOL)
-    on_face = p <= FACE_TOL
-    face = np.array([f"{c}=0" for c in _COORDS])[on_face.argmax(axis=1)]
-    location = np.where(on_face.any(axis=1), face,
-                        np.where(region == "boundary", "internal-boundary", "interior"))
+    region, location = _labels(p)
     return MinimizeResult(
         points=[
             CriticalPoint(params=SchmidtParams(*q), f_value=float(fv), location=str(loc),
@@ -553,6 +573,7 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
         starts=cfg.starts,
         converged=int(converged.sum()),
         dropped=int(dropped.sum()),
+        dropped_grad_norms=gnorm[dropped],
     )
 
 

@@ -10,6 +10,7 @@ States are plain numpy arrays: pure states are complex vectors of length
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,15 +26,16 @@ __all__ = [
     "partial_trace",
     "purity",
     "purity_deficit",
+    "reduced_deficits",
     "permute_qubits",
     "validate_state",
     "state_to_payload",
     "state_from_payload",
 ]
 
-HERM_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIG_TOL = 1e-9
+HERM_TOL = 1e-12  # |rho - rho^+| entries: ~1e-16 rounding per amplitude product, 1e4 headroom
+TRACE_TOL = 1e-12  # |tr rho - 1|: a sum of eight ~1e-16-rounded diagonal entries, 1e3 headroom
+EIG_TOL = 1e-9  # negative eigenvalue still taken as 0: eigvalsh error ~1e-15, payload rounding ~1e-12
 
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
 
@@ -185,6 +187,61 @@ def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     deficit = 2.0 * ordered_sum(flat[..., ii].real * flat[..., jj].real - gram)
     deficit = np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
     return float(deficit) if deficit.ndim == 0 else deficit
+
+
+@functools.lru_cache(maxsize=None)
+def _deficit_tables(subsystems: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
+    """Gather tables of reduced_deficits, built once per subsystem list.
+
+    terms[e] holds the flat 8x8 indices summed into reduced-state entry e, in
+    partial_trace's order, padded with 64: the index of a zero appended to
+    rho. The last entry is all padding, so it is exactly 0. ii, jj, ij[s, t]
+    index the entries rho[i, i], rho[j, j], rho[i, j] of the t-th principal
+    minor of subsystem s, in purity_deficit's order, padded with that zero.
+    """
+    entries, minors = [], []
+    for keep in subsystems:
+        idx = tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep))
+        if idx not in _TRACE_TERMS:
+            raise ValueError(f"invalid subsystem set {keep!r}")
+        d = 2 ** len(idx)
+        terms = _TRACE_TERMS[idx].reshape(d * d, -1)
+        flat = _MINOR_ENTRIES[d]
+        used = np.unique(np.concatenate(flat))  # the d x d entries the minors read
+        position = np.zeros(d * d, dtype=int)
+        position[used] = len(entries) + np.arange(len(used))
+        entries += [terms[f] for f in used]
+        minors.append(position[np.stack(flat)])
+    zero = len(entries)
+    terms = np.full((zero + 1, max(len(t) for t in entries)), 64)
+    for e, t in enumerate(entries):
+        terms[e, :len(t)] = t
+    padded = np.full((3, len(minors), max(m.shape[1] for m in minors)), zero)
+    for s, m in enumerate(minors):
+        padded[:, s, :m.shape[1]] = m
+    return terms, padded[0], padded[1], padded[2]
+
+
+def reduced_deficits(rho: np.ndarray, subsystems) -> np.ndarray:
+    """purity_deficit(partial_trace(rho, keep)) for every keep in `subsystems`,
+    bit for bit: (..., len(subsystems)) for a stack (..., 8, 8).
+
+    One gather collects the trace terms of every reduced-state entry the
+    minors read and one ordered sum adds them; a second gather and ordered sum
+    add the principal minors. Subsystems with fewer terms or minors are padded
+    with exact zeros, which appended to a left-to-right sum change at most the
+    sign of a zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
+    """
+    terms, ii, jj, ij = _deficit_tables(tuple(map(tuple, subsystems)))
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
+    lead = rho.shape[:-2]
+    flat = np.concatenate([rho.reshape(lead + (64,)), np.zeros(lead + (1,), dtype=complex)], axis=-1)
+    entry = ordered_sum(flat[..., terms])
+    off = entry[..., ij]
+    deficit = 2.0 * ordered_sum(entry[..., ii].real * entry[..., jj].real - (off.real**2 + off.imag**2))
+    return np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
 
 
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:

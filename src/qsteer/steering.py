@@ -10,13 +10,14 @@ steerability in the stated direction; S = max(H, 0) is the quantifier.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pauli import pauli_tensor, pauli_tensor_pair
-from .states import ordered_sum, partial_trace, purity_deficit, validate_state
-from .states import permute_qubits  # noqa: F401  kept: perfbench/spans.py patches this name here
+from .states import ordered_sum, purity_deficit, reduced_deficits, validate_state
+from .states import partial_trace, permute_qubits  # noqa: F401  kept: perfbench/spans.py patches these names here
 
 __all__ = [
     "CorrelationMatrix",
@@ -37,6 +38,9 @@ __all__ = [
 ONE_TWO_SCALE = 1.0 / (2.0 * np.sqrt(2.0))  # 1/sqrt(2) qubit LOOs times 1/2 pair LOOs
 PAIR_SCALE = 0.5  # two 1/sqrt(2) qubit LOO factors
 
+# full-state deficit at or below which the pure-state route runs: rounding
+# leaves a pure state's deficit near 1e-16, and swapping a pair deficit for its
+# complement's at 1e-12 moves H by at most ~sqrt(1e-12) where a deficit is ~0
 _PURE_DEFICIT_TOL = 1e-12
 
 # theta axes of each cut: steering qubit, then the pair; the pair-to-qubit
@@ -185,28 +189,37 @@ class SteeringReport:
         return self.s_a_bc - self.h_tot
 
     def to_dict(self) -> dict:
+        cuts = list(self.cuts.items())
+        pair_h = [self.pair_h["AB"], self.pair_h["AC"], self.pair_h["BC"]]
+        cut_h = [cut.h for _, cut in cuts]
+        s_values = np.maximum(cut_h + pair_h, 0.0)  # every S from one call, floats or arrays
+        s_values = s_values.tolist() if s_values.ndim == 1 else list(s_values)
+        s_ab, s_ac, s_bc = s_values[-3:]
+        a_bc = self.cuts["A->BC"]
+        s_a_bc = s_values[list(self.cuts).index("A->BC")]
+        h_tot = (pair_h[0] + pair_h[1]) + pair_h[2]
         out = {
-            "h_a_bc": self.h_a_bc,
-            "s_a_bc": self.s_a_bc,
-            "norm_a_bc": self.cuts["A->BC"].norm,
-            "bound_a_bc": self.cuts["A->BC"].bound,
-            "h_ab": self.pair_h["AB"],
-            "h_ac": self.pair_h["AC"],
-            "h_bc": self.pair_h["BC"],
-            "s_ab": steering_value(self.pair_h["AB"]),
-            "s_ac": steering_value(self.pair_h["AC"]),
-            "s_bc": steering_value(self.pair_h["BC"]),
-            "h_tot": self.h_tot,
-            "s_tot": self.s_tot,
-            "margin": self.margin,
+            "h_a_bc": a_bc.h,
+            "s_a_bc": s_a_bc,
+            "norm_a_bc": a_bc.norm,
+            "bound_a_bc": a_bc.bound,
+            "h_ab": pair_h[0],
+            "h_ac": pair_h[1],
+            "h_bc": pair_h[2],
+            "s_ab": s_ab,
+            "s_ac": s_ac,
+            "s_bc": s_bc,
+            "h_tot": h_tot,
+            "s_tot": (s_ab + s_ac) + s_bc,
+            "margin": s_a_bc - h_tot,
             "classification": self.classification,
         }
-        for name, cut in self.cuts.items():
+        for (name, cut), h, s in zip(cuts, cut_h, s_values):
             if name == "A->BC":
                 continue
             key = name.replace("->", "_to_").lower()
-            out[f"h_{key}"] = cut.h
-            out[f"s_{key}"] = cut.s
+            out[f"h_{key}"] = h
+            out[f"s_{key}"] = s
             out[f"norm_{key}"] = cut.norm
             out[f"bound_{key}"] = cut.bound
         out.update(self.extras)
@@ -222,15 +235,84 @@ class SteeringReport:
         )
 
 
+_LABELS = np.array(["mixed", "corollary1", "corollary2"])
+
+
+def _classes(h: np.ndarray, axis: int) -> np.ndarray:
+    # code 1 when every H >= 0, 2 when every H < 0, else 0: a NaN is neither
+    return _LABELS[np.all(h >= 0.0, axis=axis) + 2 * np.all(h < 0.0, axis=axis)]
+
+
 def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
     """corollary1 when all pair H >= 0, corollary2 when all < 0, else mixed.
 
     Elementwise on arrays of H values.
     """
-    h = np.array([h_ab, h_ac, h_bc], dtype=float)
-    label = np.where(np.all(h >= 0.0, axis=0), "corollary1",
-                     np.where(np.all(h < 0.0, axis=0), "corollary2", "mixed"))
+    label = _classes(np.array([h_ab, h_ac, h_bc], dtype=float), axis=0)
     return str(label) if label.ndim == 0 else label
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Index tables of one steering_batch configuration; see steering_batch."""
+
+    subsystems: tuple  # qubits A, B, C, then the steered pair of each cut
+    steer: np.ndarray  # steering qubit of each cut
+    cov: np.ndarray  # (3, 64k + 27) flat theta indices: entry, row factor, column factor
+    scale: np.ndarray  # LOO normalization of each covariance entry
+    purity: np.ndarray  # (3 [+ k], width) flat theta indices, 64 the appended zero
+    divisor: np.ndarray  # 2 for a qubit purity, 4 for a pair's
+    const: np.ndarray  # per bound: 2 or 4 minus a purity, times a deficit
+    pcol: np.ndarray  # per bound: its purity column
+    dcol: np.ndarray  # per bound: its deficit column
+    ncol: np.ndarray  # per bound: its trace norm column
+    cuts: tuple  # names of the leading len(cuts) bounds, in _CUT_ORDER
+
+
+def _cov_table(entry, row, col) -> np.ndarray:
+    """(3, m) flat theta indices of the covariance entries entry - row * col."""
+    return np.stack([a.ravel() for a in np.broadcast_arrays(entry, row, col)])
+
+
+@functools.cache
+def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
+    names = list(_CUTS) if all_cuts else ["A->BC"]
+    k = len(names)
+    flat = np.arange(64).reshape(4, 4, 4)
+    cut_flat = [flat.transpose(_CUTS[c]) for c in names]
+    pair_flat = [flat[:, :, 0], flat[:, 0, :], flat[0]]  # AB, AC, BC
+    cov = [_cov_table(t, t[:, :1, :1], t[:1]) for t in cut_flat]
+    cov += [_cov_table(t[1:, 1:], t[1:, :1], t[:1, 1:]) for t in pair_flat]
+    purity = [flat[:, 0, 0], flat[0, :, 0], flat[0, 0, :]]  # Bloch vectors of A, B, C
+    if two_to_one:
+        purity += [t[0].ravel() for t in cut_flat]  # each cut's pair
+    width = max(len(r) for r in purity)
+    purity = np.array([np.pad(r, (0, width - len(r)), constant_values=64) for r in purity])
+
+    steer = [_CUTS[c][0] for c in names]
+    # (name, constant, purity column, deficit column, norm column) per bound;
+    # deficit columns 3.. hold each cut's steered pair (or, for a pure state, steering qubit)
+    bounds = [(c, 2.0, steer[i], 3 + i, i) for i, c in enumerate(names)]
+    if two_to_one:
+        bounds += [(_TWO_TO_ONE[c], 4.0, 3 + i, steer[i], i) for i, c in enumerate(names)]
+    bounds.sort(key=lambda b: _CUT_ORDER.index(b[0]))
+    bounds += [(None, 2.0, a, b, k + i) for i, (a, b) in enumerate(zip(_FIRST, _SECOND))]
+    if reverse_pairs:
+        bounds += [(None, 2.0, b, a, k + i) for i, (a, b) in enumerate(zip(_FIRST, _SECOND))]
+    table = list(zip(*bounds))
+    return _Plan(
+        subsystems=((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names),
+        steer=np.array(steer),
+        cov=np.concatenate(cov, axis=1),
+        scale=np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [64 * k, 27]),
+        purity=purity,
+        divisor=np.array([2.0] * 3 + [4.0] * (k * two_to_one)),
+        const=np.array(table[1]),
+        pcol=np.array(table[2]),
+        dcol=np.array(table[3]),
+        ncol=np.array(table[4]),
+        cuts=tuple(name for name in table[0] if name is not None),
+    )
 
 
 def steering_batch(
@@ -241,52 +323,57 @@ def steering_batch(
 ) -> SteeringReport:
     """Steering analysis of a stack of three-qubit states rho[n, 8, 8].
 
-    One Pauli tensor per state gives every cut (B|CA and C|AB as axis
-    transposes) and pair (its slices); both directions of a cut share one
-    trace norm. Returns a SteeringReport of arrays. A state's values are
+    One Pauli tensor per state gives every cut and pair, and each kind of
+    quantity comes from one index table, built once per flag combination
+    (_plan) on first use:
+    - covariances: three gathers from the flat theta (entry, row and column
+      factor) give the 4x16 matrix of each cut, with B|CA and C|AB as axis
+      transposes, and the 3x3 block of each pair, with theta_AB = theta[:,:,0]
+      and so on; one SVD per shape, and both directions of a cut share a norm;
+    - purities: one gather of Bloch vectors and, for the pair-to-qubit
+      direction, each cut's pair slice, then one ordered sum;
+    - deficits: reduced_deficits of qubits A, B, C and each cut's steered
+      pair; for a globally pure state the pair deficit is its complement's;
+    - bounds: sqrt((2 or 4 - purity) * deficit) from one gather per factor.
+
+    Every entry is computed with the same operations in the same order as
+    by the direct per-quantity route (partial_trace, purity_deficit, theta
+    slices), so the values are bit-identical to it. Rows of unequal length
+    are padded with exact zeros at the end of a left-to-right sum: adding
+    +0.0 changes at most the sign of a zero partial sum, a purity is a sum of
+    squares, and a zero deficit is clamped to 0.0. A state's values are also
     bit-identical to those it gets alone: every sum runs in a fixed order per
     state, with no BLAS product, whose rounding depends on the stack size.
-    The states are not validated.
+    Returns a SteeringReport of arrays. The states are not validated.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 3:
         raise ValueError(f"expected a stack of 8x8 density matrices, got shape {rho.shape}")
-    theta = pauli_tensor(rho)
-    qubit_deficit = purity_deficit(np.stack([partial_trace(rho, (q,)) for q in range(3)], axis=1))
-    bloch = np.stack([theta[:, :, 0, 0], theta[:, 0, :, 0], theta[:, 0, 0, :]], axis=1)
-    qubit_purity = ordered_sum(bloch**2) / 2.0
-
-    names = list(_CUTS) if include_all_cuts else ["A->BC"]
-    steer = [_CUTS[c][0] for c in names]
-    cut_theta = np.stack([theta.transpose((0,) + tuple(1 + a for a in _CUTS[c])) for c in names], axis=1)
-    norm = trace_norm(correlation_one_to_two(cut_theta))
+    plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
+    n, k = len(rho), len(plan.steer)
+    theta = np.zeros((n, 65))
+    theta[:, :64] = pauli_tensor(rho).reshape(n, 64)
+    i, row, col = plan.cov
+    cov = plan.scale * (theta[:, i] - theta[:, row] * theta[:, col])
+    norm = np.concatenate([trace_norm(cov[:, :64 * k].reshape(n, k, 4, 16)),
+                           trace_norm(cov[:, 64 * k:].reshape(n, 3, 3, 3))], axis=1)
+    purity = ordered_sum(theta[:, plan.purity] ** 2) / plan.divisor
+    deficit = reduced_deficits(rho, plan.subsystems)
     # for a globally pure state the pair deficit equals its complement's 2 det,
     # which stays exact where the cut factorizes
     pure = purity_deficit(rho) <= _PURE_DEFICIT_TOL
-    pair_deficit = purity_deficit(np.stack([partial_trace(rho, _CUTS[c][1:]) for c in names], axis=1))
-    steered_deficit = np.where(pure[:, None], qubit_deficit[:, steer], pair_deficit)
-    bound = np.sqrt((2.0 - qubit_purity[:, steer]) * steered_deficit)
-    found = {c: CutQuantities(norm[:, k], bound[:, k]) for k, c in enumerate(names)}
-    if include_two_to_one:
-        pair_purity = ordered_sum(cut_theta[:, :, 0].reshape(len(rho), len(names), 16) ** 2) / 4.0
-        bound = np.sqrt((4.0 - pair_purity) * qubit_deficit[:, steer])
-        found.update({_TWO_TO_ONE[c]: CutQuantities(norm[:, k], bound[:, k]) for k, c in enumerate(names)})
-    cuts = {c: found[c] for c in _CUT_ORDER if c in found}
+    deficit[:, 3:] = np.where(pure[:, None], deficit[:, plan.steer], deficit[:, 3:])
+    bound = np.sqrt((plan.const - purity[:, plan.pcol]) * deficit[:, plan.dcol])
+    norm = norm[:, plan.ncol]
+    h = norm - bound
 
-    pair_theta = np.stack([theta[:, :, :, 0], theta[:, :, 0, :], theta[:, 0, :, :]], axis=1)
-    cov = pair_theta[..., 1:, 1:] - pair_theta[..., 1:, :1] * pair_theta[..., :1, 1:]
-    pair_norm = trace_norm(PAIR_SCALE * cov)
-    h = pair_norm - np.sqrt((2.0 - qubit_purity[:, _FIRST]) * qubit_deficit[:, _SECOND])
-    pair_h = {"AB": h[:, 0], "AC": h[:, 1], "BC": h[:, 2]}
-    extras = {}
-    if include_reverse_pairs:
-        h = pair_norm - np.sqrt((2.0 - qubit_purity[:, _SECOND]) * qubit_deficit[:, _FIRST])
-        extras = {"h_ba": h[:, 0], "h_ca": h[:, 1], "h_cb": h[:, 2]}
+    c = len(plan.cuts)
+    pair_h = h[:, c:c + 3]
     return SteeringReport(
-        cuts=cuts,
-        pair_h=pair_h,
-        classification=classify_pairs(pair_h["AB"], pair_h["AC"], pair_h["BC"]),
-        extras=extras,
+        cuts={name: CutQuantities(norm[:, j], bound[:, j]) for j, name in enumerate(plan.cuts)},
+        pair_h={"AB": pair_h[:, 0], "AC": pair_h[:, 1], "BC": pair_h[:, 2]},
+        classification=_classes(pair_h, axis=1),
+        extras={"h_ba": h[:, c + 3], "h_ca": h[:, c + 4], "h_cb": h[:, c + 5]} if include_reverse_pairs else {},
     )
 
 

@@ -6,6 +6,7 @@ from qsteer.monogamy import (
     ALL_SIGN_REGIONS,
     DEDUP_RADIUS,
     FACE_TOL,
+    GRAD_TOL,
     SIGN_BOUNDARY_TOL,
     MinimizeConfig,
     VerifyConfig,
@@ -19,7 +20,7 @@ from qsteer.monogamy import (
     sign_region,
     verify_monogamy,
 )
-from qsteer.monogamy import _fgwv_arrays, _pair_norms, _region_codes, _sobol_sphere
+from qsteer.monogamy import _fgwv_arrays, _labels, _pair_norms, _region_codes, _sobol_sphere
 from qsteer.states import density_from_pure, permute_qubits, schmidt_state
 
 from conftest import SIGMA, oracle_ptrace, oracle_theta2, random_octant_point
@@ -235,6 +236,50 @@ def search():
                                      face_starts=48, seed=11))
 
 
+class TestLabels:
+    """The region/location rule of minimize_f on constructed points."""
+
+    # f+g changes sign once between these interior points; f-g, w+v and w-v
+    # stay above 1e-2 and every point of the path stays defined
+    PATH = np.array([(0.2434, 0.9476, 0.1761, 0.1087), (0.2764, 0.9441, 0.1721, 0.0522)])
+
+    def test_interior_point(self):
+        p = _unit(np.array([[0.089, 0.09, 0.878, 0.461]]))
+        assert _fgwv_arrays(p)[4].all() and np.abs(_quads(p)).min() > 1e-3
+        region, location = _labels(p)
+        assert (region[0], location[0]) == ("++++", "interior")
+
+    def test_near_sign_boundary_is_internal_boundary(self):
+        a, b = _unit(self.PATH)
+
+        def point(t):
+            return _unit(((1 - t) * a + t * b)[None])
+
+        lo, hi = 0.0, 1.0
+        assert _quads(point(lo))[0, 0] < 0 < _quads(point(hi))[0, 0]
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _quads(point(mid))[0, 0] < 0 else (lo, mid)
+        p = point(hi + 1e-8)
+        q = _quads(p)[0]
+        assert _fgwv_arrays(p)[4].all() and p.min() > FACE_TOL
+        assert SIGN_BOUNDARY_TOL < abs(q[0]) < FACE_TOL and np.abs(q[1:]).min() > 1e-3
+        # a sign pattern at the scan tolerance, a boundary at FACE_TOL
+        assert _region_codes(p)[0] == "+---"
+        region, location = _labels(p)
+        assert (region[0], location[0]) == ("boundary", "internal-boundary")
+
+    def test_first_face_wins(self):
+        near = []
+        for small in ((1, 3), (0, 3), (2, 3)):
+            p = np.array([0.6, 0.5, 0.5, 0.0])
+            p[list(small)] = [5e-7, 3e-7]
+            near.append(p)
+        assert _labels(_unit(np.array(near)))[1].tolist() == ["y=0", "x=0", "z=0"]
+        on_face = np.array([[0.0, 0.6, 0.8, 0.0], [0.6, 0.8, 0.0, 2 * FACE_TOL]])
+        assert _labels(on_face)[1].tolist() == ["x=0", "z=0"]
+
+
 class TestMinimize:
     def test_recovers_interior_minimum(self, search):
         hit = search.best_matching(INTERIOR, radius=1e-3)
@@ -258,6 +303,15 @@ class TestMinimize:
             assert pt.params.constraint_residual() < 1e-10
             assert pt.f_value >= -1e-9
         assert search.dropped + search.converged <= search.starts
+
+    def test_dropped_starts_carry_gradient_norms(self, search):
+        assert search.converged + search.dropped == search.starts
+        assert search.dropped_grad_norms.shape == (search.dropped,)
+        assert np.all(search.dropped_grad_norms > GRAD_TOL)
+        summary = search.dropped_summary()
+        assert summary["count"] == search.dropped
+        if search.dropped:
+            assert summary["min"] <= summary["median"] <= summary["max"]
 
     def test_points_are_distinct(self, search):
         p = np.array([pt.params for pt in search.points])

@@ -432,6 +432,20 @@ class TestBatchKernel:
             assert abs(rep.cuts[two_one].h - moved.cuts["BC->A"].h) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
+    @given(st.lists(states(), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_local_unitary_invariance(self, drawn, seed):
+        rhos = np.stack([rho for rho, _ in drawn])
+        rng = np.random.default_rng(seed)
+        u = np.stack([np.kron(np.kron(random_unitary_2(rng), random_unitary_2(rng)), random_unitary_2(rng))
+                      for _ in rhos])
+        rotated = u @ rhos @ u.conj().transpose(0, 2, 1)
+        before = _h_values(steering_batch(rhos, **ALL).to_dict())
+        after = _h_values(steering_batch(rotated, **ALL).to_dict())
+        assert len(before) == 12  # six cut directions, three pairs each way
+        for key, value in before.items():
+            assert np.max(np.abs(after[key] - value)) <= 1e-9, key
+
+    @settings(max_examples=40, deadline=None)
     @given(states(pure=True))
     def test_continuous_across_pure_switch(self, drawn):
         # the full deficit crosses the 1e-12 switch near eps = 5.7e-13
