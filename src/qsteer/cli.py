@@ -23,7 +23,7 @@ import numpy as np
 from . import monogamy, randgen, states, steering
 
 _TOLERANCE_PROFILES = {
-    "default": {"herm_tol": 1e-12, "trace_tol": 1e-12, "eig_tol": 1e-9},
+    "default": {"herm_tol": states.HERM_TOL, "trace_tol": states.TRACE_TOL, "eig_tol": states.EIG_TOL},
     "strict": {"herm_tol": 1e-13, "trace_tol": 1e-13, "eig_tol": 1e-12},
     "loose": {"herm_tol": 1e-9, "trace_tol": 1e-9, "eig_tol": 1e-6},
 }

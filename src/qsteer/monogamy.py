@@ -34,8 +34,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .states import SchmidtParams, density_from_pure, schmidt_state
 from .states import partial_trace  # noqa: F401  kept: perfbench/spans.py patches this name here
@@ -352,17 +350,18 @@ def _batch_f(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return schmidt_f_batch(_octant_points(u, mask))["f"]
 
 
-def _batch_grad(u: np.ndarray, mask: np.ndarray, step: float) -> np.ndarray:
+def _batch_grad(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the folded objective, batched."""
     n, d = u.shape
-    shifts = step * np.eye(d)
+    shifts = FD_STEP * np.eye(d)
     pts = np.concatenate([u[:, None, :] + shifts, u[:, None, :] - shifts], axis=1)
     fv = _batch_f(pts.reshape(-1, d), mask).reshape(n, 2 * d)
-    return (fv[:, :d] - fv[:, d:]) / (2.0 * step) * mask
+    return (fv[:, :d] - fv[:, d:]) / (2.0 * FD_STEP) * mask
 
 
-def _descent(u0: np.ndarray, mask: np.ndarray, fd_step: float, eta_floor: float, max_iter: int):
-    """Lockstep projected descent with backtracking; returns endpoints and flags."""
+def _descent(u0: np.ndarray, mask: np.ndarray):
+    """Lockstep projected descent with backtracking; returns endpoints, the last
+    gradient norm of each start, and converged / dropped flags."""
     u = u0.copy()
     fval = _batch_f(u, mask)
     eta = np.full(len(u), 0.1)
@@ -370,11 +369,11 @@ def _descent(u0: np.ndarray, mask: np.ndarray, fd_step: float, eta_floor: float,
     converged = np.zeros(len(u), dtype=bool)
     gnorm = np.zeros(len(u))
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        g = _batch_grad(u[idx], mask, fd_step)
+        g = _batch_grad(u[idx], mask)
         gn = np.linalg.norm(g, axis=1)
         gnorm[idx] = gn
         done = gn <= GRAD_TOL
@@ -400,39 +399,37 @@ def _descent(u0: np.ndarray, mask: np.ndarray, fd_step: float, eta_floor: float,
             eta[acc] = np.minimum(eta[acc] * 1.3, 1.0)
             eta[idx[sub[~ok]]] /= 2.0
             searching[sub[ok]] = False
-            stalled = eta[idx[sub]] < eta_floor
+            stalled = eta[idx[sub]] < 1e-13
             if stalled.any():
                 st = idx[sub[stalled]]
                 converged[st] = True
                 active[st] = False
                 searching[sub[stalled]] = False
-    dropped = active.copy()
-    return u, fval, gnorm, converged, dropped
+    return u, gnorm, converged, active
 
 
-def _lockstep_nelder_mead(phi, x0s: np.ndarray, iters: int = 300,
-                          xatol: float = 1e-9, fatol: float = 1e-22,
-                          spread: float = 0.05):
+def _lockstep_nelder_mead(phi, x0s: np.ndarray):
     """Nelder-Mead over many starts in lockstep, one batched call per step.
 
     phi maps an (n, d) batch to (n,) values. Standard reflection/expansion/
     contraction/shrink moves, applied simultaneously to every simplex so the
-    objective is always evaluated in large batches.
+    objective is always evaluated in large batches; at most 300 steps, and a
+    simplex stops once its diameter is below 1e-9 or its value span below 1e-22.
     """
     n, d = x0s.shape
     simplex = np.repeat(x0s[:, None, :], d + 1, axis=1)
     for j in range(d):
-        simplex[:, j + 1, j] += spread
+        simplex[:, j + 1, j] += 0.05
     values = phi(simplex.reshape(-1, d)).reshape(n, d + 1)
     rows = np.arange(n)
 
-    for _ in range(iters):
+    for _ in range(300):
         order = np.argsort(values, axis=1)
         simplex = simplex[rows[:, None], order]
         values = values[rows[:, None], order]
         diam = np.max(np.abs(simplex - simplex[:, :1]), axis=(1, 2))
         span = values[:, -1] - values[:, 0]
-        live = (diam > xatol) & (span > fatol)
+        live = (diam > 1e-9) & (span > 1e-22)
         if not live.any():
             break
 
@@ -501,11 +498,11 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     Phase one runs lockstep projected descent (numerical central-difference
     gradients on the folded sphere parametrization) and collects local minima;
     phase two polishes quasi-random starts with a Nelder-Mead minimization of
-    the squared projected-gradient norm, which also captures saddle- and
-    maximum-type stationary points. All candidates are then refined by one
-    more descent at a tighter tolerance, sorted by refined f, deduplicated
-    (a point within DEDUP_RADIUS of a lower kept one is dropped), and the
-    survivors evaluated through f_components in one batch.
+    the squared projected-gradient norm at the folded unit-sphere point, which
+    also captures saddle- and maximum-type stationary points. All candidates
+    are sorted by f, deduplicated (a point within DEDUP_RADIUS of a lower kept
+    one is dropped), and the survivors evaluated through f_components in one
+    batch.
     """
     cfg = config or MinimizeConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -518,7 +515,7 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     u0 = np.abs(rng.standard_normal((cfg.starts, 4))) * mask
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
 
-    u, _, gnorm, converged, dropped = _descent(u0, mask, FD_STEP, eta_floor=1e-13, max_iter=MAX_ITER)
+    u, gnorm, converged, dropped = _descent(u0, mask)
     points, grads = [_octant_points(u[converged], mask)], [gnorm[converged]]
     kinds = ["descent"] * int(converged.sum())
 
@@ -531,7 +528,8 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
         starts /= np.linalg.norm(starts, axis=1, keepdims=True)
 
         def phi(pts):
-            g = _batch_grad(pts * pass_mask, pass_mask, FD_STEP)
+            # at the folded point, so moving outward cannot shrink the gradient
+            g = _batch_grad(_octant_points(pts, pass_mask), pass_mask)
             return np.einsum("ij,ij->i", g, g)
 
         xs, vals = _lockstep_nelder_mead(phi, starts)
@@ -550,12 +548,10 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
             face_mask[coord] = 0.0
             _stationary_pass(face_mask, cfg.face_starts)
 
-    # final refinement at tighter tolerance, then a greedy dedup in order of f
-    u2, f2, g2, _, _ = _descent(np.concatenate(points), mask, fd_step=1e-7, eta_floor=1e-14, max_iter=150)
-    order = np.argsort(f2, kind="stable")
-    p = _octant_points(u2, mask)[order]
-    grad = np.minimum(g2, np.concatenate(grads))[order]
-    kind = np.array(kinds, dtype=object)[order]
+    # greedy dedup in order of f
+    p = np.concatenate(points)
+    order = np.argsort(schmidt_f_batch(p)["f"], kind="stable")
+    p, grad, kind = p[order], np.concatenate(grads)[order], np.array(kinds, dtype=object)[order]
     keep = np.ones(len(p), dtype=bool)
     for i in range(len(p)):
         if keep[i]:
@@ -630,6 +626,9 @@ class VerifyReport:
 
 def _sobol_sphere(n: int, dim: int, seed: int) -> np.ndarray:
     """Quasi-uniform points on the positive octant of the unit (dim-1)-sphere."""
+    from scipy.special import ndtri  # imported here: scipy costs ~1 s of `import qsteer`
+    from scipy.stats import qmc
+
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(n, 2))))
     u = eng.random_base2(m)[:n]

@@ -293,9 +293,10 @@ def validate_state(
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    rho_h = rho.conj().T
+    herm = float(np.max(np.abs(rho - rho_h)))
     tr = float(abs(np.trace(rho) - 1.0))
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+    min_eig = float(np.linalg.eigvalsh((rho + rho_h) / 2.0)[0])
     return StateDiagnostics(
         dim=rho.shape[0],
         hermiticity_residual=herm,

@@ -20,7 +20,9 @@ from qsteer.monogamy import (
     sign_region,
     verify_monogamy,
 )
-from qsteer.monogamy import _fgwv_arrays, _labels, _pair_norms, _region_codes, _sobol_sphere
+from qsteer.monogamy import (
+    _batch_grad, _fgwv_arrays, _labels, _pair_norms, _region_codes, _sobol_sphere,
+)
 from qsteer.states import density_from_pure, permute_qubits, schmidt_state
 
 from conftest import SIGMA, oracle_ptrace, oracle_theta2, random_octant_point
@@ -312,6 +314,13 @@ class TestMinimize:
         assert summary["count"] == search.dropped
         if search.dropped:
             assert summary["min"] <= summary["median"] <= summary["max"]
+
+    def test_grad_norms_hold_at_returned_points(self, search):
+        # a reported norm is the gradient at the returned unit-sphere point,
+        # not one taken off the sphere or before a later move
+        p = np.array([pt.params for pt in search.points])
+        recomputed = np.linalg.norm(_batch_grad(p, np.ones(4)), axis=1)
+        assert_allclose([pt.grad_norm for pt in search.points], recomputed, rtol=0, atol=1e-9)
 
     def test_points_are_distinct(self, search):
         p = np.array([pt.params for pt in search.points])
