@@ -119,9 +119,9 @@ def cmd_sweep(args) -> int:
     grid = np.linspace(args.start, args.stop, args.points)
 
     def densities(start, stop):
-        psi = np.stack([states.ghz_state(v) if args.family == "ghz" else states.w_state(args.theta, v)
-                        for v in grid[start:stop]])
-        return psi[:, :, None] * psi.conj()[:, None, :]
+        return states.density_from_pure(np.stack([
+            states.ghz_state(v) if args.family == "ghz" else states.w_state(args.theta, v)
+            for v in grid[start:stop]]))
 
     lines = ["param," + ",".join(_SWEEP_COLUMNS)]
     for idx, cols in _chunks(len(grid), densities):
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance-profile", choices=sorted(_TOLERANCE_PROFILES), default="default",
         help="state validation tolerances",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="steering quantities over a parameter grid (CSV)")

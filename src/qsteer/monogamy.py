@@ -65,10 +65,11 @@ RADICAND_TOL = -1e-12  # rounding below 0 in a g/v radicand that still counts as
 SIGN_BOUNDARY_TOL = 1e-12  # |f+-g| or |w+-v| this small is a region boundary, not a sign
 FACE_TOL = 1e-6  # face/boundary slack for critical points, resolved only to ~1e-8
 GRAD_TOL = 1e-10  # descent convergence: central-difference gradient norm at a critical point
+STATIONARY_TOL = 1e-6  # Nelder-Mead convergence: gradient norm at a stationary critical point
 MAX_ITER = 400  # descent iterations before a search start counts as dropped
 FD_STEP = 1e-6  # central-difference step of the search phases, well above f's ~1e-16 rounding
 DEDUP_RADIUS = 1e-6  # refined points closer than this in parameter space are one critical point
-PASS_TOL = -1e-9  # scan passes at or above this; f's rounding on its zero set is ~1e-16
+PASS_TOL = -1e-9  # scan passes at or above this; pipeline values on f's zero set reach ~-1e-12
 
 _COORDS = ("x", "y", "z", "h")
 
@@ -287,12 +288,14 @@ class MinimizeConfig:
     seed: int = 0
     boundary: str | None = None  # restrict the search to one face
     stationary_starts: int = 256  # projected-gradient-norm phase
-    face_starts: int = 64  # per-face stationary passes (full-domain runs only)
+    face_starts: int = 64  # stationary starts on each face (full-domain runs only)
 
 
 @dataclass
 class CriticalPoint:
-    """A converged constrained critical point of f on the octant sphere."""
+    """A converged constrained critical point of f on the octant sphere: a
+    descent end at gradient norm GRAD_TOL or at the 1e-13 step floor, or a
+    stationary (Nelder-Mead) end at gradient norm STATIONARY_TOL."""
 
     params: SchmidtParams
     f_value: float
@@ -314,6 +317,8 @@ class CriticalPoint:
 
 @dataclass
 class MinimizeResult:
+    """Search outcome; converged and dropped count descent starts (see CriticalPoint)."""
+
     points: list[CriticalPoint]
     starts: int
     converged: int
@@ -326,9 +331,6 @@ class MinimizeResult:
         stats = (float(g.min()), float(np.median(g)), float(g.max())) if g.size else (None,) * 3
         return {"count": int(g.size), **dict(zip(("min", "median", "max"), stats))}
 
-    def min_value(self) -> float:
-        return min(pt.f_value for pt in self.points)
-
     def best_matching(self, target, radius: float) -> CriticalPoint | None:
         """Closest returned point within `radius` of the target coordinates."""
         target = np.asarray(target, dtype=float)
@@ -340,30 +342,31 @@ class MinimizeResult:
         return best
 
 
-def _octant_points(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _octant_points(u: np.ndarray) -> np.ndarray:
     """Fold an unconstrained batch onto the octant sphere (abs + normalize)."""
-    p = np.abs(u) * mask
+    p = np.abs(u)
     return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
-def _batch_f(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return schmidt_f_batch(_octant_points(u, mask))["f"]
+def _batch_f(u: np.ndarray) -> np.ndarray:
+    return schmidt_f_batch(_octant_points(u))["f"]
 
 
-def _batch_grad(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of the folded objective, batched."""
+def _batch_grad(u: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of the folded objective, batched; exactly 0
+    along an exact-zero coordinate, in which the fold is even."""
     n, d = u.shape
     shifts = FD_STEP * np.eye(d)
     pts = np.concatenate([u[:, None, :] + shifts, u[:, None, :] - shifts], axis=1)
-    fv = _batch_f(pts.reshape(-1, d), mask).reshape(n, 2 * d)
-    return (fv[:, :d] - fv[:, d:]) / (2.0 * FD_STEP) * mask
+    fv = _batch_f(pts.reshape(-1, d)).reshape(n, 2 * d)
+    return (fv[:, :d] - fv[:, d:]) / (2.0 * FD_STEP)
 
 
-def _descent(u0: np.ndarray, mask: np.ndarray):
+def _descent(u0: np.ndarray):
     """Lockstep projected descent with backtracking; returns endpoints, the last
     gradient norm of each start, and converged / dropped flags."""
     u = u0.copy()
-    fval = _batch_f(u, mask)
+    fval = _batch_f(u)
     eta = np.full(len(u), 0.1)
     active = np.ones(len(u), dtype=bool)
     converged = np.zeros(len(u), dtype=bool)
@@ -373,7 +376,7 @@ def _descent(u0: np.ndarray, mask: np.ndarray):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        g = _batch_grad(u[idx], mask)
+        g = _batch_grad(u[idx])
         gn = np.linalg.norm(g, axis=1)
         gnorm[idx] = gn
         done = gn <= GRAD_TOL
@@ -391,10 +394,10 @@ def _descent(u0: np.ndarray, mask: np.ndarray):
                 break
             sub = np.flatnonzero(searching)
             cand = u[idx[sub]] - eta[idx[sub], None] * g[sub]
-            fnew = _batch_f(cand, mask)
+            fnew = _batch_f(cand)
             ok = fnew <= fval[idx[sub]] - 1e-4 * eta[idx[sub]] * gn[sub] ** 2
             acc = idx[sub[ok]]
-            u[acc] = cand[ok] / np.linalg.norm(np.abs(cand[ok]) * mask, axis=1, keepdims=True)
+            u[acc] = cand[ok] / np.linalg.norm(cand[ok], axis=1, keepdims=True)
             fval[acc] = fnew[ok]
             eta[acc] = np.minimum(eta[acc] * 1.3, 1.0)
             eta[idx[sub[~ok]]] /= 2.0
@@ -415,11 +418,13 @@ def _lockstep_nelder_mead(phi, x0s: np.ndarray):
     contraction/shrink moves, applied simultaneously to every simplex so the
     objective is always evaluated in large batches; at most 300 steps, and a
     simplex stops once its diameter is below 1e-9 or its value span below 1e-22.
+    The initial simplex steps 0.05 only along nonzero start coordinates, so an
+    exact-zero coordinate (a face of the octant) stays 0 through every move.
     """
     n, d = x0s.shape
     simplex = np.repeat(x0s[:, None, :], d + 1, axis=1)
     for j in range(d):
-        simplex[:, j + 1, j] += 0.05
+        simplex[:, j + 1, j] += 0.05 * (x0s[:, j] != 0.0)
     values = phi(simplex.reshape(-1, d)).reshape(n, d + 1)
     rows = np.arange(n)
 
@@ -495,63 +500,44 @@ def _labels(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     """Multi-start search for constrained critical points of f.
 
-    Phase one runs lockstep projected descent (numerical central-difference
-    gradients on the folded sphere parametrization) and collects local minima;
-    phase two polishes quasi-random starts with a Nelder-Mead minimization of
-    the squared projected-gradient norm at the folded unit-sphere point, which
-    also captures saddle- and maximum-type stationary points. All candidates
-    are sorted by f, deduplicated (a point within DEDUP_RADIUS of a lower kept
-    one is dropped), and the survivors evaluated through f_components in one
-    batch.
+    A start on a face of the octant has an exact 0 in its face coordinate, and
+    both phases keep it 0. Phase one runs lockstep projected descent (central-
+    difference gradients on the folded sphere parametrization) for local minima.
+    Phase two runs one lockstep Nelder-Mead minimization of the squared gradient
+    norm at the folded unit-sphere point, over the stationary starts and, in a
+    full-domain run, face_starts starts on each face; it also captures saddle-
+    and maximum-type stationary points. All candidates are sorted by f,
+    deduplicated (a point within DEDUP_RADIUS of a lower kept one is dropped),
+    and the survivors evaluated through f_components in one batch.
     """
     cfg = config or MinimizeConfig()
-    rng = np.random.default_rng(cfg.seed)
-    mask = np.ones(4)
+    if cfg.boundary is not None and cfg.boundary not in _COORDS:
+        raise ValueError(f"boundary must be one of {_COORDS}")
+    first_face = cfg.starts + min(cfg.stationary_starts, cfg.starts)
+    n_face = cfg.face_starts if cfg.boundary is None else 0
+    # descent starts, stationary starts, then n_face starts on each of the x, y,
+    # z and h faces in turn; a start on a face has an exact 0 in that coordinate
+    u0 = np.abs(np.random.default_rng(cfg.seed).standard_normal((first_face + 4 * n_face, 4)))
     if cfg.boundary is not None:
-        if cfg.boundary not in _COORDS:
-            raise ValueError(f"boundary must be one of {_COORDS}")
-        mask[_COORDS.index(cfg.boundary)] = 0.0
-
-    u0 = np.abs(rng.standard_normal((cfg.starts, 4))) * mask
+        u0[:, _COORDS.index(cfg.boundary)] = 0.0
+    u0[first_face + np.arange(4 * n_face), np.repeat(np.arange(4), n_face)] = 0.0
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
 
-    u, gnorm, converged, dropped = _descent(u0, mask)
-    points, grads = [_octant_points(u[converged], mask)], [gnorm[converged]]
-    kinds = ["descent"] * int(converged.sum())
+    def phi(v):  # squared gradient norm on the sphere, so moving outward cannot shrink it
+        g = _batch_grad(_octant_points(v))
+        return np.einsum("ij,ij->i", g, g)
 
-    # stationary phase: minimize ||grad||^2 in lockstep Nelder-Mead; unlike the
-    # descent it also lands on saddle- and maximum-type critical points
-    def _stationary_pass(pass_mask: np.ndarray, n_starts: int):
-        if n_starts <= 0:
-            return
-        starts = np.abs(rng.standard_normal((n_starts, 4))) * pass_mask
-        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-
-        def phi(pts):
-            # at the folded point, so moving outward cannot shrink the gradient
-            g = _batch_grad(_octant_points(pts, pass_mask), pass_mask)
-            return np.einsum("ij,ij->i", g, g)
-
-        xs, vals = _lockstep_nelder_mead(phi, starts)
-        gn = np.sqrt(np.maximum(vals, 0.0))
-        hit = gn <= 1e-6
-        points.append(_octant_points(xs[hit], pass_mask))
-        grads.append(gn[hit])
-        kinds.extend(["stationary"] * int(hit.sum()))
-
-    _stationary_pass(mask, min(cfg.stationary_starts, cfg.starts))
-    if cfg.boundary is None:
-        # each face of the octant gets its own pass; face-critical points such
-        # as maxima along the face are invisible to full-domain descent
-        for coord in range(4):
-            face_mask = np.ones(4)
-            face_mask[coord] = 0.0
-            _stationary_pass(face_mask, cfg.face_starts)
+    u, gnorm, converged, dropped = _descent(u0[:cfg.starts])
+    xs, vals = _lockstep_nelder_mead(phi, u0[cfg.starts:])
+    gn = np.sqrt(np.maximum(vals, 0.0))
+    hit = gn <= STATIONARY_TOL
+    p = _octant_points(np.concatenate([u[converged], xs[hit]]))
+    grad = np.concatenate([gnorm[converged], gn[hit]])
+    kind = np.repeat(np.array(["descent", "stationary"], dtype=object), [converged.sum(), hit.sum()])
 
     # greedy dedup in order of f
-    p = np.concatenate(points)
     order = np.argsort(schmidt_f_batch(p)["f"], kind="stable")
-    p, grad, kind = p[order], np.concatenate(grads)[order], np.array(kinds, dtype=object)[order]
+    p, grad, kind = p[order], grad[order], kind[order]
     keep = np.ones(len(p), dtype=bool)
     for i in range(len(p)):
         if keep[i]:

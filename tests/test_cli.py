@@ -118,6 +118,14 @@ class TestAnalyze:
         code, _, _ = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
         assert code == 0
 
+    def test_out_flag_rejected(self, ghz_file, tmp_path):
+        # the report goes to stdout; an --out that wrote nothing would mislead
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", str(ghz_file), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestSweep:
     def test_ghz_grid(self, tmp_path, capsys):

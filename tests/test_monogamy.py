@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qsteer
 from qsteer.monogamy import (
     ALL_SIGN_REGIONS,
     DEDUP_RADIUS,
@@ -21,7 +27,8 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _batch_grad, _fgwv_arrays, _labels, _pair_norms, _region_codes, _sobol_sphere,
+    _batch_grad, _fgwv_arrays, _labels, _lockstep_nelder_mead, _pair_norms, _region_codes,
+    _sobol_sphere,
 )
 from qsteer.states import density_from_pure, permute_qubits, schmidt_state
 
@@ -319,7 +326,7 @@ class TestMinimize:
         # a reported norm is the gradient at the returned unit-sphere point,
         # not one taken off the sphere or before a later move
         p = np.array([pt.params for pt in search.points])
-        recomputed = np.linalg.norm(_batch_grad(p, np.ones(4)), axis=1)
+        recomputed = np.linalg.norm(_batch_grad(p), axis=1)
         assert_allclose([pt.grad_norm for pt in search.points], recomputed, rtol=0, atol=1e-9)
 
     def test_points_are_distinct(self, search):
@@ -350,6 +357,41 @@ class TestMinimize:
         assert corner is not None and corner.f_value == pytest.approx(0.0, abs=1e-9)
         for pt in res.points:
             assert pt.params.x == 0.0
+
+
+class TestExactFaces:
+    """A point on a face of the octant has an exact 0 in its face coordinate."""
+
+    @pytest.fixture
+    def face_starts(self, rng):
+        u = np.abs(rng.standard_normal((12, 4)))
+        zero = np.zeros(u.shape, dtype=bool)
+        zero[np.arange(12), np.arange(12) % 4] = True
+        zero[8:, 0] = True  # rows 8-11 sit on an edge: two exact zeros
+        u[zero] = 0.0
+        return u, zero
+
+    def test_gradient_vanishes_along_a_zero_coordinate(self, face_starts):
+        u, zero = face_starts
+        g = _batch_grad(u)
+        assert np.all(g[zero] == 0.0)
+
+    def test_nelder_mead_keeps_a_zero_coordinate(self, face_starts):
+        u, zero = face_starts
+        # the minimum at 0.3 pulls every coordinate away from 0
+        xs, _ = _lockstep_nelder_mead(lambda v: np.sum((v - 0.3) ** 2, axis=1), u)
+        assert np.all(xs[zero] == 0.0)
+        assert_allclose(xs[~zero], 0.3, atol=1e-6)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where the sphere scan needs it; at top level it
+    # would cost most of the time of `import qsteer`
+    src = str(Path(qsteer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", "import sys, qsteer; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestVerify:

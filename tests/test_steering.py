@@ -446,6 +446,25 @@ class TestBatchKernel:
             assert np.max(np.abs(after[key] - value)) <= 1e-9, key
 
     @settings(max_examples=40, deadline=None)
+    @given(st.lists(states(pure=False), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_classification_stable_under_tiny_perturbation(self, drawn, seed):
+        # a Hermitian, trace-zero perturbation of norm 1e-15 moves each H by
+        # about that much, so no label flips while every pair H is 1e-6 from 0
+        rhos = np.stack([rho for rho, _ in drawn])
+        before = steering_batch(rhos)
+        clear = np.all([np.abs(before.pair_h[k]) > 1e-6 for k in ("AB", "AC", "BC")], axis=0)
+        assume(clear.any())
+        rhos, labels = rhos[clear], before.classification[clear].tolist()
+        g = np.random.default_rng(seed).standard_normal((2, len(rhos), 8, 8))
+        e = g[0] + 1j * g[1]
+        e = e + e.conj().transpose(0, 2, 1)
+        e -= np.trace(e, axis1=1, axis2=2).real[:, None, None] * np.eye(8) / 8
+        e *= 1e-15 / np.linalg.norm(e, axis=(1, 2), keepdims=True)
+        assert steering_batch(rhos + e).classification.tolist() == labels
+        for rho, label in zip(rhos + e, labels):
+            assert steering_report(rho, validate=False).classification == label
+
+    @settings(max_examples=40, deadline=None)
     @given(states(pure=True))
     def test_continuous_across_pure_switch(self, drawn):
         # the full deficit crosses the 1e-12 switch near eps = 5.7e-13
