@@ -32,6 +32,7 @@ GENERATOR_NAME = "pcg64-seedseq-spawn"
 
 # index of the cascade entry each N_n multiplies; N_7 restarts from N_5
 _CASCADE_PARENTS = {"verbatim": (None, 0, 1, 2, 3, 4, 4, 6), "n6": (None, 0, 1, 2, 3, 4, 5, 6)}
+_CHUNK = 256  # states per random_state_batch call in random_states
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,6 @@ def random_pure_vector(spec: RandomStateSpec, index: int) -> np.ndarray:
 
 
 def random_states(spec: RandomStateSpec) -> Iterator[np.ndarray]:
-    """All states of the batch, in index order."""
-    for i in range(spec.count):
-        yield random_state(spec, i)
+    """All states of the batch, in index order, generated _CHUNK at a time."""
+    for start in range(0, spec.count, _CHUNK):
+        yield from random_state_batch(spec, start, min(start + _CHUNK, spec.count))

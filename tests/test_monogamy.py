@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qsteer
+from qsteer import monogamy
 from qsteer.monogamy import (
     ALL_SIGN_REGIONS,
     DEDUP_RADIUS,
@@ -212,6 +213,32 @@ class TestClosedForm:
         assert f_pipeline(INTERIOR) == pytest.approx(0.361084, abs=1e-4)
 
 
+class TestPrintedForm:
+    """What the printed closed_form_f gets wrong, pinned against the exact pair norms."""
+
+    @pytest.fixture(scope="class")
+    def coords(self):
+        return _sobol_sphere(2**16, 4, 0).T
+
+    def test_pair_norms_are_smooth(self, coords):
+        # det B2 has a fixed sign on the octant, so the |det| of _block_norm resolves
+        x, y, z, h = coords
+
+        def smooth(a, b):
+            return a * b * (1 + np.sqrt((1 - 2 * y**2 + 2 * a * b) ** 2 + 4 * y**2 * (a + b) ** 2))
+
+        for got, ref in zip(_pair_norms(x, y, z, h), (smooth(x, h), smooth(x, z), smooth(z, h))):
+            assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_printed_bc_radicand_lacks_a_term(self, coords):
+        # the printed BC norm is zh (1 + sqrt(R)); the exact radicand adds 4y^2 (z-h)^2
+        x, y, z, h = coords
+        radicand = 8 * z * h + (2 * y**2 - 1 + 2 * z * h) ** 2
+        exact = z * h * (1 + np.sqrt(radicand + 4 * y**2 * (z - h) ** 2))
+        assert np.max(np.abs(_pair_norms(x, y, z, h)[2] - exact)) <= 1e-13
+        assert np.max(exact - z * h * (1 + np.sqrt(radicand))) > 1e-2
+
+
 class TestBoundaryForms:
     @pytest.mark.parametrize("face,embed", [
         ("x", lambda g: (0.0, g[0], g[1], g[2])),
@@ -349,15 +376,6 @@ class TestMinimize:
         assert {"x=0", "y=0", "z=0"} <= {pt.location for pt in search.points}
         assert {"++++", "boundary", "undefined"} <= {pt.region for pt in search.points}
 
-    def test_boundary_run_finds_face_points(self):
-        res = minimize_f(MinimizeConfig(starts=60, stationary_starts=48,
-                                        face_starts=0, seed=3, boundary="x"))
-        assert res.best_matching(BELL, radius=1e-3) is not None
-        corner = res.best_matching(CORNER, radius=1e-3)
-        assert corner is not None and corner.f_value == pytest.approx(0.0, abs=1e-9)
-        for pt in res.points:
-            assert pt.params.x == 0.0
-
 
 class TestExactFaces:
     """A point on a face of the octant has an exact 0 in its face coordinate."""
@@ -403,9 +421,10 @@ class TestVerify:
         assert set(report.regions) <= set(ALL_SIGN_REGIONS) | {"boundary", "undefined"}
         assert sum(r["samples"] for r in report.regions.values()) == report.samples
 
-    def test_chunk_size_does_not_change_report(self):
-        small = verify_monogamy(VerifyConfig(samples=2**14, seed=5, chunk=2**10))
-        large = verify_monogamy(VerifyConfig(samples=2**14, seed=5, chunk=2**16))
+    def test_chunk_size_does_not_change_report(self, monkeypatch):
+        large = verify_monogamy(VerifyConfig(samples=2**14, seed=5))
+        monkeypatch.setattr(monogamy, "SCAN_CHUNK", 2**10)
+        small = verify_monogamy(VerifyConfig(samples=2**14, seed=5))
         assert small.to_dict() == large.to_dict()
 
     def test_regions_match_string_route(self):
@@ -425,42 +444,21 @@ class TestVerify:
         assert list(_region_codes(pts)) == strings
 
         sel = np.array(strings) == "++++"
-        report = verify_monogamy(VerifyConfig(samples=2**12, seed=4, restrict_region="++++"))
-        assert set(report.regions) == {"++++"}
-        assert report.regions["++++"]["samples"] == sel.sum() > 0
-        assert report.min_value == schmidt_f_batch(pts[sel])["f"].min()
+        region = verify_monogamy(VerifyConfig(samples=2**12, seed=4)).regions["++++"]
+        assert region["samples"] == sel.sum() > 0
+        assert region["sampled_min"] == schmidt_f_batch(pts[sel])["f"].min()
 
     def test_region_restricted_scan(self):
         # the sampled infimum of the ++++ region sits near its closure at the
         # zero set; the stationary-analysis number is the critical-point min
         crits = minimize_f(MinimizeConfig(starts=200, stationary_starts=48,
                                           face_starts=32, seed=11)).points
-        report = verify_monogamy(
-            VerifyConfig(samples=2**14, seed=5, restrict_region="++++"),
-            critical_points=crits,
-        )
+        report = verify_monogamy(VerifyConfig(samples=2**14, seed=5), critical_points=crits)
         assert report.passed
-        assert report.critical_min == pytest.approx(0.361084, abs=1e-3)
+        assert report.regions["++++"]["critical_min"] == pytest.approx(0.361084, abs=1e-3)
         assert report.min_value >= -1e-9
-
-    def test_boundary_restricted_scan(self):
-        crits = minimize_f(MinimizeConfig(starts=60, stationary_starts=48,
-                                          face_starts=0, seed=3, boundary="x")).points
-        report = verify_monogamy(
-            VerifyConfig(samples=2**13, seed=5, restrict_boundary="x"),
-            critical_points=crits,
-        )
-        assert report.passed
-        assert report.min_value == pytest.approx(0.0, abs=1e-9)
-        assert report.critical_min == pytest.approx(0.0, abs=1e-9)
 
     def test_report_serializes(self):
         report = verify_monogamy(VerifyConfig(samples=2**10, seed=1))
         d = report.to_dict()
         assert {"min", "argmin", "samples", "seed", "pass", "regions"} <= set(d)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            verify_monogamy(VerifyConfig(restrict_boundary="q"))
-        with pytest.raises(ValueError):
-            verify_monogamy(VerifyConfig(restrict_region="+++"))
