@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,9 @@ _SWEEP_COLUMNS = ("h_a_bc", "s_a_bc", "h_ab", "h_ac", "h_bc", "h_tot")
 _MC_COLUMNS = ("s_a_bc", "h_ab", "h_ac", "h_bc", "s_ab", "s_ac", "s_bc", "h_tot", "s_tot", "margin")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _row_template(columns: int) -> str:
+    """One % template for a CSV row of floats; '%.17g' % v is format(v, '.17g')."""
+    return ",".join(["%.17g"] * columns)
 
 
 def _out_path(name: str | None, default_name: str) -> Path:
@@ -124,9 +126,10 @@ def cmd_sweep(args) -> int:
             for v in grid[start:stop]]))
 
     lines = ["param," + ",".join(_SWEEP_COLUMNS)]
+    row = _row_template(1 + len(_SWEEP_COLUMNS))
     for idx, cols in _chunks(len(grid), densities):
         table = np.column_stack([grid[idx.start:idx.stop]] + [cols[k] for k in _SWEEP_COLUMNS])
-        lines += [",".join(map(_fmt, row)) for row in table.tolist()]
+        lines += [row % tuple(values) for values in table.tolist()]
     text = "\n".join(lines) + "\n"
     if args.out is None and "QSTEER_OUT_DIR" not in os.environ:
         sys.stdout.write(text)
@@ -145,10 +148,12 @@ def cmd_montecarlo(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    started = time.perf_counter()
     counts = {"corollary1": 0, "corollary2": 0, "mixed": 0}
     min_margin = np.inf
     violations = 0
     rows = ["index," + ",".join(_MC_COLUMNS) + ",classification"]
+    row = "%d," + _row_template(len(_MC_COLUMNS)) + ",%s"
     written = 0
     for idx, cols in _chunks(spec.count, lambda a, b: randgen.random_state_batch(spec, a, b)):
         min_margin = min(min_margin, float(cols["margin"].min()))
@@ -158,12 +163,13 @@ def cmd_montecarlo(args) -> int:
             counts[label] += 1
             if args.filter != "all" and label != args.filter:
                 continue
-            rows.append(",".join([str(i)] + [_fmt(v) for v in values] + [label]))
+            rows.append(row % (i, *values, label))
             written += 1
 
     path = _out_path(args.out, "montecarlo.csv")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(rows) + "\n")
+    elapsed = time.perf_counter() - started
     summary = {
         "count": spec.count,
         "mode": spec.mode,
@@ -175,6 +181,8 @@ def cmd_montecarlo(args) -> int:
         "min_margin": float(min_margin),
         "violations": violations,
         "csv": str(path),
+        "elapsed_s": elapsed,
+        "states_per_s": spec.count / elapsed,
     }
     print(json.dumps(summary, indent=2))
     return 0

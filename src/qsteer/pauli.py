@@ -3,13 +3,16 @@
 The three-qubit coefficient tensor is theta[i, j, k] = tr(rho s_i x s_j x s_k)
 with s_0 the identity and s_1, s_2, s_3 the standard Pauli matrices. Parseval
 identities link sums of squared coefficients to reduced-state purities.
+
+Every nonzero entry of a Pauli string is +-1 or +-i, so the real and the
+imaginary part of each term rho[c, r] P[r, c] of tr(rho P) is plus or minus
+the real or the imaginary part of one entry of rho. The traces are one gather
+from rho and -rho viewed as floats, then a sum over the terms in column order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .states import ordered_sum
 
 __all__ = [
     "PAULI",
@@ -39,27 +42,41 @@ PAULI3 = np.stack(
 _IMAG_TOL = 1e-12
 
 
-def _entry_tables(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each Pauli string has one nonzero entry per column: tr(rho P) = sum_c
-    rho[c, r(c)] P[r(c), c]. Returns the flat indices c*d + r(c) and the values."""
+def _gather_table(strings: np.ndarray) -> np.ndarray:
+    """Float indices into [rho, -rho] (each flattened, then viewed as re, im
+    pairs) of the real and imaginary part of every trace term: (d, 2, strings).
+
+    Each Pauli string has one nonzero entry per column c, in row r(c), so
+    tr(rho P) = sum_c rho[c, r(c)] P[r(c), c]. With P = +-1 the term is
+    +-(re + i im) of that entry; with P = +-i it is +-(-im + i re).
+    """
     d = strings.shape[-1]
     rows = np.argmax(strings != 0, axis=1)
     values = np.take_along_axis(strings, rows[:, None, :], axis=1)[:, 0, :]
-    return np.arange(d) * d + rows, values
+    re = 2 * (np.arange(d) * d + rows)  # float index of re rho[c, r(c)]
+    one = values.imag == 0  # P[r(c), c] is +-1, else +-i
+    negative = 2 * d * d  # offset of -rho
+    table = np.stack([
+        np.where(one, re, re + 1) + negative * np.where(one, values.real < 0, values.imag > 0),
+        np.where(one, re + 1, re) + negative * np.where(one, values.real < 0, values.imag < 0),
+    ])
+    return table.transpose(2, 0, 1)
 
 
-_ENTRIES = {d: _entry_tables(s) for d, s in ((4, PAULI2), (8, PAULI3))}
+_GATHER = {d: _gather_table(s) for d, s in ((4, PAULI2), (8, PAULI3))}
 
 
 def _real_traces(rho: np.ndarray, d: int) -> np.ndarray:
-    # a gather and an ordered sum, not a BLAS product: its blocking, and so
-    # its rounding, would depend on how many states are stacked
-    index, values = _ENTRIES[d]
-    vals = ordered_sum(rho.reshape(rho.shape[:-2] + (d * d,))[..., index] * values)
-    worst = float(np.max(np.abs(vals.imag), initial=0.0))
+    # a gather and a sum, not a BLAS product, whose blocking (and so rounding)
+    # would depend on how many states are stacked; the term axis is outermost
+    # in memory, so numpy adds it slab by slab, left to right, not pairwise
+    flat = rho.reshape(rho.shape[:-2] + (d * d,))
+    signed = np.concatenate((flat, -flat), axis=-1).view(float)
+    vals = np.add.reduce(signed.take(_GATHER[d], axis=-1), axis=-3)
+    worst = float(np.abs(vals[..., 1, :]).max(initial=0.0))
     if worst > _IMAG_TOL:
         raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")
-    return vals.real
+    return vals[..., 0, :]
 
 
 def pauli_tensor(rho: np.ndarray) -> np.ndarray:

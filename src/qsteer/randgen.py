@@ -7,7 +7,9 @@ two. Pure mode keeps only the leading eigenvector.
 
 Determinism contract: state number i is generated from the child stream
 SeedSequence(seed, spawn_key=(i,)), so identical (seed, mode, count) specs
-give bit-identical output regardless of batching or ordering.
+give bit-identical output regardless of batching or ordering. The stream is
+read once per state, 8 cascade uniforms (mixed mode only) then the 64 of K,
+the same doubles in the same order as separate uniform calls.
 """
 
 from __future__ import annotations
@@ -64,13 +66,18 @@ def random_eigenvalues(rng: np.random.Generator, cascade_variant: str = "verbati
     N_8 = N_7 * U ("verbatim" variant; "n6" chains N_7 from N_6 instead).
     Normalized to sum 1; nonincreasing except possibly at n = 7.
     """
+    return _cascade(rng.random(8), cascade_variant)
+
+
+def _cascade(u: np.ndarray, cascade_variant: str) -> np.ndarray:
+    """The random_eigenvalues cascade on a stack of uniform rows (..., 8),
+    one column product per step."""
     parents = _CASCADE_PARENTS[cascade_variant]
-    draws = rng.uniform(0.0, 1.0, size=8)
-    n = np.empty(8)
-    n[0] = draws[0]
+    n = np.empty_like(u)
+    n[..., 0] = u[..., 0]
     for i in range(1, 8):
-        n[i] = n[parents[i]] * draws[i]
-    return n / n.sum()
+        n[..., i] = n[..., parents[i]] * u[..., i]
+    return n / n.sum(axis=-1, keepdims=True)
 
 
 def random_hermitian(rng: np.random.Generator) -> np.ndarray:
@@ -90,15 +97,21 @@ def _hermitian(k: np.ndarray) -> np.ndarray:
     return d + (np.swapaxes(u, -1, -2) + u) + 1j * (np.swapaxes(lo, -1, -2) - lo)
 
 
-def _draw(rng: np.random.Generator, mode: str, cascade_variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and the K matrix of random_hermitian for one state, read
-    from its stream in this order."""
-    if mode == "mixed":
-        lams = random_eigenvalues(rng, cascade_variant)
+def _draws(spec: RandomStateSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, 8) and K matrices (n, 8, 8) of states start..stop - 1.
+
+    Each state's stream is read once: in mixed mode 8 uniforms for the
+    cascade, then 64 for K, which holds 2u - 1 (what uniform(-1, 1) returns
+    for the same doubles).
+    """
+    width = 72 if spec.mode == "mixed" else 64
+    u = np.stack([_stream(spec.seed, i).random(width) for i in range(start, stop)])
+    if spec.mode == "mixed":
+        lams = _cascade(u[:, :8], spec.cascade_variant)
     else:
-        lams = np.zeros(8)
-        lams[0] = 1.0
-    return lams, rng.uniform(-1.0, 1.0, size=(8, 8))
+        lams = np.zeros((stop - start, 8))
+        lams[:, 0] = 1.0
+    return lams, (2.0 * u[:, -64:] - 1.0).reshape(-1, 8, 8)
 
 
 def random_state_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarray:
@@ -110,11 +123,10 @@ def random_state_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarr
     """
     if not 0 <= start < stop <= spec.count:
         raise IndexError(f"indices {start}..{stop - 1} outside batch of {spec.count}")
-    lams, ks = zip(*(_draw(_stream(spec.seed, i), spec.mode, spec.cascade_variant)
-                     for i in range(start, stop)))
+    lams, ks = _draws(spec, start, stop)
     # descending eigenvalue order; lambda_1 pairs with the top eigenvector
-    vecs = np.linalg.eigh(_hermitian(np.stack(ks)))[1][..., ::-1]
-    return (vecs * np.stack(lams)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    vecs = np.linalg.eigh(_hermitian(ks))[1][..., ::-1]
+    return (vecs * lams[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def random_state(spec: RandomStateSpec, index: int) -> np.ndarray:
@@ -130,8 +142,7 @@ def random_pure_vector(spec: RandomStateSpec, index: int) -> np.ndarray:
         raise ValueError("state vectors exist only in pure mode")
     if not 0 <= index < spec.count:
         raise IndexError(f"index {index} outside batch of {spec.count}")
-    _, k = _draw(_stream(spec.seed, index), spec.mode, spec.cascade_variant)
-    return np.linalg.eigh(_hermitian(k))[1][:, -1]
+    return np.linalg.eigh(_hermitian(_draws(spec, index, index + 1)[1][0]))[1][:, -1]
 
 
 def random_states(spec: RandomStateSpec) -> Iterator[np.ndarray]:

@@ -203,6 +203,16 @@ class TestMonteCarlo:
         assert s["min_margin"] >= -1e-9
         assert sum(s["counts"].values()) == 200
 
+    def test_summary_reports_throughput(self, tmp_path, capsys):
+        code, summary, _ = run_cli(["montecarlo", "--count", "50", "--seed", "2",
+                                    "--out", str(tmp_path / "mc.csv")], capsys)
+        s = json.loads(summary)
+        assert code == 0
+        assert list(s) == ["count", "mode", "seed", "filter", "generator", "counts", "rows_written",
+                           "min_margin", "violations", "csv", "elapsed_s", "states_per_s"]
+        assert s["elapsed_s"] > 0
+        assert s["states_per_s"] == 50 / s["elapsed_s"]
+
     def test_chunking_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         count = 2 * cli.CHUNK + 37  # two full chunks and a partial one
         for mode in ("pure", "mixed"):

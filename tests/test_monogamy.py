@@ -238,6 +238,19 @@ class TestPrintedForm:
         assert np.max(np.abs(_pair_norms(x, y, z, h)[2] - exact)) <= 1e-13
         assert np.max(exact - z * h * (1 + np.sqrt(radicand))) > 1e-2
 
+    def test_printed_ab_ac_terms_on_y_face(self):
+        # on y = 0 the exact AB and AC norms less |c_yy| are xh + 2x^2 h^2 and
+        # xz + 2x^2 z^2; the printed f = xh (1 + 2x^2) has 2x^2 where 2xh stands
+        x, z, h = _sobol_sphere(2**14, 3, 0).T
+        y = np.zeros_like(x)
+        f, g, w, v, _ = _fgwv_arrays(np.stack([x, y, z, h], axis=1))
+        n_ab, n_ac, _ = _pair_norms(x, y, z, h)
+        for exact, a, b, other in ((n_ab - x * h, f, g, h), (n_ac - x * z, w, v, z)):
+            assert np.max(np.abs(exact - a - 2 * x**2 * other * (other - x))) <= 1e-13
+            printed = np.maximum(np.abs(a), np.abs(b))
+            assert np.max(np.abs(0.5 * (np.abs(a + b) + np.abs(a - b)) - printed)) <= 1e-15
+            assert np.max(np.abs(printed - exact)) > 0.3
+
 
 class TestBoundaryForms:
     @pytest.mark.parametrize("face,embed", [

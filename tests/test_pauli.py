@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qsteer.pauli import density_from_theta, pauli_tensor, pauli_tensor_pair, purity_from_theta
-from qsteer.states import density_from_pure, ghz_state, partial_trace, permute_qubits, purity
+from qsteer.pauli import (
+    PAULI2, PAULI3, density_from_theta, pauli_tensor, pauli_tensor_pair, purity_from_theta,
+)
+from qsteer.randgen import RandomStateSpec, random_state_batch
+from qsteer.states import (
+    density_from_pure, ghz_state, ordered_sum, partial_trace, permute_qubits, purity, w_state,
+)
 
 from conftest import oracle_theta3, random_mixed_density
 
@@ -108,3 +113,42 @@ def test_bad_shape():
         pauli_tensor_pair(np.eye(8) / 8)
     with pytest.raises(ValueError):
         purity_from_theta(np.zeros((4, 4, 4)), "AB")
+
+
+def _complex_route(rho, strings):
+    """Pauli traces by a complex gather, a complex multiply by the string's
+    entries and a running sum over the terms in column order."""
+    d = strings.shape[-1]
+    rows = np.argmax(strings != 0, axis=1)
+    values = np.take_along_axis(strings, rows[:, None, :], axis=1)[:, 0, :]
+    terms = rho.reshape(rho.shape[:-2] + (d * d,))[..., np.arange(d) * d + rows] * values
+    return np.add.accumulate(terms, axis=-1)[..., -1].real
+
+
+def test_terms_summed_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, so only a left-to-right sum of the diagonal
+    # gives 1e16; numpy's pairwise np.sum gives 1e16 + 6
+    diag = np.array([1e16] + [1.0] * 7)
+    assert ordered_sum(diag) == 1e16
+    assert pauli_tensor(np.diag(diag).astype(complex))[0, 0, 0] == 1e16
+
+
+def _stacks():
+    for n in (1, 7, 256):
+        for mode in ("pure", "mixed"):
+            yield random_state_batch(RandomStateSpec(seed=n, mode=mode, count=n), 0, n)
+    yield density_from_pure(np.stack([ghz_state(t) for t in np.linspace(0, np.pi / 2, 101)]))
+    for theta in (np.pi / 3, np.pi / 5):
+        yield density_from_pure(np.stack([w_state(theta, a) for a in np.linspace(0, np.pi, 101)]))
+
+
+def test_matches_complex_route():
+    for rho in _stacks():
+        assert np.array_equal(pauli_tensor(rho).reshape(len(rho), 64), _complex_route(rho, PAULI3))
+
+
+def test_pair_matches_complex_route():
+    for rho in _stacks():
+        for keep in (("A", "B"), ("A", "C"), ("B", "C")):
+            for pair in partial_trace(rho[:: max(1, len(rho) // 16)], keep):
+                assert np.array_equal(pauli_tensor_pair(pair).ravel(), _complex_route(pair, PAULI2))

@@ -36,6 +36,20 @@ def test_cascade_variants_differ():
     assert np.all(np.diff(b) <= 1e-15)  # the n6 chain is fully nonincreasing
 
 
+@pytest.mark.parametrize("variant", ["verbatim", "n6"])
+def test_eigenvalues_match_index_loop_cascade(variant):
+    # the documented recipe, one index at a time on a copy of the stream
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        u = copy.deepcopy(rng).uniform(0.0, 1.0, size=8)
+        n = [u[0]]
+        for i in range(1, 8):
+            parent = n[4] if i == 6 and variant == "verbatim" else n[i - 1]
+            n.append(parent * u[i])
+        n = np.array(n)
+        assert np.array_equal(random_eigenvalues(rng, variant), n / n.sum())
+
+
 def test_hermitian_construction():
     rng = np.random.default_rng(12)
     probe = copy.deepcopy(rng)
