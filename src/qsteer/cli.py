@@ -189,6 +189,14 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
+    try:
+        cfg = monogamy.MinimizeConfig(starts=args.starts, stationary_starts=args.stationary_starts,
+                                      face_starts=args.face_starts, seed=args.seed)
+        scan_cfg = monogamy.VerifyConfig(samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
     fixtures = []
     all_ok = True
     for coords, expected, tol in APPENDIX_FIXTURES:
@@ -200,10 +208,6 @@ def cmd_verify_appendix(args) -> int:
             "tolerance": tol, "matched": bool(ok),
         })
 
-    cfg = monogamy.MinimizeConfig(
-        starts=args.starts, stationary_starts=args.stationary_starts,
-        face_starts=args.face_starts, seed=args.seed,
-    )
     result = monogamy.minimize_f(cfg)
     recovered = []
     for coords, expected, tol in APPENDIX_FIXTURES:
@@ -216,10 +220,7 @@ def cmd_verify_appendix(args) -> int:
             "matched": bool(ok),
         })
 
-    scan = monogamy.verify_monogamy(
-        monogamy.VerifyConfig(samples=args.samples, seed=args.seed),
-        critical_points=result.points,
-    )
+    scan = monogamy.verify_monogamy(scan_cfg, critical_points=result.points)
     all_ok &= scan.passed
 
     by_value: dict[float, dict] = {}

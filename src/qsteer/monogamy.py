@@ -60,6 +60,7 @@ __all__ = [
 
 ALL_SIGN_REGIONS = ["".join(s) for s in itertools.product("+-", repeat=4)]
 _REGION_NAMES = np.array(ALL_SIGN_REGIONS + ["boundary", "undefined"], dtype=object)
+_REGION_CODES = {name: code for code, name in enumerate(_REGION_NAMES)}
 
 RADICAND_TOL = -1e-12  # rounding below 0 in a g/v radicand that still counts as defined
 SIGN_BOUNDARY_TOL = 1e-12  # |f+-g| or |w+-v| this small is a region boundary, not a sign
@@ -308,6 +309,11 @@ class MinimizeConfig:
     stationary_starts: int = 256  # Nelder-Mead starts over the whole octant
     face_starts: int = 64  # Nelder-Mead starts on each of the four faces
 
+    def __post_init__(self):
+        for name in ("starts", "stationary_starts", "face_starts"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class CriticalPoint:
@@ -400,32 +406,26 @@ def _descent(u0: np.ndarray):
         done = gn <= GRAD_TOL
         converged[idx[done]] = True
         active[idx[done]] = False
-        idx = idx[~done]
-        g = g[~done]
-        gn = gn[~done]
-        if idx.size == 0:
-            continue
+        idx, g, gn = idx[~done], g[~done], gn[~done]
 
-        searching = np.ones(idx.size, dtype=bool)
+        live = np.arange(idx.size)  # rows of idx, g and gn still backtracking
         for _ in range(60):
-            if not searching.any():
+            if live.size == 0:
                 break
-            sub = np.flatnonzero(searching)
-            cand = u[idx[sub]] - eta[idx[sub], None] * g[sub]
+            i = idx[live]
+            cand = u[i] - eta[i, None] * g[live]
             fnew = _batch_f(cand)
-            ok = fnew <= fval[idx[sub]] - 1e-4 * eta[idx[sub]] * gn[sub] ** 2
-            acc = idx[sub[ok]]
+            ok = fnew <= fval[i] - 1e-4 * eta[i] * gn[live] ** 2
+            acc = i[ok]
             u[acc] = cand[ok] / np.linalg.norm(cand[ok], axis=1, keepdims=True)
             fval[acc] = fnew[ok]
             eta[acc] = np.minimum(eta[acc] * 1.3, 1.0)
-            eta[idx[sub[~ok]]] /= 2.0
-            searching[sub[ok]] = False
-            stalled = eta[idx[sub]] < 1e-13
-            if stalled.any():
-                st = idx[sub[stalled]]
-                converged[st] = True
-                active[st] = False
-                searching[sub[stalled]] = False
+            live, i = live[~ok], i[~ok]
+            eta[i] /= 2.0
+            stalled = eta[i] < 1e-13  # only a rejected step can leave eta this small
+            converged[i[stalled]] = True
+            active[i[stalled]] = False
+            live = live[~stalled]
     return u, gnorm, converged, active
 
 
@@ -579,6 +579,10 @@ class VerifyConfig:
     samples: int = 2**20
     seed: int = 0
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+
 
 @dataclass
 class VerifyReport:
@@ -634,67 +638,52 @@ def verify_monogamy(
 ) -> VerifyReport:
     """Scan the octant sphere with low-discrepancy samples plus critical points.
 
-    Reports the global minimum found, per-region minima, and PASS iff the
-    minimum stays at or above PASS_TOL. The scan covers the whole octant; the
-    regions table and the critical points' face locations give what a scan of
-    one region or face would. f comes from the exact pair norms of
-    schmidt_f_batch. The sign regions belong to the printed expression, not
-    to kinks of f (see closed_form_f), and 47,671 of 2^16 samples at seed 0
-    (73%) fall outside its real domain as 'undefined' (see sign_region).
+    One reduction: f and the region code of every sample are computed in
+    SCAN_CHUNK batches, which only bound the temporaries, and concatenated.
+    The regions table then lists each region met by a sample or a critical
+    point in _REGION_NAMES order, and the global minimum is the first lowest
+    value over the samples followed by the critical points (a critical point
+    wins only when strictly lower). PASS iff it stays at or above PASS_TOL.
+    f comes from the exact pair norms of schmidt_f_batch. The sign regions
+    belong to the printed expression, not to kinks of f (see closed_form_f),
+    and 47,671 of 2^16 samples at seed 0 (73%) fall outside its real domain
+    as 'undefined' (see sign_region).
     """
     cfg = config or VerifyConfig()
     samples = _sobol_sphere(cfg.samples, 4, cfg.seed)
+    blocks = [samples[lo : lo + SCAN_CHUNK] for lo in range(0, len(samples), SCAN_CHUNK)]
+    fvals = np.concatenate([schmidt_f_batch(b)["f"] for b in blocks])
+    codes = np.concatenate([_region_ids(b) for b in blocks])
+    crits = critical_points or []
+    crit_f = np.array([pt.f_value for pt in crits])
+    crit_p = np.array([pt.params.as_array() for pt in crits]).reshape(-1, 4)
+    crit_codes = np.array([_REGION_CODES[pt.region] for pt in crits], dtype=int)
+
     regions: dict[str, dict] = {}
+    for code in np.flatnonzero(np.bincount(np.concatenate([codes, crit_codes]))):
+        sel = np.flatnonzero(codes == code)
+        j = sel[np.argmin(fvals[sel])] if sel.size else None
+        crit_in = crit_f[crit_codes == code]
+        regions[_REGION_NAMES[code]] = {
+            "samples": int(sel.size),
+            "sampled_min": np.inf if j is None else float(fvals[j]),
+            "sampled_argmin": None if j is None else [float(v) for v in samples[j]],
+            "critical_count": int(crit_in.size),
+            "critical_min": float(crit_in.min()) if crit_in.size else None,
+        }
 
-    def region_entry(name: str) -> dict:
-        return regions.setdefault(name, {
-            "samples": 0, "sampled_min": np.inf, "sampled_argmin": None,
-            "critical_count": 0, "critical_min": None,
-        })
-
-    best_val = np.inf
-    best_arg = None
-    for lo in range(0, len(samples), SCAN_CHUNK):
-        block = samples[lo : lo + SCAN_CHUNK]
-        fvals = schmidt_f_batch(block)["f"]
-        codes = _region_ids(block)
-        i = int(np.argmin(fvals))
-        if fvals[i] < best_val:
-            best_val = float(fvals[i])
-            best_arg = block[i]
-        counts = np.bincount(codes)
-        for code in np.flatnonzero(counts):
-            sel = np.flatnonzero(codes == code)
-            j = sel[np.argmin(fvals[sel])]
-            entry = region_entry(_REGION_NAMES[code])
-            entry["samples"] += int(counts[code])
-            if fvals[j] < entry["sampled_min"]:
-                entry["sampled_min"] = float(fvals[j])
-                entry["sampled_argmin"] = [float(v) for v in block[j]]
-
-    crit_min = None
-    crit_arg = None
-    for pt in critical_points or []:
-        entry = region_entry(pt.region)
-        entry["critical_count"] += 1
-        if entry["critical_min"] is None or pt.f_value < entry["critical_min"]:
-            entry["critical_min"] = pt.f_value
-        if crit_min is None or pt.f_value < crit_min:
-            crit_min = pt.f_value
-            crit_arg = [float(v) for v in pt.params]
-        if pt.f_value < best_val:
-            best_val = pt.f_value
-            best_arg = pt.params.as_array()
-
+    values = np.concatenate([fvals, crit_f])
+    i = int(np.argmin(values))
+    k = int(np.argmin(crit_f)) if crits else None
     return VerifyReport(
-        min_value=float(best_val),
-        argmin=[float(v) for v in (best_arg if best_arg is not None else [])],
+        min_value=float(values[i]),
+        argmin=[float(v) for v in (samples[i] if i < len(samples) else crit_p[i - len(samples)])],
         samples=int(cfg.samples),
         seed=int(cfg.seed),
-        passed=bool(best_val >= PASS_TOL),
+        passed=bool(values[i] >= PASS_TOL),
         generator="sobol-scrambled+gauss-fold",
-        critical_min=crit_min,
-        critical_argmin=crit_arg,
+        critical_min=None if k is None else float(crit_f[k]),
+        critical_argmin=None if k is None else [float(v) for v in crit_p[k]],
         regions=regions,
-        critical_points=[pt.as_dict() for pt in critical_points or []],
+        critical_points=[pt.as_dict() for pt in crits],
     )

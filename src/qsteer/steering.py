@@ -80,14 +80,9 @@ def correlation_one_to_two(theta: np.ndarray) -> CorrelationMatrix:
 
 
 def correlation_two_to_one(theta: np.ndarray) -> CorrelationMatrix:
-    """16x4 covariance matrix for steering the pair into the leading qubit.
-
-    Built from the coefficient tensor reordered to BCA slot order; equals the
-    transpose of correlation_one_to_two on the same state.
-    """
-    theta_bca = np.transpose(np.asarray(theta, dtype=float), (1, 2, 0))
-    cov = theta_bca - np.einsum("jk,m->jkm", theta_bca[:, :, 0], theta_bca[0, 0])
-    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(16, 4))
+    """16x4 covariance matrix for steering the pair into the leading qubit:
+    the transpose of correlation_one_to_two, stacks included."""
+    return CorrelationMatrix(np.swapaxes(correlation_one_to_two(theta).entries, -1, -2))
 
 
 def correlation_pair(rho2: np.ndarray) -> CorrelationMatrix:

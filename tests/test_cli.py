@@ -325,3 +325,10 @@ class TestVerifyAppendix:
                                 "--stationary-starts", "1", "--face-starts", "0",
                                 "--samples", "256", "--seed", "2"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--starts", "-1")])
+    def test_bad_counts_exit_1(self, flag, value, capsys):
+        code, out, err = run_cli(["verify-appendix", flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err

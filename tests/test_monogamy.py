@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -28,10 +29,10 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _batch_grad, _fgwv_arrays, _labels, _lockstep_nelder_mead, _pair_norms, _region_codes,
-    _sobol_sphere,
+    _REGION_NAMES, _batch_grad, _fgwv_arrays, _labels, _lockstep_nelder_mead, _pair_norms,
+    _region_codes, _sobol_sphere,
 )
-from qsteer.states import density_from_pure, permute_qubits, schmidt_state
+from qsteer.states import SchmidtParams, density_from_pure, permute_qubits, schmidt_state
 
 from conftest import SIGMA, oracle_ptrace, oracle_theta2, random_octant_point
 
@@ -438,7 +439,7 @@ class TestVerify:
         large = verify_monogamy(VerifyConfig(samples=2**14, seed=5))
         monkeypatch.setattr(monogamy, "SCAN_CHUNK", 2**10)
         small = verify_monogamy(VerifyConfig(samples=2**14, seed=5))
-        assert small.to_dict() == large.to_dict()
+        assert json.dumps(small.to_dict()) == json.dumps(large.to_dict())
 
     def test_regions_match_string_route(self):
         # per-point sign strings built from fgwv, as the scan labelled points
@@ -470,6 +471,46 @@ class TestVerify:
         assert report.passed
         assert report.regions["++++"]["critical_min"] == pytest.approx(0.361084, abs=1e-3)
         assert report.min_value >= -1e-9
+
+    def test_regions_follow_code_order(self):
+        crits = minimize_f(MinimizeConfig(starts=50, stationary_starts=16,
+                                          face_starts=8, seed=11)).points
+        report = verify_monogamy(VerifyConfig(samples=2**12, seed=3), critical_points=crits)
+        assert sum(r["critical_count"] for r in report.regions.values()) == len(crits)
+        assert list(report.regions) == [n for n in _REGION_NAMES if n in report.regions]
+
+    def test_critical_point_wins_only_when_strictly_lower(self):
+        scan = verify_monogamy(VerifyConfig(samples=1, seed=2))
+        (region, entry), = scan.regions.items()
+        other = next(n for n in _REGION_NAMES if n != region)
+
+        def crit(f, coords, reg):
+            return monogamy.CriticalPoint(SchmidtParams(*coords), f, "interior", reg, 0.0, "descent")
+
+        tie = crit(scan.min_value, CORNER, other)
+        report = verify_monogamy(VerifyConfig(samples=1, seed=2), critical_points=[tie])
+        assert report.argmin == scan.argmin
+        assert report.critical_argmin == list(CORNER)
+        assert list(report.regions) == [n for n in _REGION_NAMES if n in (region, other)]
+        assert report.regions[other] == {"samples": 0, "sampled_min": np.inf, "sampled_argmin": None,
+                                         "critical_count": 1, "critical_min": scan.min_value}
+
+        lower = crit(scan.min_value - 1.0, BELL, region)
+        report = verify_monogamy(VerifyConfig(samples=1, seed=2), critical_points=[tie, lower])
+        assert report.min_value == report.critical_min == scan.min_value - 1.0
+        assert report.argmin == report.critical_argmin == list(BELL)
+        assert not report.passed
+        assert report.regions[region]["sampled_min"] == entry["sampled_min"]
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_empty_scan(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            VerifyConfig(samples=samples)
+
+    @pytest.mark.parametrize("name", ["starts", "stationary_starts", "face_starts"])
+    def test_rejects_negative_start_counts(self, name):
+        with pytest.raises(ValueError, match=name):
+            MinimizeConfig(**{name: -1})
 
     def test_report_serializes(self):
         report = verify_monogamy(VerifyConfig(samples=2**10, seed=1))

@@ -113,8 +113,13 @@ class TestCorrelationMatrices:
     def test_two_to_one_is_transpose(self, rng):
         rho = random_mixed_density(rng)
         theta = pauli_tensor(rho)
-        assert_allclose(correlation_two_to_one(theta).entries,
-                        correlation_one_to_two(theta).entries.T, atol=1e-13)
+        assert np.array_equal(correlation_two_to_one(theta).entries,
+                              correlation_one_to_two(theta).entries.T)
+        stack = pauli_tensor(np.stack([random_mixed_density(rng) for _ in range(7)]))
+        m = correlation_two_to_one(stack).entries
+        assert m.shape == (7, 16, 4)
+        for i in range(7):
+            assert np.array_equal(m[i], correlation_one_to_two(stack[i]).entries.T)
 
     def test_two_to_one_via_permutation_pipeline(self, rng):
         # same matrix out of the relabeled-state tensor and the direct formula
