@@ -225,7 +225,7 @@ def cmd_verify_appendix(args) -> int:
 
     by_value: dict[float, dict] = {}
     for pt in result.points:
-        key = round(pt.f_value, 6)
+        key = round(pt.f_value, 6) + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
         entry = by_value.setdefault(key, {"f": key, "count": 0, "example": pt.as_dict()})
         entry["count"] += 1
     table = [by_value[k] for k in sorted(by_value)]

@@ -21,9 +21,10 @@ claim f >= 0 everywhere on that domain. This module provides:
                     cross-validation only),
 * boundary_f      - exact closed forms of f restricted to the x=0 / y=0 /
                     z=0 / h=0 faces,
-* minimize_f      - multi-start search for constrained critical points
-                    (descent for minima plus a projected-gradient-norm phase
-                    for saddle/maximum-type stationary points),
+* minimize_f      - multi-start search for constrained critical points on
+                    the exact gradient (projected descent for minima plus
+                    Newton for saddle/maximum-type stationary points), every
+                    start judged by one residual test,
 * verify_monogamy - quasi-random sphere scan with per-region minima and a
                     PASS/FAIL verdict.
 """
@@ -65,15 +66,15 @@ _REGION_CODES = {name: code for code, name in enumerate(_REGION_NAMES)}
 RADICAND_TOL = -1e-12  # rounding below 0 in a g/v radicand that still counts as defined
 SIGN_BOUNDARY_TOL = 1e-12  # |f+-g| or |w+-v| this small is a region boundary, not a sign
 FACE_TOL = 1e-6  # face/boundary slack for critical points, resolved only to ~1e-8
-GRAD_TOL = 1e-10  # descent convergence: central-difference gradient norm at a critical point
-STATIONARY_TOL = 1e-6  # Nelder-Mead convergence: gradient norm at a stationary critical point
-MAX_ITER = 400  # descent iterations before a search start counts as dropped
-FD_STEP = 1e-6  # central-difference step of the search phases, well above f's ~1e-16 rounding
+GRAD_TOL = 1e-10  # every search start converges at this residual norm (_residual of the exact gradient)
+MAX_ITER = 400  # descent or Newton iterations before a search start is given up
+_ETAS = 0.5 ** np.arange(44)  # descent step sizes, largest first, down to a 1e-13 floor
 DEDUP_RADIUS = 1e-6  # refined points closer than this in parameter space are one critical point
 PASS_TOL = -1e-9  # scan passes at or above this; pipeline values on f's zero set reach ~-1e-12
 SCAN_CHUNK = 2**16  # scan points per batch: bounds the scan's temporaries at 2^20 samples
 
 _COORDS = ("x", "y", "z", "h")
+_SQRT2 = np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +307,21 @@ class MinimizeConfig:
 
     starts: int = 2000  # descent starts
     seed: int = 0
-    stationary_starts: int = 256  # Nelder-Mead starts over the whole octant
-    face_starts: int = 64  # Nelder-Mead starts on each of the four faces
+    stationary_starts: int = 256  # Newton starts over the whole octant
+    face_starts: int = 64  # Newton starts on each of the four faces
 
     def __post_init__(self):
-        for name in ("starts", "stationary_starts", "face_starts"):
+        for name in ("starts", "stationary_starts", "face_starts", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
 class CriticalPoint:
-    """A converged constrained critical point of f on the octant sphere: a
-    descent end at gradient norm GRAD_TOL or at the 1e-13 step floor, or a
-    stationary (Nelder-Mead) end at gradient norm STATIONARY_TOL."""
+    """A constrained critical point of f on the octant sphere. grad_norm is
+    the norm of the residual (_residual) at params, at most GRAD_TOL: the KKT
+    residual for a descent end, the residual within its faces for a
+    stationary (Newton) end."""
 
     params: SchmidtParams
     f_value: float
@@ -341,16 +343,16 @@ class CriticalPoint:
 
 @dataclass
 class MinimizeResult:
-    """Search outcome; converged and dropped count descent starts (see CriticalPoint)."""
+    """Search outcome; converged and dropped count descent starts, which sum to starts."""
 
     points: list[CriticalPoint]
     starts: int
     converged: int
-    dropped: int  # descent starts still above GRAD_TOL after MAX_ITER iterations
-    dropped_grad_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))  # at their last iteration
+    dropped: int  # descent starts above GRAD_TOL at the step floor or after MAX_ITER iterations
+    dropped_grad_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))  # their last residual norms
 
     def dropped_summary(self) -> dict:
-        """Count, min, median and max of the dropped starts' final gradient norms."""
+        """Count, min, median and max of the dropped starts' final residual norms."""
         g = self.dropped_grad_norms
         stats = (float(g.min()), float(np.median(g)), float(g.max())) if g.size else (None,) * 3
         return {"count": int(g.size), **dict(zip(("min", "median", "max"), stats))}
@@ -366,130 +368,121 @@ class MinimizeResult:
         return best
 
 
-def _octant_points(u: np.ndarray) -> np.ndarray:
-    """Fold an unconstrained batch onto the octant sphere (abs + normalize)."""
-    p = np.abs(u)
-    return p / np.linalg.norm(p, axis=-1, keepdims=True)
+def _over(u, r):
+    """u / r, and 1 where r = |(u, v)| is 0: there the slope of r along u into the octant."""
+    zero = r == 0
+    return np.where(zero, 1.0, u / np.where(zero, 1.0, r))
 
 
-def _batch_f(u: np.ndarray) -> np.ndarray:
-    return schmidt_f_batch(_octant_points(u))["f"]
+def _pair_slopes(u, v, y):
+    """d/du, d/dy, d/dv of the pair norm uv (1 + R), R = sqrt((1 - 2y^2 + 2uv)^2
+    + 4y^2 (u + v)^2); R = 0 only at u = v = 0, where uv zeroes every R-slope."""
+    uv = u * v
+    a, b = 1.0 - 2.0 * y * y + 2.0 * uv, 2.0 * y * (u + v)
+    r = np.sqrt(a * a + b * b)
+    ar, br = _over(a, r), _over(b, r)
+    c, e = 1.0 + r + 2.0 * uv * ar, 2.0 * y * uv * br
+    return c * v + e, uv * (2.0 * (u + v) * br - 4.0 * y * ar), c * u + e
 
 
-def _batch_grad(u: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of the folded objective, batched; exactly 0
-    along an exact-zero coordinate, in which the fold is even."""
-    n, d = u.shape
-    shifts = FD_STEP * np.eye(d)
-    pts = np.concatenate([u[:, None, :] + shifts, u[:, None, :] - shifts], axis=1)
-    fv = _batch_f(pts.reshape(-1, d)).reshape(n, 2 * d)
-    return (fv[:, :d] - fv[:, d:]) / (2.0 * FD_STEP)
+def _grad_f(p: np.ndarray) -> np.ndarray:
+    """Exact gradient of f over an (n, 4) stack of octant points.
 
+    It differentiates the smooth form of schmidt_f_batch on the octant, with the
+    pair norms n_uv of closed_form_f and A, B, C = |(z, h)|, |(x, z)|, |(x, h)|
+    pulled out of the purity roots (sqrt(2 q_a) = 2xA, sqrt(q_b) = sqrt(2) hB):
 
-def _descent(u0: np.ndarray):
-    """Lockstep projected descent with backtracking; returns endpoints, the last
-    gradient norm of each start, and converged / dropped flags."""
-    u = u0.copy()
-    fval = _batch_f(u)
-    eta = np.full(len(u), 0.1)
-    active = np.ones(len(u), dtype=bool)
-    converged = np.zeros(len(u), dtype=bool)
-    gnorm = np.zeros(len(u))
+      f = 2xA + q_a - n_xh - n_xz - n_zh + sqrt(2) S_a (hB + zC - xA) + sqrt(2) zC S_b,
 
-    for _ in range(MAX_ITER):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        g = _batch_grad(u[idx])
-        gn = np.linalg.norm(g, axis=1)
-        gnorm[idx] = gn
-        done = gn <= GRAD_TOL
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        idx, g, gn = idx[~done], g[~done], gn[~done]
-
-        live = np.arange(idx.size)  # rows of idx, g and gn still backtracking
-        for _ in range(60):
-            if live.size == 0:
-                break
-            i = idx[live]
-            cand = u[i] - eta[i, None] * g[live]
-            fnew = _batch_f(cand)
-            ok = fnew <= fval[i] - 1e-4 * eta[i] * gn[live] ** 2
-            acc = i[ok]
-            u[acc] = cand[ok] / np.linalg.norm(cand[ok], axis=1, keepdims=True)
-            fval[acc] = fnew[ok]
-            eta[acc] = np.minimum(eta[acc] * 1.3, 1.0)
-            live, i = live[~ok], i[~ok]
-            eta[i] /= 2.0
-            stalled = eta[i] < 1e-13  # only a rejected step can leave eta this small
-            converged[i[stalled]] = True
-            active[i[stalled]] = False
-            live = live[~stalled]
-    return u, gnorm, converged, active
-
-
-def _lockstep_nelder_mead(phi, x0s: np.ndarray):
-    """Nelder-Mead over many starts in lockstep, one batched call per step.
-
-    phi maps an (n, d) batch to (n,) values. Standard reflection/expansion/
-    contraction/shrink moves, applied simultaneously to every simplex still
-    moving so the objective is evaluated in large batches; at most 300 steps,
-    and a simplex stops for good once its diameter is below 1e-9 or its value
-    span below 1e-22, after which phi never sees it again.
-    The initial simplex steps 0.05 only along nonzero start coordinates, so an
-    exact-zero coordinate (a face of the octant) stays 0 through every move.
+    S = sqrt(1 + q). On an edge where A, B or C is 0 each partial is the
+    one-sided derivative into the octant. Only + * / sqrt and exact-zero tests
+    occur, so a complex step through it is exact (_newton's Hessian).
     """
-    n, d = x0s.shape
-    simplex = np.repeat(x0s[:, None, :], d + 1, axis=1)
-    for j in range(d):
-        simplex[:, j + 1, j] += 0.05 * (x0s[:, j] != 0.0)
-    values = phi(simplex.reshape(-1, d)).reshape(n, d + 1)
-    live = np.arange(n)  # rows still moving; a stopped simplex never moves again
+    x, y, z, h = p.T
+    a, b, c = np.sqrt(z * z + h * h), np.sqrt(x * x + z * z), np.sqrt(x * x + h * h)
+    z_a, h_a, x_b, z_b, x_c, h_c = _over(z, a), _over(h, a), _over(x, b), _over(z, b), _over(x, c), _over(h, c)
+    s_a = np.sqrt(1.0 + 2.0 * x * x * a * a)
+    s_b = np.sqrt(1.0 + 2.0 * h * h * b * b)
+    k_a = 1.0 + (h * b + z * c - x * a) / (_SQRT2 * s_a)  # slope of f in q_a
+    k_b = z * c / (_SQRT2 * s_b)  # slope of f in q_b
+    ab_x, ab_y, ab_h = _pair_slopes(x, h, y)
+    ac_x, ac_y, ac_z = _pair_slopes(x, z, y)
+    bc_z, bc_y, bc_h = _pair_slopes(z, h, y)
+    return np.stack([
+        2.0 * a + 4.0 * x * a * a * k_a + 4.0 * x * h * h * k_b
+        + _SQRT2 * (s_a * (h * x_b + z * x_c - a) + s_b * z * x_c) - ab_x - ac_x,
+        -(ab_y + ac_y + bc_y),
+        2.0 * x * z_a + 4.0 * x * x * z * k_a + 4.0 * z * h * h * k_b
+        + _SQRT2 * (s_a * (h * z_b + c - x * z_a) + s_b * c) - ac_z - bc_z,
+        2.0 * x * h_a + 4.0 * x * x * h * k_a + 4.0 * h * b * b * k_b
+        + _SQRT2 * (s_a * (b + z * h_c - x * h_a) + s_b * z * h_c) - ab_h - bc_h,
+    ], axis=1)
 
-    for _ in range(300):
-        order = np.argsort(values[live], axis=1)
-        sx = simplex[live[:, None], order]
-        sv = values[live[:, None], order]
-        simplex[live], values[live] = sx, sv
-        diam = np.max(np.abs(sx - sx[:, :1]), axis=(1, 2))
-        moving = (diam > 1e-9) & (sv[:, -1] - sv[:, 0] > 1e-22)
-        live, sx, sv = live[moving], sx[moving], sv[moving]
+
+def _residual(p: np.ndarray, g: np.ndarray, held) -> np.ndarray:
+    """Tangent gradient of f on the unit sphere, with the component of each
+    coordinate at an exact 0 dropped where the face absorbs it: always when
+    held (a face search), else where it pushes against the face (KKT)."""
+    t = g - np.einsum("ij,ij->i", g, p)[:, None] * p
+    return np.where((p == 0.0) & (held | (t > 0.0)), 0.0, t)
+
+
+def _search(p0: np.ndarray, held: bool, step):
+    """Lockstep search from each row of p0 on the exact gradient, with one test.
+
+    A start converges when the norm of its residual (see _residual) reaches
+    GRAD_TOL. Otherwise step(q, g, r) maps its point, gradient and residual to
+    the next point and a moved flag; a start that does not move, or is still
+    above GRAD_TOL after MAX_ITER steps, is given up. Returns endpoints and
+    the last residual norm of each start.
+    """
+    p, rnorm = p0.copy(), np.zeros(len(p0))
+    live = np.arange(len(p))
+    for _ in range(MAX_ITER):
+        g = _grad_f(p[live])
+        r = _residual(p[live], g, held)
+        rnorm[live] = np.linalg.norm(r, axis=1)
+        going = rnorm[live] > GRAD_TOL
+        live, g, r = live[going], g[going], r[going]
         if live.size == 0:
             break
+        p[live], moved = step(p[live], g, r)
+        live = live[moved]
+    return p, rnorm
 
-        centroid = sx[:, :-1].mean(axis=1)
-        worst = sx[:, -1]
-        xr = centroid + (centroid - worst)
-        fr = phi(xr)
 
-        better_best = fr < sv[:, 0]
-        better_second = fr < sv[:, -2]
-        # one extra candidate per simplex: expansion, outside or inside contraction
-        cand = np.where(
-            better_best[:, None], centroid + 2.0 * (centroid - worst),
-            np.where((fr < sv[:, -1])[:, None],
-                     centroid + 0.5 * (centroid - worst),
-                     centroid - 0.5 * (centroid - worst)),
-        )
-        fc = phi(cand)
+def _descent(q: np.ndarray, g: np.ndarray, r: np.ndarray):
+    """Projected descent step q <- normalize(max(q - eta r, 0)) on the sphere,
+    r the KKT residual, eta the largest of _ETAS that passes Armijo; none
+    passing leaves q where it is. A coordinate on a face stays there in a step
+    that puts another coordinate on a face: at an edge such as x = h = 0,
+    where f is a cone in (x, h), descent otherwise zigzags between the two
+    faces towards the edge and never lands on it."""
+    q3 = q[:, None, :]
+    cand = q3 - _ETAS[:, None] * r[:, None, :]
+    lands = ((cand <= 0.0) & (q3 > 0.0)).any(axis=2, keepdims=True)
+    cand = np.where(lands & (q3 == 0.0), 0.0, np.maximum(cand, 0.0))
+    cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+    fnew = schmidt_f_batch(cand.reshape(-1, 4))["f"].reshape(len(q), len(_ETAS))
+    ok = fnew <= schmidt_f_batch(q)["f"][:, None] + 1e-4 * np.einsum("nj,nkj->nk", r, cand - q3)
+    moved = ok.any(axis=1)
+    q[moved] = cand[moved, ok[moved].argmax(axis=1)]
+    return q, moved
 
-        use_cand = (better_best & (fc < fr)) | (~better_second & (fc < np.minimum(fr, sv[:, -1])))
-        use_refl = ~use_cand & better_second
-        sx[use_cand, -1] = cand[use_cand]
-        sv[use_cand, -1] = fc[use_cand]
-        sx[use_refl, -1] = xr[use_refl]
-        sv[use_refl, -1] = fr[use_refl]
 
-        shrink = ~(use_cand | use_refl)
-        if shrink.any():
-            sx[shrink, 1:] = sx[shrink, :1] + 0.5 * (sx[shrink, 1:] - sx[shrink, :1])
-            sv[shrink, 1:] = phi(sx[shrink, 1:].reshape(-1, d)).reshape(-1, d)
-        simplex[live], values[live] = sx, sv
-
-    rows = np.arange(n)
-    best = np.argmin(values, axis=1)
-    return simplex[rows, best], values[rows, best]
+def _newton(q: np.ndarray, g: np.ndarray, r: np.ndarray):
+    """Newton step on the Lagrange system of f on sphere and face, with every
+    exact 0 of q held: the pseudo-inverse of the Lagrangian Hessian H - (g.q) I,
+    projected onto the tangent space of sphere and face, applied to r. The
+    step is orthogonal to q; a coordinate it takes below 0 lands on its face.
+    H is a complex step of 1e-30 along each coordinate, exact as no difference is taken."""
+    free = q != 0.0
+    tangent = np.eye(4) * free[:, None, :] - q[:, :, None] * q[:, None, :]
+    hess = _grad_f((q[:, None, :] + 1e-30j * np.eye(4)).reshape(-1, 4)).imag.reshape(-1, 4, 4) / 1e-30
+    lagr = hess - np.einsum("ij,ij->i", g, q)[:, None, None] * np.eye(4)
+    inv = np.linalg.pinv(tangent @ lagr @ tangent, 1e-10, hermitian=True)
+    q = np.maximum(q - free * np.einsum("nij,nj->ni", inv, r), 0.0)
+    return q / np.linalg.norm(q, axis=1, keepdims=True), np.ones(len(q), dtype=bool)
 
 
 _FACES = np.array([f"{c}=0" for c in _COORDS])
@@ -514,15 +507,16 @@ def _labels(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     """Multi-start search for constrained critical points of f.
 
-    A start on a face of the octant has an exact 0 in its face coordinate, and
-    both phases keep it 0. Phase one runs lockstep projected descent (central-
-    difference gradients on the folded sphere parametrization) for local minima.
-    Phase two runs one lockstep Nelder-Mead minimization of the squared gradient
-    norm at the folded unit-sphere point, over the stationary starts and
-    face_starts starts on each face; it also captures saddle- and maximum-type
-    stationary points. All candidates are sorted by f, deduplicated (a point
-    within DEDUP_RADIUS of a lower kept one is dropped), and the survivors
-    evaluated through f_components in one batch.
+    Both phases run on the exact gradient _grad_f and stop at one test: the
+    residual norm of _residual at or below GRAD_TOL. Phase one runs lockstep
+    projected descent from the descent starts for local minima, a KKT point
+    on the sphere and octant. Phase two runs lockstep Newton on the Lagrange
+    system over the stationary starts and face_starts starts on each face; a
+    start on a face has an exact 0 in its face coordinate, Newton holds every
+    exact 0, and it also captures saddle- and maximum-type points. All
+    converged points are sorted by f, deduplicated (a point within
+    DEDUP_RADIUS of a lower kept one is dropped), and the survivors evaluated
+    through f_components in one batch.
     """
     cfg = config or MinimizeConfig()
     first_face, n_face = cfg.starts + cfg.stationary_starts, cfg.face_starts
@@ -532,16 +526,11 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     u0[first_face + np.arange(4 * n_face), np.repeat(np.arange(4), n_face)] = 0.0
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
 
-    def phi(v):  # squared gradient norm on the sphere, so moving outward cannot shrink it
-        g = _batch_grad(_octant_points(v))
-        return np.einsum("ij,ij->i", g, g)
-
-    u, gnorm, converged, dropped = _descent(u0[:cfg.starts])
-    xs, vals = _lockstep_nelder_mead(phi, u0[cfg.starts:])
-    gn = np.sqrt(np.maximum(vals, 0.0))
-    hit = gn <= STATIONARY_TOL
-    p = _octant_points(np.concatenate([u[converged], xs[hit]]))
-    grad = np.concatenate([gnorm[converged], gn[hit]])
+    u, rnorm = _search(u0[:cfg.starts], False, _descent)
+    xs, gn = _search(u0[cfg.starts:], True, _newton)
+    converged, hit = rnorm <= GRAD_TOL, gn <= GRAD_TOL
+    p = np.concatenate([u[converged], xs[hit]])
+    grad = np.concatenate([rnorm[converged], gn[hit]])
     kind = np.repeat(np.array(["descent", "stationary"], dtype=object), [converged.sum(), hit.sum()])
 
     # greedy dedup in order of f
@@ -563,8 +552,8 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
         ],
         starts=cfg.starts,
         converged=int(converged.sum()),
-        dropped=int(dropped.sum()),
-        dropped_grad_norms=gnorm[dropped],
+        dropped=int((~converged).sum()),
+        dropped_grad_norms=rnorm[~converged],
     )
 
 
@@ -582,6 +571,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -51,6 +51,8 @@ class RandomStateSpec:
             raise ValueError(f"mode must be 'pure' or 'mixed', got {self.mode!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.cascade_variant not in _CASCADE_PARENTS:
             raise ValueError(f"cascade_variant must be one of {sorted(_CASCADE_PARENTS)}")
 

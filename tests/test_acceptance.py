@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qsteer import cli
-from qsteer.monogamy import f_components, schmidt_f_batch
+from qsteer.monogamy import GRAD_TOL, f_components, schmidt_f_batch
 from qsteer.pauli import density_from_theta, pauli_tensor, purity_from_theta
 from qsteer.randgen import RandomStateSpec, random_state, random_states
 from qsteer.states import (
@@ -152,10 +152,13 @@ def test_criterion_4_appendix_fixtures(tmp_path, capsys):
     assert abs(fix[0.780239]["value"] - 0.780239) <= 1e-5
     assert abs(fix[0.0]["value"]) <= 1e-9
     assert report["scan"]["pass"]
-    # every reported critical point sits on the constraint sphere
+    # every reported critical point sits on the constraint sphere and passes the gradient test
     for entry in report["critical_value_table"]:
         p = np.array(entry["example"]["params"])
         assert abs(p @ p - 1.0) < 1e-10
+        assert entry["example"]["grad_norm"] <= GRAD_TOL
+    # the search does not silently lose starts
+    assert report["dropped"] < 0.01 * report["starts"]
     print(f"[criterion 4] appendix run {elapsed:.0f}s")
     _report("criterion 4: appendix fixtures")
 

@@ -326,9 +326,15 @@ class TestVerifyAppendix:
                                 "--samples", "256", "--seed", "2"], capsys)
         assert code == 3
 
-    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--starts", "-1")])
-    def test_bad_counts_exit_1(self, flag, value, capsys):
-        code, out, err = run_cli(["verify-appendix", flag, value], capsys)
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["verify-appendix", "--samples", "0"], id="--samples-0"),
+        pytest.param(["verify-appendix", "--starts", "-1"], id="--starts--1"),
+        pytest.param(["verify-appendix", "--seed", "-1"], id="--seed--1"),
+        pytest.param(["montecarlo", "--count", "2", "--seed", "-1"], id="montecarlo---seed--1"),
+        pytest.param(["random", "--count", "2", "--seed", "-1"], id="random---seed--1"),
+    ])
+    def test_bad_counts_exit_1(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -29,9 +30,10 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _REGION_NAMES, _batch_grad, _fgwv_arrays, _labels, _lockstep_nelder_mead, _pair_norms,
-    _region_codes, _sobol_sphere,
+    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norms, _region_codes, _residual,
+    _search, _sobol_sphere,
 )
+from qsteer.randgen import RandomStateSpec
 from qsteer.states import SchmidtParams, density_from_pure, permute_qubits, schmidt_state
 
 from conftest import SIGMA, oracle_ptrace, oracle_theta2, random_octant_point
@@ -253,6 +255,62 @@ class TestPrintedForm:
             assert np.max(np.abs(printed - exact)) > 0.3
 
 
+def _smooth_f(p):
+    """f from its smooth form on the octant (H_A->BC minus the three pair H),
+    written with + * / sqrt only, so that a complex step through it is exact;
+    at an edge the principal square root gives the one-sided slope."""
+    x, y, z, h = p.T
+    r2 = np.sqrt(2.0)
+    a, b, c = np.sqrt(z * z + h * h), np.sqrt(x * x + z * z), np.sqrt(x * x + h * h)
+    s_a, s_b = np.sqrt(1 + 2 * x * x * a * a), np.sqrt(1 + 2 * h * h * b * b)
+
+    def pair(u, v):
+        return u * v * (1 + np.sqrt((1 - 2 * y * y + 2 * u * v) ** 2 + 4 * y * y * (u + v) ** 2))
+
+    h_abc = 2 * x * a + 2 * x * x * a * a - r2 * x * a * s_a
+    h_ab = pair(x, h) - r2 * h * b * s_a
+    h_ac = pair(x, z) - r2 * z * c * s_a
+    h_bc = pair(z, h) - r2 * z * c * s_b
+    return h_abc - (h_ab + h_ac + h_bc)
+
+
+def _complex_step(fun, p):
+    """Derivative of fun along each coordinate, stacked on a new last axis."""
+    return np.stack([fun(p + 1e-30j * e).imag / 1e-30 for e in np.eye(4)], axis=-1)
+
+
+@pytest.fixture(scope="module")
+def octant_sets():
+    """Sobol points, face points (one exact zero) and edge points (two exact zeros)."""
+    rng = np.random.default_rng(5)
+    face = np.abs(rng.standard_normal((4000, 4)))
+    face[np.arange(4000), np.arange(4000) % 4] = 0.0
+    edge = np.abs(rng.standard_normal((6000, 4)))
+    pairs = np.array(list(itertools.combinations(range(4), 2)))
+    edge[np.arange(6000)[:, None], pairs[np.arange(6000) % 6]] = 0.0
+    return {"sobol": _sobol_sphere(2**16, 4, 0), "face": _unit(face), "edge": _unit(edge)}
+
+
+@pytest.mark.parametrize("points", ["sobol", "face", "edge"])
+class TestGradient:
+    """_grad_f against a complex step of the smooth form, including the one-sided edge slopes."""
+
+    def test_smooth_form_is_f(self, octant_sets, points):
+        p = octant_sets[points]
+        assert np.max(np.abs(_smooth_f(p) - schmidt_f_batch(p)["f"])) <= 1e-13
+
+    def test_matches_complex_step(self, octant_sets, points):
+        p = octant_sets[points]
+        ref = _complex_step(_smooth_f, p)
+        err = np.max(np.abs(_grad_f(p) - ref), axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
+
+    def test_hessian_is_symmetric(self, octant_sets, points):
+        hess = _complex_step(_grad_f, octant_sets[points])
+        asym = np.max(np.abs(hess - hess.transpose(0, 2, 1)), axis=(1, 2))
+        assert np.all(asym <= 1e-12 * np.max(np.abs(hess), axis=(1, 2)))
+
+
 class TestBoundaryForms:
     @pytest.mark.parametrize("face,embed", [
         ("x", lambda g: (0.0, g[0], g[1], g[2])),
@@ -363,12 +421,25 @@ class TestMinimize:
         if search.dropped:
             assert summary["min"] <= summary["median"] <= summary["max"]
 
+    def test_starts_cut_short_are_dropped(self, monkeypatch):
+        # the default search drops no start, so cut every start after one step
+        monkeypatch.setattr(monogamy, "MAX_ITER", 1)
+        result = minimize_f(MinimizeConfig(starts=50, stationary_starts=0, face_starts=0, seed=3))
+        assert result.dropped > 0 and result.converged + result.dropped == result.starts
+        assert np.all(result.dropped_grad_norms > GRAD_TOL)
+        summary = result.dropped_summary()
+        assert summary["count"] == result.dropped
+        assert summary["min"] <= summary["median"] <= summary["max"]
+
     def test_grad_norms_hold_at_returned_points(self, search):
-        # a reported norm is the gradient at the returned unit-sphere point,
-        # not one taken off the sphere or before a later move
+        # a reported norm is the residual at the returned unit-sphere point, not
+        # one taken before a later move; a stationary (Newton) point holds its faces
         p = np.array([pt.params for pt in search.points])
-        recomputed = np.linalg.norm(_batch_grad(p), axis=1)
-        assert_allclose([pt.grad_norm for pt in search.points], recomputed, rtol=0, atol=1e-9)
+        held = np.array([[pt.kind == "stationary"] for pt in search.points])
+        recomputed = np.linalg.norm(_residual(p, _grad_f(p), held), axis=1)
+        norms = np.array([pt.grad_norm for pt in search.points])
+        assert_allclose(norms, recomputed, rtol=0, atol=1e-9)
+        assert np.all(norms <= GRAD_TOL)
 
     def test_points_are_distinct(self, search):
         p = np.array([pt.params for pt in search.points])
@@ -401,19 +472,21 @@ class TestExactFaces:
         zero[np.arange(12), np.arange(12) % 4] = True
         zero[8:, 0] = True  # rows 8-11 sit on an edge: two exact zeros
         u[zero] = 0.0
-        return u, zero
+        return _unit(u), zero
 
     def test_gradient_vanishes_along_a_zero_coordinate(self, face_starts):
+        # the face-tangent gradient is exactly 0 on every held coordinate
         u, zero = face_starts
-        g = _batch_grad(u)
-        assert np.all(g[zero] == 0.0)
+        g = _grad_f(u)
+        assert np.any(g[zero] != 0.0)  # one-sided partials into the octant; f is even in y
+        assert np.all(_residual(u, g, True)[zero] == 0.0)
 
-    def test_nelder_mead_keeps_a_zero_coordinate(self, face_starts):
+    def test_newton_keeps_a_zero_coordinate(self, face_starts):
         u, zero = face_starts
-        # the minimum at 0.3 pulls every coordinate away from 0
-        xs, _ = _lockstep_nelder_mead(lambda v: np.sum((v - 0.3) ** 2, axis=1), u)
-        assert np.all(xs[zero] == 0.0)
-        assert_allclose(xs[~zero], 0.3, atol=1e-6)
+        p, rnorm = _search(u, True, _newton)
+        assert np.all(p[zero] == 0.0)
+        assert np.all(rnorm <= GRAD_TOL)
+        assert_allclose(np.linalg.norm(p, axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_import_loads_no_scipy():
@@ -507,10 +580,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="samples"):
             VerifyConfig(samples=samples)
 
-    @pytest.mark.parametrize("name", ["starts", "stationary_starts", "face_starts"])
-    def test_rejects_negative_start_counts(self, name):
+    @pytest.mark.parametrize("config,name", [
+        *(pytest.param(MinimizeConfig, n, id=n) for n in ("starts", "stationary_starts", "face_starts", "seed")),
+        pytest.param(VerifyConfig, "seed", id="verify-seed"),
+        pytest.param(RandomStateSpec, "seed", id="random-seed"),
+    ])
+    def test_rejects_negative_start_counts(self, config, name):
         with pytest.raises(ValueError, match=name):
-            MinimizeConfig(**{name: -1})
+            config(**{name: -1})
 
     def test_report_serializes(self):
         report = verify_monogamy(VerifyConfig(samples=2**10, seed=1))
