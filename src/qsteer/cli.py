@@ -29,7 +29,7 @@ _TOLERANCE_PROFILES = {
     "loose": {"herm_tol": 1e-9, "trace_tol": 1e-9, "eig_tol": 1e-6},
 }
 
-CHUNK = 256  # states per steering_batch call in montecarlo and sweep
+CHUNK = 256  # states per batch call in montecarlo, random and sweep
 
 _PI_RE = re.compile(r"^(-?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?$", re.IGNORECASE)
 
@@ -271,25 +271,27 @@ def cmd_random(args) -> int:
         "cascade_variant": spec.cascade_variant,
     }
 
-    def payload(i: int) -> dict:
-        if spec.mode == "pure":
-            return states.state_to_payload(randgen.random_pure_vector(spec, i))
-        return states.state_to_payload(randgen.random_state(spec, i))
+    batch = randgen.random_pure_batch if spec.mode == "pure" else randgen.random_state_batch
+
+    def payloads():
+        for start in range(0, spec.count, CHUNK):
+            for state in batch(spec, start, min(start + CHUNK, spec.count)):
+                yield json.dumps(states.state_to_payload(state))
 
     if args.jsonl:
         path = _out_path(args.out, "states.jsonl")
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as fh:
             fh.write(json.dumps({"meta": meta}) + "\n")
-            for i in range(spec.count):
-                fh.write(json.dumps(payload(i)) + "\n")
+            for text in payloads():
+                fh.write(text + "\n")
         print(f"wrote {path}")
     else:
         out_dir = _out_path(args.out, "states")
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2))
-        for i in range(spec.count):
-            (out_dir / f"state_{i:05d}.json").write_text(json.dumps(payload(i)))
+        for i, text in enumerate(payloads()):
+            (out_dir / f"state_{i:05d}.json").write_text(text)
         print(f"wrote {spec.count} states to {out_dir}")
     return 0
 

@@ -6,14 +6,20 @@ uniform[-1, 1] square matrix, and the state is the spectral mixture of the
 two. Pure mode keeps only the leading eigenvector.
 
 Determinism contract: state number i is generated from the child stream
-SeedSequence(seed, spawn_key=(i,)), so identical (seed, mode, count) specs
-give bit-identical output regardless of batching or ordering. The stream is
-read once per state, 8 cascade uniforms (mixed mode only) then the 64 of K,
-the same doubles in the same order as separate uniform calls.
+default_rng(SeedSequence(seed, spawn_key=(i,))), numpy's PCG64, so identical
+(seed, mode, count) specs give bit-identical output regardless of batching or
+ordering. The stream is read once per state, 8 cascade uniforms (mixed mode
+only) then the 64 of K, the same doubles in the same order as separate
+uniform calls. The seeding runs vectorised over a whole index range (the
+SeedSequence hash and PCG64's seeding step, see `_uniforms`) and numpy's own
+PCG64 draws each state's doubles, so the streams are numpy's, bit for bit.
+State indices stay below 2**32 (count <= 2**32), where the spawn key is one
+32-bit word.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,6 +30,7 @@ __all__ = [
     "RandomStateSpec",
     "random_eigenvalues",
     "random_hermitian",
+    "random_pure_batch",
     "random_pure_vector",
     "random_state",
     "random_state_batch",
@@ -35,6 +42,16 @@ GENERATOR_NAME = "pcg64-seedseq-spawn"
 # index of the cascade entry each N_n multiplies; N_7 restarts from N_5
 _CASCADE_PARENTS = {"verbatim": (None, 0, 1, 2, 3, 4, 4, 6), "n6": (None, 0, 1, 2, 3, 4, 5, 6)}
 _CHUNK = 256  # states per random_state_batch call in random_states
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+# (numpy/random/src/pcg64), which _uniforms reproduces
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -51,14 +68,78 @@ class RandomStateSpec:
             raise ValueError(f"mode must be 'pure' or 'mixed', got {self.mode!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.count > 2**32:
+            raise ValueError("count must be <= 2**32: state indices are one spawn-key word")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.cascade_variant not in _CASCADE_PARENTS:
             raise ValueError(f"cascade_variant must be one of {sorted(_CASCADE_PARENTS)}")
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+def _hash_constants(h: int, mult: int) -> Iterator[tuple[int, int]]:
+    """(xor, multiplier) of successive SeedSequence hashmix steps: the hash
+    constant before and after each multiplication by mult."""
+    while True:
+        h_next = h * mult & _MASK32
+        yield h, h_next
+        h = h_next
+
+
+def _hashmix(value, xor, mul):
+    """SeedSequence's hashmix on Python ints or uint32 arrays (which wrap)."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix on Python ints or uint32 arrays (which wrap)."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Row i - start holds default_rng(SeedSequence(seed, spawn_key=(i,))).random(width),
+    bit for bit, for i = start..stop - 1 below 2**32.
+
+    SeedSequence mixes the seed's 32-bit words, zero-padded to the pool size,
+    then the spawn word i. Only that last phase depends on i, so the seed
+    phases run once in Python ints, and the spawn phase and generate_state's
+    8 output words run as (4, n) and (8, n) uint32 steps over all indices.
+    PCG64's seeding step runs in Python ints, and numpy's own PCG64 and
+    Generator draw each row.
+    """
+    seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, *next(consts)) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
+    xor, mul = np.array([next(consts) for _ in range(_POOL_SIZE)], np.uint32).T[..., None]
+    index = np.arange(start, stop, dtype=np.uint32)
+    pools = _mix(np.array(pool, np.uint32)[:, None], _hashmix(index, xor, mul))
+    # generate_state(4, np.uint64): 8 words from the cycled pool, paired little-endian
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    xor, mul = np.array([next(consts) for _ in range(8)], np.uint32).T[..., None]
+    w = _hashmix(np.concatenate((pools, pools)), xor, mul).astype(np.uint64)
+    seeds = (w[0::2] | w[1::2] << 32).T.tolist()
+
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    u = np.empty((stop - start, width))
+    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(u, seeds):
+        # pcg64_set_seed: inc = 2 initseq + 1, state = (initstate + inc) M + inc, mod 2^128
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        gen.random(out=row)
+    return u
 
 
 def random_eigenvalues(rng: np.random.Generator, cascade_variant: str = "verbatim") -> np.ndarray:
@@ -106,8 +187,9 @@ def _draws(spec: RandomStateSpec, start: int, stop: int) -> tuple[np.ndarray, np
     cascade, then 64 for K, which holds 2u - 1 (what uniform(-1, 1) returns
     for the same doubles).
     """
-    width = 72 if spec.mode == "mixed" else 64
-    u = np.stack([_stream(spec.seed, i).random(width) for i in range(start, stop)])
+    if not 0 <= start < stop <= spec.count:
+        raise IndexError(f"indices {start}..{stop - 1} outside batch of {spec.count}")
+    u = _uniforms(spec.seed, start, stop, 72 if spec.mode == "mixed" else 64)
     if spec.mode == "mixed":
         lams = _cascade(u[:, :8], spec.cascade_variant)
     else:
@@ -123,8 +205,6 @@ def random_state_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarr
     spectral sums run batched, and each state is bit-identical to
     random_state(spec, i).
     """
-    if not 0 <= start < stop <= spec.count:
-        raise IndexError(f"indices {start}..{stop - 1} outside batch of {spec.count}")
     lams, ks = _draws(spec, start, stop)
     # descending eigenvalue order; lambda_1 pairs with the top eigenvector
     vecs = np.linalg.eigh(_hermitian(ks))[1][..., ::-1]
@@ -133,18 +213,21 @@ def random_state_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarr
 
 def random_state(spec: RandomStateSpec, index: int) -> np.ndarray:
     """Density matrix number `index` of the batch described by `spec`."""
-    if not 0 <= index < spec.count:
-        raise IndexError(f"index {index} outside batch of {spec.count}")
     return random_state_batch(spec, index, index + 1)[0]
+
+
+def random_pure_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarray:
+    """State vectors start, ..., stop - 1 of a pure-mode batch as an (n, 8) stack:
+    the leading eigenvectors of the same H, each bit-identical to
+    random_pure_vector(spec, i)."""
+    if spec.mode != "pure":
+        raise ValueError("state vectors exist only in pure mode")
+    return np.linalg.eigh(_hermitian(_draws(spec, start, stop)[1]))[1][..., -1]
 
 
 def random_pure_vector(spec: RandomStateSpec, index: int) -> np.ndarray:
     """State vector for a pure-mode draw (leading eigenvector of the same H)."""
-    if spec.mode != "pure":
-        raise ValueError("state vectors exist only in pure mode")
-    if not 0 <= index < spec.count:
-        raise IndexError(f"index {index} outside batch of {spec.count}")
-    return np.linalg.eigh(_hermitian(_draws(spec, index, index + 1)[1][0]))[1][:, -1]
+    return random_pure_batch(spec, index, index + 1)[0]
 
 
 def random_states(spec: RandomStateSpec) -> Iterator[np.ndarray]:

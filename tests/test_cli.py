@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsteer import cli
-from qsteer.randgen import RandomStateSpec, random_state
+from qsteer.randgen import RandomStateSpec, random_eigenvalues, random_hermitian, random_state
 from qsteer.states import ghz_state, state_from_payload, state_to_payload, validate_state
 from qsteer.steering import steering_report
 
@@ -271,7 +271,27 @@ class TestMonteCarlo:
         assert code == 1
 
 
+def _loop_payload(seed, mode, index):
+    """One state's payload from its own numpy stream and 2-D numpy calls, as the recipe reads."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    if mode == "pure":
+        return state_to_payload(np.linalg.eigh(random_hermitian(rng))[1][:, -1])
+    lams = random_eigenvalues(rng)
+    vecs = np.linalg.eigh(random_hermitian(rng))[1][:, ::-1]
+    return state_to_payload((vecs * lams) @ vecs.conj().T)
+
+
 class TestRandom:
+    @pytest.mark.parametrize("mode", ["pure", "mixed"])
+    def test_batched_files_match_index_loop(self, tmp_path, capsys, mode):
+        seed, count = 2**31 + 1, cli.CHUNK + 44  # a full chunk and a partial one
+        expect = [json.dumps(_loop_payload(seed, mode, i)) for i in range(count)]
+        argv = ["random", "--count", str(count), "--mode", mode, "--seed", str(seed)]
+        assert run_cli(argv + ["--jsonl", "--out", str(tmp_path / "s.jsonl")], capsys)[0] == 0
+        assert (tmp_path / "s.jsonl").read_text().splitlines()[1:] == expect
+        assert run_cli(argv + ["--out", str(tmp_path / "d")], capsys)[0] == 0
+        assert [(tmp_path / "d" / f"state_{i:05d}.json").read_text() for i in range(count)] == expect
+
     def test_pure_files(self, tmp_path, capsys):
         code, _, _ = run_cli(["random", "--count", "4", "--seed", "6",
                               "--out", str(tmp_path / "states")], capsys)
@@ -332,6 +352,8 @@ class TestVerifyAppendix:
         pytest.param(["verify-appendix", "--seed", "-1"], id="--seed--1"),
         pytest.param(["montecarlo", "--count", "2", "--seed", "-1"], id="montecarlo---seed--1"),
         pytest.param(["random", "--count", "2", "--seed", "-1"], id="random---seed--1"),
+        pytest.param(["montecarlo", "--count", str(2**32 + 1)], id="montecarlo---count-2^32+1"),
+        pytest.param(["random", "--count", str(2**32 + 1)], id="random---count-2^32+1"),
     ])
     def test_bad_counts_exit_1(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)

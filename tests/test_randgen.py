@@ -2,10 +2,13 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qsteer.randgen import (
     RandomStateSpec,
+    _uniforms,
     random_eigenvalues,
     random_hermitian,
     random_pure_vector,
@@ -110,6 +113,9 @@ def test_spec_validation():
         RandomStateSpec(seed=0, mode="pure", count=0)
     with pytest.raises(ValueError):
         RandomStateSpec(seed=0, mode="pure", count=1, cascade_variant="n5")
+    RandomStateSpec(seed=0, mode="pure", count=2**32)  # index 2**32 - 1 still has a one-word spawn key
+    with pytest.raises(ValueError):
+        RandomStateSpec(seed=0, mode="pure", count=2**32 + 1)
     with pytest.raises(IndexError):
         random_state(RandomStateSpec(seed=0, mode="pure", count=2), 2)
 
@@ -139,3 +145,25 @@ def test_batch_generator_bounds():
         random_state_batch(spec, 2, 5)
     with pytest.raises(IndexError):
         random_state_batch(spec, 3, 3)
+
+
+def _numpy_streams(seed, start, stop, width):
+    """Rows from numpy's own child streams, one Generator per index."""
+    return np.stack([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))).random(width)
+                     for i in range(start, stop)])
+
+
+@pytest.mark.parametrize("width", [64, 72])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**40 + 3, 2**130 + 5, np.uint64(2**64 - 1)])
+def test_uniforms_match_numpy_streams(seed, width):
+    # 2**40 + 3 is a two-word seed; 2**130 + 5 has five words, one past the pool;
+    # a numpy integer seeds the same stream as the int
+    for start, stop in [(0, 300), (2**31 + 5, 2**31 + 6), (2**32 - 3, 2**32)]:
+        assert _uniforms(seed, start, stop, width).tobytes() == _numpy_streams(seed, start, stop, width).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**200 - 1), st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([64, 72]))
+def test_uniforms_match_numpy_streams_property(seed, start, n, width):
+    stop = min(start + n, 2**32)
+    assert _uniforms(seed, start, stop, width).tobytes() == _numpy_streams(seed, start, stop, width).tobytes()
