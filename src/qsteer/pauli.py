@@ -7,7 +7,8 @@ identities link sums of squared coefficients to reduced-state purities.
 Every nonzero entry of a Pauli string is +-1 or +-i, so the real and the
 imaginary part of each term rho[c, r] P[r, c] of tr(rho P) is plus or minus
 the real or the imaginary part of one entry of rho. The traces are one gather
-from rho and -rho viewed as floats, then a sum over the terms in column order.
+from rho and -rho viewed as floats, then a sum over the terms in column order;
+the same gather can add up entries of rho too, such as those of a reduced state.
 """
 
 from __future__ import annotations
@@ -42,9 +43,21 @@ PAULI3 = np.stack(
 _IMAG_TOL = 1e-12
 
 
+def _signed(rho: np.ndarray) -> np.ndarray:
+    """The floats of [rho, -rho, 0], each d x d matrix of a complex stack
+    flattened: (..., 4 d^2 + 2).
+
+    Float 2e is the real and 2e + 1 the imaginary part of flat entry e,
+    2 d^2 further on lies its negative, and 4 d^2 is an exact zero.
+    """
+    flat = rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
+    zero = np.zeros(flat.shape[:-1] + (1,), dtype=complex)
+    return np.concatenate((flat, -flat, zero), axis=-1).view(float)
+
+
 def _gather_table(strings: np.ndarray) -> np.ndarray:
-    """Float indices into [rho, -rho] (each flattened, then viewed as re, im
-    pairs) of the real and imaginary part of every trace term: (d, 2, strings).
+    """Float indices into _signed(rho) of the real and imaginary part of every
+    trace term: (2, d, strings).
 
     Each Pauli string has one nonzero entry per column c, in row r(c), so
     tr(rho P) = sum_c rho[c, r(c)] P[r(c), c]. With P = +-1 the term is
@@ -60,23 +73,47 @@ def _gather_table(strings: np.ndarray) -> np.ndarray:
         np.where(one, re, re + 1) + negative * np.where(one, values.real < 0, values.imag > 0),
         np.where(one, re + 1, re) + negative * np.where(one, values.real < 0, values.imag < 0),
     ])
-    return table.transpose(2, 0, 1)
+    return table.transpose(0, 2, 1)
 
 
-_GATHER = {d: _gather_table(s) for d, s in ((4, PAULI2), (8, PAULI3))}
+def _trace_table(d: int, entries: np.ndarray | None = None) -> np.ndarray:
+    """Float indices into _signed(rho) of the terms that _traces adds: (d, sums).
+
+    The sums are the real parts of the d^2 Pauli traces, a zero, the
+    imaginary parts of the traces, then the real parts and after them the
+    imaginary parts of the entry sums sum_t rho.flat[entries[e, t]], each of
+    at most d terms. Flat index d^2 stands for a zero, which also pads the
+    shorter sums.
+    """
+    real, imag = _gather_table({4: PAULI2, 8: PAULI3}[d])
+    zero = 4 * d * d
+    sums = [real, np.full((d, 1), zero), imag]
+    if entries is not None:
+        terms = np.pad(entries, ((0, 0), (0, d - entries.shape[1])), constant_values=d * d).T
+        pad = terms == d * d
+        sums += [np.where(pad, zero, 2 * terms), np.where(pad, zero, 2 * terms + 1)]
+    return np.concatenate(sums, axis=1)
 
 
-def _real_traces(rho: np.ndarray, d: int) -> np.ndarray:
+_TRACE_TABLE = {d: _trace_table(d) for d in (4, 8)}
+
+
+def _traces(rho: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of a _trace_table over a complex stack rho: theta, the d^2
+    Pauli coefficients followed by a zero, and the entry sums.
+
+    Raises ValueError where a trace has an imaginary part above _IMAG_TOL,
+    which a Hermitian rho does not have.
+    """
     # a gather and a sum, not a BLAS product, whose blocking (and so rounding)
     # would depend on how many states are stacked; the term axis is outermost
     # in memory, so numpy adds it slab by slab, left to right, not pairwise
-    flat = rho.reshape(rho.shape[:-2] + (d * d,))
-    signed = np.concatenate((flat, -flat), axis=-1).view(float)
-    vals = np.add.reduce(signed.take(_GATHER[d], axis=-1), axis=-3)
-    worst = float(np.abs(vals[..., 1, :]).max(initial=0.0))
+    s = len(table) ** 2
+    vals = np.add.reduce(_signed(rho).take(table, axis=-1), axis=-2)
+    worst = float(np.abs(vals[..., s + 1:2 * s + 1]).max(initial=0.0))
     if worst > _IMAG_TOL:
         raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")
-    return vals[..., 0, :]
+    return vals[..., :s + 1], vals[..., 2 * s + 1:]
 
 
 def pauli_tensor(rho: np.ndarray) -> np.ndarray:
@@ -88,7 +125,7 @@ def pauli_tensor(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 density matrix, got {rho.shape}")
-    return _real_traces(rho, 8).reshape(rho.shape[:-2] + (4, 4, 4))
+    return _traces(rho, _TRACE_TABLE[8])[0][..., :64].reshape(rho.shape[:-2] + (4, 4, 4))
 
 
 def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
@@ -96,7 +133,7 @@ def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
     rho2 = np.asarray(rho2, dtype=complex)
     if rho2.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
-    return _real_traces(rho2, 4).reshape(4, 4)
+    return _traces(rho2, _TRACE_TABLE[4])[0][:16].reshape(4, 4)
 
 
 def density_from_theta(theta: np.ndarray) -> np.ndarray:

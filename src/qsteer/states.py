@@ -160,13 +160,27 @@ def purity(rho: np.ndarray) -> float:
 DEFICIT_FLOOR = 1e-14
 
 
+@functools.cache
 def _minor_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices of rho[i, i], rho[j, j] and rho[i, j] for the i < j minors."""
     i, j = np.triu_indices(d, 1)
     return i * (d + 1), j * (d + 1), i * d + j
 
 
-_MINOR_ENTRIES = {d: _minor_entries(d) for d in (2, 4, 8)}
+@functools.cache
+def _minor_floats(d: int) -> np.ndarray:
+    """(4, minors) indices of re rho[i, i], re rho[j, j], re rho[i, j] and
+    im rho[i, j] in the flat complex matrix viewed as floats."""
+    ii, jj, ij = _minor_entries(d)
+    return np.stack([2 * ii, 2 * jj, 2 * ij, 2 * ij + 1])
+
+
+def _minor_sum(ii, jj, re, im) -> np.ndarray:
+    """Twice the sum of the principal 2x2 minors rho_ii rho_jj - |rho_ij|^2,
+    given the real diagonal entries and the parts of rho_ij, added left to
+    right over the last axis and clamped at DEFICIT_FLOOR."""
+    deficit = 2.0 * ordered_sum(ii * jj - (re**2 + im**2))
+    return np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
 
 
 def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
@@ -178,20 +192,17 @@ def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     square root in the steering bounds. For a qubit it is 2 det(rho). A stack
     (..., d, d) gives one deficit per matrix.
     """
-    rho = np.asarray(rho)
+    rho = np.ascontiguousarray(rho, dtype=complex)
     d = rho.shape[-1]
-    ii, jj, ij = _MINOR_ENTRIES[d] if d in _MINOR_ENTRIES else _minor_entries(d)
-    flat = rho.reshape(rho.shape[:-2] + (d * d,))
-    off = flat[..., ij]
-    gram = (off.real**2 + off.imag**2) if np.iscomplexobj(off) else off**2
-    deficit = 2.0 * ordered_sum(flat[..., ii].real * flat[..., jj].real - gram)
-    deficit = np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
+    parts = rho.reshape(rho.shape[:-2] + (d * d,)).view(float).take(_minor_floats(d), axis=-1)
+    deficit = _minor_sum(parts[..., 0, :], parts[..., 1, :], parts[..., 2, :], parts[..., 3, :])
     return float(deficit) if deficit.ndim == 0 else deficit
 
 
 @functools.lru_cache(maxsize=None)
 def _deficit_tables(subsystems: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
-    """Gather tables of reduced_deficits, built once per subsystem list.
+    """Gather tables of reduced_deficits and of steering_batch's deficits,
+    built once per subsystem list.
 
     terms[e] holds the flat 8x8 indices summed into reduced-state entry e, in
     partial_trace's order, padded with 64: the index of a zero appended to
@@ -206,7 +217,7 @@ def _deficit_tables(subsystems: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
             raise ValueError(f"invalid subsystem set {keep!r}")
         d = 2 ** len(idx)
         terms = _TRACE_TERMS[idx].reshape(d * d, -1)
-        flat = _MINOR_ENTRIES[d]
+        flat = _minor_entries(d)
         used = np.unique(np.concatenate(flat))  # the d x d entries the minors read
         position = np.zeros(d * d, dtype=int)
         position[used] = len(entries) + np.arange(len(used))
@@ -240,8 +251,7 @@ def reduced_deficits(rho: np.ndarray, subsystems) -> np.ndarray:
     flat = np.concatenate([rho.reshape(lead + (64,)), np.zeros(lead + (1,), dtype=complex)], axis=-1)
     entry = ordered_sum(flat[..., terms])
     off = entry[..., ij]
-    deficit = 2.0 * ordered_sum(entry[..., ii].real * entry[..., jj].real - (off.real**2 + off.imag**2))
-    return np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
+    return _minor_sum(entry[..., ii].real, entry[..., jj].real, off.real, off.imag)
 
 
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:

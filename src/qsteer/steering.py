@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import pauli_tensor, pauli_tensor_pair
-from .states import ordered_sum, purity_deficit, reduced_deficits, validate_state
-from .states import partial_trace, permute_qubits  # noqa: F401  kept: perfbench/spans.py patches these names here
+from .pauli import _trace_table, _traces, pauli_tensor_pair
+from .states import _deficit_tables, _minor_sum, ordered_sum, purity_deficit, validate_state
+
+# kept for perfbench/spans.py, which patches pauli_tensor, partial_trace and
+# permute_qubits here, as it does purity_deficit
+from .pauli import pauli_tensor  # noqa: F401
+from .states import partial_trace, permute_qubits  # noqa: F401
 
 __all__ = [
     "CorrelationMatrix",
@@ -235,7 +239,7 @@ _LABELS = np.array(["mixed", "corollary1", "corollary2"])
 
 def _classes(h: np.ndarray, axis: int) -> np.ndarray:
     # code 1 when every H >= 0, 2 when every H < 0, else 0: a NaN is neither
-    return _LABELS[np.all(h >= 0.0, axis=axis) + 2 * np.all(h < 0.0, axis=axis)]
+    return _LABELS[(h >= 0.0).all(axis) + 2 * (h < 0.0).all(axis)]
 
 
 def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
@@ -251,7 +255,8 @@ def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
 class _Plan:
     """Index tables of one steering_batch configuration; see steering_batch."""
 
-    subsystems: tuple  # qubits A, B, C, then the steered pair of each cut
+    front: np.ndarray  # pauli._trace_table of the 64 traces and the reduced-state entries
+    minors: np.ndarray  # (4, subsystems, minors) entry columns of ii.re, jj.re, ij.re, ij.im
     steer: np.ndarray  # steering qubit of each cut
     cov: np.ndarray  # (3, 64k + 27) flat theta indices: entry, row factor, column factor
     scale: np.ndarray  # LOO normalization of each covariance entry
@@ -295,8 +300,11 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     if reverse_pairs:
         bounds += [(None, 2.0, b, a, k + i) for i, (a, b) in enumerate(zip(_FIRST, _SECOND))]
     table = list(zip(*bounds))
+    # entries of the reduced states of qubits A, B, C and each cut's steered pair
+    terms, ii, jj, ij = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
     return _Plan(
-        subsystems=((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names),
+        front=_trace_table(8, terms),
+        minors=np.stack([ii, jj, ij, len(terms) + ij]),
         steer=np.array(steer),
         cov=np.concatenate(cov, axis=1),
         scale=np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [64 * k, 27]),
@@ -310,6 +318,39 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     )
 
 
+def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace norm, bound and H of every bound of the plan: three (n, bounds) arrays."""
+    if rho.ndim != 3 or rho.shape[1:] != (8, 8):
+        raise ValueError(f"expected a stack of 8x8 density matrices, got shape {rho.shape}")
+    n, k = len(rho), len(plan.steer)
+    theta, entries = _traces(rho, plan.front)
+    i, row, col = plan.cov
+    cov = plan.scale * (theta[:, i] - theta[:, row] * theta[:, col])
+    norm = np.concatenate([trace_norm(cov[:, :64 * k].reshape(n, k, 4, 16)),
+                           trace_norm(cov[:, 64 * k:].reshape(n, 3, 3, 3))], axis=1)
+    purity = ordered_sum(theta[:, plan.purity] ** 2) / plan.divisor
+    deficit = _minor_sum(*entries.take(plan.minors, axis=1).transpose(1, 0, 2, 3))
+    # for a globally pure state the pair deficit equals its complement's 2 det,
+    # which stays exact where the cut factorizes
+    pure = purity_deficit(rho) <= _PURE_DEFICIT_TOL
+    deficit[:, 3:] = np.where(pure[:, None], deficit[:, plan.steer], deficit[:, 3:])
+    bound = np.sqrt((plan.const - purity[:, plan.pcol]) * deficit[:, plan.dcol])
+    norm = norm[:, plan.ncol]
+    return norm, bound, norm - bound
+
+
+def _report(plan: _Plan, norm, bound, h, classification) -> SteeringReport:
+    """SteeringReport from per-bound columns: norm[j] is bound j's trace norm,
+    an array over a batch or a float for one state."""
+    c = len(plan.cuts)
+    return SteeringReport(
+        cuts={name: CutQuantities(norm[j], bound[j]) for j, name in enumerate(plan.cuts)},
+        pair_h={"AB": h[c], "AC": h[c + 1], "BC": h[c + 2]},
+        classification=classification,
+        extras={"h_ba": h[c + 3], "h_ca": h[c + 4], "h_cb": h[c + 5]} if len(h) > c + 3 else {},
+    )
+
+
 def steering_batch(
     rho: np.ndarray,
     include_all_cuts: bool = False,
@@ -318,58 +359,42 @@ def steering_batch(
 ) -> SteeringReport:
     """Steering analysis of a stack of three-qubit states rho[n, 8, 8].
 
-    One Pauli tensor per state gives every cut and pair, and each kind of
-    quantity comes from one index table, built once per flag combination
-    (_plan) on first use:
+    Each kind of quantity comes from one index table, built once per flag
+    combination (_plan) on first use:
+    - front: one gather from [rho, -rho, 0] viewed as floats and one sum
+      over 8 terms (pauli._traces) give the 64 Pauli coefficients theta
+      (plus a zero), their imaginary parts, which must vanish, and every
+      entry of the reduced states of qubits A, B, C and each cut's steered
+      pair that a principal 2x2 minor reads;
     - covariances: three gathers from the flat theta (entry, row and column
       factor) give the 4x16 matrix of each cut, with B|CA and C|AB as axis
       transposes, and the 3x3 block of each pair, with theta_AB = theta[:,:,0]
       and so on; one SVD per shape, and both directions of a cut share a norm;
     - purities: one gather of Bloch vectors and, for the pair-to-qubit
       direction, each cut's pair slice, then one ordered sum;
-    - deficits: reduced_deficits of qubits A, B, C and each cut's steered
-      pair; for a globally pure state the pair deficit is its complement's;
+    - deficits: one gather of those entries per minor, then the minor sum
+      of reduced_deficits and purity_deficit (states._minor_sum); a state
+      is globally pure when purity_deficit(rho) is at most 1e-12, and then a
+      pair's deficit is its complement's;
     - bounds: sqrt((2 or 4 - purity) * deficit) from one gather per factor.
 
     Every entry is computed with the same operations in the same order as
-    by the direct per-quantity route (partial_trace, purity_deficit, theta
-    slices), so the values are bit-identical to it. Rows of unequal length
-    are padded with exact zeros at the end of a left-to-right sum: adding
-    +0.0 changes at most the sign of a zero partial sum, a purity is a sum of
-    squares, and a zero deficit is clamped to 0.0. A state's values are also
-    bit-identical to those it gets alone: every sum runs in a fixed order per
-    state, with no BLAS product, whose rounding depends on the stack size.
-    Returns a SteeringReport of arrays. The states are not validated.
+    by the direct per-quantity route (pauli_tensor, reduced_deficits,
+    purity_deficit, theta slices), so the values are bit-identical to it.
+    Rows of unequal length are padded with exact zeros at the end of a
+    left-to-right sum: adding +0.0 changes at most the sign of a zero partial
+    sum, a purity is a sum of squares, and a zero deficit is clamped to 0.0.
+    A state's values are also bit-identical to those it gets alone: every sum
+    runs in a fixed order per state, with no BLAS product, whose rounding
+    depends on the stack size. Returns a SteeringReport of arrays. The states
+    are not validated. steering_report runs the same kernel on one state and
+    builds its report from Python floats, equal to row(i) of any batch.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 3:
-        raise ValueError(f"expected a stack of 8x8 density matrices, got shape {rho.shape}")
     plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
-    n, k = len(rho), len(plan.steer)
-    theta = np.zeros((n, 65))
-    theta[:, :64] = pauli_tensor(rho).reshape(n, 64)
-    i, row, col = plan.cov
-    cov = plan.scale * (theta[:, i] - theta[:, row] * theta[:, col])
-    norm = np.concatenate([trace_norm(cov[:, :64 * k].reshape(n, k, 4, 16)),
-                           trace_norm(cov[:, 64 * k:].reshape(n, 3, 3, 3))], axis=1)
-    purity = ordered_sum(theta[:, plan.purity] ** 2) / plan.divisor
-    deficit = reduced_deficits(rho, plan.subsystems)
-    # for a globally pure state the pair deficit equals its complement's 2 det,
-    # which stays exact where the cut factorizes
-    pure = purity_deficit(rho) <= _PURE_DEFICIT_TOL
-    deficit[:, 3:] = np.where(pure[:, None], deficit[:, plan.steer], deficit[:, 3:])
-    bound = np.sqrt((plan.const - purity[:, plan.pcol]) * deficit[:, plan.dcol])
-    norm = norm[:, plan.ncol]
-    h = norm - bound
-
+    norm, bound, h = _columns(rho, plan)
     c = len(plan.cuts)
-    pair_h = h[:, c:c + 3]
-    return SteeringReport(
-        cuts={name: CutQuantities(norm[:, j], bound[:, j]) for j, name in enumerate(plan.cuts)},
-        pair_h={"AB": pair_h[:, 0], "AC": pair_h[:, 1], "BC": pair_h[:, 2]},
-        classification=_classes(pair_h, axis=1),
-        extras={"h_ba": h[:, c + 3], "h_ca": h[:, c + 4], "h_cb": h[:, c + 5]} if include_reverse_pairs else {},
-    )
+    return _report(plan, norm.T, bound.T, h.T, _classes(h[:, c:c + 3], axis=1))
 
 
 def steering_report(
@@ -379,8 +404,8 @@ def steering_report(
     include_reverse_pairs: bool = False,
     validate: bool = True,
 ) -> SteeringReport:
-    """Full steering analysis of one three-qubit state: steering_batch on a
-    batch of one, after validating the state.
+    """Full steering analysis of one three-qubit state: steering_batch's
+    kernel on a batch of one, after validating the state, reported in floats.
 
     Defaults compute the A->BC cut and the three pair directions A->B, A->C,
     B->C; the B|CA and C|AB cuts, the pair-to-qubit directions and the
@@ -391,4 +416,8 @@ def steering_report(
         diag = validate_state(rho)
         if not diag.passed:
             raise ValueError(f"invalid density matrix: {diag.as_dict()}")
-    return steering_batch(rho[None], include_all_cuts, include_two_to_one, include_reverse_pairs).row(0)
+    plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
+    norm, bound, h = _columns(rho[None], plan)
+    c = len(plan.cuts)
+    label = str(_classes(h[0, c:c + 3], axis=0))
+    return _report(plan, norm[0].tolist(), bound[0].tolist(), h[0].tolist(), label)

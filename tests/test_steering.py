@@ -10,6 +10,7 @@ from qsteer.states import (
     DEFICIT_FLOOR,
     density_from_pure,
     ghz_state,
+    ordered_sum,
     partial_trace,
     permute_qubits,
     purity_deficit,
@@ -17,6 +18,7 @@ from qsteer.states import (
     w_state,
 )
 from qsteer.steering import (
+    PAIR_SCALE,
     classify_pairs,
     correlation_one_to_two,
     correlation_pair,
@@ -389,6 +391,36 @@ def _h_values(d):
     return {k: v for k, v in d.items() if k.startswith("h_") and k != "h_tot"}
 
 
+def direct_h(rho):
+    """Every H of steering_batch(..., **ALL) for one state, one quantity at a
+    time from the public helpers: pauli_tensor and theta slices, partial_trace
+    and purity_deficit, correlation_one_to_two and trace_norm.
+
+    A pair's deficit is its complement's for a globally pure state
+    (purity_deficit(rho) <= 1e-12), as in steering_batch.
+    """
+    theta = pauli_tensor(rho)
+    pure = purity_deficit(rho) <= 1e-12
+    d_q = [purity_deficit(partial_trace(rho, (q,))) for q in range(3)]
+    p_q = [ordered_sum(np.moveaxis(theta, q, 0)[:, 0, 0] ** 2) / 2.0 for q in range(3)]
+    out = {}
+    for name, axes, key21 in (("a_bc", (0, 1, 2), "bc_to_a"), ("b_to_ca", (1, 2, 0), "ca_to_b"),
+                              ("c_to_ab", (2, 0, 1), "ab_to_c")):
+        t = theta.transpose(axes)
+        norm = trace_norm(correlation_one_to_two(t))
+        q = axes[0]
+        p_rest = ordered_sum(t[0].ravel() ** 2) / 4.0
+        d_rest = d_q[q] if pure else purity_deficit(partial_trace(rho, axes[1:]))
+        out[f"h_{name}"] = norm - np.sqrt((2.0 - p_q[q]) * d_rest)
+        out[f"h_{key21}"] = norm - np.sqrt((4.0 - p_rest) * d_q[q])
+    for (a, b), fwd, rev in (((0, 1), "h_ab", "h_ba"), ((0, 2), "h_ac", "h_ca"), ((1, 2), "h_bc", "h_cb")):
+        t2 = np.take(theta, 0, axis=3 - a - b)  # theta_AB = theta[:, :, 0] and so on
+        norm = trace_norm(PAIR_SCALE * (t2[1:, 1:] - t2[1:, :1] * t2[:1, 1:]))
+        out[fwd] = norm - np.sqrt((2.0 - p_q[a]) * d_q[b])
+        out[rev] = norm - np.sqrt((2.0 - p_q[b]) * d_q[a])
+    return out
+
+
 class TestBatchKernel:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(states(), min_size=1, max_size=10))
@@ -396,7 +428,13 @@ class TestBatchKernel:
         rhos = np.stack([rho for rho, _ in drawn])
         batch = steering_batch(rhos, **ALL)
         for i, rho in enumerate(rhos):
-            assert batch.row(i).to_dict() == steering_report(rho, validate=False, **ALL).to_dict()
+            row = batch.row(i).to_dict()
+            single = steering_report(rho, validate=False, **ALL).to_dict()
+            assert row == single
+            # built-in types only: json.dumps and the CSV formats rely on them
+            for report in (row, single):
+                assert type(report.pop("classification")) is str
+                assert {type(v) for v in report.values()} == {float}
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(states(), min_size=2, max_size=12), st.integers(1, 5))
@@ -483,6 +521,37 @@ class TestBatchKernel:
                 assert abs(h[key] - value) <= 4 * np.sqrt(eps) + 1e-12, (key, eps)
                 if entangled:
                     assert abs(h[key] - value) <= 100 * eps + 1e-12, (key, eps)
+
+    def test_every_h_bit_identical_to_direct_route(self, rng):
+        pure = np.stack([random_pure_density(rng) for _ in range(200)])
+        mixed = np.stack([random_mixed_density(rng) for _ in range(200)])
+        eps = 10.0 ** np.arange(-16, -7.75, 0.5)  # the full deficit crosses the switch near 5.7e-13
+        sweep = np.stack([(1 - e) * rho + e * np.eye(8) / 8 for rho in pure[:6] for e in eps])
+        assert {purity_deficit(rho) <= 1e-12 for rho in sweep} == {True, False}
+        # product states A x B x C, A x BC and AB x C reach the deficit floor
+        q = [random_pure_density(rng, 2) for _ in range(6)] + [random_mixed_density(rng, 2) for _ in range(6)]
+        p = [random_pure_density(rng, 4) for _ in range(3)] + [random_mixed_density(rng, 4) for _ in range(3)]
+        product = [np.kron(np.kron(q[i], q[i - 4]), q[i - 8]) for i in range(12)]
+        product += [np.kron(q[i], p[i]) for i in range(6)] + [np.kron(p[i], q[6 + i]) for i in range(6)]
+        product += [density_from_pure(ghz_state(t)) for t in (0.0, np.pi / 2)] + [np.eye(8) / 8]
+        product = np.stack(product)
+        assert any(purity_deficit(partial_trace(rho, (k,))) == 0.0 for rho in product for k in range(3))
+        for rhos in (pure, mixed, sweep, product):
+            got = _h_values(steering_batch(rhos, **ALL).to_dict())
+            for i, rho in enumerate(rhos):
+                expect = direct_h(rho)
+                assert set(got) == set(expect)
+                for key, value in expect.items():
+                    assert got[key][i].tobytes() == np.float64(value).tobytes(), (key, i)
+
+    def test_non_hermitian_rejected(self, rng):
+        # the imaginary parts of the Pauli traces must vanish, to 1e-12
+        rho = random_mixed_density(rng)
+        rho[2, 5] += 1e-6
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            steering_batch(rho[None])
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            steering_report(rho, validate=False)
 
     @pytest.mark.parametrize("t", [1e-7, 3e-7, 1e-6])
     def test_pure_route_exact_near_product(self, t):
