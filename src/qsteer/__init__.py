@@ -40,7 +40,6 @@ from .states import (
     w_state,
 )
 from .steering import (
-    CorrelationMatrix,
     SteeringReport,
     correlation_one_to_two,
     correlation_pair,

@@ -49,6 +49,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) else 1.0
         coeff = float(m.group(2)) if m.group(2) else 1.0
         denom = float(m.group(3)) if m.group(3) else 1.0
+        if denom == 0.0:
+            raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
         return sign * coeff * np.pi / denom
     try:
         return float(s)
@@ -100,13 +102,17 @@ def cmd_analyze(args) -> int:
         print(f"error: steering analysis needs a three-qubit state, got dim {rho.shape[0]}",
               file=sys.stderr)
         return 2
-    report = steering.steering_report(
-        rho,
-        include_all_cuts=args.all_cuts,
-        include_two_to_one=args.two_to_one,
-        include_reverse_pairs=args.reverse_pairs,
-        validate=False,
-    )
+    try:
+        report = steering.steering_report(
+            rho,
+            include_all_cuts=args.all_cuts,
+            include_two_to_one=args.two_to_one,
+            include_reverse_pairs=args.reverse_pairs,
+            validate=False,
+        )
+    except ValueError as exc:  # a Pauli trace with an imaginary part, which validation let through
+        print(f"error: invalid state: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -115,8 +121,8 @@ def cmd_sweep(args) -> int:
     if args.points < 2:
         print("error: --points must be >= 2", file=sys.stderr)
         return 1
-    if not (np.isfinite(args.start) and np.isfinite(args.stop)):
-        print("error: grid bounds must be finite", file=sys.stderr)
+    if not np.all(np.isfinite([args.start, args.stop, args.theta])):
+        print("error: --start, --stop and --theta must be finite", file=sys.stderr)
         return 1
     grid = np.linspace(args.start, args.stop, args.points)
 

@@ -94,13 +94,8 @@ def f_components(p) -> dict:
     """
     psi = schmidt_state(p)
     rep = steering_batch(density_from_pure(np.atleast_2d(psi)))
-    comps = {
-        "f": rep.h_a_bc - rep.h_tot,
-        "h_a_bc": rep.h_a_bc,
-        "h_ab": rep.pair_h["AB"],
-        "h_ac": rep.pair_h["AC"],
-        "h_bc": rep.pair_h["BC"],
-    }
+    comps = {"f": rep["h_a_bc"] - rep["h_tot"]}
+    comps.update((k, rep[k]) for k in ("h_a_bc", "h_ab", "h_ac", "h_bc"))
     return comps if psi.ndim == 2 else {k: float(v[0]) for k, v in comps.items()}
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "partial_trace",
     "purity",
     "purity_deficit",
-    "reduced_deficits",
     "permute_qubits",
     "validate_state",
     "state_to_payload",
@@ -199,24 +198,23 @@ def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     return float(deficit) if deficit.ndim == 0 else deficit
 
 
-@functools.lru_cache(maxsize=None)
-def _deficit_tables(subsystems: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
-    """Gather tables of reduced_deficits and of steering_batch's deficits,
-    built once per subsystem list.
+def _deficit_tables(subsystems) -> tuple[np.ndarray, ...]:
+    """Gather tables of steering_batch's deficits for a list of subsystems,
+    each a tuple of qubit indices.
 
     terms[e] holds the flat 8x8 indices summed into reduced-state entry e, in
     partial_trace's order, padded with 64: the index of a zero appended to
     rho. The last entry is all padding, so it is exactly 0. ii, jj, ij[s, t]
     index the entries rho[i, i], rho[j, j], rho[i, j] of the t-th principal
     minor of subsystem s, in purity_deficit's order, padded with that zero.
+    So the deficits are purity_deficit(partial_trace(rho, keep)) bit for bit:
+    appended to a left-to-right sum, the zeros change at most the sign of a
+    zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
     """
     entries, minors = [], []
     for keep in subsystems:
-        idx = tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep))
-        if idx not in _TRACE_TERMS:
-            raise ValueError(f"invalid subsystem set {keep!r}")
-        d = 2 ** len(idx)
-        terms = _TRACE_TERMS[idx].reshape(d * d, -1)
+        d = 2 ** len(keep)
+        terms = _TRACE_TERMS[tuple(sorted(keep))].reshape(d * d, -1)
         flat = _minor_entries(d)
         used = np.unique(np.concatenate(flat))  # the d x d entries the minors read
         position = np.zeros(d * d, dtype=int)
@@ -231,27 +229,6 @@ def _deficit_tables(subsystems: tuple[tuple, ...]) -> tuple[np.ndarray, ...]:
     for s, m in enumerate(minors):
         padded[:, s, :m.shape[1]] = m
     return terms, padded[0], padded[1], padded[2]
-
-
-def reduced_deficits(rho: np.ndarray, subsystems) -> np.ndarray:
-    """purity_deficit(partial_trace(rho, keep)) for every keep in `subsystems`,
-    bit for bit: (..., len(subsystems)) for a stack (..., 8, 8).
-
-    One gather collects the trace terms of every reduced-state entry the
-    minors read and one ordered sum adds them; a second gather and ordered sum
-    add the principal minors. Subsystems with fewer terms or minors are padded
-    with exact zeros, which appended to a left-to-right sum change at most the
-    sign of a zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
-    """
-    terms, ii, jj, ij = _deficit_tables(tuple(map(tuple, subsystems)))
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
-    lead = rho.shape[:-2]
-    flat = np.concatenate([rho.reshape(lead + (64,)), np.zeros(lead + (1,), dtype=complex)], axis=-1)
-    entry = ordered_sum(flat[..., terms])
-    off = entry[..., ij]
-    return _minor_sum(entry[..., ii].real, entry[..., jj].real, off.real, off.imag)
 
 
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:

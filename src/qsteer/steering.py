@@ -6,12 +6,18 @@ purity bound. For a qubit the LOO set is {s_m / sqrt(2)}, for a qubit pair
 {(s_j x s_k) / 2}; those normalizations put factors 1/(2*sqrt(2)) and 1/2 in
 front of the raw Pauli covariances below. A positive H value certifies
 steerability in the stated direction; S = max(H, 0) is the quantifier.
+
+A report is one flat dict with the keys of the qsteer analyze JSON, in its
+order: h_, s_, norm_ and bound_ of each cut and direction (a_bc for A->BC,
+bc_to_a for BC->A, b_to_ca, and so on), H and S of the pairs (h_ab, s_ab,
+...), h_tot, s_tot, margin and classification. steering_batch fills it with
+one array entry per state, steering_report with floats and a str label.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +30,6 @@ from .pauli import pauli_tensor  # noqa: F401
 from .states import partial_trace, permute_qubits  # noqa: F401
 
 __all__ = [
-    "CorrelationMatrix",
     "SteeringReport",
     "classify_pairs",
     "correlation_one_to_two",
@@ -47,31 +52,29 @@ PAIR_SCALE = 0.5  # two 1/sqrt(2) qubit LOO factors
 # complement's at 1e-12 moves H by at most ~sqrt(1e-12) where a deficit is ~0
 _PURE_DEFICIT_TOL = 1e-12
 
-# theta axes of each cut: steering qubit, then the pair; the pair-to-qubit
-# direction uses the transposed matrix, so it shares the trace norm
-_CUTS = {"A->BC": (0, 1, 2), "B->CA": (1, 2, 0), "C->AB": (2, 0, 1)}
-_TWO_TO_ONE = {"A->BC": "BC->A", "B->CA": "CA->B", "C->AB": "AB->C"}
-_CUT_ORDER = ("A->BC", "BC->A", "B->CA", "C->AB", "CA->B", "AB->C")
+# theta axes of each cut (A->BC, B->CA, C->AB): steering qubit, then the
+# pair; the pair-to-qubit direction uses the transposed matrix, so it shares
+# the trace norm. Names are the suffixes of the report keys.
+_CUTS = {"a_bc": (0, 1, 2), "b_to_ca": (1, 2, 0), "c_to_ab": (2, 0, 1)}
+_TWO_TO_ONE = {"a_bc": "bc_to_a", "b_to_ca": "ca_to_b", "c_to_ab": "ab_to_c"}
+_CUT_ORDER = ("a_bc", "bc_to_a", "b_to_ca", "c_to_ab", "ca_to_b", "ab_to_c")
 # qubits of the pairs AB, AC, BC; the first steers the second, and the
 # reverse pairs BA, CA, CB the other way round
-_FIRST, _SECOND = [0, 0, 1], [1, 2, 2]
-
-
-@dataclass
-class CorrelationMatrix:
-    """LOO covariance matrix (or a stack of them)."""
-
-    entries: np.ndarray
+_PAIRS = {"ab": (0, 1), "ac": (0, 2), "bc": (1, 2)}
+# the keys of every report: the A->BC cut, the pairs A->B, A->C, B->C, the
+# monogamy totals and the verdict; requested cuts and reverse pairs follow
+_REPORT_HEAD = ("h_a_bc", "s_a_bc", "norm_a_bc", "bound_a_bc", "h_ab", "h_ac", "h_bc",
+                "s_ab", "s_ac", "s_bc", "h_tot", "s_tot", "margin", "classification")
+_LABEL_AT = _REPORT_HEAD.index("classification")
 
 
 def trace_norm(matrix) -> float | np.ndarray:
     """Sum of singular values; one per matrix of a stack (..., m, n)."""
-    entries = matrix.entries if isinstance(matrix, CorrelationMatrix) else matrix
-    norms = ordered_sum(np.linalg.svd(np.asarray(entries, dtype=float), compute_uv=False))
+    norms = ordered_sum(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False))
     return float(norms) if norms.ndim == 0 else norms
 
 
-def correlation_one_to_two(theta: np.ndarray) -> CorrelationMatrix:
+def correlation_one_to_two(theta: np.ndarray) -> np.ndarray:
     """4x16 covariance matrix for steering the leading qubit into the pair.
 
     M[m, 4j+k] = (theta[m,j,k] - theta[m,0,0] * theta[0,j,k]) / (2*sqrt(2)).
@@ -80,20 +83,19 @@ def correlation_one_to_two(theta: np.ndarray) -> CorrelationMatrix:
     """
     theta = np.asarray(theta, dtype=float)
     cov = theta - theta[..., :, 0, 0, None, None] * theta[..., None, 0, :, :]
-    return CorrelationMatrix(ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16)))
+    return ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16))
 
 
-def correlation_two_to_one(theta: np.ndarray) -> CorrelationMatrix:
+def correlation_two_to_one(theta: np.ndarray) -> np.ndarray:
     """16x4 covariance matrix for steering the pair into the leading qubit:
     the transpose of correlation_one_to_two, stacks included."""
-    return CorrelationMatrix(np.swapaxes(correlation_one_to_two(theta).entries, -1, -2))
+    return np.swapaxes(correlation_one_to_two(theta), -1, -2)
 
 
-def correlation_pair(rho2: np.ndarray) -> CorrelationMatrix:
+def correlation_pair(rho2: np.ndarray) -> np.ndarray:
     """4x4 covariance matrix c_ij = (theta_ij - theta_i0 * theta_0j) / 2."""
     theta = pauli_tensor_pair(rho2)
-    cov = theta - np.outer(theta[:, 0], theta[0])
-    return CorrelationMatrix(PAIR_SCALE * cov)
+    return PAIR_SCALE * (theta - np.outer(theta[:, 0], theta[0]))
 
 
 def _pair_marginals(rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,12 +105,12 @@ def _pair_marginals(rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def h_one_to_two(rho: np.ndarray) -> float:
     """H for steering qubit A into the BC pair: ||M||_tr - sqrt((2 - tr rho_a^2)(1 - tr rho_bc^2))."""
-    return steering_report(rho, validate=False).h_a_bc
+    return steering_report(rho, validate=False)["h_a_bc"]
 
 
 def h_two_to_one(rho: np.ndarray) -> float:
     """H for steering the BC pair into qubit A: ||M'||_tr - sqrt((4 - tr rho_bc^2)(1 - tr rho_a^2))."""
-    return steering_report(rho, include_two_to_one=True, validate=False).cuts["BC->A"].h
+    return steering_report(rho, include_two_to_one=True, validate=False)["h_bc_to_a"]
 
 
 def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
@@ -132,105 +134,22 @@ def steering_value(h) -> float | np.ndarray:
     return float(s) if s.ndim == 0 else s
 
 
-@dataclass
-class CutQuantities:
-    """Trace norm, purity bound, and H/S for one cut and direction (floats,
-    or arrays over the states of a batch)."""
+class SteeringReport(dict):
+    """Every requested H and S value plus the monogamy verdict, keyed and
+    ordered as in the qsteer analyze JSON.
 
-    norm: float
-    bound: float
-
-    @property
-    def h(self) -> float:
-        return self.norm - self.bound
-
-    @property
-    def s(self) -> float:
-        return steering_value(self.h)
-
-
-@dataclass
-class SteeringReport:
-    """All requested H and S values plus the monogamy verdict.
-
-    For one state (steering_report) every value is a float and the
-    classification a str; for a batch (steering_batch) they are arrays with
-    one entry per state, and row(i) gives state i's report.
+    For one state (steering_report) every value is a float and
+    "classification" a str; for a batch (steering_batch) every value is an
+    array with one entry per state, and row(i) gives state i's report.
     """
 
-    cuts: dict[str, CutQuantities]
-    pair_h: dict[str, float]
-    classification: str
-    extras: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def h_a_bc(self) -> float:
-        return self.cuts["A->BC"].h
-
-    @property
-    def s_a_bc(self) -> float:
-        return self.cuts["A->BC"].s
-
-    @property
-    def h_tot(self) -> float:
-        return (self.pair_h["AB"] + self.pair_h["AC"]) + self.pair_h["BC"]
-
-    @property
-    def s_tot(self) -> float:
-        return (
-            steering_value(self.pair_h["AB"])
-            + steering_value(self.pair_h["AC"])
-            + steering_value(self.pair_h["BC"])
-        )
-
-    @property
-    def margin(self) -> float:
-        return self.s_a_bc - self.h_tot
-
     def to_dict(self) -> dict:
-        cuts = list(self.cuts.items())
-        pair_h = [self.pair_h["AB"], self.pair_h["AC"], self.pair_h["BC"]]
-        cut_h = [cut.h for _, cut in cuts]
-        s_values = np.maximum(cut_h + pair_h, 0.0)  # every S from one call, floats or arrays
-        s_values = s_values.tolist() if s_values.ndim == 1 else list(s_values)
-        s_ab, s_ac, s_bc = s_values[-3:]
-        a_bc = self.cuts["A->BC"]
-        s_a_bc = s_values[list(self.cuts).index("A->BC")]
-        h_tot = (pair_h[0] + pair_h[1]) + pair_h[2]
-        out = {
-            "h_a_bc": a_bc.h,
-            "s_a_bc": s_a_bc,
-            "norm_a_bc": a_bc.norm,
-            "bound_a_bc": a_bc.bound,
-            "h_ab": pair_h[0],
-            "h_ac": pair_h[1],
-            "h_bc": pair_h[2],
-            "s_ab": s_ab,
-            "s_ac": s_ac,
-            "s_bc": s_bc,
-            "h_tot": h_tot,
-            "s_tot": (s_ab + s_ac) + s_bc,
-            "margin": s_a_bc - h_tot,
-            "classification": self.classification,
-        }
-        for (name, cut), h, s in zip(cuts, cut_h, s_values):
-            if name == "A->BC":
-                continue
-            key = name.replace("->", "_to_").lower()
-            out[f"h_{key}"] = h
-            out[f"s_{key}"] = s
-            out[f"norm_{key}"] = cut.norm
-            out[f"bound_{key}"] = cut.bound
-        out.update(self.extras)
-        return out
+        return dict(self)
 
     def row(self, i: int) -> SteeringReport:
         """The float-valued report of state i of a batch."""
         return SteeringReport(
-            cuts={k: CutQuantities(float(c.norm[i]), float(c.bound[i])) for k, c in self.cuts.items()},
-            pair_h={k: float(v[i]) for k, v in self.pair_h.items()},
-            classification=str(self.classification[i]),
-            extras={k: float(v[i]) for k, v in self.extras.items()},
+            (key, str(v[i]) if key == "classification" else float(v[i])) for key, v in self.items()
         )
 
 
@@ -253,7 +172,8 @@ def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Index tables of one steering_batch configuration; see steering_batch."""
+    """Index tables and report layout of one steering_batch configuration;
+    see steering_batch."""
 
     front: np.ndarray  # pauli._trace_table of the 64 traces and the reduced-state entries
     minors: np.ndarray  # (4, subsystems, minors) entry columns of ii.re, jj.re, ij.re, ij.im
@@ -266,7 +186,9 @@ class _Plan:
     pcol: np.ndarray  # per bound: its purity column
     dcol: np.ndarray  # per bound: its deficit column
     ncol: np.ndarray  # per bound: its trace norm column
-    cuts: tuple  # names of the leading len(cuts) bounds, in _CUT_ORDER
+    pairs: int  # bound of the AB pair; AC and BC follow it
+    keys: tuple  # report keys, in analyze JSON order
+    columns: np.ndarray  # per key but "classification": its column of the stacked table
 
 
 def _cov_table(entry, row, col) -> np.ndarray:
@@ -276,7 +198,7 @@ def _cov_table(entry, row, col) -> np.ndarray:
 
 @functools.cache
 def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
-    names = list(_CUTS) if all_cuts else ["A->BC"]
+    names = list(_CUTS) if all_cuts else ["a_bc"]
     k = len(names)
     flat = np.arange(64).reshape(4, 4, 4)
     cut_flat = [flat.transpose(_CUTS[c]) for c in names]
@@ -296,10 +218,19 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     if two_to_one:
         bounds += [(_TWO_TO_ONE[c], 4.0, 3 + i, steer[i], i) for i, c in enumerate(names)]
     bounds.sort(key=lambda b: _CUT_ORDER.index(b[0]))
-    bounds += [(None, 2.0, a, b, k + i) for i, (a, b) in enumerate(zip(_FIRST, _SECOND))]
+    cuts = len(bounds)
+    bounds += [(p, 2.0, a, b, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
     if reverse_pairs:
-        bounds += [(None, 2.0, b, a, k + i) for i, (a, b) in enumerate(zip(_FIRST, _SECOND))]
+        bounds += [(p[::-1], 2.0, b, a, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
     table = list(zip(*bounds))
+    # the stacked table of _columns: h, s, norm and bound of every bound, then h_tot, s_tot, margin
+    n = len(bounds)
+    column = {f"{q}_{name}": i * n + j for i, q in enumerate(("h", "s", "norm", "bound"))
+              for j, name in enumerate(table[0])}
+    column.update(h_tot=4 * n, s_tot=4 * n + 1, margin=4 * n + 2)
+    keys = list(_REPORT_HEAD)
+    keys += [f"{q}_{name}" for name in table[0][1:cuts] for q in ("h", "s", "norm", "bound")]
+    keys += ["h_ba", "h_ca", "h_cb"] * reverse_pairs
     # entries of the reduced states of qubits A, B, C and each cut's steered pair
     terms, ii, jj, ij = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
     return _Plan(
@@ -314,12 +245,15 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
         pcol=np.array(table[2]),
         dcol=np.array(table[3]),
         ncol=np.array(table[4]),
-        cuts=tuple(name for name in table[0] if name is not None),
+        pairs=cuts,
+        keys=tuple(keys),
+        columns=np.array([column[key] for key in keys if key != "classification"]),
     )
 
 
-def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace norm, bound and H of every bound of the plan: three (n, bounds) arrays."""
+def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """The report of every state of the plan: an (n, keys - 1) table of the
+    numbers in plan.keys order, and the n classification labels."""
     if rho.ndim != 3 or rho.shape[1:] != (8, 8):
         raise ValueError(f"expected a stack of 8x8 density matrices, got shape {rho.shape}")
     n, k = len(rho), len(plan.steer)
@@ -336,19 +270,13 @@ def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.n
     deficit[:, 3:] = np.where(pure[:, None], deficit[:, plan.steer], deficit[:, 3:])
     bound = np.sqrt((plan.const - purity[:, plan.pcol]) * deficit[:, plan.dcol])
     norm = norm[:, plan.ncol]
-    return norm, bound, norm - bound
-
-
-def _report(plan: _Plan, norm, bound, h, classification) -> SteeringReport:
-    """SteeringReport from per-bound columns: norm[j] is bound j's trace norm,
-    an array over a batch or a float for one state."""
-    c = len(plan.cuts)
-    return SteeringReport(
-        cuts={name: CutQuantities(norm[j], bound[j]) for j, name in enumerate(plan.cuts)},
-        pair_h={"AB": h[c], "AC": h[c + 1], "BC": h[c + 2]},
-        classification=classification,
-        extras={"h_ba": h[c + 3], "h_ca": h[c + 4], "h_cb": h[c + 5]} if len(h) > c + 3 else {},
-    )
+    h = norm - bound
+    s = steering_value(h)
+    c = plan.pairs
+    h_tot = (h[:, c] + h[:, c + 1]) + h[:, c + 2]
+    s_tot = (s[:, c] + s[:, c + 1]) + s[:, c + 2]
+    table = np.column_stack((h, s, norm, bound, h_tot, s_tot, s[:, 0] - h_tot))  # bound 0 is a_bc
+    return table[:, plan.columns], _classes(h[:, c:c + 3], axis=1)
 
 
 def steering_batch(
@@ -372,29 +300,34 @@ def steering_batch(
       and so on; one SVD per shape, and both directions of a cut share a norm;
     - purities: one gather of Bloch vectors and, for the pair-to-qubit
       direction, each cut's pair slice, then one ordered sum;
-    - deficits: one gather of those entries per minor, then the minor sum
-      of reduced_deficits and purity_deficit (states._minor_sum); a state
-      is globally pure when purity_deficit(rho) is at most 1e-12, and then a
-      pair's deficit is its complement's;
-    - bounds: sqrt((2 or 4 - purity) * deficit) from one gather per factor.
+    - deficits: one gather of those entries per minor, then purity_deficit's
+      minor sum (states._minor_sum); a state is globally pure when
+      purity_deficit(rho) is at most 1e-12, and then a pair's deficit is its
+      complement's;
+    - bounds: sqrt((2 or 4 - purity) * deficit) from one gather per factor;
+    - report: H = norm - bound and S = max(H, 0) per bound, then
+      h_tot = (h_ab + h_ac) + h_bc, s_tot likewise and margin = s_a_bc - h_tot,
+      stacked into one table and gathered into report order in one take.
 
     Every entry is computed with the same operations in the same order as
-    by the direct per-quantity route (pauli_tensor, reduced_deficits,
+    by the direct per-quantity route (pauli_tensor, partial_trace and
     purity_deficit, theta slices), so the values are bit-identical to it.
     Rows of unequal length are padded with exact zeros at the end of a
     left-to-right sum: adding +0.0 changes at most the sign of a zero partial
     sum, a purity is a sum of squares, and a zero deficit is clamped to 0.0.
     A state's values are also bit-identical to those it gets alone: every sum
     runs in a fixed order per state, with no BLAS product, whose rounding
-    depends on the stack size. Returns a SteeringReport of arrays. The states
-    are not validated. steering_report runs the same kernel on one state and
-    builds its report from Python floats, equal to row(i) of any batch.
+    depends on the stack size. Returns a SteeringReport of arrays, one entry
+    per state, keyed as the analyze JSON. The states are not validated.
+    steering_report runs the same kernel on one state and reports Python
+    floats, equal to row(i) of any batch.
     """
     rho = np.asarray(rho, dtype=complex)
     plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
-    norm, bound, h = _columns(rho, plan)
-    c = len(plan.cuts)
-    return _report(plan, norm.T, bound.T, h.T, _classes(h[:, c:c + 3], axis=1))
+    table, labels = _columns(rho, plan)
+    values = list(table.T)
+    values.insert(_LABEL_AT, labels)
+    return SteeringReport(zip(plan.keys, values))
 
 
 def steering_report(
@@ -417,7 +350,7 @@ def steering_report(
         if not diag.passed:
             raise ValueError(f"invalid density matrix: {diag.as_dict()}")
     plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
-    norm, bound, h = _columns(rho[None], plan)
-    c = len(plan.cuts)
-    label = str(_classes(h[0, c:c + 3], axis=0))
-    return _report(plan, norm[0].tolist(), bound[0].tolist(), h[0].tolist(), label)
+    table, labels = _columns(rho[None], plan)
+    values = table[0].tolist()
+    values.insert(_LABEL_AT, str(labels[0]))
+    return SteeringReport(zip(plan.keys, values))

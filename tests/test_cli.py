@@ -37,8 +37,9 @@ class TestParseAngle:
 
     def test_rejected(self):
         import argparse
-        with pytest.raises(argparse.ArgumentTypeError):
-            cli.parse_angle("three pies")
+        for text in ("three pies", "pi/0"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli.parse_angle(text)
 
 
 class TestAnalyze:
@@ -118,6 +119,17 @@ class TestAnalyze:
         code, _, _ = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
         assert code == 0
 
+    def test_loose_profile_non_hermitian_exit_2(self, tmp_path, capsys):
+        # an anti-Hermitian part of 1e-10 passes the loose validation, but
+        # adds up to 8e-10 in the imaginary part of a Pauli trace
+        rho = np.outer(ghz_state(np.pi / 4), ghz_state(np.pi / 4)) + 1e-10j * (np.ones((8, 8)) - np.eye(8))
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(state_to_payload(rho)))
+        code, out, err = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid state: non-Hermitian")
+
     def test_out_flag_rejected(self, ghz_file, tmp_path):
         # the report goes to stdout; an --out that wrote nothing would mislead
         out = tmp_path / "r.json"
@@ -187,6 +199,14 @@ class TestSweep:
         code, _, _ = run_cli(["sweep", "--family", "ghz", "--start", "0", "--stop", "1",
                               "--points", "1"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "1e400", "inf"])
+    def test_non_finite_theta_exit_1(self, bad, capsys):
+        code, out, err = run_cli(["sweep", "--family", "w", "--theta", bad, "--start", "0",
+                                  "--stop", "1", "--points", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
 
 
 class TestMonteCarlo:

@@ -11,5 +11,5 @@ def test_quick_start_runs():
     assert len(blocks) == 1
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
-    assert namespace["rep"].classification == "corollary2"
+    assert namespace["rep"]["classification"] == "corollary2"
     assert namespace["scan"].passed

@@ -15,7 +15,6 @@ from qsteer.states import (
     permute_qubits,
     purity,
     purity_deficit,
-    reduced_deficits,
     schmidt_state,
     state_from_payload,
     state_to_payload,
@@ -180,67 +179,6 @@ class TestValidate:
             rho = random_mixed_density(rng, dim=4)
             assert_allclose(purity_deficit(rho), 1 - purity(rho), atol=1e-12)
         assert purity_deficit(random_pure_density(rng, dim=4)) == 0.0
-
-
-# the subsystems steering_batch reads: the qubits, then each cut's steered pair
-KERNEL_SUBSYSTEMS = [(0,), (1,), (2,), (1, 2), (2, 0), (0, 1)]
-
-
-def _stack(maker, rng, n):
-    return np.stack([maker(rng) for _ in range(n)])
-
-
-def _helper_deficits(rho):
-    return np.stack([purity_deficit(partial_trace(rho, keep)) for keep in KERNEL_SUBSYSTEMS], axis=-1)
-
-
-class TestReducedDeficits:
-    """reduced_deficits equals the public helpers bit for bit."""
-
-    def _assert_bitwise(self, rho):
-        got = reduced_deficits(rho, KERNEL_SUBSYSTEMS)
-        assert got.shape == rho.shape[:-2] + (len(KERNEL_SUBSYSTEMS),)
-        assert got.tobytes() == _helper_deficits(rho).tobytes()
-        return got
-
-    def test_random_pure_and_mixed(self, rng):
-        self._assert_bitwise(_stack(random_pure_density, rng, 200))
-        self._assert_bitwise(_stack(random_mixed_density, rng, 200))
-
-    def test_product_states_hit_the_floor(self, rng):
-        def qubit():
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            return v / np.linalg.norm(v)
-
-        pure = np.stack([density_from_pure(np.kron(np.kron(qubit(), qubit()), qubit())) for _ in range(50)])
-        assert np.all(self._assert_bitwise(pure) == 0.0)
-        # a pure qubit A times a mixed BC: A's deficit floors, the others do not
-        mixed_bc = [np.kron(density_from_pure(qubit()), random_mixed_density(rng, dim=4)) for _ in range(50)]
-        got = self._assert_bitwise(np.stack(mixed_bc))
-        assert np.all(got[:, 0] == 0.0) and np.all(got[:, 1:] > 0.0)
-
-    def test_near_pure_mixtures(self, rng):
-        base = _stack(random_pure_density, rng, 20)
-        for eps in 10.0 ** np.arange(-16, -7.75, 0.5):
-            self._assert_bitwise((1 - eps) * base + eps * np.eye(8) / 8)
-
-    def test_bitwise_across_stack_sizes(self, rng):
-        rho = np.concatenate([_stack(random_pure_density, rng, 128), _stack(random_mixed_density, rng, 128)])
-        rho = rho[rng.permutation(256)]
-        whole = self._assert_bitwise(rho)
-        assert np.array_equal(self._assert_bitwise(rho[:7]), whole[:7])
-        for i in range(0, 256, 17):
-            assert np.array_equal(self._assert_bitwise(rho[i]), whole[i])
-            assert np.array_equal(reduced_deficits(rho[i:i + 1], KERNEL_SUBSYSTEMS)[0], whole[i])
-
-    def test_names_and_invalid_subsystems(self, rng):
-        rho = random_mixed_density(rng)
-        assert np.array_equal(reduced_deficits(rho, ["A", "CA", "BC"]),
-                              [purity_deficit(partial_trace(rho, k)) for k in ("A", "AC", "BC")])
-        with pytest.raises(ValueError, match="invalid subsystem"):
-            reduced_deficits(rho, [("A", "B", "C")])
-        with pytest.raises(ValueError, match="8x8"):
-            reduced_deficits(np.eye(4) / 4, [(0,)])
 
 
 # any finite double, subnormals included, small enough that |psi><psi| stays finite

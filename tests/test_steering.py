@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +22,7 @@ from qsteer.states import (
 )
 from qsteer.steering import (
     PAIR_SCALE,
+    SteeringReport,
     classify_pairs,
     correlation_one_to_two,
     correlation_pair,
@@ -82,46 +86,46 @@ class TestCorrelationMatrices:
         for maker in (random_pure_density, random_mixed_density):
             rho = maker(rng)
             m = correlation_one_to_two(pauli_tensor(rho))
-            assert_allclose(m.entries, oracle_one_to_two_entries(rho), atol=1e-12)
+            assert_allclose(m, oracle_one_to_two_entries(rho), atol=1e-12)
 
     def test_zero_borders(self, rng):
         for _ in range(10):
             rho = random_mixed_density(rng)
-            m = correlation_one_to_two(pauli_tensor(rho)).entries
+            m = correlation_one_to_two(pauli_tensor(rho))
             assert np.max(np.abs(m[0, :])) < 1e-12
             assert np.max(np.abs(m[:, 0])) < 1e-12
-            mp = correlation_two_to_one(pauli_tensor(rho)).entries
+            mp = correlation_two_to_one(pauli_tensor(rho))
             assert np.max(np.abs(mp[0, :])) < 1e-12
             assert np.max(np.abs(mp[:, 0])) < 1e-12
-            c = correlation_pair(partial_trace(rho, ("A", "B"))).entries
+            c = correlation_pair(partial_trace(rho, ("A", "B")))
             assert np.max(np.abs(c[0, :])) < 1e-12
             assert np.max(np.abs(c[:, 0])) < 1e-12
 
     def test_product_state_vanishes(self):
         theta = pauli_tensor(density_from_pure(np.eye(8)[0]))
-        assert np.max(np.abs(correlation_one_to_two(theta).entries)) < 1e-14
-        assert np.max(np.abs(correlation_two_to_one(theta).entries)) < 1e-14
+        assert np.max(np.abs(correlation_one_to_two(theta))) < 1e-14
+        assert np.max(np.abs(correlation_two_to_one(theta))) < 1e-14
 
     def test_maximally_mixed_vanishes(self):
         theta = pauli_tensor(np.eye(8, dtype=complex) / 8)
-        assert np.max(np.abs(correlation_one_to_two(theta).entries)) < 1e-14
+        assert np.max(np.abs(correlation_one_to_two(theta))) < 1e-14
 
     def test_ghz_rows_and_norm(self):
         theta = pauli_tensor(density_from_pure(ghz_state(np.pi / 4)))
         m = correlation_one_to_two(theta)
-        assert np.max(np.abs(m.entries[0])) < 1e-14
+        assert np.max(np.abs(m[0])) < 1e-14
         assert trace_norm(m) == pytest.approx(1.5, abs=1e-12)
 
     def test_two_to_one_is_transpose(self, rng):
         rho = random_mixed_density(rng)
         theta = pauli_tensor(rho)
-        assert np.array_equal(correlation_two_to_one(theta).entries,
-                              correlation_one_to_two(theta).entries.T)
+        assert np.array_equal(correlation_two_to_one(theta),
+                              correlation_one_to_two(theta).T)
         stack = pauli_tensor(np.stack([random_mixed_density(rng) for _ in range(7)]))
-        m = correlation_two_to_one(stack).entries
+        m = correlation_two_to_one(stack)
         assert m.shape == (7, 16, 4)
         for i in range(7):
-            assert np.array_equal(m[i], correlation_one_to_two(stack[i]).entries.T)
+            assert np.array_equal(m[i], correlation_one_to_two(stack[i]).T)
 
     def test_two_to_one_via_permutation_pipeline(self, rng):
         # same matrix out of the relabeled-state tensor and the direct formula
@@ -133,16 +137,16 @@ class TestCorrelationMatrices:
             j, k = divmod(n, 4)
             for m in range(4):
                 direct[n, m] = scale * (tp[j, k, m] - tp[j, k, 0] * tp[0, 0, m])
-        assert_allclose(correlation_two_to_one(pauli_tensor(rho)).entries, direct, atol=1e-12)
+        assert_allclose(correlation_two_to_one(pauli_tensor(rho)), direct, atol=1e-12)
 
     def test_pair_matches_definition(self, rng):
         rho2 = partial_trace(random_mixed_density(rng), ("A", "C"))
         c = correlation_pair(rho2)
-        assert_allclose(c.entries, oracle_pair_entries(rho2), atol=1e-12)
+        assert_allclose(c, oracle_pair_entries(rho2), atol=1e-12)
 
     def test_pair_examples(self):
         prod = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2).astype(complex)
-        assert np.max(np.abs(correlation_pair(prod).entries)) < 1e-14
+        assert np.max(np.abs(correlation_pair(prod))) < 1e-14
         bell = np.zeros(4, dtype=complex)
         bell[1] = bell[2] = R2
         c = correlation_pair(np.outer(bell, bell.conj()))
@@ -233,35 +237,35 @@ class TestWPairNorms:
 class TestReport:
     def test_ghz_report(self):
         rep = steering_report(density_from_pure(ghz_state(np.pi / 4)))
-        assert rep.s_a_bc == pytest.approx(GHZ_H, abs=1e-9)
-        for key in ("AB", "AC", "BC"):
-            assert rep.pair_h[key] == pytest.approx(GHZ_PAIR_H, abs=1e-12)
-        assert rep.classification == "corollary2"
-        assert rep.margin == pytest.approx(np.sqrt(3), abs=1e-9)
-        assert rep.margin > 0
+        assert rep["s_a_bc"] == pytest.approx(GHZ_H, abs=1e-9)
+        for key in ("h_ab", "h_ac", "h_bc"):
+            assert rep[key] == pytest.approx(GHZ_PAIR_H, abs=1e-12)
+        assert rep["classification"] == "corollary2"
+        assert rep["margin"] == pytest.approx(np.sqrt(3), abs=1e-9)
+        assert rep["margin"] > 0
 
     def test_product_report(self):
         rep = steering_report(density_from_pure(np.eye(8)[0]))
-        assert rep.h_a_bc == pytest.approx(0.0, abs=1e-12)
-        assert rep.s_tot == 0.0
-        assert rep.margin == pytest.approx(0.0, abs=1e-12)
+        assert rep["h_a_bc"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["s_tot"] == 0.0
+        assert rep["margin"] == pytest.approx(0.0, abs=1e-12)
 
     def test_schmidt_bell_report(self):
         rep = steering_report(density_from_pure(schmidt_state((0, 0, R2, R2))))
-        assert rep.s_a_bc == pytest.approx(0.0, abs=1e-12)
-        assert rep.pair_h["AB"] == pytest.approx(-R2, abs=1e-10)
-        assert rep.pair_h["AC"] == pytest.approx(-R2, abs=1e-10)
-        assert rep.pair_h["BC"] == pytest.approx(GHZ_H, abs=1e-10)
-        assert rep.margin == pytest.approx(0.780239, abs=1e-5)
-        assert rep.classification == "mixed"
+        assert rep["s_a_bc"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["h_ab"] == pytest.approx(-R2, abs=1e-10)
+        assert rep["h_ac"] == pytest.approx(-R2, abs=1e-10)
+        assert rep["h_bc"] == pytest.approx(GHZ_H, abs=1e-10)
+        assert rep["margin"] == pytest.approx(0.780239, abs=1e-5)
+        assert rep["classification"] == "mixed"
 
     def test_w_half_pi_report(self):
         rep = steering_report(density_from_pure(w_state(np.pi / 3, np.pi / 2)))
-        assert rep.h_a_bc == pytest.approx(W_HALFPI_H, abs=1e-10)
-        assert rep.pair_h["AB"] == pytest.approx(W_HALFPI_H, abs=1e-10)
-        assert rep.pair_h["AC"] == pytest.approx(0.0, abs=1e-12)
-        assert rep.pair_h["BC"] == pytest.approx(0.0, abs=1e-12)
-        assert rep.classification == "corollary1"
+        assert rep["h_a_bc"] == pytest.approx(W_HALFPI_H, abs=1e-10)
+        assert rep["h_ab"] == pytest.approx(W_HALFPI_H, abs=1e-10)
+        assert rep["h_ac"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["h_bc"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["classification"] == "corollary1"
 
     def test_classification_rule(self):
         assert classify_pairs(0.0, 0.1, 0.2) == "corollary1"
@@ -284,7 +288,7 @@ class TestReport:
         rho = random_mixed_density(rng)
         rep = steering_report(rho, include_all_cuts=True)
         direct = h_one_to_two(permute_qubits(rho, ("B", "C", "A")))
-        assert rep.cuts["B->CA"].h == pytest.approx(direct, abs=1e-12)
+        assert rep["h_b_to_ca"] == pytest.approx(direct, abs=1e-12)
 
     def test_invalid_state_rejected(self, rng):
         rho = random_mixed_density(rng)
@@ -302,26 +306,26 @@ class TestInvariance:
             rotated = u @ rho @ u.conj().T
             a = steering_report(rho, include_two_to_one=True, validate=False)
             b = steering_report(rotated, include_two_to_one=True, validate=False)
-            assert b.h_a_bc == pytest.approx(a.h_a_bc, abs=1e-9)
-            assert b.cuts["BC->A"].h == pytest.approx(a.cuts["BC->A"].h, abs=1e-9)
-            for key in ("AB", "AC", "BC"):
-                assert b.pair_h[key] == pytest.approx(a.pair_h[key], abs=1e-9)
+            assert b["h_a_bc"] == pytest.approx(a["h_a_bc"], abs=1e-9)
+            assert b["h_bc_to_a"] == pytest.approx(a["h_bc_to_a"], abs=1e-9)
+            for key in ("h_ab", "h_ac", "h_bc"):
+                assert b[key] == pytest.approx(a[key], abs=1e-9)
 
     def test_pure_state_monogamy_sample(self, rng):
         for _ in range(300):
             rep = steering_report(random_pure_density(rng), validate=False)
-            assert rep.margin >= -1e-9
+            assert rep["margin"] >= -1e-9
 
     def test_corollary_consistency(self, rng):
         seen = {"corollary1": 0, "corollary2": 0}
         for _ in range(600):
             rep = steering_report(random_pure_density(rng), validate=False)
-            if rep.classification == "corollary1":
-                assert rep.s_a_bc >= rep.s_tot - 1e-9
+            if rep["classification"] == "corollary1":
+                assert rep["s_a_bc"] >= rep["s_tot"] - 1e-9
                 seen["corollary1"] += 1
-            elif rep.classification == "corollary2":
-                assert rep.s_tot == 0.0
-                assert rep.s_a_bc >= 0.0
+            elif rep["classification"] == "corollary2":
+                assert rep["s_tot"] == 0.0
+                assert rep["s_a_bc"] >= 0.0
                 seen["corollary2"] += 1
         assert seen["corollary2"] > 0  # the ensemble hits this class often
 
@@ -468,11 +472,11 @@ class TestBatchKernel:
     def test_qubit_permutation_covariance(self, drawn):
         rho, _ = drawn
         rep = steering_report(rho, validate=False, **ALL)
-        for perm, one_two, two_one in ((("B", "C", "A"), "B->CA", "CA->B"),
-                                       (("C", "A", "B"), "C->AB", "AB->C")):
+        for perm, one_two, two_one in ((("B", "C", "A"), "h_b_to_ca", "h_ca_to_b"),
+                                       (("C", "A", "B"), "h_c_to_ab", "h_ab_to_c")):
             moved = steering_report(permute_qubits(rho, perm), validate=False, include_two_to_one=True)
-            assert abs(rep.cuts[one_two].h - moved.cuts["A->BC"].h) <= 1e-12
-            assert abs(rep.cuts[two_one].h - moved.cuts["BC->A"].h) <= 1e-12
+            assert abs(rep[one_two] - moved["h_a_bc"]) <= 1e-12
+            assert abs(rep[two_one] - moved["h_bc_to_a"]) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(states(), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
@@ -495,17 +499,17 @@ class TestBatchKernel:
         # about that much, so no label flips while every pair H is 1e-6 from 0
         rhos = np.stack([rho for rho, _ in drawn])
         before = steering_batch(rhos)
-        clear = np.all([np.abs(before.pair_h[k]) > 1e-6 for k in ("AB", "AC", "BC")], axis=0)
+        clear = np.all([np.abs(before[k]) > 1e-6 for k in ("h_ab", "h_ac", "h_bc")], axis=0)
         assume(clear.any())
-        rhos, labels = rhos[clear], before.classification[clear].tolist()
+        rhos, labels = rhos[clear], before["classification"][clear].tolist()
         g = np.random.default_rng(seed).standard_normal((2, len(rhos), 8, 8))
         e = g[0] + 1j * g[1]
         e = e + e.conj().transpose(0, 2, 1)
         e -= np.trace(e, axis1=1, axis2=2).real[:, None, None] * np.eye(8) / 8
         e *= 1e-15 / np.linalg.norm(e, axis=(1, 2), keepdims=True)
-        assert steering_batch(rhos + e).classification.tolist() == labels
+        assert steering_batch(rhos + e)["classification"].tolist() == labels
         for rho, label in zip(rhos + e, labels):
-            assert steering_report(rho, validate=False).classification == label
+            assert steering_report(rho, validate=False)["classification"] == label
 
     @settings(max_examples=40, deadline=None)
     @given(states(pure=True))
@@ -568,9 +572,46 @@ class TestBatchKernel:
     def test_batch_values_are_arrays(self, rng):
         rhos = np.stack([random_mixed_density(rng) for _ in range(3)])
         batch = steering_batch(rhos, include_all_cuts=True)
-        assert list(batch.cuts) == ["A->BC", "B->CA", "C->AB"]
-        assert batch.cuts["A->BC"].h.shape == (3,)
-        assert batch.classification.shape == (3,)
-        assert isinstance(batch.row(2).classification, str)
+        for key, value in batch.items():
+            assert isinstance(value, np.ndarray) and value.shape == (3,), key
+        row = batch.row(2)
+        assert type(row) is SteeringReport and list(row) == list(batch)
+        assert type(row.pop("classification")) is str
+        assert {type(v) for v in row.values()} == {float}
         with pytest.raises(ValueError, match="stack"):
             steering_batch(rhos[0])
+
+
+# the keys of every report, in the order of the qsteer analyze JSON
+REPORT_HEAD = ["h_a_bc", "s_a_bc", "norm_a_bc", "bound_a_bc", "h_ab", "h_ac", "h_bc",
+               "s_ab", "s_ac", "s_bc", "h_tot", "s_tot", "margin", "classification"]
+# the further cut directions in report order: (key suffix, needs all cuts, needs 2->1)
+FURTHER_CUTS = [("bc_to_a", False, True), ("b_to_ca", True, False), ("c_to_ab", True, False),
+                ("ca_to_b", True, True), ("ab_to_c", True, True)]
+FLAG_SETS = list(itertools.product([False, True], repeat=3))
+
+
+def expected_keys(all_cuts, two_to_one, reverse_pairs):
+    cuts = [name for name, needs_all, needs_21 in FURTHER_CUTS
+            if (all_cuts or not needs_all) and (two_to_one or not needs_21)]
+    keys = REPORT_HEAD + [f"{q}_{name}" for name in cuts for q in ("h", "s", "norm", "bound")]
+    return keys + ["h_ba", "h_ca", "h_cb"] * reverse_pairs
+
+
+class TestFlatReport:
+    @pytest.mark.parametrize("flags", FLAG_SETS)
+    def test_keys_in_analyze_order(self, flags, rng):
+        kw = dict(zip(("include_all_cuts", "include_two_to_one", "include_reverse_pairs"), flags))
+        rhos = np.stack([random_pure_density(rng), random_mixed_density(rng)])
+        rep = steering_report(rhos[1], validate=False, **kw)
+        batch = steering_batch(rhos, **kw)
+        assert list(rep) == expected_keys(*flags)
+        assert list(batch) == expected_keys(*flags)
+        assert list(batch.row(0)) == expected_keys(*flags)
+        # the report is the analyze JSON's dict: floats and a str label
+        assert isinstance(rep, dict)
+        d = rep.to_dict()
+        assert type(d) is dict and d == rep
+        assert json.dumps(rep) == json.dumps(d)
+        assert type(rep["classification"]) is str
+        assert {type(v) for k, v in rep.items() if k != "classification"} == {float}
