@@ -11,9 +11,9 @@ claim f >= 0 everywhere on that domain. This module provides:
 * f_pipeline      - evaluation through the generic steering stack (the
                     source of truth); f_components takes point stacks,
 * schmidt_f_batch - an independent, SVD-free vectorized route for bulk
-                    sampling/optimization: each pair trace norm is the exact
-                    |c_yy| + sqrt(||B2||_F^2 + 2|det B2|) of the real family,
-                    within ~1e-15 of an SVD (tests: 1e-13, and f_pipeline),
+                    sampling/optimization: the smooth form of f on the octant
+                    that the search's gradient differentiates, within ~1e-15
+                    of an SVD route (tests: 1e-13, and f_pipeline),
 * fgwv / sign_region - the auxiliary quantities whose four absolute values
                     split the printed expression's domain into 16 sign regions,
 * closed_form_f   - a literal transcription of the published single-expression
@@ -99,55 +99,51 @@ def f_components(p) -> dict:
     return comps if psi.ndim == 2 else {k: float(v[0]) for k, v in comps.items()}
 
 
-def _block_norm(cxx, cxz, czx, czz, cyy):
-    """Trace norm of [[cxx, 0, cxz], [0, cyy, 0], [czx, 0, czz]]: |cyy| plus the
-    singular-value sum sqrt(||B2||_F^2 + 2|det B2|) of the x/z block B2."""
-    det = cxx * czz - cxz * czx
-    return np.abs(cyy) + np.sqrt(cxx * cxx + cxz * cxz + czx * czx + czz * czz + 2.0 * np.abs(det))
+def _roots(x, z, h):
+    """A, B, C = |(z, h)|, |(x, z)|, |(x, h)| and S_a, S_b = sqrt(1 + q_a), sqrt(1 + q_b),
+    where q_a = 2x^2 A^2 and q_b = 2h^2 B^2 are the purity deficits of qubits A and B."""
+    a, b, c = np.sqrt(z * z + h * h), np.sqrt(x * x + z * z), np.sqrt(x * x + h * h)
+    return a, b, c, np.sqrt(1.0 + 2.0 * x * x * a * a), np.sqrt(1.0 + 2.0 * h * h * b * b)
 
 
-def _pair_norms(x, y, z, h):
-    """Exact AB, AC, BC spatial covariance trace norms from coordinate arrays.
+def _pair_terms(u, v, y):
+    """uv, a = 1 - 2y^2 + 2uv, b = 2y (u + v) and R = |(a, b)| of the pair norm uv (1 + R)."""
+    uv = u * v
+    a, b = 1.0 - 2.0 * y * y + 2.0 * uv, 2.0 * y * (u + v)
+    return uv, a, b, np.sqrt(a * a + b * b)
 
-    Entries 0.5 * (theta_ij - theta_i0 theta_0j) in (xx, xz, zx, zz, yy) order,
-    reduced with x^2 + y^2 + z^2 + h^2 = 1; xy, yx, yz, zy vanish (real states).
-    """
-    s = 1.0 - 2.0 * y * y
-    xh, xz, zh = x * h, x * z, z * h
-    n_ab = _block_norm(xh * s, 2.0 * y * xh * h, -2.0 * y * xh * x, 2.0 * xh * xh, -xh)
-    n_ac = _block_norm(xz * s, 2.0 * y * xz * z, -2.0 * y * xz * x, 2.0 * xz * xz, -xz)
-    n_bc = _block_norm(zh * s, 2.0 * y * zh * z, 2.0 * y * zh * h, -2.0 * zh * zh, zh)
-    return n_ab, n_ac, n_bc
+
+def _pair_norm(u, v, y):
+    """Trace norm uv (1 + R) of the covariance block of the pair with coordinates u, v."""
+    uv, _, _, r = _pair_terms(u, v, y)
+    return uv * (1.0 + r)
 
 
 def schmidt_f_batch(params: np.ndarray) -> dict:
     """Vectorized monogamy gap over an (n, 4) array of unit-sphere points.
 
-    Independent of the 8x8 pipeline and free of SVDs. Purity deficits use
-    cancellation-free product forms, the cut trace norm the closed pure-state
-    form sqrt(2q) + q with q = 1 - tr(rho_a^2), and each pair trace norm the
-    exact form |c_yy| + sqrt(||B2||_F^2 + 2|det B2|) of _pair_norms, whose
-    covariance entries are monomials in (x, y, z, h), c_xx times 1 - 2y^2.
+    Independent of the 8x8 pipeline and free of SVDs, it evaluates at |params|
+    (f is even in each coordinate: a local Z or a global phase) the smooth
+    octant form that _grad_f differentiates, from _roots and _pair_norm:
 
-    Error budget: each entry is exact to a few ulp (c_xx to one ulp absolute
-    from 1 - 2y^2), and det B2 loses at most a factor ~3 to cancellation, so
-    each pair norm is within ~1e-15 of a batched SVD of the full 3x3 block.
-    The tests gate it at 1e-13 over 2^16 Sobol points, the faces and edges,
-    the c_xx = 0 set, the sign-region boundaries, and signed coordinates.
+      H_A->BC = 2xA + 2x^2 A^2 - sqrt(2) xA S_a,  H_AB = n_xh - sqrt(2) hB S_a,
+      H_AC = n_xz - sqrt(2) zC S_a,  H_BC = n_zh - sqrt(2) zC S_b.
+
+    Error budget: each term is exact to a few ulp (a = 1 - 2y^2 + 2uv to one
+    ulp absolute), so each pair norm n_uv is within ~1e-15 of a batched SVD of
+    its 3x3 covariance block. The tests gate it at 1e-13 over 2^16 Sobol
+    points, the faces and edges, the c_xx = 0 set, the sign-region boundaries,
+    and signed coordinates.
     """
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    x, y, z, h = params.T
-    x2, z2, h2 = x * x, z * z, h * h
+    # contiguous coordinate rows: strided ones make it ~1/3 slower at 2^16 points
+    x, y, z, h = np.abs(np.atleast_2d(np.asarray(params, dtype=float)).T, order="C")
+    a, b, c, s_a, s_b = _roots(x, z, h)
+    xa, hb, zc = x * a, h * b, z * c
 
-    q_a = 2.0 * x2 * (z2 + h2)  # 1 - tr(rho_a^2)
-    q_b = 2.0 * h2 * (x2 + z2)  # 1 - tr(rho_b^2)
-    q_c = 2.0 * z2 * (x2 + h2)  # 1 - tr(rho_c^2)
-
-    h_abc = np.sqrt(2.0 * q_a) + q_a - np.sqrt(q_a * (1.0 + q_a))
-    n_ab, n_ac, n_bc = _pair_norms(x, y, z, h)
-    h_ab = n_ab - np.sqrt((1.0 + q_a) * q_b)
-    h_ac = n_ac - np.sqrt((1.0 + q_a) * q_c)
-    h_bc = n_bc - np.sqrt((1.0 + q_b) * q_c)
+    h_abc = 2.0 * xa + 2.0 * xa * xa - _SQRT2 * xa * s_a
+    h_ab = _pair_norm(x, h, y) - _SQRT2 * hb * s_a
+    h_ac = _pair_norm(x, z, y) - _SQRT2 * zc * s_a
+    h_bc = _pair_norm(z, h, y) - _SQRT2 * zc * s_b
 
     return {
         "f": h_abc - (h_ab + h_ac + h_bc),
@@ -229,8 +225,8 @@ def closed_form_f(p) -> float:
     """Literal transcription of the published one-line expression for f.
 
     Term by term against schmidt_f_batch, H_A->BC and all four purity bounds
-    are exact; only the pair trace norms differ. On the octant det B2 has a
-    fixed sign, so each exact pair norm is smooth:
+    are exact; only the pair trace norms differ. The exact ones are those of
+    schmidt_f_batch:
 
       n_AB = xh (1 + sqrt((1 - 2y^2 + 2xh)^2 + 4y^2 (x + h)^2)),  n_AC: h -> z,
       n_BC = zh (1 + sqrt((1 - 2y^2 + 2zh)^2 + 4y^2 (z + h)^2)).
@@ -353,14 +349,13 @@ class MinimizeResult:
         return {"count": int(g.size), **dict(zip(("min", "median", "max"), stats))}
 
     def best_matching(self, target, radius: float) -> CriticalPoint | None:
-        """Closest returned point within `radius` of the target coordinates."""
-        target = np.asarray(target, dtype=float)
-        best, best_d = None, radius
-        for pt in self.points:
-            d = float(np.linalg.norm(pt.params.as_array() - target))
-            if d <= best_d:
-                best, best_d = pt, d
-        return best
+        """Closest returned point within `radius` of the target coordinates;
+        of points at the same distance, the last."""
+        coords = np.fromiter(itertools.chain.from_iterable(pt.params for pt in self.points), float)
+        diff = coords.reshape(-1, 1, 4) - np.asarray(target, dtype=float)
+        d = np.sqrt(diff @ diff.transpose(0, 2, 1))[:, 0, 0]  # sqrt(v @ v), as np.linalg.norm(v) takes it
+        hits = np.flatnonzero(d <= min(radius, d.min(initial=np.inf)))
+        return self.points[hits[-1]] if hits.size else None
 
 
 def _over(u, r):
@@ -372,9 +367,7 @@ def _over(u, r):
 def _pair_slopes(u, v, y):
     """d/du, d/dy, d/dv of the pair norm uv (1 + R), R = sqrt((1 - 2y^2 + 2uv)^2
     + 4y^2 (u + v)^2); R = 0 only at u = v = 0, where uv zeroes every R-slope."""
-    uv = u * v
-    a, b = 1.0 - 2.0 * y * y + 2.0 * uv, 2.0 * y * (u + v)
-    r = np.sqrt(a * a + b * b)
+    uv, a, b, r = _pair_terms(u, v, y)
     ar, br = _over(a, r), _over(b, r)
     c, e = 1.0 + r + 2.0 * uv * ar, 2.0 * y * uv * br
     return c * v + e, uv * (2.0 * (u + v) * br - 4.0 * y * ar), c * u + e
@@ -383,21 +376,18 @@ def _pair_slopes(u, v, y):
 def _grad_f(p: np.ndarray) -> np.ndarray:
     """Exact gradient of f over an (n, 4) stack of octant points.
 
-    It differentiates the smooth form of schmidt_f_batch on the octant, with the
-    pair norms n_uv of closed_form_f and A, B, C = |(z, h)|, |(x, z)|, |(x, h)|
-    pulled out of the purity roots (sqrt(2 q_a) = 2xA, sqrt(q_b) = sqrt(2) hB):
+    It differentiates the form that schmidt_f_batch evaluates, from the same
+    _roots and _pair_terms, written as
 
-      f = 2xA + q_a - n_xh - n_xz - n_zh + sqrt(2) S_a (hB + zC - xA) + sqrt(2) zC S_b,
+      f = 2xA + q_a - n_xh - n_xz - n_zh + sqrt(2) S_a (hB + zC - xA) + sqrt(2) zC S_b.
 
-    S = sqrt(1 + q). On an edge where A, B or C is 0 each partial is the
-    one-sided derivative into the octant. Only + * / sqrt and exact-zero tests
-    occur, so a complex step through it is exact (_newton's Hessian).
+    On an edge where A, B or C is 0 each partial is the one-sided derivative
+    into the octant. Only + * / sqrt and exact-zero tests occur, so a complex
+    step through it is exact (_newton's Hessian).
     """
     x, y, z, h = p.T
-    a, b, c = np.sqrt(z * z + h * h), np.sqrt(x * x + z * z), np.sqrt(x * x + h * h)
+    a, b, c, s_a, s_b = _roots(x, z, h)
     z_a, h_a, x_b, z_b, x_c, h_c = _over(z, a), _over(h, a), _over(x, b), _over(z, b), _over(x, c), _over(h, c)
-    s_a = np.sqrt(1.0 + 2.0 * x * x * a * a)
-    s_b = np.sqrt(1.0 + 2.0 * h * h * b * b)
     k_a = 1.0 + (h * b + z * c - x * a) / (_SQRT2 * s_a)  # slope of f in q_a
     k_b = z * c / (_SQRT2 * s_b)  # slope of f in q_b
     ab_x, ab_y, ab_h = _pair_slopes(x, h, y)

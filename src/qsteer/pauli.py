@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import HERM_TOL
+
 __all__ = [
     "PAULI",
     "pauli_tensor",
@@ -40,7 +42,9 @@ PAULI3 = np.stack(
      for i in range(4) for j in range(4) for k in range(4)]
 )
 
-_IMAG_TOL = 1e-12
+# the 8 columns of a Pauli string pair up by Hermitian conjugation, so
+# |Im tr(rho P)| <= 4 max|rho - rho^+|; the factor 2 on top is rounding headroom
+_IMAG_TOL = 8 * HERM_TOL
 
 
 def _signed(rho: np.ndarray) -> np.ndarray:
@@ -103,7 +107,7 @@ def _traces(rho: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Pauli coefficients followed by a zero, and the entry sums.
 
     Raises ValueError where a trace has an imaginary part above _IMAG_TOL,
-    which a Hermitian rho does not have.
+    which neither a Hermitian rho nor one within HERM_TOL of it has.
     """
     # a gather and a sum, not a BLAS product, whose blocking (and so rounding)
     # would depend on how many states are stacked; the term axis is outermost

@@ -119,16 +119,39 @@ class TestAnalyze:
         code, _, _ = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
         assert code == 0
 
-    def test_loose_profile_non_hermitian_exit_2(self, tmp_path, capsys):
-        # an anti-Hermitian part of 1e-10 passes the loose validation, but
-        # adds up to 8e-10 in the imaginary part of a Pauli trace
-        rho = np.outer(ghz_state(np.pi / 4), ghz_state(np.pi / 4)) + 1e-10j * (np.ones((8, 8)) - np.eye(8))
+    @staticmethod
+    def _skew_file(tmp_path, eps):
+        """GHZ(pi/4) plus an anti-Hermitian part eps * i on every off-diagonal entry,
+        a Hermiticity residual of 2 eps."""
+        psi = ghz_state(np.pi / 4)
+        rho = np.outer(psi, psi) + eps * 1j * (np.ones((8, 8)) - np.eye(8))
         path = tmp_path / "skew.json"
         path.write_text(json.dumps(state_to_payload(rho)))
+        return state_from_payload(json.loads(path.read_text())), path
+
+    def test_loose_profile_reports_hermitian_part(self, tmp_path, capsys):
+        # an anti-Hermitian part of 1e-10 passes the loose validation but would
+        # add up to 4e-10 in the imaginary part of a Pauli trace; the report is
+        # that of the state's Hermitian part
+        rho, path = self._skew_file(tmp_path, 1e-10)
         code, out, err = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: invalid state: non-Hermitian")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(steering_report((rho + rho.conj().T) / 2).to_dict(), indent=2) + "\n"
+
+    def test_loose_profile_rejects_larger_skew(self, tmp_path, capsys):
+        _, path = self._skew_file(tmp_path, 1e-8)
+        code, out, err = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid state: {")
+
+    def test_default_profile_skew_at_herm_tol(self, tmp_path, capsys):
+        # a residual of exactly HERM_TOL passes validation, and the Pauli traces'
+        # imaginary parts (4e-12) stay within the kernel's limit, unprojected
+        rho, path = self._skew_file(tmp_path, 5e-13)
+        assert validate_state(rho).hermiticity_residual == 1e-12
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(steering_report(rho).to_dict(), indent=2) + "\n"
 
     def test_out_flag_rejected(self, ghz_file, tmp_path):
         # the report goes to stdout; an --out that wrote nothing would mislead

@@ -30,7 +30,7 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norms, _region_codes, _residual,
+    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norm, _region_codes, _residual,
     _search, _sobol_sphere,
 )
 from qsteer.randgen import RandomStateSpec
@@ -112,6 +112,35 @@ def _svd_pair_norms(pts):
     return norms
 
 
+def _pair_norms(x, y, z, h):
+    """The kernel's AB, AC, BC pair trace norms."""
+    return [_pair_norm(x, h, y), _pair_norm(x, z, y), _pair_norm(z, h, y)]
+
+
+def _deficit(m):
+    """1 - tr(rho^2) of the qubit on axis 1 of (n, 2, 4) state vectors, as the
+    sum of squared 2x2 minors (Cauchy-Binet: 2 det rho), free of cancellation."""
+    minors = m[:, 0, :, None] * m[:, 1, None, :] - m[:, 0, None, :] * m[:, 1, :, None]
+    return np.sum(minors * minors, axis=(1, 2))
+
+
+def _state_vector_route(pts):
+    """The five outputs of schmidt_f_batch from the state vector of each point,
+    for coordinates of either sign: SVD pair norms and minor-sum deficits in
+    the pure-state cut norm sqrt(2 q) + q and the bounds sqrt((1 + q_steer) q_steered)."""
+    psi = np.zeros((len(pts), 2, 2, 2))
+    psi[:, 0, 0, 0], psi[:, 1, 0, 0], psi[:, 1, 0, 1], psi[:, 1, 1, 0] = pts.T
+    q_a, q_b, q_c = (_deficit(np.moveaxis(psi, k, 1).reshape(-1, 2, 4)) for k in (1, 2, 3))
+    n_ab, n_ac, n_bc = _svd_pair_norms(pts)
+    out = {
+        "h_a_bc": np.sqrt(2 * q_a) + q_a - np.sqrt(q_a * (1 + q_a)),
+        "h_ab": n_ab - np.sqrt((1 + q_a) * q_b),
+        "h_ac": n_ac - np.sqrt((1 + q_a) * q_c),
+        "h_bc": n_bc - np.sqrt((1 + q_b) * q_c),
+    }
+    return {"f": out["h_a_bc"] - (out["h_ab"] + out["h_ac"] + out["h_bc"]), **out}
+
+
 def _unit(pts):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
@@ -165,11 +194,20 @@ class TestPairKernel:
 
     def test_matches_svd(self, rng):
         # on the octant det B2 and c_yy vanish only on the faces; signed
-        # coordinates take both through a sign change
+        # coordinates take both through a sign change, and their octant image
+        # (the fold of schmidt_f_batch) has the same pair norms
         pts = np.concatenate([_sobol_sphere(2**16, 4, 3), _fragile_points(rng),
                               _unit(rng.standard_normal((4096, 4)))])
-        for got, ref in zip(_pair_norms(*pts.T), _svd_pair_norms(pts)):
+        for got, ref in zip(_pair_norms(*np.abs(pts).T), _svd_pair_norms(pts)):
             assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("points", ["fragile", "signed"])
+    def test_batch_matches_state_vector_route(self, rng, points):
+        # every output, including signed points, which the kernel folds onto the octant
+        pts = _fragile_points(rng) if points == "fragile" else _unit(rng.standard_normal((4096, 4)))
+        got, ref = schmidt_f_batch(pts), _state_vector_route(pts)
+        for key in ("f", "h_a_bc", "h_ab", "h_ac", "h_bc"):
+            assert np.max(np.abs(got[key] - ref[key])) <= 1e-13, key
 
 
 class TestAuxiliaries:
@@ -224,13 +262,19 @@ class TestPrintedForm:
         return _sobol_sphere(2**16, 4, 0).T
 
     def test_pair_norms_are_smooth(self, coords):
-        # det B2 has a fixed sign on the octant, so the |det| of _block_norm resolves
+        # det B2 has a fixed sign on the octant, so the singular-value sum
+        # |c_yy| + sqrt(||B2||_F^2 + 2|det B2|) of each covariance block is smooth
         x, y, z, h = coords
 
-        def smooth(a, b):
-            return a * b * (1 + np.sqrt((1 - 2 * y**2 + 2 * a * b) ** 2 + 4 * y**2 * (a + b) ** 2))
+        def block_norm(cxx, cxz, czx, czz, cyy):
+            det = cxx * czz - cxz * czx
+            return np.abs(cyy) + np.sqrt(cxx**2 + cxz**2 + czx**2 + czz**2 + 2 * np.abs(det))
 
-        for got, ref in zip(_pair_norms(x, y, z, h), (smooth(x, h), smooth(x, z), smooth(z, h))):
+        s, xh, xz, zh = 1 - 2 * y**2, x * h, x * z, z * h
+        blocks = (block_norm(xh * s, 2 * y * xh * h, -2 * y * xh * x, 2 * xh * xh, -xh),
+                  block_norm(xz * s, 2 * y * xz * z, -2 * y * xz * x, 2 * xz * xz, -xz),
+                  block_norm(zh * s, 2 * y * zh * z, 2 * y * zh * h, -2 * zh * zh, zh))
+        for got, ref in zip(_pair_norms(x, y, z, h), blocks):
             assert np.max(np.abs(got - ref)) <= 1e-13
 
     def test_printed_bc_radicand_lacks_a_term(self, coords):
@@ -411,6 +455,33 @@ class TestMinimize:
             assert pt.params.constraint_residual() < 1e-10
             assert pt.f_value >= -1e-9
         assert search.dropped + search.converged <= search.starts
+
+    def test_best_matching_matches_point_loop(self, search):
+        # the closest point within the radius, the last one among equal distances
+        def loop(target, radius):
+            best, best_d = None, radius
+            for pt in search.points:
+                d = float(np.linalg.norm(pt.params.as_array() - np.asarray(target, dtype=float)))
+                if d <= best_d:
+                    best, best_d = pt, d
+            return best
+
+        targets = [INTERIOR, BELL, CORNER, *(pt.params for pt in search.points[::7])]
+        for target in targets:
+            for radius in (1e-3, 0.3):
+                assert search.best_matching(target, radius) is loop(target, radius)
+
+    def test_best_matching_ties(self):
+        def crit(coords):
+            return monogamy.CriticalPoint(SchmidtParams(*coords), 0.0, "interior", "++++", 0.0, "descent")
+
+        pts = [crit(BELL), crit((1.0, 0.0, 0.0, 0.0)), crit(BELL), crit((0.0, 0.0, 1.0, 0.0)), crit(INTERIOR)]
+        result = monogamy.MinimizeResult(pts, starts=0, converged=0, dropped=0)
+        assert result.best_matching(BELL, radius=1e-3) is pts[2]
+        # (1, 0, 0, 0) and (0, 0, 1, 0) are both sqrt(2) from the corner; the radius is inclusive
+        assert result.best_matching(CORNER, radius=np.sqrt(2.0)) is pts[3]
+        assert result.best_matching(CORNER, radius=1.4) is None
+        assert monogamy.MinimizeResult([], 0, 0, 0).best_matching(CORNER, radius=1.0) is None
 
     def test_dropped_starts_carry_gradient_norms(self, search):
         assert search.converged + search.dropped == search.starts

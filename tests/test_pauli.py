@@ -7,7 +7,8 @@ from qsteer.pauli import (
 )
 from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import (
-    density_from_pure, ghz_state, ordered_sum, partial_trace, permute_qubits, purity, w_state,
+    HERM_TOL, density_from_pure, ghz_state, ordered_sum, partial_trace, permute_qubits, purity,
+    validate_state, w_state,
 )
 
 from conftest import oracle_theta3, random_mixed_density
@@ -104,6 +105,17 @@ def test_non_hermitian_rejected(rng):
     rho[2, 5] += 1e-6
     with pytest.raises(ValueError, match="non-Hermitian"):
         pauli_tensor(rho)
+
+
+def test_residual_within_herm_tol_accepted(rng):
+    # rho + i s P for a Pauli string P has the residual 2s of every entry and
+    # the largest imaginary trace part a residual allows, 8s = 4 HERM_TOL; a
+    # diagonal rho keeps both exact
+    rho = np.diag(rng.dirichlet(np.ones(8))).astype(complex)
+    skewed = rho + 0.5j * HERM_TOL * PAULI3
+    assert all(validate_state(s).hermiticity_residual == HERM_TOL for s in skewed)
+    theta = pauli_tensor(skewed)
+    assert_allclose(theta, np.broadcast_to(pauli_tensor(rho), theta.shape), rtol=0, atol=1e-15)
 
 
 def test_bad_shape():

@@ -70,6 +70,17 @@ class TestFamilies:
         with pytest.raises(ValueError):
             SchmidtParams(-0.1, 0.994987, 0, 0).validate()
 
+    @pytest.mark.parametrize("rows", [
+        [(0, 0, R2, R2), (0.6, -0.8, 0, 0), (0.5, 0.5, 0.5, 0.6)],
+        [(0, 0, R2, R2), (0.5, 0.5, 0.5, 0.6), (0.6, -0.8, 0, 0)],
+    ])
+    def test_schmidt_stack_raises_for_first_bad_row(self, rows):
+        with pytest.raises(ValueError) as first:
+            SchmidtParams(*np.array(rows[1], dtype=float)).validate()
+        with pytest.raises(ValueError) as stack:
+            schmidt_state(rows)
+        assert str(stack.value) == str(first.value)
+
 
 class TestDensity:
     def test_basis_state(self):
