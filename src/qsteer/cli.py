@@ -227,12 +227,7 @@ def cmd_verify_appendix(args) -> int:
     scan = monogamy.verify_monogamy(scan_cfg, critical_points=result.points)
     all_ok &= scan.passed
 
-    by_value: dict[float, dict] = {}
-    for pt in result.points:
-        key = round(pt.f_value, 6) + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
-        entry = by_value.setdefault(key, {"f": key, "count": 0, "example": pt.as_dict()})
-        entry["count"] += 1
-    table = [by_value[k] for k in sorted(by_value)]
+    table = result.value_table()
 
     report = {
         "fixtures": fixtures,
@@ -272,7 +267,7 @@ def cmd_random(args) -> int:
         "mode": spec.mode,
         "count": spec.count,
         "generator": randgen.GENERATOR_NAME,
-        "cascade_variant": spec.cascade_variant,
+        "cascade_variant": "verbatim",  # the recipe's cascade, the only one; the key keeps the file format
     }
 
     batch = randgen.random_pure_batch if spec.mode == "pure" else randgen.random_state_batch

@@ -19,12 +19,12 @@ claim f >= 0 everywhere on that domain. This module provides:
 * closed_form_f   - a literal transcription of the published single-expression
                     form of f (unreliable away from special points; kept for
                     cross-validation only),
-* boundary_f      - exact closed forms of f restricted to the x=0 / y=0 /
-                    z=0 / h=0 faces,
+* boundary_f      - exact closed forms of f on the x=0 / y=0 / z=0 / h=0 faces,
 * minimize_f      - multi-start search for constrained critical points on
                     the exact gradient (projected descent for minima plus
                     Newton for saddle/maximum-type stationary points), every
-                    start judged by one residual test,
+                    start judged by one residual test, each point reported
+                    once, in an order that rounding noise cannot flip,
 * verify_monogamy - quasi-random sphere scan with per-region minima and a
                     PASS/FAIL verdict.
 """
@@ -357,6 +357,16 @@ class MinimizeResult:
         hits = np.flatnonzero(d <= min(radius, d.min(initial=np.inf)))
         return self.points[hits[-1]] if hits.size else None
 
+    def value_table(self) -> list[dict]:
+        """Key, length and first point of each run of points with one _value_key (one run per value)."""
+        runs = [list(g) for _, g in itertools.groupby(self.points, lambda pt: _value_key(pt.f_value))]
+        return [{"f": _value_key(r[0].f_value), "count": len(r), "example": r[0].as_dict()} for r in runs]
+
+
+def _value_key(f: float) -> float:
+    """f rounded to 6 decimals, the report's scale; + 0.0 turns a rounded -0.0 into 0.0."""
+    return round(f, 6) + 0.0
+
 
 def _over(u, r):
     """u / r, and 1 where r = |(u, v)| is 0: there the slope of r along u into the octant."""
@@ -498,11 +508,14 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     on the sphere and octant. Phase two runs lockstep Newton on the Lagrange
     system over the stationary starts and face_starts starts on each face; a
     start on a face has an exact 0 in its face coordinate, Newton holds every
-    exact 0, and it also captures saddle- and maximum-type points. All
-    converged points are sorted by f, deduplicated (a point within
-    DEDUP_RADIUS of a lower kept one is dropped), and the survivors evaluated
-    through f_components in one batch.
+    exact 0, and it also captures saddle- and maximum-type points. Converged
+    endpoints are taken in coordinate order, less each one with an earlier
+    endpoint within DEDUP_RADIUS (a chain of close ones keeps only its first),
+    valued by f_components in one batch and ordered by _value_key, ties in
+    coordinate order. Neither the dedup nor the order reads schmidt_f_batch.
     """
+    from scipy.spatial import cKDTree  # imported here: scipy costs ~1 s of `import qsteer`
+
     cfg = config or MinimizeConfig()
     first_face, n_face = cfg.starts + cfg.stationary_starts, cfg.face_starts
     # descent starts, stationary starts, then n_face starts on each of the x, y,
@@ -518,16 +531,12 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     grad = np.concatenate([rnorm[converged], gn[hit]])
     kind = np.repeat(np.array(["descent", "stationary"], dtype=object), [converged.sum(), hit.sum()])
 
-    # greedy dedup in order of f
-    order = np.argsort(schmidt_f_batch(p)["f"], kind="stable")
-    p, grad, kind = p[order], grad[order], kind[order]
-    keep = np.ones(len(p), dtype=bool)
-    for i in range(len(p)):
-        if keep[i]:
-            keep[i + 1:] &= np.linalg.norm(p[i + 1:] - p[i], axis=1) > DEDUP_RADIUS
-    p, grad, kind = p[keep], grad[keep], kind[keep]
-
-    f_value = f_components(p)["f"]
+    idx = np.lexsort(p.T[::-1])  # x first, then y, z, h
+    idx = np.delete(idx, cKDTree(p[idx]).query_pairs(DEDUP_RADIUS, output_type="ndarray").max(axis=1))
+    f_value = f_components(p[idx])["f"]
+    by_value = np.argsort([_value_key(v) for v in f_value.tolist()], kind="stable")
+    idx, f_value = idx[by_value], f_value[by_value]
+    p, grad, kind = p[idx], grad[idx], kind[idx]
     region, location = _labels(p)
     return MinimizeResult(
         points=[

@@ -40,7 +40,7 @@ __all__ = [
 GENERATOR_NAME = "pcg64-seedseq-spawn"
 
 # index of the cascade entry each N_n multiplies; N_7 restarts from N_5
-_CASCADE_PARENTS = {"verbatim": (None, 0, 1, 2, 3, 4, 4, 6), "n6": (None, 0, 1, 2, 3, 4, 5, 6)}
+_CASCADE_PARENTS = (None, 0, 1, 2, 3, 4, 4, 6)
 _CHUNK = 256  # states per random_state_batch call in random_states
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
@@ -61,7 +61,6 @@ class RandomStateSpec:
     seed: int
     mode: str = "pure"
     count: int = 1
-    cascade_variant: str = "verbatim"
 
     def __post_init__(self):
         if self.mode not in ("pure", "mixed"):
@@ -72,8 +71,6 @@ class RandomStateSpec:
             raise ValueError("count must be <= 2**32: state indices are one spawn-key word")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.cascade_variant not in _CASCADE_PARENTS:
-            raise ValueError(f"cascade_variant must be one of {sorted(_CASCADE_PARENTS)}")
 
 
 def _hash_constants(h: int, mult: int) -> Iterator[tuple[int, int]]:
@@ -142,24 +139,23 @@ def _uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     return u
 
 
-def random_eigenvalues(rng: np.random.Generator, cascade_variant: str = "verbatim") -> np.ndarray:
+def random_eigenvalues(rng: np.random.Generator) -> np.ndarray:
     """Eight probabilities from the multiplicative uniform cascade.
 
     N_1 = U, N_{n+1} = N_n * U for n up to 6, then N_7 = N_5 * U and
-    N_8 = N_7 * U ("verbatim" variant; "n6" chains N_7 from N_6 instead).
-    Normalized to sum 1; nonincreasing except possibly at n = 7.
+    N_8 = N_7 * U, as the recipe prints it. Normalized to sum 1;
+    nonincreasing except possibly at n = 7.
     """
-    return _cascade(rng.random(8), cascade_variant)
+    return _cascade(rng.random(8))
 
 
-def _cascade(u: np.ndarray, cascade_variant: str) -> np.ndarray:
+def _cascade(u: np.ndarray) -> np.ndarray:
     """The random_eigenvalues cascade on a stack of uniform rows (..., 8),
     one column product per step."""
-    parents = _CASCADE_PARENTS[cascade_variant]
     n = np.empty_like(u)
     n[..., 0] = u[..., 0]
     for i in range(1, 8):
-        n[..., i] = n[..., parents[i]] * u[..., i]
+        n[..., i] = n[..., _CASCADE_PARENTS[i]] * u[..., i]
     return n / n.sum(axis=-1, keepdims=True)
 
 
@@ -191,7 +187,7 @@ def _draws(spec: RandomStateSpec, start: int, stop: int) -> tuple[np.ndarray, np
         raise IndexError(f"indices {start}..{stop - 1} outside batch of {spec.count}")
     u = _uniforms(spec.seed, start, stop, 72 if spec.mode == "mixed" else 64)
     if spec.mode == "mixed":
-        lams = _cascade(u[:, :8], spec.cascade_variant)
+        lams = _cascade(u[:, :8])
     else:
         lams = np.zeros((stop - start, 8))
         lams[:, 0] = 1.0

@@ -57,8 +57,8 @@ class SchmidtParams(NamedTuple):
         return abs(self.x**2 + self.y**2 + self.z**2 + self.h**2 - 1.0)
 
     def validate(self, tol: float = 1e-9) -> "SchmidtParams":
-        if min(self) < 0:
-            raise ValueError(f"Schmidt coordinates must be nonnegative, got {tuple(self)}")
+        if not (np.isfinite(self).all() and min(self) >= 0):
+            raise ValueError(f"Schmidt coordinates must be finite and nonnegative, got {tuple(self)}")
         res = self.constraint_residual()
         if res > tol:
             raise ValueError(f"Schmidt coordinates off the unit sphere by {res:.3e}")
@@ -92,7 +92,7 @@ def schmidt_state(p: SchmidtParams | tuple[float, float, float, float]) -> np.nd
     p = np.asarray(p, dtype=float)
     rows = np.atleast_2d(p)
     x, y, z, h = rows.T
-    bad = (rows < 0).any(axis=1) | (np.abs(x * x + y * y + z * z + h * h - 1.0) > 1e-9)
+    bad = (rows < 0).any(axis=1) | ~(np.abs(x * x + y * y + z * z + h * h - 1.0) <= 1e-9)  # ~(<=) flags NaN
     if bad.any():
         SchmidtParams(*rows[bad.argmax()]).validate()
     psi = np.zeros(p.shape[:-1] + (8,), dtype=complex)

@@ -175,6 +175,17 @@ def _fragile_points(rng):
     return _unit(np.concatenate(out))
 
 
+def _survivors(monkeypatch, stack):
+    """Sorted coordinates minimize_f reports when every descent start ends at a row of stack."""
+    def endpoints(p0, held, step):
+        p = np.zeros((0, 4)) if held else stack
+        return p.copy(), np.zeros(len(p))
+
+    monkeypatch.setattr(monogamy, "_search", endpoints)
+    result = minimize_f(MinimizeConfig(starts=len(stack), stationary_starts=0, face_starts=0))
+    return sorted(tuple(pt.params) for pt in result.points)
+
+
 def _quads(pts):
     f, g, w, v, _ = _fgwv_arrays(pts)
     return np.stack([f + g, f - g, w + v, w - v], axis=1)
@@ -381,6 +392,18 @@ class TestBoundaryForms:
         with pytest.raises(ValueError):
             boundary_f(BELL, "q")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [
+        f_pipeline, fgwv, sign_region, closed_form_f, lambda p: boundary_f(p, "y"),
+        lambda p: SchmidtParams(*p).validate(), schmidt_state,
+        lambda p: schmidt_state(np.array([CORNER, p])),
+    ], ids=["f_pipeline", "fgwv", "sign_region", "closed_form_f", "boundary_f", "validate",
+            "schmidt_state", "schmidt_stack"])
+    def test_rejects_non_finite_coordinates(self, entry, bad):
+        # a NaN fails every comparison, so it used to pass the range checks
+        with pytest.raises(ValueError, match="finite"):
+            entry((bad, 0.0, 0.0, 1.0))
+
 
 @pytest.fixture(scope="module")
 def search():
@@ -482,6 +505,65 @@ class TestMinimize:
         assert result.best_matching(CORNER, radius=np.sqrt(2.0)) is pts[3]
         assert result.best_matching(CORNER, radius=1.4) is None
         assert monogamy.MinimizeResult([], 0, 0, 0).best_matching(CORNER, radius=1.0) is None
+
+    @pytest.mark.parametrize("toward", ["up", "down", "alternating"])
+    def test_report_ignores_last_bit_of_batch_f(self, search, monkeypatch, toward):
+        # schmidt_f_batch's f moved by one ulp at every point (alternating: up
+        # and down by row) leaves every reported field and the value table alone
+        exact = monogamy.schmidt_f_batch
+
+        def nudged(params):
+            out = exact(params)
+            n = len(out["f"])
+            out["f"] = np.nextafter(out["f"], {"up": np.inf, "down": -np.inf,
+                                               "alternating": np.where(np.arange(n) % 2, np.inf, -np.inf)}[toward])
+            return out
+
+        monkeypatch.setattr(monogamy, "schmidt_f_batch", nudged)
+        moved = minimize_f(MinimizeConfig(starts=300, stationary_starts=64, face_starts=48, seed=11))
+        assert [pt.as_dict() for pt in moved.points] == [pt.as_dict() for pt in search.points]
+        assert moved.value_table() == search.value_table()
+
+    def test_dedup_keeps_the_first_point_in_coordinate_order(self, monkeypatch):
+        # a chain a-b-c with gaps of 0.6 r (a and c 1.2 r apart) and a tight
+        # cluster after a all go to a; the isolated point e stays
+        r = DEDUP_RADIUS
+        a = np.array([0.5, 0.5, 0.5, 0.5])
+        t = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0)  # along the sphere, x rising
+        chain = [a + k * 0.6 * r * t for k in (1, 2)]
+        cluster = [a + r * np.array([0.05, 0.01, -0.03, 0.0]), a + r * np.array([0.02, -0.04, 0.01, 0.03])]
+        e = np.array([0.3, 0.2, 0.6, 0.7])
+        stack = _unit(np.array([*chain, e, *cluster, a]))
+        a, e = stack[-1], stack[2]
+        assert 0.55 * r < np.linalg.norm(stack[0] - a) < 0.65 * r
+        assert 1.15 * r < np.linalg.norm(stack[1] - a) < 1.25 * r
+        assert 0.55 * r < np.linalg.norm(stack[1] - stack[0]) < 0.65 * r
+        assert _survivors(monkeypatch, stack) == sorted([tuple(a), tuple(e)])
+
+    def test_dedup_matches_point_loop(self, rng, monkeypatch):
+        # clusters of random size and spread around r: the rule one point at a
+        # time, in coordinate order, against every earlier point
+        r = DEDUP_RADIUS
+        centers = _unit(np.abs(rng.standard_normal((40, 4))) + 0.1)
+        stack = [c + rng.uniform(0.0, 1.5 * r) * _unit(rng.standard_normal((1, 4)))[0]
+                 for c in centers for _ in range(rng.integers(1, 5))]
+        stack = _unit(np.array(stack))
+        ordered = sorted(map(tuple, stack))
+        expected = [q for j, q in enumerate(ordered)
+                    if all(np.linalg.norm(np.subtract(q, e)) > r for e in ordered[:j])]
+        assert _survivors(monkeypatch, stack) == expected
+        assert len(centers) < len(expected) < len(stack)
+
+    def test_value_table_groups_the_report_order(self, search):
+        table = search.value_table()
+        keys = [entry["f"] for entry in table]
+        assert keys == sorted(set(keys))
+        assert sum(entry["count"] for entry in table) == len(search.points)
+        assert keys == [0.0, 0.361084, 0.707107, 0.780239]
+        # within one value the points run in coordinate order
+        for key in keys:
+            run = [tuple(pt.params) for pt in search.points if round(pt.f_value, 6) + 0.0 == key]
+            assert run == sorted(run)
 
     def test_dropped_starts_carry_gradient_norms(self, search):
         assert search.converged + search.dropped == search.starts

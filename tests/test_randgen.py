@@ -32,25 +32,17 @@ def test_eigenvalue_cascade_properties():
         assert lam[4] >= lam[6] - 1e-15  # N7 chains from N5
 
 
-def test_cascade_variants_differ():
-    a = random_eigenvalues(np.random.default_rng(9), "verbatim")
-    b = random_eigenvalues(np.random.default_rng(9), "n6")
-    assert not np.allclose(a, b)
-    assert np.all(np.diff(b) <= 1e-15)  # the n6 chain is fully nonincreasing
-
-
-@pytest.mark.parametrize("variant", ["verbatim", "n6"])
-def test_eigenvalues_match_index_loop_cascade(variant):
+def test_eigenvalues_match_index_loop_cascade():
     # the documented recipe, one index at a time on a copy of the stream
     rng = np.random.default_rng(21)
     for _ in range(200):
         u = copy.deepcopy(rng).uniform(0.0, 1.0, size=8)
         n = [u[0]]
         for i in range(1, 8):
-            parent = n[4] if i == 6 and variant == "verbatim" else n[i - 1]
+            parent = n[4] if i == 6 else n[i - 1]
             n.append(parent * u[i])
         n = np.array(n)
-        assert np.array_equal(random_eigenvalues(rng, variant), n / n.sum())
+        assert np.array_equal(random_eigenvalues(rng), n / n.sum())
 
 
 def test_hermitian_construction():
@@ -111,8 +103,6 @@ def test_spec_validation():
         RandomStateSpec(seed=0, mode="thermal", count=1)
     with pytest.raises(ValueError):
         RandomStateSpec(seed=0, mode="pure", count=0)
-    with pytest.raises(ValueError):
-        RandomStateSpec(seed=0, mode="pure", count=1, cascade_variant="n5")
     RandomStateSpec(seed=0, mode="pure", count=2**32)  # index 2**32 - 1 still has a one-word spawn key
     with pytest.raises(ValueError):
         RandomStateSpec(seed=0, mode="pure", count=2**32 + 1)
@@ -123,7 +113,7 @@ def test_spec_validation():
 def _reference_state(spec, index):
     """The recipe for one state with 2-D numpy calls, as the generator ran before batching."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(index,)))
-    lams = random_eigenvalues(rng, spec.cascade_variant) if spec.mode == "mixed" else np.eye(8)[0]
+    lams = random_eigenvalues(rng) if spec.mode == "mixed" else np.eye(8)[0]
     vecs = np.linalg.eigh(random_hermitian(rng))[1][:, ::-1]
     return (vecs * lams) @ vecs.conj().T
 
