@@ -12,6 +12,7 @@ state, 3 verification fixture mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -295,6 +296,7 @@ def cmd_random(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: argparse takes ~1 ms to build the tree
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsteer", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -159,16 +159,14 @@ def schmidt_f_batch(params: np.ndarray) -> dict:
 
 
 def _fgwv_arrays(params: np.ndarray):
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    x, y, z, h = params.T
+    x, y, z, h = np.atleast_2d(np.asarray(params, dtype=float)).T
     y2 = y * y
+    y4, zz, hh = 4.0 * y2, z * z, h * h
+    base = 1.0 + y4 * y2
     common = 1.0 - 2.0 * y2 + 2.0 * x * x
-    f = x * h * common
-    w = x * z * common
-    g_rad = h * h * (1.0 + 4.0 * y2 * y2 - 4.0 * y2 * (1.0 + 2.0 * x * h + h * h)
-                     - 4.0 * h * (x + (z * z - 1.0) * h + h**3))
-    v_rad = z * z * (1.0 + 4.0 * y2 * y2 - 4.0 * y2 * (1.0 + 2.0 * x * z + z * z)
-                     - 4.0 * z * (x + (h * h - 1.0) * z + z**3))
+    f, w = x * h * common, x * z * common
+    g_rad = hh * (base - y4 * (1.0 + 2.0 * x * h + hh) - 4.0 * h * (x + (zz - 1.0) * h + h**3))
+    v_rad = zz * (base - y4 * (1.0 + 2.0 * x * z + zz) - 4.0 * z * (x + (hh - 1.0) * z + z**3))
     defined = (g_rad >= RADICAND_TOL) & (v_rad >= RADICAND_TOL)
     g = x * np.sqrt(np.clip(g_rad, 0.0, None))
     v = x * np.sqrt(np.clip(v_rad, 0.0, None))
@@ -193,11 +191,11 @@ def _region_ids(params: np.ndarray, tol: float = SIGN_BOUNDARY_TOL) -> np.ndarra
     ALL_SIGN_REGIONS order (a '-' sets a bit, first sign highest), 16 'boundary',
     17 'undefined'."""
     f, g, w, v, defined = _fgwv_arrays(params)
-    quads = np.stack([f + g, f - g, w + v, w - v], axis=1)
-    ids = (quads < 0) @ np.array([8, 4, 2, 1])
-    ids[(np.abs(quads) <= tol).any(axis=1)] = 16
-    ids[~defined] = 17
-    return ids
+    ids, near = np.zeros(len(f), dtype=np.int64), np.zeros(len(f), dtype=bool)
+    for bit, quad in zip((8, 4, 2, 1), (f + g, f - g, w + v, w - v)):
+        ids += bit * (quad < 0)
+        near |= np.abs(quad) <= tol
+    return np.where(defined, np.where(near, 16, ids), 17)
 
 
 def _region_codes(params: np.ndarray, tol: float = SIGN_BOUNDARY_TOL) -> np.ndarray:
@@ -606,15 +604,17 @@ class VerifyReport:
 
 
 def _sobol_sphere(n: int, dim: int, seed: int) -> np.ndarray:
-    """Quasi-uniform points on the positive octant of the unit (dim-1)-sphere."""
+    """Quasi-uniform points on the positive octant of the unit (dim-1)-sphere: the first n of
+    2^m scrambled Sobol points, clipped, folded through |ndtri| and divided by their row norm,
+    computed in place on contiguous (dim, n) rows and returned as their (n, dim) transpose."""
     from scipy.special import ndtri  # imported here: scipy costs ~1 s of `import qsteer`
     from scipy.stats import qmc
 
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(n, 2))))
-    u = eng.random_base2(m)[:n]
-    g = np.abs(ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    g = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)[:n].T.copy()
+    np.abs(ndtri(np.clip(g, 1e-12, 1.0 - 1e-12, out=g), out=g), out=g)
+    g /= np.sqrt(sum(row * row for row in g))  # squares added in coordinate order, as np.linalg.norm does
+    return g.T
 
 
 def verify_monogamy(
@@ -624,7 +624,8 @@ def verify_monogamy(
     """Scan the octant sphere with low-discrepancy samples plus critical points.
 
     One reduction: f and the region code of every sample are computed in
-    SCAN_CHUNK batches, which only bound the temporaries, and concatenated.
+    SCAN_CHUNK batches, which only bound the temporaries, and concatenated;
+    the column-major samples (_sobol_sphere) give each batch contiguous rows.
     The regions table then lists each region met by a sample or a critical
     point in _REGION_NAMES order, and the global minimum is the first lowest
     value over the samples followed by the critical points (a critical point

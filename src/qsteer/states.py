@@ -94,7 +94,7 @@ def schmidt_state(p: SchmidtParams | tuple[float, float, float, float]) -> np.nd
     x, y, z, h = rows.T
     bad = (rows < 0).any(axis=1) | ~(np.abs(x * x + y * y + z * z + h * h - 1.0) <= 1e-9)  # ~(<=) flags NaN
     if bad.any():
-        SchmidtParams(*rows[bad.argmax()]).validate()
+        SchmidtParams(*rows[bad.argmax()].tolist()).validate()
     psi = np.zeros(p.shape[:-1] + (8,), dtype=complex)
     psi[..., [0, 4, 5, 6]] = p
     return psi

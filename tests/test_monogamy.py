@@ -30,8 +30,8 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norm, _region_codes, _residual,
-    _search, _sobol_sphere,
+    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norm, _region_codes, _region_ids,
+    _residual, _search, _sobol_sphere,
 )
 from qsteer.randgen import RandomStateSpec
 from qsteer.states import SchmidtParams, density_from_pure, permute_qubits, schmidt_state
@@ -746,3 +746,64 @@ class TestVerify:
         report = verify_monogamy(VerifyConfig(samples=2**10, seed=1))
         d = report.to_dict()
         assert {"min", "argmin", "samples", "seed", "pass", "regions"} <= set(d)
+
+
+def _row_major_sobol(n, dim, seed):
+    """The documented sample recipe on row-major (n, dim) points."""
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    u = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(int(np.ceil(np.log2(max(n, 2)))))[:n]
+    g = np.abs(ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _printed_fgwv(params):
+    """f, g, w, v and the defined mask, with the printed radicands as written."""
+    x, y, z, h = np.asarray(params, dtype=float).T
+    y2 = y * y
+    common = 1.0 - 2.0 * y2 + 2.0 * x * x
+    g_rad = h * h * (1.0 + 4.0 * y2 * y2 - 4.0 * y2 * (1.0 + 2.0 * x * h + h * h)
+                     - 4.0 * h * (x + (z * z - 1.0) * h + h**3))
+    v_rad = z * z * (1.0 + 4.0 * y2 * y2 - 4.0 * y2 * (1.0 + 2.0 * x * z + z * z)
+                     - 4.0 * z * (x + (h * h - 1.0) * z + z**3))
+    defined = (g_rad >= monogamy.RADICAND_TOL) & (v_rad >= monogamy.RADICAND_TOL)
+    return (x * h * common, x * np.sqrt(np.clip(g_rad, 0.0, None)),
+            x * z * common, x * np.sqrt(np.clip(v_rad, 0.0, None)), defined)
+
+
+def _stacked_region_ids(params, tol):
+    """Region codes from the four quads stacked into an (n, 4) array and an integer matmul."""
+    f, g, w, v, defined = _printed_fgwv(params)
+    quads = np.stack([f + g, f - g, w + v, w - v], axis=1)
+    ids = (quads < 0) @ np.array([8, 4, 2, 1])
+    ids[(np.abs(quads) <= tol).any(axis=1)] = 16
+    ids[~defined] = 17
+    return ids
+
+
+class TestScanKernels:
+    """The column-major scan kernels give the bits of their row-major recipes."""
+
+    @pytest.mark.parametrize("n", [2**14, 1000])
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sobol_sphere_is_the_row_major_recipe(self, n, dim, seed):
+        got = _sobol_sphere(n, dim, seed)
+        assert np.array_equal(got, _row_major_sobol(n, dim, seed))
+        assert got.T.flags.c_contiguous  # each coordinate one contiguous row
+
+    @pytest.mark.parametrize("tol", [SIGN_BOUNDARY_TOL, FACE_TOL])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_region_ids_match_stacked_route(self, rng, tol, order):
+        # points with x ~ 1e-14 have every quad within 1e-13 of zero
+        near = np.abs(rng.standard_normal((500, 4)))
+        near[:, 0] = 1e-14 * rng.random(500)
+        near[:, 1:] /= np.linalg.norm(near[:, 1:], axis=1, keepdims=True)
+        pts = np.concatenate([_sobol_sphere(2**14, 4, 0), _fragile_points(rng), near])
+        pts = np.asarray(pts, order=order)
+        got, ref = _region_ids(pts, tol), _stacked_region_ids(pts, tol)
+        assert np.array_equal(got, ref)
+        assert set(np.unique(ref[-500:])) == {16} and {16, 17} <= set(np.unique(ref))
+        for a, b in zip(_fgwv_arrays(pts), _printed_fgwv(pts)):
+            assert np.array_equal(a, b)

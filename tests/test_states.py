@@ -73,13 +73,16 @@ class TestFamilies:
     @pytest.mark.parametrize("rows", [
         [(0, 0, R2, R2), (0.6, -0.8, 0, 0), (0.5, 0.5, 0.5, 0.6)],
         [(0, 0, R2, R2), (0.5, 0.5, 0.5, 0.6), (0.6, -0.8, 0, 0)],
+        [(0, 0, R2, R2), (np.nan, 0, 0, 1), (0.6, -0.8, 0, 0)],
     ])
     def test_schmidt_stack_raises_for_first_bad_row(self, rows):
+        # the message a tuple of plain floats gives, not numpy scalar reprs
         with pytest.raises(ValueError) as first:
-            SchmidtParams(*np.array(rows[1], dtype=float)).validate()
+            SchmidtParams(*map(float, rows[1])).validate()
         with pytest.raises(ValueError) as stack:
             schmidt_state(rows)
         assert str(stack.value) == str(first.value)
+        assert "np.float64" not in str(stack.value)
 
 
 class TestDensity:
