@@ -13,6 +13,8 @@ the same gather can add up entries of rho too, such as those of a reduced state.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .states import HERM_TOL
@@ -49,14 +51,17 @@ _IMAG_TOL = 8 * HERM_TOL
 
 def _signed(rho: np.ndarray) -> np.ndarray:
     """The floats of [rho, -rho, 0], each d x d matrix of a complex stack
-    flattened: (..., 4 d^2 + 2).
+    flattened, float axis first: (4 d^2 + 2, ...).
 
     Float 2e is the real and 2e + 1 the imaginary part of flat entry e,
     2 d^2 further on lies its negative, and 4 d^2 is an exact zero.
     """
-    flat = rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
-    zero = np.zeros(flat.shape[:-1] + (1,), dtype=complex)
-    return np.concatenate((flat, -flat, zero), axis=-1).view(float)
+    d2 = rho.shape[-1] ** 2
+    out = np.zeros(rho.shape[:-2] + (2 * d2 + 1,), dtype=complex)
+    out[..., :d2] = rho.reshape(rho.shape[:-2] + (d2,))
+    signed = out.view(float)
+    np.negative(signed[..., :2 * d2], out=signed[..., 2 * d2:4 * d2])
+    return signed.transpose((-1,) + tuple(range(signed.ndim - 1)))
 
 
 def _gather_table(strings: np.ndarray) -> np.ndarray:
@@ -102,22 +107,28 @@ def _trace_table(d: int, entries: np.ndarray | None = None) -> np.ndarray:
 _TRACE_TABLE = {d: _trace_table(d) for d in (4, 8)}
 
 
-def _traces(rho: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of a _trace_table over a complex stack rho: theta, the d^2
-    Pauli coefficients followed by a zero, and the entry sums.
+def _traces(signed: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of a _trace_table over the floats _signed(rho) of a complex
+    stack rho, sum axis first: theta, the d^2 Pauli coefficients followed by
+    a zero, and the entry sums.
 
-    Raises ValueError where a trace has an imaginary part above _IMAG_TOL,
-    which neither a Hermitian rho nor one within HERM_TOL of it has.
+    Raises ValueError where rho has a NaN or an infinite entry, and where a
+    trace has an imaginary part above _IMAG_TOL, which neither a Hermitian
+    rho nor one within HERM_TOL of it has.
     """
     # a gather and a sum, not a BLAS product, whose blocking (and so rounding)
     # would depend on how many states are stacked; the term axis is outermost
     # in memory, so numpy adds it slab by slab, left to right, not pairwise
     s = len(table) ** 2
-    vals = np.add.reduce(_signed(rho).take(table, axis=-1), axis=-2)
-    worst = float(np.abs(vals[..., s + 1:2 * s + 1]).max(initial=0.0))
+    vals = np.add.reduce(signed.take(table, axis=0), axis=0)
+    worst = float(np.abs(vals[s + 1:2 * s + 1]).max(initial=0.0))
+    # every float of rho is a term of a real or an imaginary part of a trace,
+    # so a NaN or an infinity in rho leaves worst or the real parts' sum non-finite
+    if not math.isfinite(worst + float(vals[:s].sum())):
+        raise ValueError("non-finite input: NaN or infinity in a Pauli trace")
     if worst > _IMAG_TOL:
         raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")
-    return vals[..., :s + 1], vals[..., 2 * s + 1:]
+    return vals[:s + 1], vals[2 * s + 1:]
 
 
 def pauli_tensor(rho: np.ndarray) -> np.ndarray:
@@ -129,7 +140,8 @@ def pauli_tensor(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 density matrix, got {rho.shape}")
-    return _traces(rho, _TRACE_TABLE[8])[0][..., :64].reshape(rho.shape[:-2] + (4, 4, 4))
+    theta = _traces(_signed(rho), _TRACE_TABLE[8])[0][:64]
+    return np.moveaxis(theta, 0, -1).reshape(rho.shape[:-2] + (4, 4, 4))
 
 
 def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
@@ -137,7 +149,7 @@ def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
     rho2 = np.asarray(rho2, dtype=complex)
     if rho2.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
-    return _traces(rho2, _TRACE_TABLE[4])[0][:16].reshape(4, 4)
+    return _traces(_signed(rho2), _TRACE_TABLE[4])[0][:16].reshape(4, 4)
 
 
 def density_from_theta(theta: np.ndarray) -> np.ndarray:

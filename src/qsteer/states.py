@@ -11,6 +11,7 @@ States are plain numpy arrays: pure states are complex vectors of length
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,14 +107,14 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi[..., None, :].conj()
 
 
-def ordered_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, adding the terms left to right.
+def ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over an axis, the last by default, adding the terms in order.
 
     numpy's reductions pick their summation order by array shape, so a state
     summed alone and inside a stack can differ in the last bit; the running
     sum of np.add.accumulate is computed elementwise and does not.
     """
-    return np.add.accumulate(x, axis=-1)[..., -1]
+    return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
 
 
 def _trace_terms(keep: tuple[int, ...]) -> np.ndarray:
@@ -178,11 +179,17 @@ def _minor_floats(d: int) -> np.ndarray:
     return np.stack([2 * ii, 2 * jj, 2 * ij, 2 * ij + 1])
 
 
-def _minor_sum(ii, jj, re, im) -> np.ndarray:
-    """Twice the sum of the principal 2x2 minors rho_ii rho_jj - |rho_ij|^2,
-    given the real diagonal entries and the parts of rho_ij, added left to
-    right over the last axis and clamped at DEFICIT_FLOOR."""
-    deficit = 2.0 * ordered_sum(ii * jj - (re**2 + im**2))
+def _minor_terms(parts: np.ndarray) -> np.ndarray:
+    """The principal 2x2 minors rho_ii rho_jj - |rho_ij|^2, given parts[0:4]
+    = re rho_ii, re rho_jj, re rho_ij, im rho_ij."""
+    ii, jj, re, im = parts
+    return ii * jj - (re**2 + im**2)
+
+
+def _minor_sum(minors: np.ndarray) -> np.ndarray:
+    """Twice the sum of principal minors, added in order over the first axis,
+    clamped at DEFICIT_FLOOR."""
+    deficit = 2.0 * ordered_sum(minors, axis=0)
     return np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
 
 
@@ -197,23 +204,27 @@ def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
     d = rho.shape[-1]
-    parts = rho.reshape(rho.shape[:-2] + (d * d,)).view(float).take(_minor_floats(d), axis=-1)
-    deficit = _minor_sum(parts[..., 0, :], parts[..., 1, :], parts[..., 2, :], parts[..., 3, :])
+    flat = rho.reshape(rho.shape[:-2] + (d * d,)).view(float)
+    deficit = _minor_sum(_minor_terms(np.moveaxis(flat, -1, 0).take(_minor_floats(d), axis=0)))
     return float(deficit) if deficit.ndim == 0 else deficit
 
 
-def _deficit_tables(subsystems) -> tuple[np.ndarray, ...]:
-    """Gather tables of steering_batch's deficits for a list of subsystems,
-    each a tuple of qubit indices.
+def _deficit_tables(subsystems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of steering_batch's deficits: those of a list of
+    subsystems, each a tuple of qubit indices, then the full state's.
 
     terms[e] holds the flat 8x8 indices summed into reduced-state entry e, in
     partial_trace's order, padded with 64: the index of a zero appended to
-    rho. The last entry is all padding, so it is exactly 0. ii, jj, ij[s, t]
-    index the entries rho[i, i], rho[j, j], rho[i, j] of the t-th principal
-    minor of subsystem s, in purity_deficit's order, padded with that zero.
-    So the deficits are purity_deficit(partial_trace(rho, keep)) bit for bit:
-    appended to a left-to-right sum, the zeros change at most the sign of a
-    zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
+    rho. The last entry is all padding, so it is exactly 0. parts is the
+    _minor_terms input of every minor, as float indices into the real parts
+    of the entry sums, then their imaginary parts, then the 128 floats of rho
+    itself: each subsystem's principal minors in purity_deficit's order,
+    rho's 28, and a zero minor read from the zero entry. Column s of rows
+    lists the minors of subsystem s, padded with the zero minor to the 28 of
+    rho, whose column is the last. So the deficits are
+    purity_deficit(partial_trace(rho, keep)) and purity_deficit(rho) bit for
+    bit: appended to a left-to-right sum, the zeros change at most the sign
+    of a zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
     """
     entries, minors = [], []
     for keep in subsystems:
@@ -229,10 +240,13 @@ def _deficit_tables(subsystems) -> tuple[np.ndarray, ...]:
     terms = np.full((zero + 1, max(len(t) for t in entries)), 64)
     for e, t in enumerate(entries):
         terms[e, :len(t)] = t
-    padded = np.full((3, len(minors), max(m.shape[1] for m in minors)), zero)
-    for s, m in enumerate(minors):
-        padded[:, s, :m.shape[1]] = m
-    return terms, padded[0], padded[1], padded[2]
+    parts = [np.stack([ii, jj, ij, len(terms) + ij]) for ii, jj, ij in minors]
+    parts += [2 * len(terms) + _minor_floats(8), np.full((4, 1), zero)]
+    start = np.cumsum([0] + [p.shape[1] for p in parts])
+    rows = np.full((parts[-2].shape[1], len(minors) + 1), start[-2])
+    for s, p in enumerate(parts[:-1]):
+        rows[:p.shape[1], s] = start[s] + np.arange(p.shape[1])
+    return terms, np.concatenate(parts, axis=1), rows
 
 
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
@@ -280,14 +294,18 @@ def validate_state(
     trace_tol: float = TRACE_TOL,
     eig_tol: float = EIG_TOL,
 ) -> StateDiagnostics:
-    """Check Hermiticity, unit trace, and positivity of a square matrix."""
+    """Check Hermiticity, unit trace, and positivity of a square matrix.
+
+    A matrix with a NaN or an infinite entry fails, with min_eigenvalue NaN.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     rho_h = rho.conj().T
-    herm = float(np.max(np.abs(rho - rho_h)))
-    tr = float(abs(np.trace(rho) - 1.0))
-    min_eig = float(np.linalg.eigvalsh((rho + rho_h) / 2.0)[0])
+    herm = float(np.abs(rho - rho_h).max())
+    tr = float(abs(rho.trace() - 1.0))
+    # herm is non-finite exactly when an entry is, and eigvalsh then fails
+    min_eig = float(np.linalg.eigvalsh((rho + rho_h) / 2.0)[0]) if math.isfinite(herm) else math.nan
     return StateDiagnostics(
         dim=rho.shape[0],
         hermiticity_residual=herm,
@@ -331,7 +349,7 @@ def _pairs_to_complex(value, shape: tuple[int, ...], what: str) -> np.ndarray:
         dims = "x".join(map(str, shape))
         raise ValueError(f"expected {what} as {dims} [re, im] number pairs")
     arr = np.ascontiguousarray(arr, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"non-finite number in {what}")
     return arr.view(complex)[..., 0]
 

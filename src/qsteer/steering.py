@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _trace_table, _traces, pauli_tensor_pair
-from .states import _deficit_tables, _minor_sum, ordered_sum, purity_deficit, validate_state
+from .pauli import _signed, _trace_table, _traces, pauli_tensor_pair
+from .states import _deficit_tables, _minor_sum, _minor_terms, ordered_sum, purity_deficit, validate_state
 
 # kept for perfbench/spans.py, which patches pauli_tensor, partial_trace and
 # permute_qubits here, as it does purity_deficit
@@ -154,11 +154,13 @@ class SteeringReport(dict):
 
 
 _LABELS = np.array(["mixed", "corollary1", "corollary2"])
+# max(H, -inf) is H itself and max(H, 0) is S: one maximum gives both
+_H_AND_S = np.array([-np.inf, 0.0])[:, None, None]
 
 
 def _classes(h: np.ndarray, axis: int) -> np.ndarray:
     # code 1 when every H >= 0, 2 when every H < 0, else 0: a NaN is neither
-    return _LABELS[(h >= 0.0).all(axis) + 2 * (h < 0.0).all(axis)]
+    return _LABELS.take((h >= 0.0).all(axis) + 2 * (h < 0.0).all(axis))
 
 
 def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
@@ -173,22 +175,24 @@ def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
 @dataclass(frozen=True)
 class _Plan:
     """Index tables and report layout of one steering_batch configuration;
-    see steering_batch."""
+    see steering_batch. Every table indexes the first axis of an array whose
+    last axis runs over the states."""
 
     front: np.ndarray  # pauli._trace_table of the 64 traces and the reduced-state entries
-    minors: np.ndarray  # (4, subsystems, minors) entry columns of ii.re, jj.re, ij.re, ij.im
+    theta: np.ndarray  # theta rows of the one covariance and purity gather, 64 the appended
+    # zero: entry, row factor and column factor of every covariance entry, then the purity block
+    scale: np.ndarray  # (64k + 27, 1) LOO normalization of each covariance entry
+    purity: tuple  # (rows, width) of the purity block: Bloch vectors A, B, C [, each cut's pair]
+    divisor: np.ndarray  # (rows, 1) 2 for a qubit purity, 4 for a pair's: a bound's constant
+    minors: np.ndarray  # (4, minors) states._deficit_tables parts: floats of every minor
+    deficits: np.ndarray  # (28, 3 + k + 1) minors of A, B, C, each cut's steered pair, rho
     steer: np.ndarray  # steering qubit of each cut
-    cov: np.ndarray  # (3, 64k + 27) flat theta indices: entry, row factor, column factor
-    scale: np.ndarray  # LOO normalization of each covariance entry
-    purity: np.ndarray  # (3 [+ k], width) flat theta indices, 64 the appended zero
-    divisor: np.ndarray  # 2 for a qubit purity, 4 for a pair's
-    const: np.ndarray  # per bound: 2 or 4 minus a purity, times a deficit
-    pcol: np.ndarray  # per bound: its purity column
-    dcol: np.ndarray  # per bound: its deficit column
-    ncol: np.ndarray  # per bound: its trace norm column
+    pcol: np.ndarray  # per bound: its purity row
+    dcol: np.ndarray  # per bound: its deficit row
+    ncol: np.ndarray  # per bound: its trace norm row
     pairs: int  # bound of the AB pair; AC and BC follow it
     keys: tuple  # report keys, in analyze JSON order
-    columns: np.ndarray  # per key but "classification": its column of the stacked table
+    columns: np.ndarray  # per key but "classification": its row of the stacked table
 
 
 def _cov_table(entry, row, col) -> np.ndarray:
@@ -212,16 +216,16 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     purity = np.array([np.pad(r, (0, width - len(r)), constant_values=64) for r in purity])
 
     steer = [_CUTS[c][0] for c in names]
-    # (name, constant, purity column, deficit column, norm column) per bound;
-    # deficit columns 3.. hold each cut's steered pair (or, for a pure state, steering qubit)
-    bounds = [(c, 2.0, steer[i], 3 + i, i) for i, c in enumerate(names)]
+    # (name, purity row, deficit row, norm row) per bound; deficit rows 3..
+    # hold each cut's steered pair (or, for a pure state, steering qubit)
+    bounds = [(c, steer[i], 3 + i, i) for i, c in enumerate(names)]
     if two_to_one:
-        bounds += [(_TWO_TO_ONE[c], 4.0, 3 + i, steer[i], i) for i, c in enumerate(names)]
+        bounds += [(_TWO_TO_ONE[c], 3 + i, steer[i], i) for i, c in enumerate(names)]
     bounds.sort(key=lambda b: _CUT_ORDER.index(b[0]))
     cuts = len(bounds)
-    bounds += [(p, 2.0, a, b, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
+    bounds += [(p, a, b, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
     if reverse_pairs:
-        bounds += [(p[::-1], 2.0, b, a, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
+        bounds += [(p[::-1], b, a, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
     table = list(zip(*bounds))
     # the stacked table of _columns: h, s, norm and bound of every bound, then h_tot, s_tot, margin
     n = len(bounds)
@@ -232,19 +236,19 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     keys += [f"{q}_{name}" for name in table[0][1:cuts] for q in ("h", "s", "norm", "bound")]
     keys += ["h_ba", "h_ca", "h_cb"] * reverse_pairs
     # entries of the reduced states of qubits A, B, C and each cut's steered pair
-    terms, ii, jj, ij = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
+    terms, minors, deficits = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
     return _Plan(
         front=_trace_table(8, terms),
-        minors=np.stack([ii, jj, ij, len(terms) + ij]),
+        theta=np.concatenate([np.concatenate(cov, axis=1).ravel(), purity.ravel()]),
+        scale=np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [64 * k, 27])[:, None],
+        purity=purity.shape,
+        divisor=np.array([2.0] * 3 + [4.0] * (k * two_to_one))[:, None],
+        minors=minors,
+        deficits=deficits,
         steer=np.array(steer),
-        cov=np.concatenate(cov, axis=1),
-        scale=np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [64 * k, 27]),
-        purity=purity,
-        divisor=np.array([2.0] * 3 + [4.0] * (k * two_to_one)),
-        const=np.array(table[1]),
-        pcol=np.array(table[2]),
-        dcol=np.array(table[3]),
-        ncol=np.array(table[4]),
+        pcol=np.array(table[1]),
+        dcol=np.array(table[2]),
+        ncol=np.array(table[3]),
         pairs=cuts,
         keys=tuple(keys),
         columns=np.array([column[key] for key in keys if key != "classification"]),
@@ -252,31 +256,32 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
 
 
 def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
-    """The report of every state of the plan: an (n, keys - 1) table of the
+    """The report of every state of the plan: a (keys - 1, n) table of the
     numbers in plan.keys order, and the n classification labels."""
     if rho.ndim != 3 or rho.shape[1:] != (8, 8):
         raise ValueError(f"expected a stack of 8x8 density matrices, got shape {rho.shape}")
-    n, k = len(rho), len(plan.steer)
-    theta, entries = _traces(rho, plan.front)
-    i, row, col = plan.cov
-    cov = plan.scale * (theta[:, i] - theta[:, row] * theta[:, col])
-    norm = np.concatenate([trace_norm(cov[:, :64 * k].reshape(n, k, 4, 16)),
-                           trace_norm(cov[:, 64 * k:].reshape(n, 3, 3, 3))], axis=1)
-    purity = ordered_sum(theta[:, plan.purity] ** 2) / plan.divisor
-    deficit = _minor_sum(*entries.take(plan.minors, axis=1).transpose(1, 0, 2, 3))
-    # for a globally pure state the pair deficit equals its complement's 2 det,
-    # which stays exact where the cut factorizes
-    pure = purity_deficit(rho) <= _PURE_DEFICIT_TOL
-    deficit[:, 3:] = np.where(pure[:, None], deficit[:, plan.steer], deficit[:, 3:])
-    bound = np.sqrt((plan.const - purity[:, plan.pcol]) * deficit[:, plan.dcol])
-    norm = norm[:, plan.ncol]
-    h = norm - bound
-    s = steering_value(h)
+    n, k, m = len(rho), len(plan.steer), len(plan.scale)
+    signed = _signed(rho)
+    theta, entries = _traces(signed, plan.front)
+    factors = theta.take(plan.theta, axis=0)
+    cov = plan.scale * (factors[:m] - factors[m:2 * m] * factors[2 * m:3 * m])
+    norm = np.concatenate([trace_norm(cov[:64 * k].T.reshape(n, k, 4, 16)).T,
+                           trace_norm(cov[64 * k:].T.reshape(n, 3, 3, 3)).T])
+    purity = ordered_sum((factors[3 * m:] ** 2).reshape(plan.purity + (n,)), axis=1) / plan.divisor
+    minors = _minor_terms(np.concatenate((entries, signed[:128])).take(plan.minors, axis=0))
+    deficit = _minor_sum(minors.take(plan.deficits, axis=0))
+    # for a globally pure state (last row) a pair's deficit equals its
+    # complement's 2 det, which stays exact where the cut factorizes
+    np.copyto(deficit[3:-1], deficit.take(plan.steer, axis=0), where=deficit[-1] <= _PURE_DEFICIT_TOL)
+    norm = norm.take(plan.ncol, axis=0)
+    bound = np.sqrt((plan.divisor - purity).take(plan.pcol, axis=0) * deficit.take(plan.dcol, axis=0))
+    # H and S = max(H, 0) of every bound: max(H, -inf) is H
+    hs = np.maximum(norm - bound, _H_AND_S)
     c = plan.pairs
-    h_tot = (h[:, c] + h[:, c + 1]) + h[:, c + 2]
-    s_tot = (s[:, c] + s[:, c + 1]) + s[:, c + 2]
-    table = np.column_stack((h, s, norm, bound, h_tot, s_tot, s[:, 0] - h_tot))  # bound 0 is a_bc
-    return table[:, plan.columns], _classes(h[:, c:c + 3], axis=1)
+    total = ordered_sum(hs[:, c:c + 3], axis=1)  # h_tot = (h_ab + h_ac) + h_bc, and s_tot
+    margin = hs[1, :1] - total[:1]  # bound 0 is a_bc
+    table = np.concatenate((hs.reshape(2 * len(plan.pcol), n), norm, bound, total, margin))
+    return table.take(plan.columns, axis=0), _classes(hs[0, c:c + 3], axis=0)
 
 
 def steering_batch(
@@ -288,26 +293,31 @@ def steering_batch(
     """Steering analysis of a stack of three-qubit states rho[n, 8, 8].
 
     Each kind of quantity comes from one index table, built once per flag
-    combination (_plan) on first use:
+    combination (_plan) on first use; arrays hold one column per state, so
+    every gather copies whole rows:
     - front: one gather from [rho, -rho, 0] viewed as floats and one sum
       over 8 terms (pauli._traces) give the 64 Pauli coefficients theta
       (plus a zero), their imaginary parts, which must vanish, and every
       entry of the reduced states of qubits A, B, C and each cut's steered
       pair that a principal 2x2 minor reads;
-    - covariances: three gathers from the flat theta (entry, row and column
-      factor) give the 4x16 matrix of each cut, with B|CA and C|AB as axis
-      transposes, and the 3x3 block of each pair, with theta_AB = theta[:,:,0]
-      and so on; one SVD per shape, and both directions of a cut share a norm;
-    - purities: one gather of Bloch vectors and, for the pair-to-qubit
-      direction, each cut's pair slice, then one ordered sum;
-    - deficits: one gather of those entries per minor, then purity_deficit's
-      minor sum (states._minor_sum); a state is globally pure when
-      purity_deficit(rho) is at most 1e-12, and then a pair's deficit is its
-      complement's;
-    - bounds: sqrt((2 or 4 - purity) * deficit) from one gather per factor;
-    - report: H = norm - bound and S = max(H, 0) per bound, then
-      h_tot = (h_ab + h_ac) + h_bc, s_tot likewise and margin = s_a_bc - h_tot,
-      stacked into one table and gathered into report order in one take.
+    - covariances and purities: one take from theta gives the entry, row and
+      column factor of the 4x16 matrix of each cut, with B|CA and C|AB as
+      axis transposes, and of the 3x3 block of each pair, with
+      theta_AB = theta[:,:,0] and so on, then the Bloch vectors and, for the
+      pair-to-qubit direction, each cut's pair slice, padded with the zero;
+      one SVD per shape (both directions of a cut share a norm) and one
+      ordered sum of squares follow;
+    - deficits: one take from the entry sums and rho's own floats gives
+      every principal minor of those reduced states and of rho, and one
+      take lays them out in rows of 28, the marginals' padded with a zero
+      minor, for purity_deficit's minor sum (states._minor_sum); a state is
+      globally pure when its own deficit, the last, is at most 1e-12, and
+      then a pair's deficit is its complement's;
+    - bounds: sqrt((2 or 4 - purity) * deficit) from one take per factor;
+    - report: H = norm - bound and S = max(H, 0) per bound from one maximum,
+      then h_tot = (h_ab + h_ac) + h_bc, s_tot likewise and
+      margin = s_a_bc - h_tot, stacked into one table and taken into report
+      order.
 
     Every entry is computed with the same operations in the same order as
     by the direct per-quantity route (pauli_tensor, partial_trace and
@@ -325,7 +335,7 @@ def steering_batch(
     rho = np.asarray(rho, dtype=complex)
     plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
     table, labels = _columns(rho, plan)
-    values = list(table.T)
+    values = list(table)
     values.insert(_LABEL_AT, labels)
     return SteeringReport(zip(plan.keys, values))
 
@@ -351,6 +361,6 @@ def steering_report(
             raise ValueError(f"invalid density matrix: {diag.as_dict()}")
     plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
     table, labels = _columns(rho[None], plan)
-    values = table[0].tolist()
+    values = table[:, 0].tolist()
     values.insert(_LABEL_AT, str(labels[0]))
     return SteeringReport(zip(plan.keys, values))

@@ -188,6 +188,22 @@ class TestValidate:
         diag = validate_state(0.9 * random_mixed_density(rng))
         assert not diag.trace_ok and not diag.passed
 
+    def test_diagnostics_bit_identical_to_definitions(self, rng):
+        psi = ghz_state(np.pi / 4)
+        # the skew payloads of the CI smoke test, read back as the CLI reads them
+        skew = [np.outer(psi, psi) + eps * 1j * (np.ones((8, 8)) - np.eye(8)) for eps in (1e-10, 1e-8, 5e-13)]
+        skew = [state_from_payload(json.loads(json.dumps(state_to_payload(m)))) for m in skew]
+        mats = [random_mixed_density(rng) for _ in range(10)] + skew + [0.9 * random_mixed_density(rng)]
+        mats += [maker(rng, d) for maker in (random_mixed_density, random_pure_density) for d in (2, 4)]
+        for rho in mats:
+            diag = validate_state(rho)
+            rho_h = rho.conj().T
+            for got, expect in ((diag.hermiticity_residual, np.max(np.abs(rho - rho_h))),
+                                (diag.trace_residual, abs(np.trace(rho) - 1)),
+                                (diag.min_eigenvalue, np.linalg.eigvalsh((rho + rho_h) / 2)[0])):
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
     def test_deficit_matches_direct_form(self, rng):
         for _ in range(20):
             rho = random_mixed_density(rng, dim=4)

@@ -18,10 +18,12 @@ from qsteer.states import (
     permute_qubits,
     purity_deficit,
     schmidt_state,
+    validate_state,
     w_state,
 )
 from qsteer.steering import (
     PAIR_SCALE,
+    _PURE_DEFICIT_TOL,
     SteeringReport,
     classify_pairs,
     correlation_one_to_two,
@@ -395,6 +397,13 @@ def _h_values(d):
     return {k: v for k, v in d.items() if k.startswith("h_") and k != "h_tot"}
 
 
+# an infinite entry meets inf - inf in rho - rho^+ (validate_state) and in
+# the sum of the Pauli traces' real parts (the kernel's finiteness gate),
+# which numpy flags as an invalid value; no other warning may arise
+INF_WARNINGS = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in (subtract|reduce):RuntimeWarning")
+
+
 def direct_h(rho):
     """Every H of steering_batch(..., **ALL) for one state, one quantity at a
     time from the public helpers: pauli_tensor and theta slices, partial_trace
@@ -556,6 +565,50 @@ class TestBatchKernel:
             steering_batch(rho[None])
         with pytest.raises(ValueError, match="non-Hermitian"):
             steering_report(rho, validate=False)
+
+    @pytest.mark.parametrize("value", [np.nan, pytest.param(np.inf, marks=INF_WARNINGS),
+                                       pytest.param(-np.inf, marks=INF_WARNINGS)])
+    @pytest.mark.parametrize("at", [(3, 3), (2, 5)])
+    def test_non_finite_entry_rejected(self, value, at, rng):
+        rho = random_mixed_density(rng)
+        rho[at] = value
+        diag = validate_state(rho)
+        assert not diag.passed and np.isnan(diag.min_eigenvalue)
+        assert not np.isfinite(diag.hermiticity_residual)
+        with pytest.raises(ValueError, match="invalid density matrix"):
+            steering_report(rho)
+        with pytest.raises(ValueError, match="non-finite input"):
+            steering_report(rho, validate=False)
+        with pytest.raises(ValueError, match="non-finite input"):
+            steering_batch(np.stack([random_mixed_density(rng), rho]), **ALL)
+
+    def test_pure_switch_edge_bisected(self, rng):
+        # bisect eps in (1 - eps) rho + eps I/8 down to adjacent floats, so the
+        # full deficit lands on each side of the switch as close as it can
+        tol = _PURE_DEFICIT_TOL
+        edge = []
+        for rho in [random_pure_density(rng) for _ in range(6)]:
+            def deficit(e):
+                return purity_deficit((1 - e) * rho + e * np.eye(8) / 8)
+            lo, hi = 0.0, 1e-11
+            assert deficit(lo) <= tol < deficit(hi)
+            while lo < (mid := (lo + hi) / 2) < hi:
+                lo, hi = (mid, hi) if deficit(mid) <= tol else (lo, mid)
+            assert tol - deficit(lo) <= 4 * np.spacing(1.0) and deficit(hi) - tol <= 4 * np.spacing(1.0)
+            edge += [(1 - e) * rho + e * np.eye(8) / 8 for e in (lo, hi)]
+        edge = np.stack(edge)
+        got = steering_batch(edge, **ALL)
+        for i, rho in enumerate(edge):
+            for key, value in direct_h(rho).items():
+                assert got[key][i].tobytes() == np.float64(value).tobytes(), (key, i)
+            # the two routes differ here, and the kernel takes the one that
+            # purity_deficit(rho) <= _PURE_DEFICIT_TOL picks
+            p_a = ordered_sum(pauli_tensor(rho)[:, 0, 0] ** 2) / 2.0
+            route = {d: got["norm_a_bc"][i] - np.sqrt((2.0 - p_a) * purity_deficit(partial_trace(rho, d)))
+                     for d in ((0,), (1, 2))}
+            assert route[(0,)] != route[(1, 2)]
+            assert got["h_a_bc"][i] == route[(0,) if purity_deficit(rho) <= tol else (1, 2)]
+        assert [purity_deficit(rho) <= tol for rho in edge] == [True, False] * 6
 
     @pytest.mark.parametrize("t", [1e-7, 3e-7, 1e-6])
     def test_pure_route_exact_near_product(self, t):
