@@ -1,7 +1,6 @@
 """Trace-norm steering detection and monogamy analysis for three-qubit states."""
 
 from .monogamy import (
-    CriticalPoint,
     MinimizeConfig,
     MinimizeResult,
     VerifyConfig,

@@ -5,8 +5,10 @@ numbers use 17 significant digits so files round-trip bit-exactly; report JSON
 goes to stdout. QSTEER_OUT_DIR supplies the base directory for relative output
 paths.
 
-Exit codes: 0 success, 1 unreadable/malformed input file, 2 invalid quantum
-state, 3 verification fixture mismatch.
+Exit codes: 0 success, 1 unreadable/malformed input file or a rejected
+argument (a negative seed or count, --samples 0, --points 1), 2 invalid quantum
+state, 3 verification fixture mismatch. A command line that argparse cannot
+parse exits 2 with its usage message, as argparse does.
 """
 
 from __future__ import annotations
@@ -217,15 +219,11 @@ def cmd_verify_appendix(args) -> int:
     recovered = []
     for coords, expected, tol in APPENDIX_FIXTURES:
         hit = result.best_matching(coords, radius=1e-3)
-        ok = hit is not None and abs(hit.f_value - expected) <= max(tol, 1e-4)
+        ok = hit is not None and abs(hit["f"] - expected) <= max(tol, 1e-4)
         all_ok &= ok
-        recovered.append({
-            "target": list(coords),
-            "found": None if hit is None else hit.as_dict(),
-            "matched": bool(ok),
-        })
+        recovered.append({"target": list(coords), "found": hit, "matched": bool(ok)})
 
-    scan = monogamy.verify_monogamy(scan_cfg, critical_points=result.points)
+    scan = monogamy.verify_monogamy(scan_cfg, result)
     all_ok &= scan.passed
 
     table = result.value_table()

@@ -24,9 +24,10 @@ claim f >= 0 everywhere on that domain. This module provides:
                     the exact gradient (projected descent for minima plus
                     Newton for saddle/maximum-type stationary points), every
                     start judged by one residual test, each point reported
-                    once, in an order that rounding noise cannot flip,
-* verify_monogamy - quasi-random sphere scan with per-region minima and a
-                    PASS/FAIL verdict.
+                    once, in an order that rounding noise cannot flip; its
+                    MinimizeResult is one array record of the points,
+* verify_monogamy - quasi-random sphere scan, with a search's points read
+                    from that record, per-region minima and a PASS/FAIL verdict.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .steering import steering_batch
 
 __all__ = [
     "ALL_SIGN_REGIONS",
-    "CriticalPoint",
     "MinimizeConfig",
     "MinimizeResult",
     "VerifyConfig",
@@ -61,7 +61,6 @@ __all__ = [
 
 ALL_SIGN_REGIONS = ["".join(s) for s in itertools.product("+-", repeat=4)]
 _REGION_NAMES = np.array(ALL_SIGN_REGIONS + ["boundary", "undefined"], dtype=object)
-_REGION_CODES = {name: code for code, name in enumerate(_REGION_NAMES)}
 
 RADICAND_TOL = -1e-12  # rounding below 0 in a g/v radicand that still counts as defined
 SIGN_BOUNDARY_TOL = 1e-12  # |f+-g| or |w+-v| this small is a region boundary, not a sign
@@ -198,11 +197,6 @@ def _region_ids(params: np.ndarray, tol: float = SIGN_BOUNDARY_TOL) -> np.ndarra
     return np.where(defined, np.where(near, 16, ids), 17)
 
 
-def _region_codes(params: np.ndarray, tol: float = SIGN_BOUNDARY_TOL) -> np.ndarray:
-    """Region string per point: one of the 16 sign patterns, 'boundary', or 'undefined'."""
-    return _REGION_NAMES[_region_ids(params, tol)]
-
-
 def sign_region(p) -> str:
     """Sign pattern of (f+g, f-g, w+v, w-v), or 'boundary' near a zero.
 
@@ -213,7 +207,7 @@ def sign_region(p) -> str:
     point is 'undefined' (a ValueError here); that holds for 47,671 of the
     2^16 scan samples at seed 0 (73%).
     """
-    code = _region_codes(SchmidtParams(*p).validate().as_array())[0]
+    code = _REGION_NAMES[_region_ids(SchmidtParams(*p).validate().as_array())[0]]
     if code == "undefined":
         raise ValueError(f"negative radicand in auxiliary quantities at {tuple(p)}")
     return str(code)
@@ -306,39 +300,34 @@ class MinimizeConfig:
 
 
 @dataclass
-class CriticalPoint:
-    """A constrained critical point of f on the octant sphere. grad_norm is
-    the norm of the residual (_residual) at params, at most GRAD_TOL: the KKT
-    residual for a descent end, the residual within its faces for a
-    stationary (Newton) end."""
-
-    params: SchmidtParams
-    f_value: float
-    location: str  # interior | internal-boundary | x=0 | y=0 | z=0 | h=0
-    region: str
-    grad_norm: float
-    kind: str  # descent | stationary
-
-    def as_dict(self) -> dict:
-        return {
-            "params": list(self.params),
-            "f": self.f_value,
-            "location": self.location,
-            "region": self.region,
-            "grad_norm": self.grad_norm,
-            "kind": self.kind,
-        }
-
-
-@dataclass
 class MinimizeResult:
-    """Search outcome; converged and dropped count descent starts, which sum to starts."""
+    """The critical points of a search as one record: row i of each array is
+    point i, in report order. grad_norm is the norm of the residual (_residual),
+    at most GRAD_TOL: the KKT residual for a descent end, the residual within
+    its faces for a stationary (Newton) end. converged and dropped count
+    descent starts, which sum to starts."""
 
-    points: list[CriticalPoint]
+    points: np.ndarray  # (n, 4) coordinates
+    f: np.ndarray  # pipeline value (f_components)
+    location: np.ndarray  # interior | internal-boundary | x=0 | y=0 | z=0 | h=0
+    region: np.ndarray  # code into _REGION_NAMES, read at FACE_TOL
+    grad_norm: np.ndarray
+    kind: np.ndarray  # descent | stationary
     starts: int
     converged: int
     dropped: int  # descent starts above GRAD_TOL at the step floor or after MAX_ITER iterations
     dropped_grad_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))  # their last residual norms
+
+    def row(self, i: int) -> dict:
+        """Point i as the verify-appendix JSON lists it."""
+        return {
+            "params": self.points[i].tolist(),
+            "f": float(self.f[i]),
+            "location": str(self.location[i]),
+            "region": str(_REGION_NAMES[self.region[i]]),
+            "grad_norm": float(self.grad_norm[i]),
+            "kind": str(self.kind[i]),
+        }
 
     def dropped_summary(self) -> dict:
         """Count, min, median and max of the dropped starts' final residual norms."""
@@ -346,19 +335,19 @@ class MinimizeResult:
         stats = (float(g.min()), float(np.median(g)), float(g.max())) if g.size else (None,) * 3
         return {"count": int(g.size), **dict(zip(("min", "median", "max"), stats))}
 
-    def best_matching(self, target, radius: float) -> CriticalPoint | None:
-        """Closest returned point within `radius` of the target coordinates;
+    def best_matching(self, target, radius: float) -> dict | None:
+        """Row of the closest point within `radius` of the target coordinates;
         of points at the same distance, the last."""
-        coords = np.fromiter(itertools.chain.from_iterable(pt.params for pt in self.points), float)
-        diff = coords.reshape(-1, 1, 4) - np.asarray(target, dtype=float)
+        diff = self.points.reshape(-1, 1, 4) - np.asarray(target, dtype=float)
         d = np.sqrt(diff @ diff.transpose(0, 2, 1))[:, 0, 0]  # sqrt(v @ v), as np.linalg.norm(v) takes it
         hits = np.flatnonzero(d <= min(radius, d.min(initial=np.inf)))
-        return self.points[hits[-1]] if hits.size else None
+        return self.row(hits[-1]) if hits.size else None
 
     def value_table(self) -> list[dict]:
-        """Key, length and first point of each run of points with one _value_key (one run per value)."""
-        runs = [list(g) for _, g in itertools.groupby(self.points, lambda pt: _value_key(pt.f_value))]
-        return [{"f": _value_key(r[0].f_value), "count": len(r), "example": r[0].as_dict()} for r in runs]
+        """Key, length and first row of each run of points with one _value_key (one run per value)."""
+        keys = [_value_key(v) for v in self.f.tolist()]
+        first = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+        return [{"f": keys[i], "count": j - i, "example": self.row(i)} for i, j in zip(first, first[1:] + [len(keys)])]
 
 
 def _value_key(f: float) -> float:
@@ -482,7 +471,7 @@ _FACES = np.array([f"{c}=0" for c in _COORDS])
 
 
 def _labels(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Region and location label of each converged point of an (n, 4) stack.
+    """Region code and location label of each converged point of an (n, 4) stack.
 
     Converged coordinates are only resolved to ~1e-8, so sign quantities below
     FACE_TOL cannot be told apart from a region boundary: the region is read at
@@ -490,10 +479,10 @@ def _labels(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     FACE_TOL of the point; off the faces it is internal-boundary on a region
     boundary and interior elsewhere.
     """
-    region = _region_codes(p, tol=FACE_TOL)
+    region = _region_ids(p, tol=FACE_TOL)
     on_face = p <= FACE_TOL
     location = np.where(on_face.any(axis=1), _FACES[on_face.argmax(axis=1)],
-                        np.where(region == "boundary", "internal-boundary", "interior"))
+                        np.where(_REGION_NAMES[region] == "boundary", "internal-boundary", "interior"))
     return region, location
 
 
@@ -534,14 +523,10 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     f_value = f_components(p[idx])["f"]
     by_value = np.argsort([_value_key(v) for v in f_value.tolist()], kind="stable")
     idx, f_value = idx[by_value], f_value[by_value]
-    p, grad, kind = p[idx], grad[idx], kind[idx]
+    p = p[idx]
     region, location = _labels(p)
     return MinimizeResult(
-        points=[
-            CriticalPoint(params=SchmidtParams(*q), f_value=float(fv), location=str(loc),
-                          region=reg, grad_norm=float(gn), kind=k)
-            for q, fv, loc, reg, gn, k in zip(p, f_value, location, region, grad, kind)
-        ],
+        points=p, f=f_value, location=location, region=region, grad_norm=grad[idx], kind=kind[idx],
         starts=cfg.starts,
         converged=int(converged.sum()),
         dropped=int((~converged).sum()),
@@ -617,11 +602,9 @@ def _sobol_sphere(n: int, dim: int, seed: int) -> np.ndarray:
     return g.T
 
 
-def verify_monogamy(
-    config: VerifyConfig | None = None,
-    critical_points: list[CriticalPoint] | None = None,
-) -> VerifyReport:
-    """Scan the octant sphere with low-discrepancy samples plus critical points.
+def verify_monogamy(config: VerifyConfig | None = None, search: MinimizeResult | None = None) -> VerifyReport:
+    """Scan the octant sphere with low-discrepancy samples plus the critical
+    points of `search` (none when it is None), read from its arrays.
 
     One reduction: f and the region code of every sample are computed in
     SCAN_CHUNK batches, which only bound the temporaries, and concatenated;
@@ -640,10 +623,10 @@ def verify_monogamy(
     blocks = [samples[lo : lo + SCAN_CHUNK] for lo in range(0, len(samples), SCAN_CHUNK)]
     fvals = np.concatenate([schmidt_f_batch(b)["f"] for b in blocks])
     codes = np.concatenate([_region_ids(b) for b in blocks])
-    crits = critical_points or []
-    crit_f = np.array([pt.f_value for pt in crits])
-    crit_p = np.array([pt.params.as_array() for pt in crits]).reshape(-1, 4)
-    crit_codes = np.array([_REGION_CODES[pt.region] for pt in crits], dtype=int)
+    if search is None:
+        crit_p, crit_f, crit_codes = np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64)
+    else:
+        crit_p, crit_f, crit_codes = search.points, search.f, search.region
 
     regions: dict[str, dict] = {}
     for code in np.flatnonzero(np.bincount(np.concatenate([codes, crit_codes]))):
@@ -660,7 +643,7 @@ def verify_monogamy(
 
     values = np.concatenate([fvals, crit_f])
     i = int(np.argmin(values))
-    k = int(np.argmin(crit_f)) if crits else None
+    k = int(np.argmin(crit_f)) if crit_f.size else None
     return VerifyReport(
         min_value=float(values[i]),
         argmin=[float(v) for v in (samples[i] if i < len(samples) else crit_p[i - len(samples)])],
@@ -671,5 +654,5 @@ def verify_monogamy(
         critical_min=None if k is None else float(crit_f[k]),
         critical_argmin=None if k is None else [float(v) for v in crit_p[k]],
         regions=regions,
-        critical_points=[pt.as_dict() for pt in crits],
+        critical_points=[search.row(i) for i in range(crit_f.size)],
     )

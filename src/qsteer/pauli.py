@@ -122,9 +122,10 @@ def _traces(signed: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     s = len(table) ** 2
     vals = np.add.reduce(signed.take(table, axis=0), axis=0)
     worst = float(np.abs(vals[s + 1:2 * s + 1]).max(initial=0.0))
-    # every float of rho is a term of a real or an imaginary part of a trace,
-    # so a NaN or an infinity in rho leaves worst or the real parts' sum non-finite
-    if not math.isfinite(worst + float(vals[:s].sum())):
+    # every float of rho is a term of a real or an imaginary part of a trace, so a
+    # NaN or an infinity in rho leaves worst or the real parts' largest magnitude
+    # non-finite (their sum could meet inf - inf)
+    if not math.isfinite(worst + float(np.abs(vals[:s]).max(initial=0.0))):
         raise ValueError("non-finite input: NaN or infinity in a Pauli trace")
     if worst > _IMAG_TOL:
         raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")

@@ -296,16 +296,18 @@ def validate_state(
 ) -> StateDiagnostics:
     """Check Hermiticity, unit trace, and positivity of a square matrix.
 
-    A matrix with a NaN or an infinite entry fails, with min_eigenvalue NaN.
+    A matrix with a NaN or an infinite entry fails, with hermiticity_residual
+    and min_eigenvalue NaN.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     rho_h = rho.conj().T
-    herm = float(np.abs(rho - rho_h).max())
+    # an infinity would meet inf - inf in rho - rho^+, and eigvalsh fails on a non-finite entry
+    finite = bool(np.isfinite(rho).all())
+    herm = float(np.abs(rho - rho_h).max()) if finite else math.nan
     tr = float(abs(rho.trace() - 1.0))
-    # herm is non-finite exactly when an entry is, and eigvalsh then fails
-    min_eig = float(np.linalg.eigvalsh((rho + rho_h) / 2.0)[0]) if math.isfinite(herm) else math.nan
+    min_eig = float(np.linalg.eigvalsh((rho + rho_h) / 2.0)[0]) if finite else math.nan
     return StateDiagnostics(
         dim=rho.shape[0],
         hermiticity_residual=herm,

@@ -30,7 +30,7 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norm, _region_codes, _region_ids,
+    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norm, _region_ids,
     _residual, _search, _sobol_sphere,
 )
 from qsteer.randgen import RandomStateSpec
@@ -183,7 +183,21 @@ def _survivors(monkeypatch, stack):
 
     monkeypatch.setattr(monogamy, "_search", endpoints)
     result = minimize_f(MinimizeConfig(starts=len(stack), stationary_starts=0, face_starts=0))
-    return sorted(tuple(pt.params) for pt in result.points)
+    return sorted(map(tuple, result.points.tolist()))
+
+
+def _record(coords, f, regions):
+    """A MinimizeResult of the given points, values and region names."""
+    n = len(coords)
+    codes = [list(_REGION_NAMES).index(name) for name in regions]
+    return monogamy.MinimizeResult(
+        points=np.array(coords, dtype=float).reshape(n, 4), f=np.array(f, dtype=float),
+        location=np.full(n, "interior"), region=np.array(codes, dtype=np.int64), grad_norm=np.zeros(n),
+        kind=np.full(n, "descent"), starts=0, converged=0, dropped=0)
+
+
+def _rows(result):
+    return [result.row(i) for i in range(len(result.points))]
 
 
 def _quads(pts):
@@ -422,7 +436,7 @@ class TestLabels:
         p = _unit(np.array([[0.089, 0.09, 0.878, 0.461]]))
         assert _fgwv_arrays(p)[4].all() and np.abs(_quads(p)).min() > 1e-3
         region, location = _labels(p)
-        assert (region[0], location[0]) == ("++++", "interior")
+        assert (_REGION_NAMES[region[0]], location[0]) == ("++++", "interior")
 
     def test_near_sign_boundary_is_internal_boundary(self):
         a, b = _unit(self.PATH)
@@ -440,9 +454,9 @@ class TestLabels:
         assert _fgwv_arrays(p)[4].all() and p.min() > FACE_TOL
         assert SIGN_BOUNDARY_TOL < abs(q[0]) < FACE_TOL and np.abs(q[1:]).min() > 1e-3
         # a sign pattern at the scan tolerance, a boundary at FACE_TOL
-        assert _region_codes(p)[0] == "+---"
+        assert _REGION_NAMES[_region_ids(p)[0]] == "+---"
         region, location = _labels(p)
-        assert (region[0], location[0]) == ("boundary", "internal-boundary")
+        assert (_REGION_NAMES[region[0]], location[0]) == ("boundary", "internal-boundary")
 
     def test_first_face_wins(self):
         near = []
@@ -459,52 +473,68 @@ class TestMinimize:
     def test_recovers_interior_minimum(self, search):
         hit = search.best_matching(INTERIOR, radius=1e-3)
         assert hit is not None
-        assert hit.f_value == pytest.approx(0.361084, abs=1e-4)
-        assert hit.region == "++++"
+        assert hit["f"] == pytest.approx(0.361084, abs=1e-4)
+        assert hit["region"] == "++++"
 
     def test_recovers_face_saddle(self, search):
         hit = search.best_matching(BELL, radius=1e-3)
         assert hit is not None
-        assert hit.f_value == pytest.approx(0.780239, abs=1e-5)
-        assert hit.location == "x=0"
+        assert hit["f"] == pytest.approx(0.780239, abs=1e-5)
+        assert hit["location"] == "x=0"
 
     def test_recovers_zero_corner(self, search):
         hit = search.best_matching(CORNER, radius=1e-3)
         assert hit is not None
-        assert hit.f_value == pytest.approx(0.0, abs=1e-9)
+        assert hit["f"] == pytest.approx(0.0, abs=1e-9)
 
     def test_all_points_on_sphere_and_nonnegative(self, search):
-        for pt in search.points:
-            assert pt.params.constraint_residual() < 1e-10
-            assert pt.f_value >= -1e-9
+        for q, f in zip(search.points, search.f):
+            assert SchmidtParams(*q).constraint_residual() < 1e-10
+            assert f >= -1e-9
         assert search.dropped + search.converged <= search.starts
 
     def test_best_matching_matches_point_loop(self, search):
-        # the closest point within the radius, the last one among equal distances
+        # the row of the closest point within the radius, the last one among equal distances
         def loop(target, radius):
             best, best_d = None, radius
-            for pt in search.points:
-                d = float(np.linalg.norm(pt.params.as_array() - np.asarray(target, dtype=float)))
+            for i, q in enumerate(search.points):
+                d = float(np.linalg.norm(q - np.asarray(target, dtype=float)))
                 if d <= best_d:
-                    best, best_d = pt, d
-            return best
+                    best, best_d = i, d
+            return None if best is None else search.row(best)
 
-        targets = [INTERIOR, BELL, CORNER, *(pt.params for pt in search.points[::7])]
+        targets = [INTERIOR, BELL, CORNER, *search.points[::7]]
         for target in targets:
             for radius in (1e-3, 0.3):
-                assert search.best_matching(target, radius) is loop(target, radius)
+                assert search.best_matching(target, radius) == loop(target, radius)
 
     def test_best_matching_ties(self):
-        def crit(coords):
-            return monogamy.CriticalPoint(SchmidtParams(*coords), 0.0, "interior", "++++", 0.0, "descent")
-
-        pts = [crit(BELL), crit((1.0, 0.0, 0.0, 0.0)), crit(BELL), crit((0.0, 0.0, 1.0, 0.0)), crit(INTERIOR)]
-        result = monogamy.MinimizeResult(pts, starts=0, converged=0, dropped=0)
-        assert result.best_matching(BELL, radius=1e-3) is pts[2]
+        # rows 0 and 2 share their coordinates; their values tell them apart
+        coords = [BELL, (1.0, 0.0, 0.0, 0.0), BELL, (0.0, 0.0, 1.0, 0.0), INTERIOR]
+        result = _record(coords, np.arange(5.0), ["++++"] * 5)
+        assert result.best_matching(BELL, radius=1e-3) == result.row(2) != result.row(0)
         # (1, 0, 0, 0) and (0, 0, 1, 0) are both sqrt(2) from the corner; the radius is inclusive
-        assert result.best_matching(CORNER, radius=np.sqrt(2.0)) is pts[3]
+        assert result.best_matching(CORNER, radius=np.sqrt(2.0)) == result.row(3)
         assert result.best_matching(CORNER, radius=1.4) is None
-        assert monogamy.MinimizeResult([], 0, 0, 0).best_matching(CORNER, radius=1.0) is None
+        assert _record([], [], []).best_matching(CORNER, radius=1.0) is None
+
+    def test_rows_read_the_arrays(self, search):
+        # row(i) is point i as the verify-appendix JSON lists it, field for field
+        rows = _rows(search)
+        assert all(list(r) == ["params", "f", "location", "region", "grad_norm", "kind"] for r in rows)
+        assert [r["params"] for r in rows] == search.points.tolist()
+        assert [(r["f"], r["grad_norm"]) for r in rows] == list(zip(search.f.tolist(), search.grad_norm.tolist()))
+        assert ([(r["location"], r["region"], r["kind"]) for r in rows]
+                == list(zip(search.location, _REGION_NAMES[search.region], search.kind)))
+        assert {r["kind"] for r in rows} == {"descent", "stationary"}
+
+    def test_empty_search(self):
+        empty = minimize_f(MinimizeConfig(starts=0, stationary_starts=0, face_starts=0))
+        assert empty.points.shape == (0, 4) and len(empty.f) == len(empty.region) == 0
+        assert empty.value_table() == []
+        assert empty.best_matching(CORNER, radius=2.0) is None
+        cfg = VerifyConfig(samples=2**10, seed=3)
+        assert verify_monogamy(cfg, empty).to_dict() == verify_monogamy(cfg).to_dict()
 
     @pytest.mark.parametrize("toward", ["up", "down", "alternating"])
     def test_report_ignores_last_bit_of_batch_f(self, search, monkeypatch, toward):
@@ -521,7 +551,7 @@ class TestMinimize:
 
         monkeypatch.setattr(monogamy, "schmidt_f_batch", nudged)
         moved = minimize_f(MinimizeConfig(starts=300, stationary_starts=64, face_starts=48, seed=11))
-        assert [pt.as_dict() for pt in moved.points] == [pt.as_dict() for pt in search.points]
+        assert _rows(moved) == _rows(search)
         assert moved.value_table() == search.value_table()
 
     def test_dedup_keeps_the_first_point_in_coordinate_order(self, monkeypatch):
@@ -562,7 +592,7 @@ class TestMinimize:
         assert keys == [0.0, 0.361084, 0.707107, 0.780239]
         # within one value the points run in coordinate order
         for key in keys:
-            run = [tuple(pt.params) for pt in search.points if round(pt.f_value, 6) + 0.0 == key]
+            run = [tuple(q) for q, f in zip(search.points.tolist(), search.f.tolist()) if round(f, 6) + 0.0 == key]
             assert run == sorted(run)
 
     def test_dropped_starts_carry_gradient_norms(self, search):
@@ -587,32 +617,31 @@ class TestMinimize:
     def test_grad_norms_hold_at_returned_points(self, search):
         # a reported norm is the residual at the returned unit-sphere point, not
         # one taken before a later move; a stationary (Newton) point holds its faces
-        p = np.array([pt.params for pt in search.points])
-        held = np.array([[pt.kind == "stationary"] for pt in search.points])
+        p, norms = search.points, search.grad_norm
+        held = (search.kind == "stationary")[:, None]
         recomputed = np.linalg.norm(_residual(p, _grad_f(p), held), axis=1)
-        norms = np.array([pt.grad_norm for pt in search.points])
         assert_allclose(norms, recomputed, rtol=0, atol=1e-9)
         assert np.all(norms <= GRAD_TOL)
 
     def test_points_are_distinct(self, search):
-        p = np.array([pt.params for pt in search.points])
+        p = search.points
         dist = np.linalg.norm(p[:, None] - p[None], axis=-1)
         np.fill_diagonal(dist, np.inf)
         assert dist.min() > DEDUP_RADIUS
 
     def test_values_are_pipeline_values(self, search):
-        for pt in search.points:
-            assert pt.f_value == f_pipeline(pt.params)
+        for q, f in zip(search.points, search.f):
+            assert f == f_pipeline(q)
 
     def test_labels_match_single_point_rule(self, search):
-        for pt in search.points:
-            p = pt.params.as_array()
-            region = str(_region_codes(p[None], tol=FACE_TOL)[0])
+        for i, p in enumerate(search.points):
+            region = _REGION_NAMES[_region_ids(p[None], tol=FACE_TOL)[0]]
             faces = [f"{c}=0" for c, v in zip("xyzh", p) if v <= FACE_TOL]
             location = faces[0] if faces else "internal-boundary" if region == "boundary" else "interior"
-            assert (pt.region, pt.location) == (region, location)
-        assert {"x=0", "y=0", "z=0"} <= {pt.location for pt in search.points}
-        assert {"++++", "boundary", "undefined"} <= {pt.region for pt in search.points}
+            assert (search.row(i)["region"], search.location[i]) == (region, location)
+        assert np.array_equal(search.region, _region_ids(search.points, tol=FACE_TOL))
+        assert {"x=0", "y=0", "z=0"} <= set(search.location)
+        assert {"++++", "boundary", "undefined"} <= set(_REGION_NAMES[search.region])
 
 
 class TestExactFaces:
@@ -681,7 +710,7 @@ class TestVerify:
             quads = (f + g, f - g, w + v, w - v)
             strings.append("boundary" if min(map(abs, quads)) <= SIGN_BOUNDARY_TOL
                            else "".join("+" if q > 0 else "-" for q in quads))
-        assert list(_region_codes(pts)) == strings
+        assert list(_REGION_NAMES[_region_ids(pts)]) == strings
 
         sel = np.array(strings) == "++++"
         region = verify_monogamy(VerifyConfig(samples=2**12, seed=4)).regions["++++"]
@@ -691,18 +720,17 @@ class TestVerify:
     def test_region_restricted_scan(self):
         # the sampled infimum of the ++++ region sits near its closure at the
         # zero set; the stationary-analysis number is the critical-point min
-        crits = minimize_f(MinimizeConfig(starts=200, stationary_starts=48,
-                                          face_starts=32, seed=11)).points
-        report = verify_monogamy(VerifyConfig(samples=2**14, seed=5), critical_points=crits)
+        crits = minimize_f(MinimizeConfig(starts=200, stationary_starts=48, face_starts=32, seed=11))
+        report = verify_monogamy(VerifyConfig(samples=2**14, seed=5), crits)
         assert report.passed
         assert report.regions["++++"]["critical_min"] == pytest.approx(0.361084, abs=1e-3)
         assert report.min_value >= -1e-9
 
     def test_regions_follow_code_order(self):
-        crits = minimize_f(MinimizeConfig(starts=50, stationary_starts=16,
-                                          face_starts=8, seed=11)).points
-        report = verify_monogamy(VerifyConfig(samples=2**12, seed=3), critical_points=crits)
-        assert sum(r["critical_count"] for r in report.regions.values()) == len(crits)
+        crits = minimize_f(MinimizeConfig(starts=50, stationary_starts=16, face_starts=8, seed=11))
+        report = verify_monogamy(VerifyConfig(samples=2**12, seed=3), crits)
+        assert sum(r["critical_count"] for r in report.regions.values()) == len(crits.points)
+        assert report.critical_points == _rows(crits)
         assert list(report.regions) == [n for n in _REGION_NAMES if n in report.regions]
 
     def test_critical_point_wins_only_when_strictly_lower(self):
@@ -710,19 +738,16 @@ class TestVerify:
         (region, entry), = scan.regions.items()
         other = next(n for n in _REGION_NAMES if n != region)
 
-        def crit(f, coords, reg):
-            return monogamy.CriticalPoint(SchmidtParams(*coords), f, "interior", reg, 0.0, "descent")
-
-        tie = crit(scan.min_value, CORNER, other)
-        report = verify_monogamy(VerifyConfig(samples=1, seed=2), critical_points=[tie])
+        tie = _record([CORNER], [scan.min_value], [other])
+        report = verify_monogamy(VerifyConfig(samples=1, seed=2), tie)
         assert report.argmin == scan.argmin
         assert report.critical_argmin == list(CORNER)
         assert list(report.regions) == [n for n in _REGION_NAMES if n in (region, other)]
         assert report.regions[other] == {"samples": 0, "sampled_min": np.inf, "sampled_argmin": None,
                                          "critical_count": 1, "critical_min": scan.min_value}
 
-        lower = crit(scan.min_value - 1.0, BELL, region)
-        report = verify_monogamy(VerifyConfig(samples=1, seed=2), critical_points=[tie, lower])
+        both = _record([CORNER, BELL], [scan.min_value, scan.min_value - 1.0], [other, region])
+        report = verify_monogamy(VerifyConfig(samples=1, seed=2), both)
         assert report.min_value == report.critical_min == scan.min_value - 1.0
         assert report.argmin == report.critical_argmin == list(BELL)
         assert not report.passed
