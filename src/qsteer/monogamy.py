@@ -602,6 +602,16 @@ def _sobol_sphere(n: int, dim: int, seed: int) -> np.ndarray:
     return g.T
 
 
+def _region_groups(codes: np.ndarray, values: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per region code present, ascending: the indices of its points and
+    their values, both in index order, from one stable sort of the codes."""
+    small = codes.astype(np.uint8)
+    order = np.argsort(small, kind="stable")
+    bounds = np.searchsorted(small[order], np.arange(len(_REGION_NAMES) + 1))
+    ordered = values[order]
+    return {c: (order[lo:hi], ordered[lo:hi]) for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo}
+
+
 def verify_monogamy(config: VerifyConfig | None = None, search: MinimizeResult | None = None) -> VerifyReport:
     """Scan the octant sphere with low-discrepancy samples plus the critical
     points of `search` (none when it is None), read from its arrays.
@@ -628,11 +638,14 @@ def verify_monogamy(config: VerifyConfig | None = None, search: MinimizeResult |
     else:
         crit_p, crit_f, crit_codes = search.points, search.f, search.region
 
+    # one grouped pass per point set: each region's first lowest sample
+    # (np.argmin's pick, a NaN first) and its critical minimum
+    sampled, crit = _region_groups(codes, fvals), _region_groups(crit_codes, crit_f)
+    none = (np.zeros(0, dtype=np.intp), np.zeros(0))
     regions: dict[str, dict] = {}
-    for code in np.flatnonzero(np.bincount(np.concatenate([codes, crit_codes]))):
-        sel = np.flatnonzero(codes == code)
-        j = sel[np.argmin(fvals[sel])] if sel.size else None
-        crit_in = crit_f[crit_codes == code]
+    for code in sorted(sampled.keys() | crit.keys()):
+        (sel, f_in), crit_in = sampled.get(code, none), crit.get(code, none)[1]
+        j = sel[np.argmin(f_in)] if sel.size else None
         regions[_REGION_NAMES[code]] = {
             "samples": int(sel.size),
             "sampled_min": np.inf if j is None else float(fvals[j]),

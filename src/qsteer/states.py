@@ -162,6 +162,8 @@ def purity(rho: np.ndarray) -> float:
 # deficits below this are within entry-rounding of an exactly pure marginal;
 # flooring them keeps sqrt(deficit) from turning 1e-17 of matrix noise into 1e-8
 DEFICIT_FLOOR = 1e-14
+# _minor_sum's constants as 0-d arrays, which numpy combines with arrays faster than floats
+_TWO, _FLOOR, _ZERO = np.array(2.0), np.array(DEFICIT_FLOOR), np.array(0.0)
 
 
 @functools.cache
@@ -183,14 +185,16 @@ def _minor_terms(parts: np.ndarray) -> np.ndarray:
     """The principal 2x2 minors rho_ii rho_jj - |rho_ij|^2, given parts[0:4]
     = re rho_ii, re rho_jj, re rho_ij, im rho_ij."""
     ii, jj, re, im = parts
-    return ii * jj - (re**2 + im**2)
+    return ii * jj - (np.square(re) + np.square(im))
 
 
-def _minor_sum(minors: np.ndarray) -> np.ndarray:
+def _minor_sum(minors: np.ndarray, add=ordered_sum) -> np.ndarray:
     """Twice the sum of principal minors, added in order over the first axis,
-    clamped at DEFICIT_FLOOR."""
-    deficit = 2.0 * ordered_sum(minors, axis=0)
-    return np.where(deficit < DEFICIT_FLOOR, 0.0, deficit)
+    clamped at DEFICIT_FLOOR. add may be np.add.reduce where a non-reduced
+    axis longer than 1 remains, which keeps that sum in order (same bits);
+    on a (minors, 1) array the reduce adds pairwise."""
+    deficit = _TWO * add(minors, axis=0)
+    return np.where(deficit < _FLOOR, _ZERO, deficit)
 
 
 def purity_deficit(rho: np.ndarray) -> float | np.ndarray:

@@ -12,6 +12,12 @@ order: h_, s_, norm_ and bound_ of each cut and direction (a_bc for A->BC,
 bc_to_a for BC->A, b_to_ca, and so on), H and S of the pairs (h_ab, s_ab,
 ...), h_tot, s_tot, margin and classification. steering_batch fills it with
 one array entry per state, steering_report with floats and a str label.
+
+The kernel calls no LAPACK routine: _trace_norms takes every cut and pair
+trace norm from one modified Gram-Schmidt pass over the three rows of each
+block, then two fixed-point and two Newton steps on a closed-form equation
+for the sum of the singular values. trace_norm (one SVD per matrix) is the reference route,
+which h_pair and the tests use.
 """
 
 from __future__ import annotations
@@ -52,6 +58,15 @@ PAIR_SCALE = 0.5  # two 1/sqrt(2) qubit LOO factors
 # complement's at 1e-12 moves H by at most ~sqrt(1e-12) where a deficit is ~0
 _PURE_DEFICIT_TOL = 1e-12
 
+# _trace_norms: a row norm below 2^-500 would square into underflow. Its
+# products n1 2n2, n1 2c, n1 2n3, a 2n3, n2 2n3, a 2c, n2 2b and 2n2 2n3 take
+# rows 0-5 (n1, a, b, n2, c, n3) and 14-19 (twice each) of its table. Its
+# constants are 0-d arrays, which numpy multiplies faster than floats.
+_ROW_FLOOR = np.array(2.0 ** -500)
+_INF, _ZERO, _THREE = np.array(np.inf), np.array(0.0), np.array(3.0)
+_LEFT = np.array([0, 0, 0, 1, 3, 1, 3, 17])
+_RIGHT = np.array([17, 18, 19, 19, 19, 18, 16, 19])
+
 # theta axes of each cut (A->BC, B->CA, C->AB): steering qubit, then the
 # pair; the pair-to-qubit direction uses the transposed matrix, so it shares
 # the trace norm. Names are the suffixes of the report keys.
@@ -69,9 +84,72 @@ _LABEL_AT = _REPORT_HEAD.index("classification")
 
 
 def trace_norm(matrix) -> float | np.ndarray:
-    """Sum of singular values; one per matrix of a stack (..., m, n)."""
+    """Sum of singular values; one per matrix of a stack (..., m, n).
+
+    The LAPACK reference route (one SVD per matrix): h_pair and the tests
+    use it, while the steering kernel takes its norms from _trace_norms.
+    """
     norms = ordered_sum(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False))
     return float(norms) if norms.ndim == 0 else norms
+
+
+def _trace_norms(m: np.ndarray) -> np.ndarray:
+    """Trace norm of each 3 x c block m[:, :, j] of a stack m[3, c, B], with
+    no LAPACK call.
+
+    Modified Gram-Schmidt on the three rows gives m = L Q, with orthonormal
+    rows in Q and L = [[n1, 0, 0], [a, n2, 0], [b, c, n3]], so m and L share
+    their singular values s. Three invariants are sums of nonnegative terms:
+    s1 = sum s_i^2 (the squares of L), s2 = sum_{i<j} s_i^2 s_j^2 (the
+    squared 2x2 minors of L) and e = s_1 s_2 s_3 = n1 n2 n3. The trace norm t
+    = sum s_i solves t = w(t) = sqrt(s1 + u) with u = 2 sqrt(s2 + 2 e t).
+    From the upper bound sqrt(3 s1), two fixed-point steps t <- w (each
+    shrinks the error at least ninefold, as w' = 2e / (u w) <= 1/9) and two
+    Newton steps t <- w + (w - t) 2e / (u w - 2e) reach it to rounding: the
+    iteration's own error is below 0.04 ulp over every ratio s_1 : s_2 : s_3
+    (three Newton steps alone cost one more numpy call). A row whose
+    norm is below _ROW_FLOOR (its squares would underflow) is not divided by
+    that norm, which moves t by at most the norm; a zero block gives 0.0.
+
+    Every sum runs over the column axis in order while a non-reduced axis
+    longer than 1 remains (B >= 2), and everything else is elementwise, so a
+    block's norm does not depend on the other blocks of the stack. Against
+    LAPACK (trace_norm) the error budget is 1e-14 times the block's Frobenius
+    norm plus 3 * 2^-500, checked on stacks of rank 0 to 3 with equal, graded
+    and near-degenerate singular values (tests/test_steering.py).
+    """
+    r1, r23 = m[0], m[1:]
+    # rows 0-5: n1, a, b, n2, c, n3, the entries of L; 6-11: twice its 2x2
+    # minors; 13: 4 n2 n3; 14-19: twice the entries of L (see _LEFT)
+    x = np.empty((20,) + m.shape[2:])
+    g = np.add.reduce(r1 * m, 1)  # r1 . r1, r1 . r2, r1 . r3
+    n1 = np.sqrt(g[0], x[0])
+    n1 = np.where(n1 >= _ROW_FLOOR, n1, _INF)
+    ab = np.divide(g[1:], n1, x[1:3])
+    rest = r23 - (ab / n1)[:, None] * r1  # rows 2 and 3 less their r1 parts
+    r2 = rest[0]
+    p2, g23 = np.add.reduce(r2 * rest, 1)  # n2^2 and r2 . rest[1]
+    n2 = np.sqrt(p2, x[3])
+    beta = g23 / np.where(n2 >= _ROW_FLOOR, p2, _INF)
+    np.multiply(beta, n2, x[4])
+    r3 = rest[1] - beta * r2
+    np.sqrt(np.add.reduce(r3 * r3, 0), x[5])
+    np.add(x[:6], x[:6], x[14:])
+    np.multiply(x.take(_LEFT, 0), x.take(_RIGHT, 0), x[6:14])
+    np.subtract(x[11], x[12], x[11])  # a 2c - n2 2b
+    # one sum of squares gives s1 and 4 s2
+    s1, s4 = np.add.reduce(np.square(x[:12]).reshape((2, 6) + m.shape[2:]), 1)
+    e2 = x[10] * x[0]
+    e8 = x[13] * x[14]
+    # u w >= 6e on the way down, and where e = 0 the step is w: the divisor
+    # takes -1 for 2e there, so a block of rank 1 or 0 divides 0 by u w + 1
+    div = e2 - (e2 == _ZERO)
+    t = np.sqrt(s1 * _THREE)
+    for newton in (False, False, True, True):
+        u = np.sqrt(s4 + e8 * t)
+        w = np.sqrt(s1 + u)
+        t = (w - t) * (e2 / (u * w - div)) + w if newton else w
+    return t
 
 
 def correlation_one_to_two(theta: np.ndarray) -> np.ndarray:
@@ -153,14 +231,16 @@ class SteeringReport(dict):
         )
 
 
-_LABELS = np.array(["mixed", "corollary1", "corollary2"])
+_LABELS = np.array(["mixed", "corollary1", "corollary2"])  # codes 0, 1 and -1 (or 2)
 # max(H, -inf) is H itself and max(H, 0) is S: one maximum gives both
-_H_AND_S = np.array([-np.inf, 0.0])[:, None, None]
+_H_AND_S = np.array([-np.inf, 0.0])[:, None]
 
 
 def _classes(h: np.ndarray, axis: int) -> np.ndarray:
-    # code 1 when every H >= 0, 2 when every H < 0, else 0: a NaN is neither
-    return _LABELS.take((h >= 0.0).all(axis) + 2 * (h < 0.0).all(axis))
+    # code 1 when every H >= 0, -1 when every H < 0, else 0: a NaN is neither,
+    # as it is the minimum and the maximum of its set
+    low, high = np.minimum.reduce(h, axis), np.maximum.reduce(h, axis)
+    return _LABELS.take(np.subtract(low >= _ZERO, high < _ZERO, dtype=np.intp))
 
 
 def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
@@ -180,24 +260,20 @@ class _Plan:
 
     front: np.ndarray  # pauli._trace_table of the 64 traces and the reduced-state entries
     theta: np.ndarray  # theta rows of the one covariance and purity gather, 64 the appended
-    # zero: entry, row factor and column factor of every covariance entry, then the purity block
-    scale: np.ndarray  # (64k + 27, 1) LOO normalization of each covariance entry
-    purity: tuple  # (rows, width) of the purity block: Bloch vectors A, B, C [, each cut's pair]
+    # zero: entry, row factor and column factor of every covariance entry, each a
+    # (3 rows, 15 columns, k + 3 blocks) table, then the purity block
+    scale: np.ndarray  # (45 (k + 3), 1) LOO normalization of each covariance entry
+    purity: tuple  # (width, rows) of the purity block: Bloch vectors A, B, C [, each cut's pair]
     divisor: np.ndarray  # (rows, 1) 2 for a qubit purity, 4 for a pair's: a bound's constant
     minors: np.ndarray  # (4, minors) states._deficit_tables parts: floats of every minor
     deficits: np.ndarray  # (28, 3 + k + 1) minors of A, B, C, each cut's steered pair, rho
     steer: np.ndarray  # steering qubit of each cut
     pcol: np.ndarray  # per bound: its purity row
     dcol: np.ndarray  # per bound: its deficit row
-    ncol: np.ndarray  # per bound: its trace norm row
+    ncol: np.ndarray  # per bound: its trace norm row (its block)
     pairs: int  # bound of the AB pair; AC and BC follow it
     keys: tuple  # report keys, in analyze JSON order
     columns: np.ndarray  # per key but "classification": its row of the stacked table
-
-
-def _cov_table(entry, row, col) -> np.ndarray:
-    """(3, m) flat theta indices of the covariance entries entry - row * col."""
-    return np.stack([a.ravel() for a in np.broadcast_arrays(entry, row, col)])
 
 
 @functools.cache
@@ -207,8 +283,13 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     flat = np.arange(64).reshape(4, 4, 4)
     cut_flat = [flat.transpose(_CUTS[c]) for c in names]
     pair_flat = [flat[:, :, 0], flat[:, 0, :], flat[0]]  # AB, AC, BC
-    cov = [_cov_table(t, t[:, :1, :1], t[:1]) for t in cut_flat]
-    cov += [_cov_table(t[1:, 1:], t[1:, :1], t[:1, 1:]) for t in pair_flat]
+    # every block as a 4 x 16 theta table whose row 0 and column 0 hold the
+    # factors: a cut's matrix, and a pair's 4 x 4 padded with the zero. The
+    # covariance is entry - row * col on rows 1..3 and columns 1..15; a cut's
+    # row 0 and column 00 are theta (1 - theta_000), zero at unit trace.
+    blocks = [t.reshape(4, 16) for t in cut_flat] + [np.pad(t, ((0, 0), (0, 12)), constant_values=64)
+                                                    for t in pair_flat]
+    cov = np.stack([np.broadcast_arrays(b[1:, 1:], b[1:, :1], b[:1, 1:]) for b in blocks], axis=-1)
     purity = [flat[:, 0, 0], flat[0, :, 0], flat[0, 0, :]]  # Bloch vectors of A, B, C
     if two_to_one:
         purity += [t[0].ravel() for t in cut_flat]  # each cut's pair
@@ -227,10 +308,12 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     if reverse_pairs:
         bounds += [(p[::-1], b, a, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
     table = list(zip(*bounds))
-    # the stacked table of _columns: h, s, norm and bound of every bound, then h_tot, s_tot, margin
+    # the stacked table of _columns: h and s of every bound side by side, then
+    # the norm and the bound of every bound, then h_tot, s_tot, margin
     n = len(bounds)
-    column = {f"{q}_{name}": i * n + j for i, q in enumerate(("h", "s", "norm", "bound"))
-              for j, name in enumerate(table[0])}
+    column = {f"{q}_{name}": 2 * j + i for i, q in enumerate(("h", "s")) for j, name in enumerate(table[0])}
+    column.update({f"{q}_{name}": i * n + j for i, q in enumerate(("norm", "bound"), 2)
+                   for j, name in enumerate(table[0])})
     column.update(h_tot=4 * n, s_tot=4 * n + 1, margin=4 * n + 2)
     keys = list(_REPORT_HEAD)
     keys += [f"{q}_{name}" for name in table[0][1:cuts] for q in ("h", "s", "norm", "bound")]
@@ -239,9 +322,9 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     terms, minors, deficits = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
     return _Plan(
         front=_trace_table(8, terms),
-        theta=np.concatenate([np.concatenate(cov, axis=1).ravel(), purity.ravel()]),
-        scale=np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [64 * k, 27])[:, None],
-        purity=purity.shape,
+        theta=np.concatenate([cov.ravel(), purity.T.ravel()]),
+        scale=np.tile(np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [k, 3]), 45)[:, None],
+        purity=purity.T.shape,
         divisor=np.array([2.0] * 3 + [4.0] * (k * two_to_one))[:, None],
         minors=minors,
         deficits=deficits,
@@ -260,28 +343,31 @@ def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     numbers in plan.keys order, and the n classification labels."""
     if rho.ndim != 3 or rho.shape[1:] != (8, 8):
         raise ValueError(f"expected a stack of 8x8 density matrices, got shape {rho.shape}")
-    n, k, m = len(rho), len(plan.steer), len(plan.scale)
+    n, m = len(rho), len(plan.scale)
+    blocks = m // 45  # k cuts, then the pairs AB, AC, BC
     signed = _signed(rho)
     theta, entries = _traces(signed, plan.front)
-    factors = theta.take(plan.theta, axis=0)
+    factors = theta.take(plan.theta, 0)
     cov = plan.scale * (factors[:m] - factors[m:2 * m] * factors[2 * m:3 * m])
-    norm = np.concatenate([trace_norm(cov[:64 * k].T.reshape(n, k, 4, 16)).T,
-                           trace_norm(cov[64 * k:].T.reshape(n, 3, 3, 3)).T])
-    purity = ordered_sum((factors[3 * m:] ** 2).reshape(plan.purity + (n,)), axis=1) / plan.divisor
-    minors = _minor_terms(np.concatenate((entries, signed[:128])).take(plan.minors, axis=0))
-    deficit = _minor_sum(minors.take(plan.deficits, axis=0))
+    norm = _trace_norms(cov.reshape(3, 15, blocks * n)).reshape(blocks, n)
+    # squares added in order over the width: the (rows, n) that stay keep the sum sequential
+    purity = np.add.reduce(np.square(factors[3 * m:]).reshape(plan.purity + (n,)), 0) / plan.divisor
+    minors = _minor_terms(np.concatenate((entries, signed[:128])).take(plan.minors, 0))
+    deficit = _minor_sum(minors.take(plan.deficits, 0), np.add.reduce)
     # for a globally pure state (last row) a pair's deficit equals its
     # complement's 2 det, which stays exact where the cut factorizes
-    np.copyto(deficit[3:-1], deficit.take(plan.steer, axis=0), where=deficit[-1] <= _PURE_DEFICIT_TOL)
-    norm = norm.take(plan.ncol, axis=0)
-    bound = np.sqrt((plan.divisor - purity).take(plan.pcol, axis=0) * deficit.take(plan.dcol, axis=0))
-    # H and S = max(H, 0) of every bound: max(H, -inf) is H
-    hs = np.maximum(norm - bound, _H_AND_S)
+    np.copyto(deficit[3:-1], deficit.take(plan.steer, 0), where=deficit[-1] <= _PURE_DEFICIT_TOL)
+    norm = norm.take(plan.ncol, 0)
+    bound = np.sqrt((plan.divisor - purity).take(plan.pcol, 0) * deficit.take(plan.dcol, 0))
+    # H and S = max(H, 0) of every bound side by side: max(H, -inf) is H
+    hs = np.maximum((norm - bound)[:, None], _H_AND_S)
     c = plan.pairs
-    total = ordered_sum(hs[:, c:c + 3], axis=1)  # h_tot = (h_ab + h_ac) + h_bc, and s_tot
-    margin = hs[1, :1] - total[:1]  # bound 0 is a_bc
+    # h_tot = (h_ab + h_ac) + h_bc, and s_tot: the (2, n) rows that stay keep
+    # the sum over the three pairs in order
+    total = np.add.reduce(hs[c:c + 3], 0)
+    margin = hs[0, 1:] - total[:1]  # bound 0 is a_bc
     table = np.concatenate((hs.reshape(2 * len(plan.pcol), n), norm, bound, total, margin))
-    return table.take(plan.columns, axis=0), _classes(hs[0, c:c + 3], axis=0)
+    return table.take(plan.columns, 0), _classes(hs[c:c + 3, 0], 0)
 
 
 def steering_batch(
@@ -301,12 +387,15 @@ def steering_batch(
       entry of the reduced states of qubits A, B, C and each cut's steered
       pair that a principal 2x2 minor reads;
     - covariances and purities: one take from theta gives the entry, row and
-      column factor of the 4x16 matrix of each cut, with B|CA and C|AB as
-      axis transposes, and of the 3x3 block of each pair, with
-      theta_AB = theta[:,:,0] and so on, then the Bloch vectors and, for the
-      pair-to-qubit direction, each cut's pair slice, padded with the zero;
-      one SVD per shape (both directions of a cut share a norm) and one
-      ordered sum of squares follow;
+      column factor of every covariance entry as one (3 rows, 15 columns,
+      k + 3 blocks) table: rows 1-3 and columns 1-15 of the 4x16 matrix of
+      each cut, with B|CA and C|AB as axis transposes (its row 0 and column
+      00 are theta (1 - tr rho), zero at unit trace), and the 3x3 block of
+      each pair, with theta_AB = theta[:,:,0] and so on, padded with the
+      zero; then the Bloch vectors and, for the pair-to-qubit direction,
+      each cut's pair slice, padded with the zero. One _trace_norms pass
+      gives every norm (both directions of a cut share one), and one sum of
+      squares in order every purity;
     - deficits: one take from the entry sums and rho's own floats gives
       every principal minor of those reduced states and of rho, and one
       take lays them out in rows of 28, the marginals' padded with a zero
@@ -321,7 +410,8 @@ def steering_batch(
 
     Every entry is computed with the same operations in the same order as
     by the direct per-quantity route (pauli_tensor, partial_trace and
-    purity_deficit, theta slices), so the values are bit-identical to it.
+    purity_deficit, theta slices, _trace_norms on one state's stacked
+    blocks), so the values are bit-identical to it.
     Rows of unequal length are padded with exact zeros at the end of a
     left-to-right sum: adding +0.0 changes at most the sign of a zero partial
     sum, a purity is a sum of squares, and a zero deficit is clamped to 0.0.

@@ -24,6 +24,7 @@ from qsteer.states import (
 from qsteer.steering import (
     PAIR_SCALE,
     _PURE_DEFICIT_TOL,
+    _trace_norms,
     SteeringReport,
     classify_pairs,
     correlation_one_to_two,
@@ -171,6 +172,110 @@ class TestTraceNorm:
     def test_positive_iff_nonzero(self, rng):
         m = rng.standard_normal((4, 16))
         assert trace_norm(m) > 0
+
+
+def _blocks(rng, cols, count, sigma=None, rank=3):
+    """(3, cols, count) stack of blocks: Gaussian of the given rank, or
+    U diag(sigma) V^T with Haar-random U and orthonormal columns V."""
+    if sigma is None:
+        blocks = rng.standard_normal((count, 3, rank)) @ rng.standard_normal((count, rank, cols))
+    else:
+        u = np.linalg.qr(rng.standard_normal((count, 3, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((count, cols, 3)))[0]
+        blocks = u * np.asarray(sigma, dtype=float) @ np.swapaxes(v, 1, 2)
+    return np.moveaxis(blocks, 0, -1)
+
+
+# singular values of the adversarial stacks: equal, graded, near-degenerate,
+# repeated small ones, and rows too small to square (below 2^-500)
+SIGMAS = [(1, 1, 1), (1, 1, 0), (1, 1e-5, 1e-11), (1, 1 + 1e-9, 1e-9), (2, 1e-8, 1e-8), (1e-3, 1e-3, 1e-3),
+          (1, 1e-300, 0), (1, 1e-160, 1e-170), (1e-160, 1e-161, 0)]
+
+
+class TestTraceNorms:
+    """The kernel's closed-form route against LAPACK (trace_norm)."""
+
+    @staticmethod
+    def assert_within_budget(m):
+        # 1e-14 of the block's scale, plus what the floor may drop: rows of
+        # norm below 2^-500 are not normalised
+        got, ref = _trace_norms(m), trace_norm(np.moveaxis(m, -1, 0))
+        scale = np.sqrt(np.einsum("ijk,ijk->k", m, m))
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale + 3 * 2.0**-500)
+
+    @pytest.mark.parametrize("cols", [3, 15])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_gaussian_ranks(self, rng, cols, rank):
+        self.assert_within_budget(_blocks(rng, cols, 500, rank=rank))
+
+    @pytest.mark.parametrize("cols", [3, 15])
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_adversarial_singular_values(self, rng, cols, sigma):
+        self.assert_within_budget(_blocks(rng, cols, 500, sigma=sigma))
+
+    @pytest.mark.parametrize("cols", [3, 15])
+    def test_negative_determinant_sparse_and_underflowing_rows(self, rng, cols):
+        m = _blocks(rng, cols, 200)
+        m[0] *= -1
+        self.assert_within_budget(m)
+        sparse = np.zeros((3, cols, 7))
+        sparse[2, 1, 0] = 1.0  # a GHZ pair block: rank 1
+        sparse[0, 0, 1], sparse[1, 1, 1] = 1.0, -0.5
+        sparse[:, 0, 2] = rng.standard_normal(3)
+        # a first row just under the floor, whose squares are still normal
+        sparse[0, 0, 3], sparse[1, :2, 3], sparse[2, [0, 2], 3] = 2.0**-501, 1.0, [0.5, 1.0]
+        # a second row whose squares are subnormal, along which the third has weight
+        sparse[0, 0, 4], sparse[1, 1:3, 4], sparse[2, 1, 4] = 1.0, 1e-160, 1.0
+        sparse[1, 1:3, 5], sparse[2, 1, 5] = 1e-160, 1.0
+        # a first row whose squares are subnormal, along which the second has weight
+        sparse[0, :2, 6], sparse[1, 0, 6], sparse[2, 2, 6] = 1e-160, 1.0, 1.0
+        self.assert_within_budget(sparse)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_block_is_exactly_zero(self, rng):
+        m = _blocks(rng, 15, 6)
+        m[..., ::2] = 0.0
+        m[1:, :, 1] = 0.0  # rank 1
+        with np.errstate(all="raise"):
+            norms = _trace_norms(m)
+        assert norms[::2].tolist() == [0.0, 0.0, 0.0]
+        assert abs(norms[1] - trace_norm(m[..., 1])) <= 1e-14 * norms[1]
+        assert np.all(norms[3::2] > 0)
+
+    def test_block_independent_of_its_stack(self, rng):
+        m = _blocks(rng, 15, 12)
+        m[..., 3] = 0.0
+        whole = _trace_norms(m)
+        for size in (2, 3, 5):
+            for lo in range(0, 12 - size + 1):
+                assert _trace_norms(m[..., lo:lo + size]).tobytes() == whole[lo:lo + size].tobytes()
+        assert _trace_norms(m[..., ::-1]).tobytes() == whole[::-1].tobytes()
+
+    def test_kernel_calls_no_svd(self, rng, monkeypatch):
+        rhos = np.stack([random_mixed_density(rng) for _ in range(3)])
+        expect = steering_batch(rhos, **ALL).to_dict()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        got = steering_batch(rhos, **ALL).to_dict()
+        assert all(np.array_equal(got[k], v) for k, v in expect.items())
+
+    def test_trace_off_one_moves_a_norm_by_its_budget(self, rng):
+        # the kernel drops each cut matrix's row 0 and column 00, which equal
+        # theta (1 - tr rho): zero at unit trace, at most |1 - tr rho| |theta|
+        # of Frobenius weight otherwise, so a norm moves by at most that times
+        # sqrt(2) (the dropped part has rank 2) over 2 sqrt(2)
+        for maker in (random_pure_density, random_mixed_density):
+            for _ in range(10):
+                rho = maker(rng) * (1 + 1e-12)
+                theta = pauli_tensor(rho)
+                got = steering_batch(rho[None], include_all_cuts=True)
+                for name, axes, _ in CUT_AXES:
+                    full = trace_norm(correlation_one_to_two(theta.transpose(axes)))
+                    budget = 1e-12 * np.linalg.norm(theta) / 2 + 1e-14
+                    assert abs(got[f"norm_{name}"][0] - full) <= budget, name
 
 
 class TestHValues:
@@ -397,31 +502,40 @@ def _h_values(d):
     return {k: v for k, v in d.items() if k.startswith("h_") and k != "h_tot"}
 
 
+CUT_AXES = (("a_bc", (0, 1, 2), "bc_to_a"), ("b_to_ca", (1, 2, 0), "ca_to_b"), ("c_to_ab", (2, 0, 1), "ab_to_c"))
+PAIR_KEYS = (((0, 1), "h_ab", "h_ba"), ((0, 2), "h_ac", "h_ca"), ((1, 2), "h_bc", "h_cb"))
+
+
 def direct_h(rho):
     """Every H of steering_batch(..., **ALL) for one state, one quantity at a
     time from the public helpers: pauli_tensor and theta slices, partial_trace
-    and purity_deficit, correlation_one_to_two and trace_norm.
+    and purity_deficit, correlation_one_to_two and the pair covariance.
 
-    A pair's deficit is its complement's for a globally pure state
-    (purity_deficit(rho) <= 1e-12), as in steering_batch.
+    The trace norms come from the kernel's _trace_norms on this state's six
+    blocks, stacked: each cut's 4x16 matrix less row 0 and column 0, and each
+    pair's 3x3 block padded with zero columns to 3x15 (the route itself is
+    checked against LAPACK in TestTraceNorms). A pair's deficit is its
+    complement's for a globally pure state (purity_deficit(rho) <= 1e-12), as
+    in steering_batch.
     """
     theta = pauli_tensor(rho)
     pure = purity_deficit(rho) <= 1e-12
     d_q = [purity_deficit(partial_trace(rho, (q,))) for q in range(3)]
     p_q = [ordered_sum(np.moveaxis(theta, q, 0)[:, 0, 0] ** 2) / 2.0 for q in range(3)]
+    blocks = [correlation_one_to_two(theta.transpose(axes))[1:, 1:] for _, axes, _ in CUT_AXES]
+    for (a, b), _, _ in PAIR_KEYS:
+        t2 = np.take(theta, 0, axis=3 - a - b)  # theta_AB = theta[:, :, 0] and so on
+        blocks.append(np.pad(PAIR_SCALE * (t2[1:, 1:] - t2[1:, :1] * t2[:1, 1:]), ((0, 0), (0, 12))))
+    norms = _trace_norms(np.stack(blocks, axis=-1))
     out = {}
-    for name, axes, key21 in (("a_bc", (0, 1, 2), "bc_to_a"), ("b_to_ca", (1, 2, 0), "ca_to_b"),
-                              ("c_to_ab", (2, 0, 1), "ab_to_c")):
+    for norm, (name, axes, key21) in zip(norms[:3], CUT_AXES):
         t = theta.transpose(axes)
-        norm = trace_norm(correlation_one_to_two(t))
         q = axes[0]
         p_rest = ordered_sum(t[0].ravel() ** 2) / 4.0
         d_rest = d_q[q] if pure else purity_deficit(partial_trace(rho, axes[1:]))
         out[f"h_{name}"] = norm - np.sqrt((2.0 - p_q[q]) * d_rest)
         out[f"h_{key21}"] = norm - np.sqrt((4.0 - p_rest) * d_q[q])
-    for (a, b), fwd, rev in (((0, 1), "h_ab", "h_ba"), ((0, 2), "h_ac", "h_ca"), ((1, 2), "h_bc", "h_cb")):
-        t2 = np.take(theta, 0, axis=3 - a - b)  # theta_AB = theta[:, :, 0] and so on
-        norm = trace_norm(PAIR_SCALE * (t2[1:, 1:] - t2[1:, :1] * t2[:1, 1:]))
+    for norm, ((a, b), fwd, rev) in zip(norms[3:], PAIR_KEYS):
         out[fwd] = norm - np.sqrt((2.0 - p_q[a]) * d_q[b])
         out[rev] = norm - np.sqrt((2.0 - p_q[b]) * d_q[a])
     return out
