@@ -6,9 +6,9 @@ goes to stdout. QSTEER_OUT_DIR supplies the base directory for relative output
 paths.
 
 Exit codes: 0 success, 1 unreadable/malformed input file or a rejected
-argument (a negative seed or count, --samples 0, --points 1), 2 invalid quantum
-state, 3 verification fixture mismatch. A command line that argparse cannot
-parse exits 2 with its usage message, as argparse does.
+argument (a negative seed or count, --samples 0, --points 1, or a command line
+that cannot be parsed, which also prints the usage message), 2 invalid quantum
+state, 3 verification fixture mismatch.
 """
 
 from __future__ import annotations
@@ -197,7 +197,10 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_verify_appendix(args) -> int:
     try:
-        cfg = monogamy.MinimizeConfig(starts=args.starts, stationary_starts=args.stationary_starts,
+        for name in ("starts", "stationary_starts"):  # each on its own: a sum could hide a negative
+            if getattr(args, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        cfg = monogamy.MinimizeConfig(starts=args.starts + args.stationary_starts,
                                       face_starts=args.face_starts, seed=args.seed)
         scan_cfg = monogamy.VerifyConfig(samples=args.samples, seed=args.seed)
     except ValueError as exc:
@@ -294,11 +297,18 @@ def cmd_random(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, the code of a rejected argument."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built once per process: argparse takes ~1 ms to build the tree
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qsteer", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="qsteer", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("analyze", help="steering report for a state file")
     p.add_argument("state_file")
@@ -330,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("verify-appendix", help="re-verify the monogamy minimization study")
-    p.add_argument("--starts", type=int, default=2000)
-    p.add_argument("--stationary-starts", type=int, default=256)
-    p.add_argument("--face-starts", type=int, default=64)
+    p.add_argument("--starts", type=int, default=256, help="Newton starts over the whole octant")
+    p.add_argument("--stationary-starts", type=int, default=0, help="more Newton starts, added to --starts")
+    p.add_argument("--face-starts", type=int, default=64, help="Newton starts on each face")
     p.add_argument("--samples", type=int, default=2**20)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)

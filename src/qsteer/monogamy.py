@@ -20,12 +20,12 @@ claim f >= 0 everywhere on that domain. This module provides:
                     form of f (unreliable away from special points; kept for
                     cross-validation only),
 * boundary_f      - exact closed forms of f on the x=0 / y=0 / z=0 / h=0 faces,
-* minimize_f      - multi-start search for constrained critical points on
-                    the exact gradient (projected descent for minima plus
-                    Newton for saddle/maximum-type stationary points), every
-                    start judged by one residual test, each point reported
-                    once, in an order that rounding noise cannot flip; its
-                    MinimizeResult is one array record of the points,
+* minimize_f      - multi-start Newton search for the critical points of f
+                    on the sphere, the octant and its faces (minima, saddles
+                    and maxima alike), every start judged by one residual
+                    test and counted, each point reported once, in an order
+                    that rounding noise cannot flip; its MinimizeResult is
+                    one array record of the points,
 * verify_monogamy - quasi-random sphere scan, with a search's points read
                     from that record, per-region minima and a PASS/FAIL verdict.
 """
@@ -66,8 +66,7 @@ RADICAND_TOL = -1e-12  # rounding below 0 in a g/v radicand that still counts as
 SIGN_BOUNDARY_TOL = 1e-12  # |f+-g| or |w+-v| this small is a region boundary, not a sign
 FACE_TOL = 1e-6  # face/boundary slack for critical points, resolved only to ~1e-8
 GRAD_TOL = 1e-10  # every search start converges at this residual norm (_residual of the exact gradient)
-MAX_ITER = 400  # descent or Newton iterations before a search start is given up
-_ETAS = 0.5 ** np.arange(44)  # descent step sizes, largest first, down to a 1e-13 floor
+MAX_ITER = 400  # Newton iterations before a search start is given up
 DEDUP_RADIUS = 1e-6  # refined points closer than this in parameter space are one critical point
 PASS_TOL = -1e-9  # scan passes at or above this; pipeline values on f's zero set reach ~-1e-12
 SCAN_CHUNK = 2**16  # scan points per batch: bounds the scan's temporaries at 2^20 samples
@@ -288,13 +287,12 @@ def boundary_f(p, boundary: str) -> float:
 class MinimizeConfig:
     """Search configuration for minimize_f; every search covers the whole octant."""
 
-    starts: int = 2000  # descent starts
-    seed: int = 0
-    stationary_starts: int = 256  # Newton starts over the whole octant
+    starts: int = 256  # Newton starts over the whole octant
     face_starts: int = 64  # Newton starts on each of the four faces
+    seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "stationary_starts", "face_starts", "seed"):
+        for name in ("starts", "face_starts", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -303,19 +301,17 @@ class MinimizeConfig:
 class MinimizeResult:
     """The critical points of a search as one record: row i of each array is
     point i, in report order. grad_norm is the norm of the residual (_residual),
-    at most GRAD_TOL: the KKT residual for a descent end, the residual within
-    its faces for a stationary (Newton) end. converged and dropped count
-    descent starts, which sum to starts."""
+    at most GRAD_TOL. starts counts every Newton start, free and face; each one
+    either converged or was dropped, so converged + dropped == starts."""
 
     points: np.ndarray  # (n, 4) coordinates
     f: np.ndarray  # pipeline value (f_components)
-    location: np.ndarray  # interior | internal-boundary | x=0 | y=0 | z=0 | h=0
+    location: np.ndarray  # interior | x=0 | y=0 | z=0 | h=0
     region: np.ndarray  # code into _REGION_NAMES, read at FACE_TOL
     grad_norm: np.ndarray
-    kind: np.ndarray  # descent | stationary
     starts: int
     converged: int
-    dropped: int  # descent starts above GRAD_TOL at the step floor or after MAX_ITER iterations
+    dropped: int  # starts still above GRAD_TOL after MAX_ITER iterations
     dropped_grad_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))  # their last residual norms
 
     def row(self, i: int) -> dict:
@@ -326,7 +322,6 @@ class MinimizeResult:
             "location": str(self.location[i]),
             "region": str(_REGION_NAMES[self.region[i]]),
             "grad_norm": float(self.grad_norm[i]),
-            "kind": str(self.kind[i]),
         }
 
     def dropped_summary(self) -> dict:
@@ -401,58 +396,36 @@ def _grad_f(p: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def _residual(p: np.ndarray, g: np.ndarray, held) -> np.ndarray:
+def _residual(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Tangent gradient of f on the unit sphere, with the component of each
-    coordinate at an exact 0 dropped where the face absorbs it: always when
-    held (a face search), else where it pushes against the face (KKT)."""
+    coordinate at an exact 0 dropped: the search holds that face."""
     t = g - np.einsum("ij,ij->i", g, p)[:, None] * p
-    return np.where((p == 0.0) & (held | (t > 0.0)), 0.0, t)
+    return np.where(p == 0.0, 0.0, t)
 
 
-def _search(p0: np.ndarray, held: bool, step):
-    """Lockstep search from each row of p0 on the exact gradient, with one test.
+def _search(p0: np.ndarray):
+    """Lockstep Newton search from each row of p0 on the exact gradient, with one test.
 
     A start converges when the norm of its residual (see _residual) reaches
-    GRAD_TOL. Otherwise step(q, g, r) maps its point, gradient and residual to
-    the next point and a moved flag; a start that does not move, or is still
-    above GRAD_TOL after MAX_ITER steps, is given up. Returns endpoints and
+    GRAD_TOL. Otherwise _newton takes it to the next point; a start still
+    above GRAD_TOL after MAX_ITER steps is given up. Returns endpoints and
     the last residual norm of each start.
     """
     p, rnorm = p0.copy(), np.zeros(len(p0))
     live = np.arange(len(p))
     for _ in range(MAX_ITER):
         g = _grad_f(p[live])
-        r = _residual(p[live], g, held)
+        r = _residual(p[live], g)
         rnorm[live] = np.linalg.norm(r, axis=1)
         going = rnorm[live] > GRAD_TOL
         live, g, r = live[going], g[going], r[going]
         if live.size == 0:
             break
-        p[live], moved = step(p[live], g, r)
-        live = live[moved]
+        p[live] = _newton(p[live], g, r)
     return p, rnorm
 
 
-def _descent(q: np.ndarray, g: np.ndarray, r: np.ndarray):
-    """Projected descent step q <- normalize(max(q - eta r, 0)) on the sphere,
-    r the KKT residual, eta the largest of _ETAS that passes Armijo; none
-    passing leaves q where it is. A coordinate on a face stays there in a step
-    that puts another coordinate on a face: at an edge such as x = h = 0,
-    where f is a cone in (x, h), descent otherwise zigzags between the two
-    faces towards the edge and never lands on it."""
-    q3 = q[:, None, :]
-    cand = q3 - _ETAS[:, None] * r[:, None, :]
-    lands = ((cand <= 0.0) & (q3 > 0.0)).any(axis=2, keepdims=True)
-    cand = np.where(lands & (q3 == 0.0), 0.0, np.maximum(cand, 0.0))
-    cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-    fnew = schmidt_f_batch(cand.reshape(-1, 4))["f"].reshape(len(q), len(_ETAS))
-    ok = fnew <= schmidt_f_batch(q)["f"][:, None] + 1e-4 * np.einsum("nj,nkj->nk", r, cand - q3)
-    moved = ok.any(axis=1)
-    q[moved] = cand[moved, ok[moved].argmax(axis=1)]
-    return q, moved
-
-
-def _newton(q: np.ndarray, g: np.ndarray, r: np.ndarray):
+def _newton(q: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Newton step on the Lagrange system of f on sphere and face, with every
     exact 0 of q held: the pseudo-inverse of the Lagrangian Hessian H - (g.q) I,
     projected onto the tangent space of sphere and face, applied to r. The
@@ -464,7 +437,7 @@ def _newton(q: np.ndarray, g: np.ndarray, r: np.ndarray):
     lagr = hess - np.einsum("ij,ij->i", g, q)[:, None, None] * np.eye(4)
     inv = np.linalg.pinv(tangent @ lagr @ tangent, 1e-10, hermitian=True)
     q = np.maximum(q - free * np.einsum("nij,nj->ni", inv, r), 0.0)
-    return q / np.linalg.norm(q, axis=1, keepdims=True), np.ones(len(q), dtype=bool)
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
 _FACES = np.array([f"{c}=0" for c in _COORDS])
@@ -476,47 +449,41 @@ def _labels(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Converged coordinates are only resolved to ~1e-8, so sign quantities below
     FACE_TOL cannot be told apart from a region boundary: the region is read at
     FACE_TOL. The location is the first face, in x, y, z, h order, within
-    FACE_TOL of the point; off the faces it is internal-boundary on a region
-    boundary and interior elsewhere.
+    FACE_TOL of the point, and interior off the faces.
     """
-    region = _region_ids(p, tol=FACE_TOL)
     on_face = p <= FACE_TOL
-    location = np.where(on_face.any(axis=1), _FACES[on_face.argmax(axis=1)],
-                        np.where(_REGION_NAMES[region] == "boundary", "internal-boundary", "interior"))
-    return region, location
+    return _region_ids(p, tol=FACE_TOL), np.where(on_face.any(axis=1), _FACES[on_face.argmax(axis=1)], "interior")
 
 
 def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
-    """Multi-start search for constrained critical points of f.
+    """Multi-start Newton search for the constrained critical points of f.
 
-    Both phases run on the exact gradient _grad_f and stop at one test: the
-    residual norm of _residual at or below GRAD_TOL. Phase one runs lockstep
-    projected descent from the descent starts for local minima, a KKT point
-    on the sphere and octant. Phase two runs lockstep Newton on the Lagrange
-    system over the stationary starts and face_starts starts on each face; a
-    start on a face has an exact 0 in its face coordinate, Newton holds every
-    exact 0, and it also captures saddle- and maximum-type points. Converged
-    endpoints are taken in coordinate order, less each one with an earlier
-    endpoint within DEDUP_RADIUS (a chain of close ones keeps only its first),
-    valued by f_components in one batch and ordered by _value_key, ties in
-    coordinate order. Neither the dedup nor the order reads schmidt_f_batch.
+    Lockstep Newton on the Lagrange system (_newton) runs from `starts` points
+    over the whole octant and `face_starts` points on each face, on the exact
+    gradient _grad_f, and stops at one test: the residual norm of _residual at
+    or below GRAD_TOL. A start on a face has an exact 0 in its face coordinate
+    and Newton holds every exact 0, so it finds the critical points within
+    faces and edges as well as inside; minima, saddles and maxima alike. A
+    start still above GRAD_TOL after MAX_ITER steps is dropped and counted.
+    Converged endpoints are taken in coordinate order, less each one with an
+    earlier endpoint within DEDUP_RADIUS (a chain of close ones keeps only its
+    first), valued by f_components in one batch and ordered by _value_key,
+    ties in coordinate order. Neither the dedup nor the order reads
+    schmidt_f_batch.
     """
     from scipy.spatial import cKDTree  # imported here: scipy costs ~1 s of `import qsteer`
 
     cfg = config or MinimizeConfig()
-    first_face, n_face = cfg.starts + cfg.stationary_starts, cfg.face_starts
-    # descent starts, stationary starts, then n_face starts on each of the x, y,
-    # z and h faces in turn; a start on a face has an exact 0 in that coordinate
-    u0 = np.abs(np.random.default_rng(cfg.seed).standard_normal((first_face + 4 * n_face, 4)))
-    u0[first_face + np.arange(4 * n_face), np.repeat(np.arange(4), n_face)] = 0.0
+    n_face = cfg.face_starts
+    # free starts, then n_face starts on each of the x, y, z and h faces in
+    # turn; a start on a face has an exact 0 in that coordinate
+    u0 = np.abs(np.random.default_rng(cfg.seed).standard_normal((cfg.starts + 4 * n_face, 4)))
+    u0[cfg.starts + np.arange(4 * n_face), np.repeat(np.arange(4), n_face)] = 0.0
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
 
-    u, rnorm = _search(u0[:cfg.starts], False, _descent)
-    xs, gn = _search(u0[cfg.starts:], True, _newton)
-    converged, hit = rnorm <= GRAD_TOL, gn <= GRAD_TOL
-    p = np.concatenate([u[converged], xs[hit]])
-    grad = np.concatenate([rnorm[converged], gn[hit]])
-    kind = np.repeat(np.array(["descent", "stationary"], dtype=object), [converged.sum(), hit.sum()])
+    p, rnorm = _search(u0)
+    hit = rnorm <= GRAD_TOL
+    p, grad = p[hit], rnorm[hit]
 
     idx = np.lexsort(p.T[::-1])  # x first, then y, z, h
     idx = np.delete(idx, cKDTree(p[idx]).query_pairs(DEDUP_RADIUS, output_type="ndarray").max(axis=1))
@@ -526,11 +493,11 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     p = p[idx]
     region, location = _labels(p)
     return MinimizeResult(
-        points=p, f=f_value, location=location, region=region, grad_norm=grad[idx], kind=kind[idx],
-        starts=cfg.starts,
-        converged=int(converged.sum()),
-        dropped=int((~converged).sum()),
-        dropped_grad_norms=rnorm[~converged],
+        points=p, f=f_value, location=location, region=region, grad_norm=grad[idx],
+        starts=len(u0),
+        converged=int(hit.sum()),
+        dropped=int((~hit).sum()),
+        dropped_grad_norms=rnorm[~hit],
     )
 
 

@@ -125,7 +125,12 @@ def test_criterion_3_w_closed_form_grid():
 
 
 def test_criterion_4_appendix_fixtures(tmp_path, capsys):
-    """verify-appendix with 2000 starts recovers the three fixed minima in <5min."""
+    """verify-appendix, 2256 free and 4 x 64 face Newton starts, recovers the three fixtures in <5min.
+
+    The fixtures are critical points of f, not minima: 0.361084 is a saddle in
+    the y = 0 face, 0.780239 a maximum along an edge arc, and (0, 1, 0, 0)
+    lies on f's zero set.
+    """
     t0 = time.monotonic()
     code = cli.main([
         "verify-appendix", "--starts", "2000", "--stationary-starts", "256",
@@ -156,8 +161,10 @@ def test_criterion_4_appendix_fixtures(tmp_path, capsys):
         p = np.array(entry["example"]["params"])
         assert abs(p @ p - 1.0) < 1e-10
         assert entry["example"]["grad_norm"] <= GRAD_TOL
-    # the search does not silently lose starts
-    assert report["dropped"] < 0.01 * report["starts"]
+    # the search does not silently lose starts: every start is counted, and
+    # no more are dropped than under the old bound of 1% of 2000 starts
+    assert report["converged"] + report["dropped"] == report["starts"]
+    assert report["dropped"] < 20
     print(f"[criterion 4] appendix run {elapsed:.0f}s")
     _report("criterion 4: appendix fixtures")
 

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qsteer
-from qsteer import monogamy
+from qsteer import cli, monogamy
 from qsteer.monogamy import (
     ALL_SIGN_REGIONS,
     DEDUP_RADIUS,
@@ -30,7 +30,7 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _newton, _pair_norm, _region_ids,
+    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _pair_norm, _region_ids,
     _residual, _search, _sobol_sphere,
 )
 from qsteer.randgen import RandomStateSpec
@@ -176,13 +176,12 @@ def _fragile_points(rng):
 
 
 def _survivors(monkeypatch, stack):
-    """Sorted coordinates minimize_f reports when every descent start ends at a row of stack."""
-    def endpoints(p0, held, step):
-        p = np.zeros((0, 4)) if held else stack
-        return p.copy(), np.zeros(len(p))
+    """Sorted coordinates minimize_f reports when every start ends at a row of stack."""
+    def endpoints(p0):
+        return stack.copy(), np.zeros(len(stack))
 
     monkeypatch.setattr(monogamy, "_search", endpoints)
-    result = minimize_f(MinimizeConfig(starts=len(stack), stationary_starts=0, face_starts=0))
+    result = minimize_f(MinimizeConfig(starts=len(stack), face_starts=0))
     return sorted(map(tuple, result.points.tolist()))
 
 
@@ -193,7 +192,7 @@ def _record(coords, f, regions):
     return monogamy.MinimizeResult(
         points=np.array(coords, dtype=float).reshape(n, 4), f=np.array(f, dtype=float),
         location=np.full(n, "interior"), region=np.array(codes, dtype=np.int64), grad_norm=np.zeros(n),
-        kind=np.full(n, "descent"), starts=0, converged=0, dropped=0)
+        starts=0, converged=0, dropped=0)
 
 
 def _rows(result):
@@ -421,8 +420,7 @@ class TestBoundaryForms:
 
 @pytest.fixture(scope="module")
 def search():
-    return minimize_f(MinimizeConfig(starts=300, stationary_starts=64,
-                                     face_starts=48, seed=11))
+    return minimize_f(MinimizeConfig(starts=364, face_starts=48, seed=11))
 
 
 class TestLabels:
@@ -438,7 +436,7 @@ class TestLabels:
         region, location = _labels(p)
         assert (_REGION_NAMES[region[0]], location[0]) == ("++++", "interior")
 
-    def test_near_sign_boundary_is_internal_boundary(self):
+    def test_near_sign_boundary_is_a_region_boundary(self):
         a, b = _unit(self.PATH)
 
         def point(t):
@@ -453,10 +451,11 @@ class TestLabels:
         q = _quads(p)[0]
         assert _fgwv_arrays(p)[4].all() and p.min() > FACE_TOL
         assert SIGN_BOUNDARY_TOL < abs(q[0]) < FACE_TOL and np.abs(q[1:]).min() > 1e-3
-        # a sign pattern at the scan tolerance, a boundary at FACE_TOL
+        # a sign pattern at the scan tolerance, a boundary at FACE_TOL; off the
+        # faces the location is interior whatever the region
         assert _REGION_NAMES[_region_ids(p)[0]] == "+---"
         region, location = _labels(p)
-        assert (_REGION_NAMES[region[0]], location[0]) == ("boundary", "internal-boundary")
+        assert (_REGION_NAMES[region[0]], location[0]) == ("boundary", "interior")
 
     def test_first_face_wins(self):
         near = []
@@ -491,7 +490,7 @@ class TestMinimize:
         for q, f in zip(search.points, search.f):
             assert SchmidtParams(*q).constraint_residual() < 1e-10
             assert f >= -1e-9
-        assert search.dropped + search.converged <= search.starts
+        assert search.dropped + search.converged == search.starts
 
     def test_best_matching_matches_point_loop(self, search):
         # the row of the closest point within the radius, the last one among equal distances
@@ -521,15 +520,14 @@ class TestMinimize:
     def test_rows_read_the_arrays(self, search):
         # row(i) is point i as the verify-appendix JSON lists it, field for field
         rows = _rows(search)
-        assert all(list(r) == ["params", "f", "location", "region", "grad_norm", "kind"] for r in rows)
+        assert all(list(r) == ["params", "f", "location", "region", "grad_norm"] for r in rows)
         assert [r["params"] for r in rows] == search.points.tolist()
         assert [(r["f"], r["grad_norm"]) for r in rows] == list(zip(search.f.tolist(), search.grad_norm.tolist()))
-        assert ([(r["location"], r["region"], r["kind"]) for r in rows]
-                == list(zip(search.location, _REGION_NAMES[search.region], search.kind)))
-        assert {r["kind"] for r in rows} == {"descent", "stationary"}
+        assert ([(r["location"], r["region"]) for r in rows]
+                == list(zip(search.location, _REGION_NAMES[search.region])))
 
     def test_empty_search(self):
-        empty = minimize_f(MinimizeConfig(starts=0, stationary_starts=0, face_starts=0))
+        empty = minimize_f(MinimizeConfig(starts=0, face_starts=0))
         assert empty.points.shape == (0, 4) and len(empty.f) == len(empty.region) == 0
         assert empty.value_table() == []
         assert empty.best_matching(CORNER, radius=2.0) is None
@@ -550,7 +548,7 @@ class TestMinimize:
             return out
 
         monkeypatch.setattr(monogamy, "schmidt_f_batch", nudged)
-        moved = minimize_f(MinimizeConfig(starts=300, stationary_starts=64, face_starts=48, seed=11))
+        moved = minimize_f(MinimizeConfig(starts=364, face_starts=48, seed=11))
         assert _rows(moved) == _rows(search)
         assert moved.value_table() == search.value_table()
 
@@ -605,10 +603,13 @@ class TestMinimize:
             assert summary["min"] <= summary["median"] <= summary["max"]
 
     def test_starts_cut_short_are_dropped(self, monkeypatch):
-        # the default search drops no start, so cut every start after one step
+        # the default search drops no start, so cut every start after one step;
+        # free and face starts alike are counted, none vanishes
         monkeypatch.setattr(monogamy, "MAX_ITER", 1)
-        result = minimize_f(MinimizeConfig(starts=50, stationary_starts=0, face_starts=0, seed=3))
+        result = minimize_f(MinimizeConfig(starts=50, face_starts=8, seed=3))
+        assert result.starts == 50 + 4 * 8
         assert result.dropped > 0 and result.converged + result.dropped == result.starts
+        assert result.dropped_grad_norms.shape == (result.dropped,)
         assert np.all(result.dropped_grad_norms > GRAD_TOL)
         summary = result.dropped_summary()
         assert summary["count"] == result.dropped
@@ -616,10 +617,9 @@ class TestMinimize:
 
     def test_grad_norms_hold_at_returned_points(self, search):
         # a reported norm is the residual at the returned unit-sphere point, not
-        # one taken before a later move; a stationary (Newton) point holds its faces
+        # one taken before a later move; every point holds its faces
         p, norms = search.points, search.grad_norm
-        held = (search.kind == "stationary")[:, None]
-        recomputed = np.linalg.norm(_residual(p, _grad_f(p), held), axis=1)
+        recomputed = np.linalg.norm(_residual(p, _grad_f(p)), axis=1)
         assert_allclose(norms, recomputed, rtol=0, atol=1e-9)
         assert np.all(norms <= GRAD_TOL)
 
@@ -637,11 +637,28 @@ class TestMinimize:
         for i, p in enumerate(search.points):
             region = _REGION_NAMES[_region_ids(p[None], tol=FACE_TOL)[0]]
             faces = [f"{c}=0" for c, v in zip("xyzh", p) if v <= FACE_TOL]
-            location = faces[0] if faces else "internal-boundary" if region == "boundary" else "interior"
+            location = faces[0] if faces else "interior"
             assert (search.row(i)["region"], search.location[i]) == (region, location)
         assert np.array_equal(search.region, _region_ids(search.points, tol=FACE_TOL))
         assert {"x=0", "y=0", "z=0"} <= set(search.location)
         assert {"++++", "boundary", "undefined"} <= set(_REGION_NAMES[search.region])
+
+
+class TestSearchReach:
+    """What Newton alone finds: every isolated critical value, and the fixtures at the CI config."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_search_finds_every_critical_value(self, seed):
+        values = {round(v, 6) + 0.0 for v in minimize_f(MinimizeConfig(seed=seed)).f.tolist()}
+        assert values == {0.0, 0.361084, 0.707107, 0.780239}
+
+    def test_ci_config_recovers_every_fixture(self):
+        # the appendix smoke run's 16 free and 4 x 16 face starts, matched as verify-appendix matches
+        for seed in range(40):
+            result = minimize_f(MinimizeConfig(starts=16, face_starts=16, seed=seed))
+            for coords, expected, tol in cli.APPENDIX_FIXTURES:
+                hit = result.best_matching(coords, radius=1e-3)
+                assert hit is not None and abs(hit["f"] - expected) <= max(tol, 1e-4), (seed, coords)
 
 
 class TestExactFaces:
@@ -661,11 +678,11 @@ class TestExactFaces:
         u, zero = face_starts
         g = _grad_f(u)
         assert np.any(g[zero] != 0.0)  # one-sided partials into the octant; f is even in y
-        assert np.all(_residual(u, g, True)[zero] == 0.0)
+        assert np.all(_residual(u, g)[zero] == 0.0)
 
     def test_newton_keeps_a_zero_coordinate(self, face_starts):
         u, zero = face_starts
-        p, rnorm = _search(u, True, _newton)
+        p, rnorm = _search(u)
         assert np.all(p[zero] == 0.0)
         assert np.all(rnorm <= GRAD_TOL)
         assert_allclose(np.linalg.norm(p, axis=1), 1.0, rtol=0, atol=1e-15)
@@ -720,14 +737,14 @@ class TestVerify:
     def test_region_restricted_scan(self):
         # the sampled infimum of the ++++ region sits near its closure at the
         # zero set; the stationary-analysis number is the critical-point min
-        crits = minimize_f(MinimizeConfig(starts=200, stationary_starts=48, face_starts=32, seed=11))
+        crits = minimize_f(MinimizeConfig(starts=248, face_starts=32, seed=11))
         report = verify_monogamy(VerifyConfig(samples=2**14, seed=5), crits)
         assert report.passed
         assert report.regions["++++"]["critical_min"] == pytest.approx(0.361084, abs=1e-3)
         assert report.min_value >= -1e-9
 
     def test_regions_follow_code_order(self):
-        crits = minimize_f(MinimizeConfig(starts=50, stationary_starts=16, face_starts=8, seed=11))
+        crits = minimize_f(MinimizeConfig(starts=66, face_starts=8, seed=11))
         report = verify_monogamy(VerifyConfig(samples=2**12, seed=3), crits)
         assert sum(r["critical_count"] for r in report.regions.values()) == len(crits.points)
         assert report.critical_points == _rows(crits)
@@ -759,7 +776,7 @@ class TestVerify:
             VerifyConfig(samples=samples)
 
     @pytest.mark.parametrize("config,name", [
-        *(pytest.param(MinimizeConfig, n, id=n) for n in ("starts", "stationary_starts", "face_starts", "seed")),
+        *(pytest.param(MinimizeConfig, n, id=n) for n in ("starts", "face_starts", "seed")),
         pytest.param(VerifyConfig, "seed", id="verify-seed"),
         pytest.param(RandomStateSpec, "seed", id="random-seed"),
     ])
