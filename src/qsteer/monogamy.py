@@ -615,7 +615,7 @@ def verify_monogamy(config: VerifyConfig | None = None, search: MinimizeResult |
         j = sel[np.argmin(f_in)] if sel.size else None
         regions[_REGION_NAMES[code]] = {
             "samples": int(sel.size),
-            "sampled_min": np.inf if j is None else float(fvals[j]),
+            "sampled_min": None if j is None else float(fvals[j]),
             "sampled_argmin": None if j is None else [float(v) for v in samples[j]],
             "critical_count": int(crit_in.size),
             "critical_min": float(crit_in.min()) if crit_in.size else None,

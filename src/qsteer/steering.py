@@ -259,17 +259,16 @@ class _Plan:
     last axis runs over the states."""
 
     front: np.ndarray  # pauli._trace_table of the 64 traces and the reduced-state entries
-    theta: np.ndarray  # theta rows of the one covariance and purity gather, 64 the appended
-    # zero: entry, row factor and column factor of every covariance entry, each a
-    # (3 rows, 15 columns, k + 3 blocks) table, then the purity block
+    theta: np.ndarray  # theta rows of the one covariance gather, 64 the appended zero: entry,
+    # row factor and column factor of every covariance entry, each a (3 rows, 15 columns,
+    # k + 3 blocks) table
     scale: np.ndarray  # (45 (k + 3), 1) LOO normalization of each covariance entry
-    purity: tuple  # (width, rows) of the purity block: Bloch vectors A, B, C [, each cut's pair]
-    divisor: np.ndarray  # (rows, 1) 2 for a qubit purity, 4 for a pair's: a bound's constant
+    offset: np.ndarray  # (3 + k, 1) 1 for a qubit, 3 for a pair: 2 or 4 - tr r^2 is offset + deficit
     minors: np.ndarray  # (4, minors) states._deficit_tables parts: floats of every minor
     deficits: np.ndarray  # (28, 3 + k + 1) minors of A, B, C, each cut's steered pair, rho
     steer: np.ndarray  # steering qubit of each cut
-    pcol: np.ndarray  # per bound: its purity row
-    dcol: np.ndarray  # per bound: its deficit row
+    pcol: np.ndarray  # per bound: the deficit row of its steering side
+    dcol: np.ndarray  # per bound: the deficit row of its steered side
     ncol: np.ndarray  # per bound: its trace norm row (its block)
     pairs: int  # bound of the AB pair; AC and BC follow it
     keys: tuple  # report keys, in analyze JSON order
@@ -290,15 +289,10 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     blocks = [t.reshape(4, 16) for t in cut_flat] + [np.pad(t, ((0, 0), (0, 12)), constant_values=64)
                                                     for t in pair_flat]
     cov = np.stack([np.broadcast_arrays(b[1:, 1:], b[1:, :1], b[:1, 1:]) for b in blocks], axis=-1)
-    purity = [flat[:, 0, 0], flat[0, :, 0], flat[0, 0, :]]  # Bloch vectors of A, B, C
-    if two_to_one:
-        purity += [t[0].ravel() for t in cut_flat]  # each cut's pair
-    width = max(len(r) for r in purity)
-    purity = np.array([np.pad(r, (0, width - len(r)), constant_values=64) for r in purity])
 
     steer = [_CUTS[c][0] for c in names]
-    # (name, purity row, deficit row, norm row) per bound; deficit rows 3..
-    # hold each cut's steered pair (or, for a pure state, steering qubit)
+    # (name, steering deficit row, steered deficit row, norm row) per bound;
+    # deficit rows 3.. hold each cut's pair (or, for a pure state, steering qubit)
     bounds = [(c, steer[i], 3 + i, i) for i, c in enumerate(names)]
     if two_to_one:
         bounds += [(_TWO_TO_ONE[c], 3 + i, steer[i], i) for i, c in enumerate(names)]
@@ -322,10 +316,9 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     terms, minors, deficits = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
     return _Plan(
         front=_trace_table(8, terms),
-        theta=np.concatenate([cov.ravel(), purity.T.ravel()]),
+        theta=cov.ravel(),
         scale=np.tile(np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [k, 3]), 45)[:, None],
-        purity=purity.T.shape,
-        divisor=np.array([2.0] * 3 + [4.0] * (k * two_to_one))[:, None],
+        offset=np.array([1.0] * 3 + [3.0] * k)[:, None],
         minors=minors,
         deficits=deficits,
         steer=np.array(steer),
@@ -348,17 +341,19 @@ def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     signed = _signed(rho)
     theta, entries = _traces(signed, plan.front)
     factors = theta.take(plan.theta, 0)
-    cov = plan.scale * (factors[:m] - factors[m:2 * m] * factors[2 * m:3 * m])
+    cov = plan.scale * (factors[:m] - factors[m:2 * m] * factors[2 * m:])
     norm = _trace_norms(cov.reshape(3, 15, blocks * n)).reshape(blocks, n)
-    # squares added in order over the width: the (rows, n) that stay keep the sum sequential
-    purity = np.add.reduce(np.square(factors[3 * m:]).reshape(plan.purity + (n,)), 0) / plan.divisor
     minors = _minor_terms(np.concatenate((entries, signed[:128])).take(plan.minors, 0))
     deficit = _minor_sum(minors.take(plan.deficits, 0), np.add.reduce)
+    # a bound's first factor, 2 - tr r^2 = 1 + d for a qubit and 4 - tr r^2 =
+    # 3 + d for a pair at unit trace: the steering side's own deficit, taken
+    # before the pure-state switch swaps a pair's for its complement's
+    first = (plan.offset + deficit[:-1]).take(plan.pcol, 0)
     # for a globally pure state (last row) a pair's deficit equals its
     # complement's 2 det, which stays exact where the cut factorizes
     np.copyto(deficit[3:-1], deficit.take(plan.steer, 0), where=deficit[-1] <= _PURE_DEFICIT_TOL)
     norm = norm.take(plan.ncol, 0)
-    bound = np.sqrt((plan.divisor - purity).take(plan.pcol, 0) * deficit.take(plan.dcol, 0))
+    bound = np.sqrt(first * deficit.take(plan.dcol, 0))
     # H and S = max(H, 0) of every bound side by side: max(H, -inf) is H
     hs = np.maximum((norm - bound)[:, None], _H_AND_S)
     c = plan.pairs
@@ -386,23 +381,23 @@ def steering_batch(
       (plus a zero), their imaginary parts, which must vanish, and every
       entry of the reduced states of qubits A, B, C and each cut's steered
       pair that a principal 2x2 minor reads;
-    - covariances and purities: one take from theta gives the entry, row and
-      column factor of every covariance entry as one (3 rows, 15 columns,
-      k + 3 blocks) table: rows 1-3 and columns 1-15 of the 4x16 matrix of
-      each cut, with B|CA and C|AB as axis transposes (its row 0 and column
-      00 are theta (1 - tr rho), zero at unit trace), and the 3x3 block of
+    - covariances: one take from theta gives the entry, row and column
+      factor of every covariance entry as one (3 rows, 15 columns, k + 3
+      blocks) table: rows 1-3 and columns 1-15 of the 4x16 matrix of each
+      cut, with B|CA and C|AB as axis transposes (its row 0 and column 00
+      are theta (1 - tr rho), zero at unit trace), and the 3x3 block of
       each pair, with theta_AB = theta[:,:,0] and so on, padded with the
-      zero; then the Bloch vectors and, for the pair-to-qubit direction,
-      each cut's pair slice, padded with the zero. One _trace_norms pass
-      gives every norm (both directions of a cut share one), and one sum of
-      squares in order every purity;
+      zero. One _trace_norms pass gives every norm (both directions of a
+      cut share one);
     - deficits: one take from the entry sums and rho's own floats gives
       every principal minor of those reduced states and of rho, and one
       take lays them out in rows of 28, the marginals' padded with a zero
       minor, for purity_deficit's minor sum (states._minor_sum); a state is
       globally pure when its own deficit, the last, is at most 1e-12, and
       then a pair's deficit is its complement's;
-    - bounds: sqrt((2 or 4 - purity) * deficit) from one take per factor;
+    - bounds: sqrt((1 + d_s) d_t), or sqrt((3 + d_pair) d_q) for a pair
+      steering a qubit, from one take per factor of the deficit table: at
+      unit trace 2 - tr rho_s^2 = 1 + d_s and 4 - tr rho_pair^2 = 3 + d_pair;
     - report: H = norm - bound and S = max(H, 0) per bound from one maximum,
       then h_tot = (h_ab + h_ac) + h_bc, s_tot likewise and
       margin = s_a_bc - h_tot, stacked into one table and taken into report
@@ -412,9 +407,9 @@ def steering_batch(
     by the direct per-quantity route (pauli_tensor, partial_trace and
     purity_deficit, theta slices, _trace_norms on one state's stacked
     blocks), so the values are bit-identical to it.
-    Rows of unequal length are padded with exact zeros at the end of a
+    A marginal's minors are padded with exact zeros at the end of a
     left-to-right sum: adding +0.0 changes at most the sign of a zero partial
-    sum, a purity is a sum of squares, and a zero deficit is clamped to 0.0.
+    sum, and a zero deficit is clamped to 0.0.
     A state's values are also bit-identical to those it gets alone: every sum
     runs in a fixed order per state, with no BLAS product, whose rounding
     depends on the stack size. Returns a SteeringReport of arrays, one entry

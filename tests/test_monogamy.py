@@ -760,7 +760,7 @@ class TestVerify:
         assert report.argmin == scan.argmin
         assert report.critical_argmin == list(CORNER)
         assert list(report.regions) == [n for n in _REGION_NAMES if n in (region, other)]
-        assert report.regions[other] == {"samples": 0, "sampled_min": np.inf, "sampled_argmin": None,
+        assert report.regions[other] == {"samples": 0, "sampled_min": None, "sampled_argmin": None,
                                          "critical_count": 1, "critical_min": scan.min_value}
 
         both = _record([CORNER, BELL], [scan.min_value, scan.min_value - 1.0], [other, region])

@@ -1,15 +1,41 @@
+import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# a comment that opens with a number, such as "# 0.780239" or "# 1.732... >= 0"
+NUMBER = re.compile(r"\s#\s*(-?\d+\.(\d+))")
+
+
+def _quick_start() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 1
+    return blocks[0]
 
 
 def test_quick_start_runs():
     # the library quick start uses the public config fields, so a renamed or
     # deleted field fails here instead of leaving the README silently stale
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
-    assert len(blocks) == 1
     namespace: dict = {}
-    exec(compile(blocks[0], str(README), "exec"), namespace)
+    exec(compile(_quick_start(), str(README), "exec"), namespace)
     assert namespace["rep"]["classification"] == "corollary2"
     assert namespace["scan"].passed
+
+
+def test_quick_start_comments_match_output():
+    # each statement runs on its own; one whose line ends in a numeric comment
+    # must print that number first, to the digits the comment shows
+    source = _quick_start()
+    lines, namespace, checked = source.splitlines(), {}, 0
+    for node in ast.parse(source).body:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(ast.Module([node], []), str(README), "exec"), namespace)
+        comment = NUMBER.search(lines[node.end_lineno - 1])
+        if comment:
+            printed = float(out.getvalue().split()[0])
+            assert f"{printed:.{len(comment[2])}f}" == comment[1], (lines[node.end_lineno - 1], printed)
+            checked += 1
+    assert checked >= 4

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from qsteer.pauli import pauli_tensor
+from qsteer.pauli import pauli_tensor, purity_from_theta
 from qsteer.states import (
     DEFICIT_FLOOR,
     density_from_pure,
     ghz_state,
-    ordered_sum,
     partial_trace,
     permute_qubits,
     purity_deficit,
@@ -506,7 +505,21 @@ CUT_AXES = (("a_bc", (0, 1, 2), "bc_to_a"), ("b_to_ca", (1, 2, 0), "ca_to_b"), (
 PAIR_KEYS = (((0, 1), "h_ab", "h_ba"), ((0, 2), "h_ac", "h_ca"), ((1, 2), "h_bc", "h_cb"))
 
 
-def direct_h(rho):
+def deficit_factor(rho, theta, keep):
+    """A bound's first factor as the kernel takes it, from the steering side
+    keep's own deficit: 2 - tr rho_q^2 = 1 + d_q, 4 - tr rho_pair^2 = 3 + d_pair."""
+    return (1.0 if len(keep) == 1 else 3.0) + purity_deficit(partial_trace(rho, keep))
+
+
+def parseval_factor(rho, theta, keep):
+    """The same factor from squared Pauli coefficients (purity_from_theta)."""
+    rest = tuple(q for q in range(3) if q not in keep)
+    if len(keep) == 1:
+        return 2.0 - purity_from_theta(theta.transpose(keep + rest), "A")
+    return 4.0 - purity_from_theta(theta.transpose(rest + keep), "BC")
+
+
+def direct_h(rho, first=deficit_factor):
     """Every H of steering_batch(..., **ALL) for one state, one quantity at a
     time from the public helpers: pauli_tensor and theta slices, partial_trace
     and purity_deficit, correlation_one_to_two and the pair covariance.
@@ -514,14 +527,14 @@ def direct_h(rho):
     The trace norms come from the kernel's _trace_norms on this state's six
     blocks, stacked: each cut's 4x16 matrix less row 0 and column 0, and each
     pair's 3x3 block padded with zero columns to 3x15 (the route itself is
-    checked against LAPACK in TestTraceNorms). A pair's deficit is its
-    complement's for a globally pure state (purity_deficit(rho) <= 1e-12), as
-    in steering_batch.
+    checked against LAPACK in TestTraceNorms). first(rho, theta, keep) gives
+    a bound's first factor for the steering subsystem keep. A steered pair's
+    deficit is its complement's for a globally pure state
+    (purity_deficit(rho) <= 1e-12), as in steering_batch.
     """
     theta = pauli_tensor(rho)
     pure = purity_deficit(rho) <= 1e-12
     d_q = [purity_deficit(partial_trace(rho, (q,))) for q in range(3)]
-    p_q = [ordered_sum(np.moveaxis(theta, q, 0)[:, 0, 0] ** 2) / 2.0 for q in range(3)]
     blocks = [correlation_one_to_two(theta.transpose(axes))[1:, 1:] for _, axes, _ in CUT_AXES]
     for (a, b), _, _ in PAIR_KEYS:
         t2 = np.take(theta, 0, axis=3 - a - b)  # theta_AB = theta[:, :, 0] and so on
@@ -529,16 +542,31 @@ def direct_h(rho):
     norms = _trace_norms(np.stack(blocks, axis=-1))
     out = {}
     for norm, (name, axes, key21) in zip(norms[:3], CUT_AXES):
-        t = theta.transpose(axes)
-        q = axes[0]
-        p_rest = ordered_sum(t[0].ravel() ** 2) / 4.0
-        d_rest = d_q[q] if pure else purity_deficit(partial_trace(rho, axes[1:]))
-        out[f"h_{name}"] = norm - np.sqrt((2.0 - p_q[q]) * d_rest)
-        out[f"h_{key21}"] = norm - np.sqrt((4.0 - p_rest) * d_q[q])
+        q, pair = axes[0], axes[1:]
+        d_pair = d_q[q] if pure else purity_deficit(partial_trace(rho, pair))
+        out[f"h_{name}"] = norm - np.sqrt(first(rho, theta, (q,)) * d_pair)
+        out[f"h_{key21}"] = norm - np.sqrt(first(rho, theta, pair) * d_q[q])
     for norm, ((a, b), fwd, rev) in zip(norms[3:], PAIR_KEYS):
-        out[fwd] = norm - np.sqrt((2.0 - p_q[a]) * d_q[b])
-        out[rev] = norm - np.sqrt((2.0 - p_q[b]) * d_q[a])
+        out[fwd] = norm - np.sqrt(first(rho, theta, (a,)) * d_q[b])
+        out[rev] = norm - np.sqrt(first(rho, theta, (b,)) * d_q[a])
     return out
+
+
+def _ray(*v):
+    """|v><v| / <v|v>, exact for entries 0, +-1 and +-i."""
+    v = np.array(v, dtype=complex)
+    return density_from_pure(v) / np.vdot(v, v).real
+
+
+# pure qubits |0>, |+>, |+i>, |1> and entangled pairs, exactly representable:
+# their products give exact zeros
+EXACT_QUBITS = [_ray(1, 0), _ray(1, 1), _ray(1, 1j), _ray(0, 1)]
+EXACT_PAIRS = [_ray(1, 0, 0, 1), _ray(0, 1, -1, 0), _ray(1, 1, 1, -1)]
+# per product: the H keys of its factorized cuts whose steered side is pure
+FACTORIZED = {"AxBxC": ["h_a_bc", "h_bc_to_a", "h_b_to_ca", "h_ca_to_b", "h_c_to_ab", "h_ab_to_c",
+                        "h_ab", "h_ac", "h_bc", "h_ba", "h_ca", "h_cb"],
+              "AxBC": ["h_a_bc", "h_bc_to_a", "h_ba", "h_ca"],
+              "ABxC": ["h_c_to_ab", "h_ab_to_c", "h_ac", "h_bc"]}
 
 
 class TestBatchKernel:
@@ -664,6 +692,36 @@ class TestBatchKernel:
                 for key, value in expect.items():
                     assert got[key][i].tobytes() == np.float64(value).tobytes(), (key, i)
 
+    def test_first_factor_within_budget_of_parseval(self, rng):
+        # 1 + d and 3 + d stand for 2 - tr rho^2 and 4 - tr rho^2: against the
+        # Parseval sums of squared theta, every H and bound moves by <= 1e-14,
+        # on both sides of the pure-state switch, and exact products keep H = 0
+        pure = [random_pure_density(rng) for _ in range(40)]
+        mixed = [random_mixed_density(rng) for _ in range(40)]
+        eps = 10.0 ** np.arange(-16, -7.75, 0.5)  # the full deficit crosses the switch near 5.7e-13
+        sweep = [(1 - e) * rho + e * np.eye(8) / 8 for rho in pure[:4] for e in eps]
+        q = [random_pure_density(rng, 2) for _ in range(4)] + [random_mixed_density(rng, 2) for _ in range(4)]
+        p = [random_pure_density(rng, 4) for _ in range(2)] + [random_mixed_density(rng, 4) for _ in range(2)]
+        product = [np.kron(np.kron(q[i], q[i - 3]), q[i - 6]) for i in range(8)]
+        product += [np.kron(q[i], p[i % 4]) for i in range(8)] + [np.kron(p[i % 4], q[i]) for i in range(8)]
+        exact = {"AxBxC": [np.kron(np.kron(a, b), c) for a, b, c in itertools.product(EXACT_QUBITS, repeat=3)],
+                 "AxBC": [np.kron(a, bc) for a in EXACT_QUBITS for bc in EXACT_PAIRS],
+                 "ABxC": [np.kron(ab, c) for ab in EXACT_PAIRS for c in EXACT_QUBITS]}
+        rhos = np.stack(pure + mixed + sweep + product + [rho for group in exact.values() for rho in group])
+        assert {purity_deficit(rho) <= _PURE_DEFICIT_TOL for rho in sweep} == {True, False}
+        got = steering_batch(rhos, **ALL)
+        for i, rho in enumerate(rhos):
+            for key, value in direct_h(rho, parseval_factor).items():
+                assert abs(got[key][i] - value) <= 1e-14, (key, i)
+                if "bound" + key[1:] in got:  # same norm: the bounds differ as the H do
+                    bound = got["norm" + key[1:]][i] - value
+                    assert abs(got["bound" + key[1:]][i] - bound) <= 1e-14, (key, i)
+        start = len(rhos) - sum(len(group) for group in exact.values())
+        for kind, group in exact.items():
+            for key in FACTORIZED[kind]:
+                assert np.all(got[key][start:start + len(group)] == 0.0), (kind, key)
+            start += len(group)
+
     def test_non_hermitian_rejected(self, rng):
         # the imaginary parts of the Pauli traces must vanish, to 1e-12
         rho = random_mixed_density(rng)
@@ -709,8 +767,8 @@ class TestBatchKernel:
                 assert got[key][i].tobytes() == np.float64(value).tobytes(), (key, i)
             # the two routes differ here, and the kernel takes the one that
             # purity_deficit(rho) <= _PURE_DEFICIT_TOL picks
-            p_a = ordered_sum(pauli_tensor(rho)[:, 0, 0] ** 2) / 2.0
-            route = {d: got["norm_a_bc"][i] - np.sqrt((2.0 - p_a) * purity_deficit(partial_trace(rho, d)))
+            f_a = 1.0 + purity_deficit(partial_trace(rho, (0,)))
+            route = {d: got["norm_a_bc"][i] - np.sqrt(f_a * purity_deficit(partial_trace(rho, d)))
                      for d in ((0,), (1, 2))}
             assert route[(0,)] != route[(1, 2)]
             assert got["h_a_bc"][i] == route[(0,) if purity_deficit(rho) <= tol else (1, 2)]
