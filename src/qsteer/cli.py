@@ -195,6 +195,14 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
+def recover(result: monogamy.MinimizeResult, coords, expected: float, tol: float) -> dict:
+    """A fixture found on a zero set that some start hit (f is 0 there), else as the closest row within 1e-3."""
+    zero_set = result.zero_set_of(coords)
+    found = zero_set or result.best_matching(coords, radius=1e-3)
+    ok = found is not None and abs((0.0 if zero_set else found["f"]) - expected) <= max(tol, 1e-4)
+    return {"target": list(coords), "found": found, "matched": bool(ok)}
+
+
 def cmd_verify_appendix(args) -> int:
     try:
         for name in ("starts", "stationary_starts"):  # each on its own: a sum could hide a negative
@@ -219,22 +227,16 @@ def cmd_verify_appendix(args) -> int:
         })
 
     result = monogamy.minimize_f(cfg)
-    recovered = []
-    for coords, expected, tol in APPENDIX_FIXTURES:
-        hit = result.best_matching(coords, radius=1e-3)
-        ok = hit is not None and abs(hit["f"] - expected) <= max(tol, 1e-4)
-        all_ok &= ok
-        recovered.append({"target": list(coords), "found": hit, "matched": bool(ok)})
+    recovered = [recover(result, *fixture) for fixture in APPENDIX_FIXTURES]
+    all_ok &= all(r["matched"] for r in recovered)
 
     scan = monogamy.verify_monogamy(scan_cfg, result)
     all_ok &= scan.passed
 
-    table = result.value_table()
-
     report = {
         "fixtures": fixtures,
         "recovered": recovered,
-        "critical_value_table": table,
+        "zero_sets": result.zero_sets,
         "starts": result.starts,
         "converged": result.converged,
         "dropped": result.dropped,
@@ -242,11 +244,11 @@ def cmd_verify_appendix(args) -> int:
         "scan": scan.to_dict(),
         "pass": bool(all_ok),
     }
-    print("critical values recovered (rounded to 1e-6):")
-    for entry in table:
-        p = entry["example"]["params"]
-        print(f"  f={entry['f']:+.6f}  x{entry['count']:<4d} at "
-              f"({p[0]:.6f}, {p[1]:.6f}, {p[2]:.6f}, {p[3]:.6f})  [{entry['example']['location']}]")
+    print("isolated critical points (f rounded to 1e-6):")
+    for row in scan.critical_points:
+        print(f"  f={row['f']:+.6f}  at ({', '.join(f'{v:.6f}' for v in row['params'])})  [{row['location']}]")
+    for name, entry in result.zero_sets.items():
+        print(f"  f=0 on {name}: {entry['hits']} starts, max |f| {entry['max_abs_f']:.1e}")
     print(f"fixtures matched: {sum(f['matched'] for f in fixtures)}/{len(fixtures)}; "
           f"recovered: {sum(r['matched'] for r in recovered)}/{len(recovered)}; "
           f"scan min {scan.min_value:.3e} ({'PASS' if scan.passed else 'FAIL'})")

@@ -23,7 +23,8 @@ claim f >= 0 everywhere on that domain. This module provides:
 * minimize_f      - multi-start Newton search for the critical points of f
                     on the sphere, the octant and its faces (minima, saddles
                     and maxima alike), every start judged by one residual
-                    test and counted, each point reported once, in an order
+                    test and counted, the endpoints on f's zero sets counted
+                    per set and every other point reported once, in an order
                     that rounding noise cannot flip; its MinimizeResult is
                     one array record of the points,
 * verify_monogamy - quasi-random sphere scan, with a search's points read
@@ -72,6 +73,9 @@ PASS_TOL = -1e-9  # scan passes at or above this; pipeline values on f's zero se
 SCAN_CHUNK = 2**16  # scan points per batch: bounds the scan's temporaries at 2^20 samples
 
 _COORDS = ("x", "y", "z", "h")
+# f vanishes identically on these sets, where the state is a product (AB x C on
+# z = 0, |10> x a state of C on x = h = 0): each maps to the coordinates 0 on it
+_ZERO_SETS = {"z=0": (2,), "x=h=0": (0, 3)}
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -299,10 +303,11 @@ class MinimizeConfig:
 
 @dataclass
 class MinimizeResult:
-    """The critical points of a search as one record: row i of each array is
-    point i, in report order. grad_norm is the norm of the residual (_residual),
-    at most GRAD_TOL. starts counts every Newton start, free and face; each one
-    either converged or was dropped, so converged + dropped == starts."""
+    """The isolated critical points of a search as one record: row i of each
+    array is point i, in report order. grad_norm is the norm of the residual
+    (_residual), at most GRAD_TOL. starts counts every Newton start, free and
+    face; each one either converged or was dropped, so converged + dropped ==
+    starts. The converged starts that ended on a zero set are counted in zero_sets."""
 
     points: np.ndarray  # (n, 4) coordinates
     f: np.ndarray  # pipeline value (f_components)
@@ -312,6 +317,7 @@ class MinimizeResult:
     starts: int
     converged: int
     dropped: int  # starts still above GRAD_TOL after MAX_ITER iterations
+    zero_sets: dict[str, dict]  # name -> {"hits": converged starts that ended on it, "max_abs_f": over them}
     dropped_grad_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))  # their last residual norms
 
     def row(self, i: int) -> dict:
@@ -338,16 +344,10 @@ class MinimizeResult:
         hits = np.flatnonzero(d <= min(radius, d.min(initial=np.inf)))
         return self.row(hits[-1]) if hits.size else None
 
-    def value_table(self) -> list[dict]:
-        """Key, length and first row of each run of points with one _value_key (one run per value)."""
-        keys = [_value_key(v) for v in self.f.tolist()]
-        first = [i for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
-        return [{"f": keys[i], "count": j - i, "example": self.row(i)} for i, j in zip(first, first[1:] + [len(keys)])]
-
-
-def _value_key(f: float) -> float:
-    """f rounded to 6 decimals, the report's scale; + 0.0 turns a rounded -0.0 into 0.0."""
-    return round(f, 6) + 0.0
+    def zero_set_of(self, target) -> str | None:
+        """Name of the first zero set that holds the target and that some start hit, else None."""
+        on = _on_zero_sets(np.asarray(target, dtype=float).reshape(1, 4))[0]
+        return next((name for name, o in zip(_ZERO_SETS, on) if o and self.zero_sets[name]["hits"]), None)
 
 
 def _over(u, r):
@@ -443,6 +443,11 @@ def _newton(q: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
 _FACES = np.array([f"{c}=0" for c in _COORDS])
 
 
+def _on_zero_sets(p: np.ndarray) -> np.ndarray:
+    """(n, k) mask: point i is on zero set j when each of its coordinates is at most FACE_TOL, as in _labels."""
+    return np.stack([(p[:, list(c)] <= FACE_TOL).all(axis=1) for c in _ZERO_SETS.values()], axis=1)
+
+
 def _labels(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Region code and location label of each converged point of an (n, 4) stack.
 
@@ -465,11 +470,12 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     and Newton holds every exact 0, so it finds the critical points within
     faces and edges as well as inside; minima, saddles and maxima alike. A
     start still above GRAD_TOL after MAX_ITER steps is dropped and counted.
-    Converged endpoints are taken in coordinate order, less each one with an
-    earlier endpoint within DEDUP_RADIUS (a chain of close ones keeps only its
-    first), valued by f_components in one batch and ordered by _value_key,
-    ties in coordinate order. Neither the dedup nor the order reads
-    schmidt_f_batch.
+    An endpoint on a zero set is a hit of each set that holds it, valued in
+    one f_components batch for max_abs_f. The rest are taken in coordinate
+    order, less each one with an earlier endpoint within DEDUP_RADIUS (a chain
+    of close ones keeps only its first), valued by f_components in one batch
+    and ordered by f rounded to 6 decimals, ties in coordinate order; neither
+    step reads schmidt_f_batch.
     """
     from scipy.spatial import cKDTree  # imported here: scipy costs ~1 s of `import qsteer`
 
@@ -485,10 +491,17 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
     hit = rnorm <= GRAD_TOL
     p, grad = p[hit], rnorm[hit]
 
+    on = _on_zero_sets(p)
+    zero = on.any(axis=1)
+    abs_f = np.abs(f_components(p[zero])["f"])
+    zero_sets = {name: {"hits": int(on[:, j].sum()), "max_abs_f": float(abs_f.max(where=on[zero, j], initial=0.0))}
+                 for j, name in enumerate(_ZERO_SETS)}
+    p, grad = p[~zero], grad[~zero]
+
     idx = np.lexsort(p.T[::-1])  # x first, then y, z, h
     idx = np.delete(idx, cKDTree(p[idx]).query_pairs(DEDUP_RADIUS, output_type="ndarray").max(axis=1))
     f_value = f_components(p[idx])["f"]
-    by_value = np.argsort([_value_key(v) for v in f_value.tolist()], kind="stable")
+    by_value = np.argsort([round(v, 6) for v in f_value.tolist()], kind="stable")  # the report's scale
     idx, f_value = idx[by_value], f_value[by_value]
     p = p[idx]
     region, location = _labels(p)
@@ -497,6 +510,7 @@ def minimize_f(config: MinimizeConfig | None = None) -> MinimizeResult:
         starts=len(u0),
         converged=int(hit.sum()),
         dropped=int((~hit).sum()),
+        zero_sets=zero_sets,
         dropped_grad_norms=rnorm[~hit],
     )
 
@@ -523,10 +537,10 @@ class VerifyConfig:
 class VerifyReport:
     """Scan outcome.
 
-    min_value ranges over every scanned point (samples plus critical points);
-    critical_min ranges over the critical points alone, which is the number a
-    per-region stationary analysis tabulates (a region's sampled infimum can
-    sit at its closure instead); regions holds both for each sign region.
+    min_value ranges over every scanned point: samples plus the isolated
+    critical points, which run in value order. regions holds each sampled sign
+    region's count and minimum; passed also needs each zero set's max_abs_f
+    within |PASS_TOL|.
     """
 
     min_value: float
@@ -535,8 +549,6 @@ class VerifyReport:
     seed: int
     passed: bool
     generator: str
-    critical_min: float | None = None
-    critical_argmin: list[float] | None = None
     regions: dict[str, dict] = field(default_factory=dict)
     critical_points: list[dict] = field(default_factory=list)
 
@@ -548,8 +560,6 @@ class VerifyReport:
             "seed": self.seed,
             "pass": self.passed,
             "generator": self.generator,
-            "critical_min": self.critical_min,
-            "critical_argmin": self.critical_argmin,
             "regions": self.regions,
             "critical_points": self.critical_points,
         }
@@ -569,28 +579,28 @@ def _sobol_sphere(n: int, dim: int, seed: int) -> np.ndarray:
     return g.T
 
 
-def _region_groups(codes: np.ndarray, values: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per region code present, ascending: the indices of its points and
-    their values, both in index order, from one stable sort of the codes."""
+def _region_minima(codes: np.ndarray, values: np.ndarray) -> dict[int, tuple[int, int]]:
+    """Per region code present, ascending: its point count and the index of its
+    first lowest value (np.argmin's pick, a NaN first), from one stable sort of the codes."""
     small = codes.astype(np.uint8)
     order = np.argsort(small, kind="stable")
     bounds = np.searchsorted(small[order], np.arange(len(_REGION_NAMES) + 1))
-    ordered = values[order]
-    return {c: (order[lo:hi], ordered[lo:hi]) for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo}
+    return {c: (hi - lo, order[lo + np.argmin(values[order[lo:hi]])])
+            for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo}
 
 
 def verify_monogamy(config: VerifyConfig | None = None, search: MinimizeResult | None = None) -> VerifyReport:
-    """Scan the octant sphere with low-discrepancy samples plus the critical
-    points of `search` (none when it is None), read from its arrays.
+    """Scan the octant sphere with low-discrepancy samples plus the isolated
+    critical points of `search` (none when it is None), read from its arrays.
 
     One reduction: f and the region code of every sample are computed in
     SCAN_CHUNK batches, which only bound the temporaries, and concatenated;
     the column-major samples (_sobol_sphere) give each batch contiguous rows.
-    The regions table then lists each region met by a sample or a critical
-    point in _REGION_NAMES order, and the global minimum is the first lowest
-    value over the samples followed by the critical points (a critical point
-    wins only when strictly lower). PASS iff it stays at or above PASS_TOL.
-    f comes from the exact pair norms of schmidt_f_batch. The sign regions
+    The regions table then lists each region met by a sample in _REGION_NAMES
+    order, and the global minimum is the first lowest value over the samples
+    followed by the critical points (a critical point wins only when strictly
+    lower). PASS iff it stays at or above PASS_TOL and every zero set's
+    max_abs_f is within |PASS_TOL|. f comes from the exact pair norms of schmidt_f_batch. The sign regions
     belong to the printed expression, not to kinks of f (see closed_form_f),
     and 47,671 of 2^16 samples at seed 0 (73%) fall outside its real domain
     as 'undefined' (see sign_region).
@@ -600,39 +610,21 @@ def verify_monogamy(config: VerifyConfig | None = None, search: MinimizeResult |
     blocks = [samples[lo : lo + SCAN_CHUNK] for lo in range(0, len(samples), SCAN_CHUNK)]
     fvals = np.concatenate([schmidt_f_batch(b)["f"] for b in blocks])
     codes = np.concatenate([_region_ids(b) for b in blocks])
-    if search is None:
-        crit_p, crit_f, crit_codes = np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64)
-    else:
-        crit_p, crit_f, crit_codes = search.points, search.f, search.region
-
-    # one grouped pass per point set: each region's first lowest sample
-    # (np.argmin's pick, a NaN first) and its critical minimum
-    sampled, crit = _region_groups(codes, fvals), _region_groups(crit_codes, crit_f)
-    none = (np.zeros(0, dtype=np.intp), np.zeros(0))
-    regions: dict[str, dict] = {}
-    for code in sorted(sampled.keys() | crit.keys()):
-        (sel, f_in), crit_in = sampled.get(code, none), crit.get(code, none)[1]
-        j = sel[np.argmin(f_in)] if sel.size else None
-        regions[_REGION_NAMES[code]] = {
-            "samples": int(sel.size),
-            "sampled_min": None if j is None else float(fvals[j]),
-            "sampled_argmin": None if j is None else [float(v) for v in samples[j]],
-            "critical_count": int(crit_in.size),
-            "critical_min": float(crit_in.min()) if crit_in.size else None,
-        }
+    crit_p, crit_f, zero_sets = ((np.zeros((0, 4)), np.zeros(0), {}) if search is None
+                                 else (search.points, search.f, search.zero_sets))
+    regions = {_REGION_NAMES[code]: {"samples": int(n), "sampled_min": float(fvals[j]),
+                                     "sampled_argmin": [float(v) for v in samples[j]]}
+               for code, (n, j) in _region_minima(codes, fvals).items()}
 
     values = np.concatenate([fvals, crit_f])
     i = int(np.argmin(values))
-    k = int(np.argmin(crit_f)) if crit_f.size else None
     return VerifyReport(
         min_value=float(values[i]),
         argmin=[float(v) for v in (samples[i] if i < len(samples) else crit_p[i - len(samples)])],
         samples=int(cfg.samples),
         seed=int(cfg.seed),
-        passed=bool(values[i] >= PASS_TOL),
+        passed=bool(values[i] >= PASS_TOL) and all(z["max_abs_f"] <= -PASS_TOL for z in zero_sets.values()),
         generator="sobol-scrambled+gauss-fold",
-        critical_min=None if k is None else float(crit_f[k]),
-        critical_argmin=None if k is None else [float(v) for v in crit_p[k]],
         regions=regions,
         critical_points=[search.row(i) for i in range(crit_f.size)],
     )

@@ -87,17 +87,19 @@ def w_state(theta: float, alpha: float) -> np.ndarray:
 
 
 def schmidt_state(p: SchmidtParams | tuple[float, float, float, float]) -> np.ndarray:
-    """Pure state x|000> + y|100> + z|101> + h|110> from sphere coordinates;
-    an (n, 4) stack of coordinates gives an (n, 8) stack of states. The first
+    """Pure state x|000> + y|100> + z|101> + h|110> from sphere coordinates,
+    divided by the norm the check reads; an (n, 4) stack of coordinates gives
+    an (n, 8) stack of states, each row the bits of its point alone. The first
     row that SchmidtParams.validate rejects raises its ValueError."""
     p = np.asarray(p, dtype=float)
     rows = np.atleast_2d(p)
     x, y, z, h = rows.T
-    bad = (rows < 0).any(axis=1) | ~(np.abs(x * x + y * y + z * z + h * h - 1.0) <= 1e-9)  # ~(<=) flags NaN
+    norm2 = x * x + y * y + z * z + h * h
+    bad = (rows < 0).any(axis=1) | ~(np.abs(norm2 - 1.0) <= 1e-9)  # ~(<=) flags NaN
     if bad.any():
         SchmidtParams(*rows[bad.argmax()].tolist()).validate()
     psi = np.zeros(p.shape[:-1] + (8,), dtype=complex)
-    psi[..., [0, 4, 5, 6]] = p
+    psi[..., [0, 4, 5, 6]] = (rows / np.sqrt(norm2)[:, None]).reshape(p.shape)
     return psi
 
 

@@ -128,8 +128,9 @@ def test_criterion_4_appendix_fixtures(tmp_path, capsys):
     """verify-appendix, 2256 free and 4 x 64 face Newton starts, recovers the three fixtures in <5min.
 
     The fixtures are critical points of f, not minima: 0.361084 is a saddle in
-    the y = 0 face, 0.780239 a maximum along an edge arc, and (0, 1, 0, 0)
-    lies on f's zero set.
+    the y = 0 face and 0.780239 a maximum along an edge arc, both listed as
+    isolated points; (0, 1, 0, 0) lies on both of f's zero sets, z = 0 and
+    x = h = 0, which the report counts under zero_sets instead of listing.
     """
     t0 = time.monotonic()
     code = cli.main([
@@ -157,10 +158,13 @@ def test_criterion_4_appendix_fixtures(tmp_path, capsys):
     assert abs(fix[0.0]["value"]) <= 1e-9
     assert report["scan"]["pass"]
     # every reported critical point sits on the constraint sphere and passes the gradient test
-    for entry in report["critical_value_table"]:
-        p = np.array(entry["example"]["params"])
+    for row in report["scan"]["critical_points"]:
+        p = np.array(row["params"])
         assert abs(p @ p - 1.0) < 1e-10
-        assert entry["example"]["grad_norm"] <= GRAD_TOL
+        assert row["grad_norm"] <= GRAD_TOL
+    # f vanishes on each zero set a start ended on, and the corner is found on one
+    assert all(z["hits"] > 0 and z["max_abs_f"] <= 1e-9 for z in report["zero_sets"].values())
+    assert rec[(0.0, 1.0, 0.0, 0.0)]["matched"] and rec[(0.0, 1.0, 0.0, 0.0)]["found"] in report["zero_sets"]
     # the search does not silently lose starts: every start is counted, and
     # no more are dropped than under the old bound of 1% of 2000 starts
     assert report["converged"] + report["dropped"] == report["starts"]

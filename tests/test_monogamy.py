@@ -72,6 +72,12 @@ class TestPipeline:
             assert {k: v[i] for k, v in stack.items()} == f_components(p)
         assert f_components(np.empty((0, 4)))["f"].shape == (0,)
 
+    @pytest.mark.parametrize("scale", [1 + 4.5e-10, 1 - 4.5e-10])
+    def test_accepted_off_sphere_point_reads_its_direction(self, scale):
+        # schmidt_state accepts |p|^2 - 1 up to 1e-9 and normalises, as every bound assumes unit trace
+        q = np.array(INTERIOR)
+        assert abs(f_pipeline(q * scale) - f_pipeline(q)) <= 1e-14
+
     def test_swap_symmetry_via_permutation(self, rng):
         # exchanging z and h is the same relabeling as swapping qubits B and C
         for _ in range(10):
@@ -192,7 +198,11 @@ def _record(coords, f, regions):
     return monogamy.MinimizeResult(
         points=np.array(coords, dtype=float).reshape(n, 4), f=np.array(f, dtype=float),
         location=np.full(n, "interior"), region=np.array(codes, dtype=np.int64), grad_norm=np.zeros(n),
-        starts=0, converged=0, dropped=0)
+        starts=0, converged=0, dropped=0, zero_sets=_zero_sets())
+
+
+def _zero_sets(hits=0, max_abs_f=0.0):
+    return {name: {"hits": hits, "max_abs_f": max_abs_f} for name in ("z=0", "x=h=0")}
 
 
 def _rows(result):
@@ -482,9 +492,34 @@ class TestMinimize:
         assert hit["location"] == "x=0"
 
     def test_recovers_zero_corner(self, search):
-        hit = search.best_matching(CORNER, radius=1e-3)
-        assert hit is not None
-        assert hit["f"] == pytest.approx(0.0, abs=1e-9)
+        # the corner lies on both zero sets; it is found on the first, not as a row
+        assert search.zero_set_of(CORNER) == "z=0"
+        assert search.best_matching(CORNER, radius=1e-3) is None
+        assert cli.recover(search, CORNER, 0.0, 1e-9) == {"target": list(CORNER), "found": "z=0", "matched": True}
+
+    def test_zero_sets_are_counted_not_listed(self, search):
+        # no row lies on a zero set; the starts that ended there are counted,
+        # each on every set that holds it, and f vanishes there
+        assert not monogamy._on_zero_sets(search.points).any()
+        assert search.points[:, 2].min() > FACE_TOL
+        assert list(search.zero_sets) == ["z=0", "x=h=0"]
+        for entry in search.zero_sets.values():
+            assert entry["hits"] > 0 and 0.0 <= entry["max_abs_f"] <= 1e-12
+        assert search.zero_sets["z=0"]["hits"] + len(search.points) <= search.converged
+        assert search.zero_set_of(INTERIOR) is None and search.zero_set_of(BELL) is None
+        assert search.zero_set_of((0.0, 0.6, 0.0, 0.8)) == "z=0"
+        assert search.zero_set_of((0.0, 0.6, 0.8, 0.0)) == "x=h=0"
+
+    def test_zero_set_lookup_needs_a_hit(self):
+        # a zero set no start ended on recovers nothing, on its own or through best_matching
+        result = _record([BELL], [0.780239], ["boundary"])
+        result.zero_sets["z=0"]["hits"] = 1
+        assert result.zero_set_of(CORNER) == "z=0"
+        assert result.zero_set_of((0.0, 0.6, 0.8, 0.0)) is None
+        assert cli.recover(result, (0.0, 0.6, 0.8, 0.0), 0.0, 1e-9)["matched"] is False
+        result.zero_sets["z=0"]["hits"] = 0
+        assert result.zero_set_of(CORNER) is None
+        assert cli.recover(result, CORNER, 0.0, 1e-9) == {"target": list(CORNER), "found": None, "matched": False}
 
     def test_all_points_on_sphere_and_nonnegative(self, search):
         for q, f in zip(search.points, search.f):
@@ -529,15 +564,16 @@ class TestMinimize:
     def test_empty_search(self):
         empty = minimize_f(MinimizeConfig(starts=0, face_starts=0))
         assert empty.points.shape == (0, 4) and len(empty.f) == len(empty.region) == 0
-        assert empty.value_table() == []
+        assert empty.zero_sets == _zero_sets()
         assert empty.best_matching(CORNER, radius=2.0) is None
+        assert empty.zero_set_of(CORNER) is None
         cfg = VerifyConfig(samples=2**10, seed=3)
         assert verify_monogamy(cfg, empty).to_dict() == verify_monogamy(cfg).to_dict()
 
     @pytest.mark.parametrize("toward", ["up", "down", "alternating"])
     def test_report_ignores_last_bit_of_batch_f(self, search, monkeypatch, toward):
         # schmidt_f_batch's f moved by one ulp at every point (alternating: up
-        # and down by row) leaves every reported field and the value table alone
+        # and down by row) leaves every reported field and the zero sets alone
         exact = monogamy.schmidt_f_batch
 
         def nudged(params):
@@ -550,7 +586,7 @@ class TestMinimize:
         monkeypatch.setattr(monogamy, "schmidt_f_batch", nudged)
         moved = minimize_f(MinimizeConfig(starts=364, face_starts=48, seed=11))
         assert _rows(moved) == _rows(search)
-        assert moved.value_table() == search.value_table()
+        assert moved.zero_sets == search.zero_sets
 
     def test_dedup_keeps_the_first_point_in_coordinate_order(self, monkeypatch):
         # a chain a-b-c with gaps of 0.6 r (a and c 1.2 r apart) and a tight
@@ -582,16 +618,20 @@ class TestMinimize:
         assert _survivors(monkeypatch, stack) == expected
         assert len(centers) < len(expected) < len(stack)
 
-    def test_value_table_groups_the_report_order(self, search):
-        table = search.value_table()
-        keys = [entry["f"] for entry in table]
-        assert keys == sorted(set(keys))
-        assert sum(entry["count"] for entry in table) == len(search.points)
-        assert keys == [0.0, 0.361084, 0.707107, 0.780239]
-        # within one value the points run in coordinate order
-        for key in keys:
-            run = [tuple(q) for q, f in zip(search.points.tolist(), search.f.tolist()) if round(f, 6) + 0.0 == key]
-            assert run == sorted(run)
+    def test_rows_run_in_value_order(self, search):
+        # one row per isolated critical value, so row 0 is the minimum
+        keys = [round(f, 6) + 0.0 for f in search.f.tolist()]
+        assert keys == [0.361084, 0.707107, 0.780239]
+        assert search.f[0] == search.f.min()
+
+    def test_value_ties_run_in_coordinate_order(self, monkeypatch):
+        # values equal to 6 decimals, falling below them in coordinate order:
+        # the rows still run in coordinate order
+        stack = _unit(np.array([(0.3, 0.5, 0.5, 0.6), (0.2, 0.6, 0.5, 0.6), (0.3, 0.4, 0.6, 0.6)]))
+        monkeypatch.setattr(monogamy, "_search", lambda p0: (stack.copy(), np.zeros(len(stack))))
+        monkeypatch.setattr(monogamy, "f_components", lambda p: {"f": 0.25 - 1e-9 * np.arange(len(p))})
+        result = minimize_f(MinimizeConfig(starts=len(stack), face_starts=0))
+        assert result.points.tolist() == sorted(stack.tolist())
 
     def test_dropped_starts_carry_gradient_norms(self, search):
         assert search.converged + search.dropped == search.starts
@@ -640,8 +680,7 @@ class TestMinimize:
             location = faces[0] if faces else "interior"
             assert (search.row(i)["region"], search.location[i]) == (region, location)
         assert np.array_equal(search.region, _region_ids(search.points, tol=FACE_TOL))
-        assert {"x=0", "y=0", "z=0"} <= set(search.location)
-        assert {"++++", "boundary", "undefined"} <= set(_REGION_NAMES[search.region])
+        assert search.location.tolist() == ["y=0", "y=0", "x=0"]
 
 
 class TestSearchReach:
@@ -649,16 +688,18 @@ class TestSearchReach:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_default_search_finds_every_critical_value(self, seed):
-        values = {round(v, 6) + 0.0 for v in minimize_f(MinimizeConfig(seed=seed)).f.tolist()}
-        assert values == {0.0, 0.361084, 0.707107, 0.780239}
+        result = minimize_f(MinimizeConfig(seed=seed))
+        assert [round(v, 6) + 0.0 for v in result.f.tolist()] == [0.361084, 0.707107, 0.780239]
+        assert all(entry["hits"] > 0 for entry in result.zero_sets.values())
 
     def test_ci_config_recovers_every_fixture(self):
-        # the appendix smoke run's 16 free and 4 x 16 face starts, matched as verify-appendix matches
+        # the appendix smoke run's 16 free and 4 x 16 face starts, matched as
+        # verify-appendix matches: the corner through its zero set
         for seed in range(40):
             result = minimize_f(MinimizeConfig(starts=16, face_starts=16, seed=seed))
-            for coords, expected, tol in cli.APPENDIX_FIXTURES:
-                hit = result.best_matching(coords, radius=1e-3)
-                assert hit is not None and abs(hit["f"] - expected) <= max(tol, 1e-4), (seed, coords)
+            found = [cli.recover(result, *fixture) for fixture in cli.APPENDIX_FIXTURES]
+            assert all(r["matched"] for r in found), seed
+            assert [isinstance(r["found"], str) for r in found] == [False, False, True], seed
 
 
 class TestExactFaces:
@@ -740,15 +781,17 @@ class TestVerify:
         crits = minimize_f(MinimizeConfig(starts=248, face_starts=32, seed=11))
         report = verify_monogamy(VerifyConfig(samples=2**14, seed=5), crits)
         assert report.passed
-        assert report.regions["++++"]["critical_min"] == pytest.approx(0.361084, abs=1e-3)
+        in_region = [c["f"] for c in report.critical_points if c["region"] == "++++"]
+        assert min(in_region) == pytest.approx(0.361084, abs=1e-3)
         assert report.min_value >= -1e-9
 
     def test_regions_follow_code_order(self):
         crits = minimize_f(MinimizeConfig(starts=66, face_starts=8, seed=11))
         report = verify_monogamy(VerifyConfig(samples=2**12, seed=3), crits)
-        assert sum(r["critical_count"] for r in report.regions.values()) == len(crits.points)
+        assert sum(r["samples"] for r in report.regions.values()) == report.samples
         assert report.critical_points == _rows(crits)
         assert list(report.regions) == [n for n in _REGION_NAMES if n in report.regions]
+        assert report.regions == verify_monogamy(VerifyConfig(samples=2**12, seed=3)).regions
 
     def test_critical_point_wins_only_when_strictly_lower(self):
         scan = verify_monogamy(VerifyConfig(samples=1, seed=2))
@@ -758,17 +801,29 @@ class TestVerify:
         tie = _record([CORNER], [scan.min_value], [other])
         report = verify_monogamy(VerifyConfig(samples=1, seed=2), tie)
         assert report.argmin == scan.argmin
-        assert report.critical_argmin == list(CORNER)
-        assert list(report.regions) == [n for n in _REGION_NAMES if n in (region, other)]
-        assert report.regions[other] == {"samples": 0, "sampled_min": None, "sampled_argmin": None,
-                                         "critical_count": 1, "critical_min": scan.min_value}
+        assert report.critical_points == _rows(tie)
+        # the regions table describes the samples alone
+        assert report.regions == {region: entry}
 
-        both = _record([CORNER, BELL], [scan.min_value, scan.min_value - 1.0], [other, region])
+        both = _record([BELL, CORNER], [scan.min_value - 1.0, scan.min_value], [region, other])
         report = verify_monogamy(VerifyConfig(samples=1, seed=2), both)
-        assert report.min_value == report.critical_min == scan.min_value - 1.0
-        assert report.argmin == report.critical_argmin == list(BELL)
+        assert report.min_value == report.critical_points[0]["f"] == scan.min_value - 1.0
+        assert report.argmin == report.critical_points[0]["params"] == list(BELL)
         assert not report.passed
-        assert report.regions[region]["sampled_min"] == entry["sampled_min"]
+        assert report.regions == {region: entry}
+
+    def test_zero_sets_gate_the_pass(self):
+        # a pipeline |f| on a zero set beyond |PASS_TOL| fails the scan, whatever the samples read
+        cfg = VerifyConfig(samples=2**10, seed=1)
+        clean = verify_monogamy(cfg).to_dict()
+        assert clean.pop("pass") is True
+        for bound, passed in ((-monogamy.PASS_TOL, True), (np.nextafter(-monogamy.PASS_TOL, 1.0), False),
+                              (np.nan, False)):
+            result = _record([], [], [])
+            result.zero_sets["x=h=0"].update(hits=1, max_abs_f=bound)
+            report = verify_monogamy(cfg, result).to_dict()
+            assert report.pop("pass") is passed
+            assert report == clean
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_rejects_empty_scan(self, samples):

@@ -64,6 +64,17 @@ class TestFamilies:
         assert_allclose(psi[5], R2)
         assert_allclose(psi[6], R2)
 
+    def test_schmidt_state_is_normalised(self, rng):
+        # a point accepted off the sphere gives the unit state of its direction,
+        # each row the same bits alone and in a stack
+        p = np.abs(rng.standard_normal((50, 4)))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        p *= 1.0 + rng.uniform(-4.5e-10, 4.5e-10, (50, 1))
+        stack = schmidt_state(p)
+        for row, psi in zip(p, stack):
+            assert np.array_equal(schmidt_state(row), psi)
+        assert_allclose(np.linalg.norm(stack, axis=1), 1.0, rtol=0, atol=1e-15)
+
     def test_schmidt_rejects_bad_params(self):
         with pytest.raises(ValueError):
             schmidt_state((0.5, 0.5, 0.5, 0.6))
