@@ -8,7 +8,8 @@ paths.
 Exit codes: 0 success, 1 unreadable/malformed input file or a rejected
 argument (a negative seed or count, --samples 0, --points 1, or a command line
 that cannot be parsed, which also prints the usage message), 2 invalid quantum
-state, 3 verification fixture mismatch.
+state, 3 a failed verify-appendix gate (a fixture, a recovery, the search or
+the scan).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def cmd_analyze(args) -> int:
     try:
         payload = json.loads(Path(args.state_file).read_text())
         rho = states.state_from_payload(payload)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:  # json.loads on deep nesting
         print(f"error: cannot parse state file: {exc}", file=sys.stderr)
         return 1
     tols = _TOLERANCE_PROFILES[args.tolerance_profile]
@@ -230,27 +231,20 @@ def cmd_verify_appendix(args) -> int:
     recovered = [recover(result, *fixture) for fixture in APPENDIX_FIXTURES]
     all_ok &= all(r["matched"] for r in recovered)
 
-    scan = monogamy.verify_monogamy(scan_cfg, result)
-    all_ok &= scan.passed
+    scan = monogamy.verify_monogamy(scan_cfg)
+    search = result.to_dict()
+    all_ok &= search["pass"] and scan.passed
 
-    report = {
-        "fixtures": fixtures,
-        "recovered": recovered,
-        "zero_sets": result.zero_sets,
-        "starts": result.starts,
-        "converged": result.converged,
-        "dropped": result.dropped,
-        "dropped_grad_norms": result.dropped_summary(),
-        "scan": scan.to_dict(),
-        "pass": bool(all_ok),
-    }
+    report = {"fixtures": fixtures, "recovered": recovered, "search": search, "scan": scan.to_dict(),
+              "pass": bool(all_ok)}
     print("isolated critical points (f rounded to 1e-6):")
-    for row in scan.critical_points:
+    for row in search["critical_points"]:
         print(f"  f={row['f']:+.6f}  at ({', '.join(f'{v:.6f}' for v in row['params'])})  [{row['location']}]")
-    for name, entry in result.zero_sets.items():
+    for name, entry in search["zero_sets"].items():
         print(f"  f=0 on {name}: {entry['hits']} starts, max |f| {entry['max_abs_f']:.1e}")
     print(f"fixtures matched: {sum(f['matched'] for f in fixtures)}/{len(fixtures)}; "
           f"recovered: {sum(r['matched'] for r in recovered)}/{len(recovered)}; "
+          f"search {'PASS' if search['pass'] else 'FAIL'}; "
           f"scan min {scan.min_value:.3e} ({'PASS' if scan.passed else 'FAIL'})")
     if args.out is not None:
         path = _out_path(args.out, "verify_appendix.json")

@@ -26,9 +26,10 @@ claim f >= 0 everywhere on that domain. This module provides:
                     test and counted, the endpoints on f's zero sets counted
                     per set and every other point reported once, in an order
                     that rounding noise cannot flip; its MinimizeResult is
-                    one array record of the points,
-* verify_monogamy - quasi-random sphere scan, with a search's points read
-                    from that record, per-region minima and a PASS/FAIL verdict.
+                    one array record of the points with its own JSON block
+                    and PASS/FAIL verdict,
+* verify_monogamy - quasi-random sphere scan of the octant alone, with
+                    per-region minima and its own PASS/FAIL verdict.
 """
 
 from __future__ import annotations
@@ -307,7 +308,8 @@ class MinimizeResult:
     array is point i, in report order. grad_norm is the norm of the residual
     (_residual), at most GRAD_TOL. starts counts every Newton start, free and
     face; each one either converged or was dropped, so converged + dropped ==
-    starts. The converged starts that ended on a zero set are counted in zero_sets."""
+    starts. The converged starts that ended on a zero set are counted in zero_sets.
+    passed is the search's verdict and to_dict its verify-appendix JSON block."""
 
     points: np.ndarray  # (n, 4) coordinates
     f: np.ndarray  # pipeline value (f_components)
@@ -330,11 +332,19 @@ class MinimizeResult:
             "grad_norm": float(self.grad_norm[i]),
         }
 
-    def dropped_summary(self) -> dict:
-        """Count, min, median and max of the dropped starts' final residual norms."""
+    @property
+    def passed(self) -> bool:
+        """Every row's f at or above PASS_TOL and every zero set's max_abs_f within |PASS_TOL| (a NaN fails)."""
+        return bool(np.all(self.f >= PASS_TOL)) and all(z["max_abs_f"] <= -PASS_TOL for z in self.zero_sets.values())
+
+    def to_dict(self) -> dict:
+        """The search block of the verify-appendix JSON; dropped_grad_norms as count, min, median and max."""
         g = self.dropped_grad_norms
         stats = (float(g.min()), float(np.median(g)), float(g.max())) if g.size else (None,) * 3
-        return {"count": int(g.size), **dict(zip(("min", "median", "max"), stats))}
+        return {"starts": self.starts, "converged": self.converged, "dropped": self.dropped,
+                "dropped_grad_norms": {"count": int(g.size), **dict(zip(("min", "median", "max"), stats))},
+                "zero_sets": self.zero_sets, "critical_points": [self.row(i) for i in range(len(self.f))],
+                "pass": self.passed}
 
     def best_matching(self, target, radius: float) -> dict | None:
         """Row of the closest point within `radius` of the target coordinates;
@@ -527,20 +537,19 @@ class VerifyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not 1 <= self.samples <= 2**30:  # scipy's Sobol sequence gives at most 2^30 points
+            raise ValueError("samples must be >= 1 and at most 2**30 (1073741824)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
 
 @dataclass
 class VerifyReport:
-    """Scan outcome.
+    """Scan outcome, over the samples alone.
 
-    min_value ranges over every scanned point: samples plus the isolated
-    critical points, which run in value order. regions holds each sampled sign
-    region's count and minimum; passed also needs each zero set's max_abs_f
-    within |PASS_TOL|.
+    min_value and argmin are the first lowest sample and its point; regions
+    holds each sampled sign region's count and minimum; passed is min_value at
+    or above PASS_TOL.
     """
 
     min_value: float
@@ -550,7 +559,6 @@ class VerifyReport:
     passed: bool
     generator: str
     regions: dict[str, dict] = field(default_factory=dict)
-    critical_points: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -561,7 +569,6 @@ class VerifyReport:
             "pass": self.passed,
             "generator": self.generator,
             "regions": self.regions,
-            "critical_points": self.critical_points,
         }
 
 
@@ -589,42 +596,35 @@ def _region_minima(codes: np.ndarray, values: np.ndarray) -> dict[int, tuple[int
             for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo}
 
 
-def verify_monogamy(config: VerifyConfig | None = None, search: MinimizeResult | None = None) -> VerifyReport:
-    """Scan the octant sphere with low-discrepancy samples plus the isolated
-    critical points of `search` (none when it is None), read from its arrays.
+def verify_monogamy(config: VerifyConfig | None = None) -> VerifyReport:
+    """Scan the octant sphere with low-discrepancy samples.
 
     One reduction: f and the region code of every sample are computed in
     SCAN_CHUNK batches, which only bound the temporaries, and concatenated;
     the column-major samples (_sobol_sphere) give each batch contiguous rows.
     The regions table then lists each region met by a sample in _REGION_NAMES
-    order, and the global minimum is the first lowest value over the samples
-    followed by the critical points (a critical point wins only when strictly
-    lower). PASS iff it stays at or above PASS_TOL and every zero set's
-    max_abs_f is within |PASS_TOL|. f comes from the exact pair norms of schmidt_f_batch. The sign regions
-    belong to the printed expression, not to kinks of f (see closed_form_f),
-    and 47,671 of 2^16 samples at seed 0 (73%) fall outside its real domain
-    as 'undefined' (see sign_region).
+    order, and the global minimum is the first lowest sample. PASS iff it
+    stays at or above PASS_TOL; a search's critical points carry their own
+    verdict (MinimizeResult.passed). f comes from the exact pair norms of
+    schmidt_f_batch. The sign regions belong to the printed expression, not
+    to kinks of f (see closed_form_f), and 47,671 of 2^16 samples at seed 0
+    (73%) fall outside its real domain as 'undefined' (see sign_region).
     """
     cfg = config or VerifyConfig()
     samples = _sobol_sphere(cfg.samples, 4, cfg.seed)
     blocks = [samples[lo : lo + SCAN_CHUNK] for lo in range(0, len(samples), SCAN_CHUNK)]
     fvals = np.concatenate([schmidt_f_batch(b)["f"] for b in blocks])
     codes = np.concatenate([_region_ids(b) for b in blocks])
-    crit_p, crit_f, zero_sets = ((np.zeros((0, 4)), np.zeros(0), {}) if search is None
-                                 else (search.points, search.f, search.zero_sets))
     regions = {_REGION_NAMES[code]: {"samples": int(n), "sampled_min": float(fvals[j]),
                                      "sampled_argmin": [float(v) for v in samples[j]]}
                for code, (n, j) in _region_minima(codes, fvals).items()}
-
-    values = np.concatenate([fvals, crit_f])
-    i = int(np.argmin(values))
+    i = int(np.argmin(fvals))
     return VerifyReport(
-        min_value=float(values[i]),
-        argmin=[float(v) for v in (samples[i] if i < len(samples) else crit_p[i - len(samples)])],
+        min_value=float(fvals[i]),
+        argmin=[float(v) for v in samples[i]],
         samples=int(cfg.samples),
         seed=int(cfg.seed),
-        passed=bool(values[i] >= PASS_TOL) and all(z["max_abs_f"] <= -PASS_TOL for z in zero_sets.values()),
+        passed=bool(fvals[i] >= PASS_TOL),
         generator="sobol-scrambled+gauss-fold",
         regions=regions,
-        critical_points=[search.row(i) for i in range(crit_f.size)],
     )

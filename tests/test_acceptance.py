@@ -129,8 +129,9 @@ def test_criterion_4_appendix_fixtures(tmp_path, capsys):
 
     The fixtures are critical points of f, not minima: 0.361084 is a saddle in
     the y = 0 face and 0.780239 a maximum along an edge arc, both listed as
-    isolated points; (0, 1, 0, 0) lies on both of f's zero sets, z = 0 and
-    x = h = 0, which the report counts under zero_sets instead of listing.
+    isolated points in the report's search block; (0, 1, 0, 0) lies on both of
+    f's zero sets, z = 0 and x = h = 0, which that block counts under zero_sets
+    instead of listing.
     """
     t0 = time.monotonic()
     code = cli.main([
@@ -145,6 +146,8 @@ def test_criterion_4_appendix_fixtures(tmp_path, capsys):
 
     import json
     report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report) == ["fixtures", "recovered", "search", "scan", "pass"]
+    search = report["search"]
     rec = {tuple(r["target"]): r for r in report["recovered"]}
     interior = rec[(0.39036823927218467, 0.0, 0.7886176857851448, 0.47507345056784694)]
     assert interior["matched"]
@@ -156,19 +159,19 @@ def test_criterion_4_appendix_fixtures(tmp_path, capsys):
     fix = {round(f["expected"], 6): f for f in report["fixtures"]}
     assert abs(fix[0.780239]["value"] - 0.780239) <= 1e-5
     assert abs(fix[0.0]["value"]) <= 1e-9
-    assert report["scan"]["pass"]
+    assert report["scan"]["pass"] and search["pass"]
     # every reported critical point sits on the constraint sphere and passes the gradient test
-    for row in report["scan"]["critical_points"]:
+    for row in search["critical_points"]:
         p = np.array(row["params"])
         assert abs(p @ p - 1.0) < 1e-10
         assert row["grad_norm"] <= GRAD_TOL
     # f vanishes on each zero set a start ended on, and the corner is found on one
-    assert all(z["hits"] > 0 and z["max_abs_f"] <= 1e-9 for z in report["zero_sets"].values())
-    assert rec[(0.0, 1.0, 0.0, 0.0)]["matched"] and rec[(0.0, 1.0, 0.0, 0.0)]["found"] in report["zero_sets"]
+    assert all(z["hits"] > 0 and z["max_abs_f"] <= 1e-9 for z in search["zero_sets"].values())
+    assert rec[(0.0, 1.0, 0.0, 0.0)]["matched"] and rec[(0.0, 1.0, 0.0, 0.0)]["found"] in search["zero_sets"]
     # the search does not silently lose starts: every start is counted, and
     # no more are dropped than under the old bound of 1% of 2000 starts
-    assert report["converged"] + report["dropped"] == report["starts"]
-    assert report["dropped"] < 20
+    assert search["converged"] + search["dropped"] == search["starts"]
+    assert search["dropped"] < 20
     print(f"[criterion 4] appendix run {elapsed:.0f}s")
     _report("criterion 4: appendix fixtures")
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsteer import cli
+from qsteer import cli, monogamy
 from qsteer.randgen import RandomStateSpec, random_eigenvalues, random_hermitian, random_state
 from qsteer.states import ghz_state, state_from_payload, state_to_payload, validate_state
 from qsteer.steering import steering_report
@@ -63,6 +63,14 @@ class TestAnalyze:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run_cli(["analyze", str(path)], capsys)[0] == 1
+
+    def test_deeply_nested_json_exit_1(self, tmp_path, capsys):
+        # json.loads gives up on 10^5 nested lists with a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"qubits": 3, "kind": "mixed", "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        code, _, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: cannot parse state file")
 
     def test_wrong_dimension_exit_1(self, tmp_path, capsys):
         path = tmp_path / "short.json"
@@ -432,3 +440,15 @@ class TestVerifyAppendix:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_samples_above_sobol_limit_exit_1(self, capsys, monkeypatch):
+        # scipy's Sobol sequence gives at most 2^30 points; a larger --samples is
+        # rejected before the search or the scan starts (either fails this test)
+        def started(*args, **kwargs):
+            raise AssertionError("verify-appendix ran past its argument checks")
+
+        monkeypatch.setattr(monogamy, "minimize_f", started)
+        monkeypatch.setattr(monogamy, "_sobol_sphere", started)
+        code, out, err = run_cli(["verify-appendix", "--samples", str(2**30 + 1)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: samples must be") and "2**30" in err

@@ -16,6 +16,7 @@ from qsteer.monogamy import (
     DEDUP_RADIUS,
     FACE_TOL,
     GRAD_TOL,
+    PASS_TOL,
     SIGN_BOUNDARY_TOL,
     MinimizeConfig,
     VerifyConfig,
@@ -552,6 +553,17 @@ class TestMinimize:
         assert result.best_matching(CORNER, radius=1.4) is None
         assert _record([], [], []).best_matching(CORNER, radius=1.0) is None
 
+    def test_search_block_reads_the_record(self, search):
+        # to_dict is the search block of the verify-appendix JSON, key for key
+        block = search.to_dict()
+        assert list(block) == ["starts", "converged", "dropped", "dropped_grad_norms",
+                               "zero_sets", "critical_points", "pass"]
+        counts = [search.starts, search.converged, search.dropped]
+        assert [block["starts"], block["converged"], block["dropped"]] == counts
+        assert block["zero_sets"] == search.zero_sets
+        assert block["critical_points"] == _rows(search)
+        assert block["pass"] is search.passed is True
+
     def test_rows_read_the_arrays(self, search):
         # row(i) is point i as the verify-appendix JSON lists it, field for field
         rows = _rows(search)
@@ -567,8 +579,12 @@ class TestMinimize:
         assert empty.zero_sets == _zero_sets()
         assert empty.best_matching(CORNER, radius=2.0) is None
         assert empty.zero_set_of(CORNER) is None
-        cfg = VerifyConfig(samples=2**10, seed=3)
-        assert verify_monogamy(cfg, empty).to_dict() == verify_monogamy(cfg).to_dict()
+        # no row and no hit: the search block lists nothing and passes
+        assert empty.to_dict() == {
+            "starts": 0, "converged": 0, "dropped": 0,
+            "dropped_grad_norms": {"count": 0, "min": None, "median": None, "max": None},
+            "zero_sets": _zero_sets(), "critical_points": [], "pass": True,
+        }
 
     @pytest.mark.parametrize("toward", ["up", "down", "alternating"])
     def test_report_ignores_last_bit_of_batch_f(self, search, monkeypatch, toward):
@@ -637,7 +653,7 @@ class TestMinimize:
         assert search.converged + search.dropped == search.starts
         assert search.dropped_grad_norms.shape == (search.dropped,)
         assert np.all(search.dropped_grad_norms > GRAD_TOL)
-        summary = search.dropped_summary()
+        summary = search.to_dict()["dropped_grad_norms"]
         assert summary["count"] == search.dropped
         if search.dropped:
             assert summary["min"] <= summary["median"] <= summary["max"]
@@ -651,7 +667,7 @@ class TestMinimize:
         assert result.dropped > 0 and result.converged + result.dropped == result.starts
         assert result.dropped_grad_norms.shape == (result.dropped,)
         assert np.all(result.dropped_grad_norms > GRAD_TOL)
-        summary = result.dropped_summary()
+        summary = result.to_dict()["dropped_grad_norms"]
         assert summary["count"] == result.dropped
         assert summary["min"] <= summary["median"] <= summary["max"]
 
@@ -777,53 +793,42 @@ class TestVerify:
 
     def test_region_restricted_scan(self):
         # the sampled infimum of the ++++ region sits near its closure at the
-        # zero set; the stationary-analysis number is the critical-point min
+        # zero set; the stationary-analysis number is the search's lowest ++++ row
         crits = minimize_f(MinimizeConfig(starts=248, face_starts=32, seed=11))
-        report = verify_monogamy(VerifyConfig(samples=2**14, seed=5), crits)
-        assert report.passed
-        in_region = [c["f"] for c in report.critical_points if c["region"] == "++++"]
+        report = verify_monogamy(VerifyConfig(samples=2**14, seed=5))
+        assert report.passed and crits.passed
+        in_region = [c["f"] for c in crits.to_dict()["critical_points"] if c["region"] == "++++"]
         assert min(in_region) == pytest.approx(0.361084, abs=1e-3)
         assert report.min_value >= -1e-9
 
     def test_regions_follow_code_order(self):
-        crits = minimize_f(MinimizeConfig(starts=66, face_starts=8, seed=11))
-        report = verify_monogamy(VerifyConfig(samples=2**12, seed=3), crits)
+        report = verify_monogamy(VerifyConfig(samples=2**12, seed=3))
         assert sum(r["samples"] for r in report.regions.values()) == report.samples
-        assert report.critical_points == _rows(crits)
         assert list(report.regions) == [n for n in _REGION_NAMES if n in report.regions]
-        assert report.regions == verify_monogamy(VerifyConfig(samples=2**12, seed=3)).regions
-
-    def test_critical_point_wins_only_when_strictly_lower(self):
-        scan = verify_monogamy(VerifyConfig(samples=1, seed=2))
-        (region, entry), = scan.regions.items()
-        other = next(n for n in _REGION_NAMES if n != region)
-
-        tie = _record([CORNER], [scan.min_value], [other])
-        report = verify_monogamy(VerifyConfig(samples=1, seed=2), tie)
-        assert report.argmin == scan.argmin
-        assert report.critical_points == _rows(tie)
-        # the regions table describes the samples alone
-        assert report.regions == {region: entry}
-
-        both = _record([BELL, CORNER], [scan.min_value - 1.0, scan.min_value], [region, other])
-        report = verify_monogamy(VerifyConfig(samples=1, seed=2), both)
-        assert report.min_value == report.critical_points[0]["f"] == scan.min_value - 1.0
-        assert report.argmin == report.critical_points[0]["params"] == list(BELL)
-        assert not report.passed
-        assert report.regions == {region: entry}
+        # the regions table and the minimum describe the samples alone
+        lowest = min(report.regions.values(), key=lambda r: r["sampled_min"])
+        assert (lowest["sampled_min"], lowest["sampled_argmin"]) == (report.min_value, report.argmin)
 
     def test_zero_sets_gate_the_pass(self):
-        # a pipeline |f| on a zero set beyond |PASS_TOL| fails the scan, whatever the samples read
-        cfg = VerifyConfig(samples=2**10, seed=1)
-        clean = verify_monogamy(cfg).to_dict()
-        assert clean.pop("pass") is True
-        for bound, passed in ((-monogamy.PASS_TOL, True), (np.nextafter(-monogamy.PASS_TOL, 1.0), False),
-                              (np.nan, False)):
-            result = _record([], [], [])
-            result.zero_sets["x=h=0"].update(hits=1, max_abs_f=bound)
-            report = verify_monogamy(cfg, result).to_dict()
-            assert report.pop("pass") is passed
-            assert report == clean
+        # the search passes iff every zero set's pipeline |f| is within |PASS_TOL|
+        # and every row's f is at or above PASS_TOL; a NaN fails either test
+        def passed(max_abs_f, f):
+            result = _record([BELL, INTERIOR], [f, 0.361084], ["boundary", "++++"])
+            result.zero_sets["x=h=0"].update(hits=1, max_abs_f=max_abs_f)
+            assert result.to_dict()["pass"] is result.passed
+            return result.passed
+
+        assert passed(-PASS_TOL, PASS_TOL)
+        for max_abs_f in (np.nextafter(-PASS_TOL, 1.0), np.nan):
+            assert not passed(max_abs_f, PASS_TOL)
+        for f in (np.nextafter(PASS_TOL, -np.inf), np.nan):
+            assert not passed(-PASS_TOL, f)
+
+    def test_samples_stop_at_sobol_limit(self):
+        # scipy's Sobol sequence gives at most 2^30 points
+        assert VerifyConfig(samples=2**30).samples == 2**30
+        with pytest.raises(ValueError, match=r"samples must be >= 1 and at most 2\*\*30"):
+            VerifyConfig(samples=2**30 + 1)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_rejects_empty_scan(self, samples):
@@ -840,9 +845,10 @@ class TestVerify:
             config(**{name: -1})
 
     def test_report_serializes(self):
+        # the scan's block carries no critical points: they are the search's
         report = verify_monogamy(VerifyConfig(samples=2**10, seed=1))
         d = report.to_dict()
-        assert {"min", "argmin", "samples", "seed", "pass", "regions"} <= set(d)
+        assert list(d) == ["min", "argmin", "samples", "seed", "pass", "generator", "regions"]
 
 
 def _row_major_sobol(n, dim, seed):
