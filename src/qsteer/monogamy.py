@@ -71,7 +71,7 @@ GRAD_TOL = 1e-10  # every search start converges at this residual norm (_residua
 MAX_ITER = 400  # Newton iterations before a search start is given up
 DEDUP_RADIUS = 1e-6  # refined points closer than this in parameter space are one critical point
 PASS_TOL = -1e-9  # scan passes at or above this; pipeline values on f's zero set reach ~-1e-12
-SCAN_CHUNK = 2**16  # scan points per batch: bounds the scan's temporaries at 2^20 samples
+SCAN_CHUNK = 2**14  # scan points per block pass: of 2^13-2^16, the fastest for both a 2^14 and a 2^20 scan
 
 _COORDS = ("x", "y", "z", "h")
 # f vanishes identically on these sets, where the state is a product (AB x C on
@@ -102,24 +102,37 @@ def f_components(p) -> dict:
     return comps if psi.ndim == 2 else {k: float(v[0]) for k, v in comps.items()}
 
 
-def _roots(x, z, h):
+def _roots(x, z, h, out=None):
     """A, B, C = |(z, h)|, |(x, z)|, |(x, h)| and S_a, S_b = sqrt(1 + q_a), sqrt(1 + q_b),
-    where q_a = 2x^2 A^2 and q_b = 2h^2 B^2 are the purity deficits of qubits A and B."""
-    a, b, c = np.sqrt(z * z + h * h), np.sqrt(x * x + z * z), np.sqrt(x * x + h * h)
-    return a, b, c, np.sqrt(1.0 + 2.0 * x * x * a * a), np.sqrt(1.0 + 2.0 * h * h * b * b)
+    where q_a = 2x^2 A^2 and q_b = 2h^2 B^2 are the purity deficits of qubits A and B:
+    the rows of out, a (5, n) workspace of the coordinates' dtype (new if None)."""
+    a, b, c, s_a, s_b = out = np.empty((5, *np.shape(x)), np.result_type(x, z, h)) if out is None else out
+    # x^2, z^2, h^2 once each, held in rows c, s_a, s_b until C, S_a, S_b overwrite them
+    xx, zz, hh = np.multiply(x, x, out=c), np.multiply(z, z, out=s_a), np.multiply(h, h, out=s_b)
+    for r, u, v in ((a, zz, hh), (b, xx, zz), (c, xx, hh)):
+        np.sqrt(np.add(u, v, out=r), out=r)
+    for s, u, r in ((s_a, x, a), (s_b, h, b)):  # sqrt(1 + ((2u u) r) r)
+        np.multiply(np.multiply(np.multiply(2.0, u, out=s), u, out=s), r, out=s)
+        np.sqrt(np.add(np.multiply(s, r, out=s), 1.0, out=s), out=s)
+    return out
 
 
-def _pair_terms(u, v, y):
-    """uv, a = 1 - 2y^2 + 2uv, b = 2y (u + v) and R = |(a, b)| of the pair norm uv (1 + R)."""
-    uv = u * v
-    a, b = 1.0 - 2.0 * y * y + 2.0 * uv, 2.0 * y * (u + v)
-    return uv, a, b, np.sqrt(a * a + b * b)
+def _y_terms(y, out=None):
+    """2y and 1 - 2y^2 (as 1 - (2y) y), which the three _pair_terms share: the rows of out."""
+    ty, a0 = out = np.empty((2, *np.shape(y)), np.result_type(y)) if out is None else out
+    np.subtract(1.0, np.multiply(np.multiply(2.0, y, out=ty), y, out=a0), out=a0)
+    return out
 
 
-def _pair_norm(u, v, y):
-    """Trace norm uv (1 + R) of the covariance block of the pair with coordinates u, v."""
-    uv, _, _, r = _pair_terms(u, v, y)
-    return uv * (1.0 + r)
+def _pair_terms(u, v, y_terms, out=None):
+    """uv, a = 1 - 2y^2 + 2uv, b = 2y (u + v) and R = |(a, b)| of the pair norm uv (1 + R), from
+    _y_terms(y): rows of out, a (5, n) workspace of the inputs' dtype (new if None)."""
+    ty, a0 = y_terms
+    uv, a, b, r, t = out = np.empty((5, *np.shape(u)), np.result_type(u, v, ty)) if out is None else out
+    np.add(a0, np.multiply(2.0, np.multiply(u, v, out=uv), out=a), out=a)
+    np.multiply(ty, np.add(u, v, out=b), out=b)
+    np.sqrt(np.add(np.multiply(a, a, out=r), np.multiply(b, b, out=t), out=r), out=r)
+    return uv, a, b, r
 
 
 def schmidt_f_batch(params: np.ndarray) -> dict:
@@ -127,10 +140,14 @@ def schmidt_f_batch(params: np.ndarray) -> dict:
 
     Independent of the 8x8 pipeline and free of SVDs, it evaluates at |params|
     (f is even in each coordinate: a local Z or a global phase) the smooth
-    octant form that _grad_f differentiates, from _roots and _pair_norm:
+    octant form that _grad_f differentiates, from _roots and _pair_terms:
 
       H_A->BC = 2xA + 2x^2 A^2 - sqrt(2) xA S_a,  H_AB = n_xh - sqrt(2) hB S_a,
       H_AC = n_xz - sqrt(2) zC S_a,  H_BC = n_zh - sqrt(2) zC S_b.
+
+    It fills one (21, n) workspace with out= ufuncs, and the five outputs are
+    rows of it. Each value comes from the float operations of these expressions
+    in their order, so its bits are those of the plain expressions (a test pins them).
 
     Error budget: each term is exact to a few ulp (a = 1 - 2y^2 + 2uv to one
     ulp absolute), so each pair norm n_uv is within ~1e-15 of a batched SVD of
@@ -138,42 +155,64 @@ def schmidt_f_batch(params: np.ndarray) -> dict:
     points, the faces and edges, the c_xx = 0 set, the sign-region boundaries,
     and signed coordinates.
     """
-    # contiguous coordinate rows: strided ones make it ~1/3 slower at 2^16 points
-    x, y, z, h = np.abs(np.atleast_2d(np.asarray(params, dtype=float)).T, order="C")
-    a, b, c, s_a, s_b = _roots(x, z, h)
-    xa, hb, zc = x * a, h * b, z * c
-
-    h_abc = 2.0 * xa + 2.0 * xa * xa - _SQRT2 * xa * s_a
-    h_ab = _pair_norm(x, h, y) - _SQRT2 * hb * s_a
-    h_ac = _pair_norm(x, z, y) - _SQRT2 * zc * s_a
-    h_bc = _pair_norm(z, h, y) - _SQRT2 * zc * s_b
-
-    return {
-        "f": h_abc - (h_ab + h_ac + h_bc),
-        "h_a_bc": h_abc,
-        "h_ab": h_ab,
-        "h_ac": h_ac,
-        "h_bc": h_bc,
-    }
+    p = np.atleast_2d(np.asarray(params, dtype=float))
+    ws = np.empty((21, len(p)))
+    x, y, z, h = np.abs(p.T, out=ws[:4])  # contiguous rows: strided ones are ~1/3 slower at 2^16 points
+    a, b, c, s_a, s_b = _roots(x, z, h, out=ws[4:9])
+    y_terms = _y_terms(y, out=ws[9:11])
+    f, h_abc, h_ab, h_ac, h_bc = ws[11:16]
+    for u, v, n_uv in ((x, h, h_ab), (x, z, h_ac), (z, h, h_bc)):
+        uv, _, _, r = _pair_terms(u, v, y_terms, out=ws[16:])
+        np.multiply(uv, np.add(r, 1.0, out=n_uv), out=n_uv)
+    xa, t, szc = ws[16:19]  # the pair rows, free again
+    np.multiply(np.multiply(2.0, np.multiply(x, a, out=xa), out=t), xa, out=h_abc)
+    h_abc += t  # 2xA + 2xA xA
+    h_abc -= np.multiply(np.multiply(_SQRT2, xa, out=t), s_a, out=t)
+    h_ab -= np.multiply(np.multiply(_SQRT2, np.multiply(h, b, out=t), out=t), s_a, out=t)
+    np.multiply(_SQRT2, np.multiply(z, c, out=szc), out=szc)
+    h_ac -= np.multiply(szc, s_a, out=t)
+    h_bc -= np.multiply(szc, s_b, out=t)
+    np.subtract(h_abc, np.add(np.add(h_ab, h_ac, out=f), h_bc, out=f), out=f)
+    return {"f": f, "h_a_bc": h_abc, "h_ab": h_ab, "h_ac": h_ac, "h_bc": h_bc}
 
 
 # ---------------------------------------------------------------------------
 # sign regions and published closed forms
 
 
-def _fgwv_arrays(params: np.ndarray):
-    x, y, z, h = np.atleast_2d(np.asarray(params, dtype=float)).T
-    y2 = y * y
-    y4, zz, hh = 4.0 * y2, z * z, h * h
-    base = 1.0 + y4 * y2
+def _radicands(cols):
+    """Rows y^2, g_rad and v_rad (the printed g = x sqrt(g_rad), v = x sqrt(v_rad)) of one
+    (10, n) workspace from (4, n) coordinate rows, and the mask of points where both are
+    at or above RADICAND_TOL. With u, w = h, z for g and z, h for v, each radicand is
+    u^2 (1 + 4y^4 - 4y^2 (1 + 2xu + u^2) - 4u (x + (w^2 - 1) u + u^3))."""
+    x, y, z, h = cols
+    ws = np.empty((10, len(x)))
+    y2, g_rad, v_rad, y4, base, t, s = ws[:7]
+    zz, hh, tx = np.multiply(z, z, out=ws[7]), np.multiply(h, h, out=ws[8]), np.multiply(2.0, x, out=ws[9])
+    np.multiply(4.0, np.multiply(y, y, out=y2), out=y4)
+    np.add(1.0, np.multiply(y4, y2, out=base), out=base)
+    for rad, u, uu, ww in ((g_rad, h, hh, zz), (v_rad, z, zz, hh)):
+        np.add(np.add(1.0, np.multiply(tx, u, out=t), out=t), uu, out=t)
+        np.subtract(base, np.multiply(y4, t, out=t), out=rad)
+        np.add(x, np.multiply(np.subtract(ww, 1.0, out=t), u, out=t), out=t)
+        t += np.power(u, 3, out=s)
+        rad -= np.multiply(np.multiply(4.0, u, out=s), t, out=t)
+        rad *= uu
+    return ws[:3], (g_rad >= RADICAND_TOL) & (v_rad >= RADICAND_TOL)
+
+
+def _fgwv(cols, rad):
+    """f, g, w, v from (4, n) coordinate rows and their _radicands rows, the radicands clamped at 0."""
+    (x, _, z, h), (y2, g_rad, v_rad) = cols, rad
     common = 1.0 - 2.0 * y2 + 2.0 * x * x
-    f, w = x * h * common, x * z * common
-    g_rad = hh * (base - y4 * (1.0 + 2.0 * x * h + hh) - 4.0 * h * (x + (zz - 1.0) * h + h**3))
-    v_rad = zz * (base - y4 * (1.0 + 2.0 * x * z + zz) - 4.0 * z * (x + (hh - 1.0) * z + z**3))
-    defined = (g_rad >= RADICAND_TOL) & (v_rad >= RADICAND_TOL)
-    g = x * np.sqrt(np.clip(g_rad, 0.0, None))
-    v = x * np.sqrt(np.clip(v_rad, 0.0, None))
-    return f, g, w, v, defined
+    return (x * h * common, x * np.sqrt(np.clip(g_rad, 0.0, None)),
+            x * z * common, x * np.sqrt(np.clip(v_rad, 0.0, None)))
+
+
+def _fgwv_arrays(params: np.ndarray):
+    cols = np.atleast_2d(np.asarray(params, dtype=float)).T
+    rad, defined = _radicands(cols)
+    return (*_fgwv(cols, rad), defined)
 
 
 def fgwv(p) -> tuple[float, float, float, float]:
@@ -192,13 +231,19 @@ def fgwv(p) -> tuple[float, float, float, float]:
 def _region_ids(params: np.ndarray, tol: float = SIGN_BOUNDARY_TOL) -> np.ndarray:
     """Region code per point, indexing _REGION_NAMES: 0-15 the sign patterns in
     ALL_SIGN_REGIONS order (a '-' sets a bit, first sign highest), 16 'boundary',
-    17 'undefined'."""
-    f, g, w, v, defined = _fgwv_arrays(params)
-    ids, near = np.zeros(len(f), dtype=np.int64), np.zeros(len(f), dtype=bool)
+    17 'undefined'. The radicands alone decide 'undefined', so f, g, w, v and
+    the four sign quads are computed only on the points where both are defined."""
+    cols = np.atleast_2d(np.asarray(params, dtype=float)).T
+    rad, defined = _radicands(cols)
+    on = np.flatnonzero(defined)
+    f, g, w, v = _fgwv(np.take(cols, on, axis=1), np.take(rad, on, axis=1))
+    ids, near = np.zeros(len(on), dtype=np.int64), np.zeros(len(on), dtype=bool)
     for bit, quad in zip((8, 4, 2, 1), (f + g, f - g, w + v, w - v)):
         ids += bit * (quad < 0)
         near |= np.abs(quad) <= tol
-    return np.where(defined, np.where(near, 16, ids), 17)
+    codes = np.full(len(defined), 17, dtype=np.int64)
+    codes[on] = np.where(near, 16, ids)
+    return codes
 
 
 def sign_region(p) -> str:
@@ -366,12 +411,12 @@ def _over(u, r):
     return np.where(zero, 1.0, u / np.where(zero, 1.0, r))
 
 
-def _pair_slopes(u, v, y):
-    """d/du, d/dy, d/dv of the pair norm uv (1 + R), R = sqrt((1 - 2y^2 + 2uv)^2
-    + 4y^2 (u + v)^2); R = 0 only at u = v = 0, where uv zeroes every R-slope."""
-    uv, a, b, r = _pair_terms(u, v, y)
+def _pair_slopes(u, v, y, y_terms):
+    """d/du, d/dy, d/dv of the pair norm uv (1 + R), R = sqrt((1 - 2y^2 + 2uv)^2 + 4y^2 (u + v)^2),
+    y_terms = _y_terms(y); R = 0 only at u = v = 0, where uv zeroes every R-slope."""
+    uv, a, b, r = _pair_terms(u, v, y_terms)
     ar, br = _over(a, r), _over(b, r)
-    c, e = 1.0 + r + 2.0 * uv * ar, 2.0 * y * uv * br
+    c, e = 1.0 + r + 2.0 * uv * ar, y_terms[0] * uv * br
     return c * v + e, uv * (2.0 * (u + v) * br - 4.0 * y * ar), c * u + e
 
 
@@ -392,9 +437,10 @@ def _grad_f(p: np.ndarray) -> np.ndarray:
     z_a, h_a, x_b, z_b, x_c, h_c = _over(z, a), _over(h, a), _over(x, b), _over(z, b), _over(x, c), _over(h, c)
     k_a = 1.0 + (h * b + z * c - x * a) / (_SQRT2 * s_a)  # slope of f in q_a
     k_b = z * c / (_SQRT2 * s_b)  # slope of f in q_b
-    ab_x, ab_y, ab_h = _pair_slopes(x, h, y)
-    ac_x, ac_y, ac_z = _pair_slopes(x, z, y)
-    bc_z, bc_y, bc_h = _pair_slopes(z, h, y)
+    y_terms = _y_terms(y)
+    ab_x, ab_y, ab_h = _pair_slopes(x, h, y, y_terms)
+    ac_x, ac_y, ac_z = _pair_slopes(x, z, y, y_terms)
+    bc_z, bc_y, bc_h = _pair_slopes(z, h, y, y_terms)
     return np.stack([
         2.0 * a + 4.0 * x * a * a * k_a + 4.0 * x * h * h * k_b
         + _SQRT2 * (s_a * (h * x_b + z * x_c - a) + s_b * z * x_c) - ab_x - ac_x,
@@ -572,18 +618,34 @@ class VerifyReport:
         }
 
 
+def _sobol_base(n: int, dim: int, seed: int) -> np.ndarray:
+    """The first n of 2^m scrambled Sobol points in [0, 1)^dim, as contiguous (dim, n) rows."""
+    from scipy.stats import qmc  # imported here: scipy costs ~1 s of `import qsteer`
+
+    m = int(np.ceil(np.log2(max(n, 2))))
+    return qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)[:n].T.copy()
+
+
+def _fold(g: np.ndarray) -> np.ndarray:
+    """Take (dim, k) rows of _sobol_base to the sphere in place: clipped, folded through
+    |ndtri| and divided by their row norm, whose squares add in coordinate order, as
+    np.linalg.norm does. Each point's bits do not depend on the block it is in."""
+    from scipy.special import ndtri
+
+    np.abs(ndtri(np.clip(g, 1e-12, 1.0 - 1e-12, out=g), out=g), out=g)
+    norm, sq = np.multiply(g[0], g[0]), np.empty_like(g[0])
+    for row in g[1:]:
+        norm += np.multiply(row, row, out=sq)
+    g /= np.sqrt(norm, out=norm)
+    return g
+
+
 def _sobol_sphere(n: int, dim: int, seed: int) -> np.ndarray:
     """Quasi-uniform points on the positive octant of the unit (dim-1)-sphere: the first n of
     2^m scrambled Sobol points, clipped, folded through |ndtri| and divided by their row norm,
-    computed in place on contiguous (dim, n) rows and returned as their (n, dim) transpose."""
-    from scipy.special import ndtri  # imported here: scipy costs ~1 s of `import qsteer`
-    from scipy.stats import qmc
-
-    m = int(np.ceil(np.log2(max(n, 2))))
-    g = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)[:n].T.copy()
-    np.abs(ndtri(np.clip(g, 1e-12, 1.0 - 1e-12, out=g), out=g), out=g)
-    g /= np.sqrt(sum(row * row for row in g))  # squares added in coordinate order, as np.linalg.norm does
-    return g.T
+    computed in place on contiguous (dim, n) rows (_fold), as verify_monogamy's blocks are,
+    and returned as their (n, dim) transpose."""
+    return _fold(_sobol_base(n, dim, seed)).T
 
 
 def _region_minima(codes: np.ndarray, values: np.ndarray) -> dict[int, tuple[int, int]]:
@@ -599,22 +661,26 @@ def _region_minima(codes: np.ndarray, values: np.ndarray) -> dict[int, tuple[int
 def verify_monogamy(config: VerifyConfig | None = None) -> VerifyReport:
     """Scan the octant sphere with low-discrepancy samples.
 
-    One reduction: f and the region code of every sample are computed in
-    SCAN_CHUNK batches, which only bound the temporaries, and concatenated;
-    the column-major samples (_sobol_sphere) give each batch contiguous rows.
-    The regions table then lists each region met by a sample in _REGION_NAMES
-    order, and the global minimum is the first lowest sample. PASS iff it
-    stays at or above PASS_TOL; a search's critical points carry their own
-    verdict (MinimizeResult.passed). f comes from the exact pair norms of
-    schmidt_f_batch. The sign regions belong to the printed expression, not
-    to kinks of f (see closed_form_f), and 47,671 of 2^16 samples at seed 0
-    (73%) fall outside its real domain as 'undefined' (see sign_region).
+    The Sobol points are drawn once (_sobol_base); then one pass per SCAN_CHUNK
+    block folds it onto the sphere in place (_fold) and computes its f and
+    region codes while its rows are in cache. Each sample's bits are those of
+    _sobol_sphere, whatever the block size. The regions table lists each region
+    met by a sample in _REGION_NAMES order, and the global minimum is the
+    first lowest sample. PASS iff it stays at or above PASS_TOL; a search's
+    critical points carry their own verdict (MinimizeResult.passed). f comes
+    from the exact pair norms of schmidt_f_batch. The sign regions belong to
+    the printed expression, not to kinks of f (see closed_form_f), and 47,671
+    of 2^16 samples at seed 0 (73%) fall outside its real domain as
+    'undefined' (see sign_region), where _region_ids computes no sign.
     """
     cfg = config or VerifyConfig()
-    samples = _sobol_sphere(cfg.samples, 4, cfg.seed)
-    blocks = [samples[lo : lo + SCAN_CHUNK] for lo in range(0, len(samples), SCAN_CHUNK)]
-    fvals = np.concatenate([schmidt_f_batch(b)["f"] for b in blocks])
-    codes = np.concatenate([_region_ids(b) for b in blocks])
+    base = _sobol_base(cfg.samples, 4, cfg.seed)
+    fvals, codes = np.empty(cfg.samples), np.empty(cfg.samples, dtype=np.int64)
+    for lo in range(0, cfg.samples, SCAN_CHUNK):
+        block = _fold(base[:, lo : lo + SCAN_CHUNK]).T
+        fvals[lo : lo + SCAN_CHUNK] = schmidt_f_batch(block)["f"]
+        codes[lo : lo + SCAN_CHUNK] = _region_ids(block)
+    samples = base.T
     regions = {_REGION_NAMES[code]: {"samples": int(n), "sampled_min": float(fvals[j]),
                                      "sampled_argmin": [float(v) for v in samples[j]]}
                for code, (n, j) in _region_minima(codes, fvals).items()}

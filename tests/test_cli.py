@@ -449,6 +449,7 @@ class TestVerifyAppendix:
 
         monkeypatch.setattr(monogamy, "minimize_f", started)
         monkeypatch.setattr(monogamy, "_sobol_sphere", started)
+        monkeypatch.setattr(monogamy, "_sobol_base", started)  # the scan's first allocation
         code, out, err = run_cli(["verify-appendix", "--samples", str(2**30 + 1)], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: samples must be") and "2**30" in err

@@ -31,8 +31,8 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _pair_norm, _region_ids,
-    _residual, _search, _sobol_sphere,
+    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _pair_terms, _region_ids,
+    _residual, _search, _sobol_sphere, _y_terms,
 )
 from qsteer.randgen import RandomStateSpec
 from qsteer.states import SchmidtParams, density_from_pure, permute_qubits, schmidt_state
@@ -120,8 +120,10 @@ def _svd_pair_norms(pts):
 
 
 def _pair_norms(x, y, z, h):
-    """The kernel's AB, AC, BC pair trace norms."""
-    return [_pair_norm(x, h, y), _pair_norm(x, z, y), _pair_norm(z, h, y)]
+    """The kernel's AB, AC, BC pair trace norms uv (1 + R), from its _pair_terms."""
+    x, y, z, h = np.atleast_1d(x, y, z, h)
+    terms = [_pair_terms(u, v, _y_terms(y)) for u, v in ((x, h), (x, z), (z, h))]
+    return [uv * (1.0 + r) for uv, _, _, r in terms]
 
 
 def _deficit(m):
@@ -770,6 +772,20 @@ class TestVerify:
         small = verify_monogamy(VerifyConfig(samples=2**14, seed=5))
         assert json.dumps(small.to_dict()) == json.dumps(large.to_dict())
 
+    def test_partial_last_block_does_not_change_report(self, monkeypatch):
+        config = VerifyConfig(samples=2**14 + 3, seed=2)
+        monkeypatch.setattr(monogamy, "SCAN_CHUNK", 2**15)
+        one_block = json.dumps(verify_monogamy(config).to_dict())
+        monkeypatch.setattr(monogamy, "SCAN_CHUNK", 2**10)  # 16 full blocks and one of 3 samples
+        assert json.dumps(verify_monogamy(config).to_dict()) == one_block
+
+    def test_region_counts_are_pinned(self):
+        # the counts at seed 0, which no change of the code route may move: a
+        # drift shared by _region_ids and the stacked route in TestScanKernels shows here
+        report = verify_monogamy(VerifyConfig(samples=2**14, seed=0))
+        assert {name: r["samples"] for name, r in report.regions.items()} == {
+            "++++": 3881, "+-+-": 25, "+---": 61, "--+-": 43, "----": 444, "undefined": 11930}
+
     def test_regions_match_string_route(self):
         # per-point sign strings built from fgwv, as the scan labelled points
         # before it switched to integer codes
@@ -875,6 +891,25 @@ def _printed_fgwv(params):
             x * z * common, x * np.sqrt(np.clip(v_rad, 0.0, None)), defined)
 
 
+def _plain_schmidt_f(params):
+    """The five outputs of schmidt_f_batch as the plain expressions of its documented
+    smooth form, each product and sum in the order the docstring writes it."""
+    x, y, z, h = np.abs(np.atleast_2d(np.asarray(params, dtype=float))).T
+    a, b, c = np.sqrt(z * z + h * h), np.sqrt(x * x + z * z), np.sqrt(x * x + h * h)
+    s_a, s_b = np.sqrt(1.0 + 2.0 * x * x * a * a), np.sqrt(1.0 + 2.0 * h * h * b * b)
+
+    def pair_norm(u, v):  # uv (1 + R), R = |(1 - 2y^2 + 2uv, 2y (u + v))|
+        r_a, r_b = 1.0 - 2.0 * y * y + 2.0 * (u * v), 2.0 * y * (u + v)
+        return u * v * (1.0 + np.sqrt(r_a * r_a + r_b * r_b))
+
+    xa, hb, zc, sq2 = x * a, h * b, z * c, np.sqrt(2.0)
+    out = {"h_a_bc": 2.0 * xa + 2.0 * xa * xa - sq2 * xa * s_a,
+           "h_ab": pair_norm(x, h) - sq2 * hb * s_a,
+           "h_ac": pair_norm(x, z) - sq2 * zc * s_a,
+           "h_bc": pair_norm(z, h) - sq2 * zc * s_b}
+    return {"f": out["h_a_bc"] - (out["h_ab"] + out["h_ac"] + out["h_bc"]), **out}
+
+
 def _stacked_region_ids(params, tol):
     """Region codes from the four quads stacked into an (n, 4) array and an integer matmul."""
     f, g, w, v, defined = _printed_fgwv(params)
@@ -910,3 +945,32 @@ class TestScanKernels:
         assert set(np.unique(ref[-500:])) == {16} and {16, 17} <= set(np.unique(ref))
         for a, b in zip(_fgwv_arrays(pts), _printed_fgwv(pts)):
             assert np.array_equal(a, b)
+
+    def test_schmidt_f_batch_is_the_plain_form(self, rng):
+        # every output has the bits of the plain expressions: C- and F-ordered
+        # stacks, single rows, signed points, faces, edges and both zero sets
+        # (_fragile_points), the empty stack, and off-sphere rows whose x^2 and
+        # h^2 are subnormal while A and B are near 1e154, where a product such
+        # as (2x) x and 2 (x x) rounds apart and S_a and S_b show it
+        n = 1000
+        wide = np.stack([10.0 ** rng.uniform(-155.5, -154, n), rng.uniform(0, 0.5, n),
+                         10.0 ** rng.uniform(153, 153.9, n), 10.0 ** rng.uniform(-155.5, -154, n)], axis=1)
+        x, _, z, _ = wide.T
+        assert np.any(np.sqrt(1.0 + 2.0 * x * x * z * z) != np.sqrt(1.0 + 2.0 * (x * x) * z * z))
+        pts = np.concatenate([_sobol_sphere(2**12, 4, 1), _fragile_points(rng),
+                              _unit(rng.standard_normal((2000, 4))), wide, [CORNER, BELL, INTERIOR]])
+        for stack in [pts, np.asfortranarray(pts), np.empty((0, 4)), *pts[:: len(pts) // 8]]:
+            got, ref = schmidt_f_batch(stack), _plain_schmidt_f(stack)
+            for key in ("f", "h_a_bc", "h_ab", "h_ac", "h_bc"):
+                assert np.array_equal(got[key], ref[key]), key
+                assert got[key].tobytes() == ref[key].tobytes(), key  # signed zeros too
+
+    @pytest.mark.parametrize("tol", [SIGN_BOUNDARY_TOL, FACE_TOL])
+    def test_region_ids_without_defined_points_or_with_only_them(self, rng, tol):
+        # f, g, w, v and the quads run only on the defined points: none, all, or an empty stack
+        pts = np.concatenate([_sobol_sphere(2**12, 4, 2), _fragile_points(rng)])
+        undefined = _stacked_region_ids(pts, tol) == 17
+        assert undefined.any() and not undefined.all()
+        for stack in (pts[undefined], pts[~undefined], np.empty((0, 4))):
+            got, ref = _region_ids(stack, tol), _stacked_region_ids(stack, tol)
+            assert np.array_equal(got, ref) and got.dtype == np.int64
