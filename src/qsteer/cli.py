@@ -5,11 +5,11 @@ numbers use 17 significant digits so files round-trip bit-exactly; report JSON
 goes to stdout. QSTEER_OUT_DIR supplies the base directory for relative output
 paths.
 
-Exit codes: 0 success, 1 unreadable/malformed input file or a rejected
-argument (a negative seed or count, --samples 0, --points 1, or a command line
-that cannot be parsed, which also prints the usage message), 2 invalid quantum
-state, 3 a failed verify-appendix gate (a fixture, a recovery, the search or
-the scan).
+Exit codes: 0 success, 1 unreadable/malformed input file, an output path
+that cannot be written or a rejected argument (a negative seed or count,
+--samples 0, --points 1, or a command line that cannot be parsed, which also
+prints the usage message), 2 invalid quantum state, 3 a failed
+verify-appendix gate (a fixture, a recovery, the search or the scan).
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ def _row_template(columns: int) -> str:
     return ",".join(["%.17g"] * columns)
 
 
-def _out_path(name: str | None, default_name: str) -> Path:
-    base = Path(os.environ.get("QSTEER_OUT_DIR", "."))
-    if name is None:
-        return base / default_name
-    p = Path(name)
-    return p if p.is_absolute() else base / p
+def _out_path(name: str | None, default_name: str, directory: bool = False) -> Path:
+    """Every output path: name, or default_name if None, resolved against QSTEER_OUT_DIR
+    when relative, with the directory that holds it made (the path itself if directory)."""
+    path = Path(os.environ.get("QSTEER_OUT_DIR", ".")) / (default_name if name is None else name)
+    (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -143,7 +143,6 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(text)
     else:
         path = _out_path(args.out, f"sweep_{args.family}.csv")
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"wrote {path}")
     return 0
@@ -165,7 +164,7 @@ def cmd_montecarlo(args) -> int:
     written = 0
     for idx, cols in _chunks(spec.count, lambda a, b: randgen.random_state_batch(spec, a, b)):
         min_margin = min(min_margin, float(cols["margin"].min()))
-        violations += int(np.sum(cols["margin"] < -1e-9))
+        violations += int(np.sum(cols["margin"] < monogamy.PASS_TOL))
         table = np.column_stack([cols[k] for k in _MC_COLUMNS]).tolist()
         for i, values, label in zip(idx, table, cols["classification"].tolist()):
             counts[label] += 1
@@ -175,7 +174,6 @@ def cmd_montecarlo(args) -> int:
             written += 1
 
     path = _out_path(args.out, "montecarlo.csv")
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(rows) + "\n")
     elapsed = time.perf_counter() - started
     summary = {
@@ -196,14 +194,6 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def recover(result: monogamy.MinimizeResult, coords, expected: float, tol: float) -> dict:
-    """A fixture found on a zero set that some start hit (f is 0 there), else as the closest row within 1e-3."""
-    zero_set = result.zero_set_of(coords)
-    found = zero_set or result.best_matching(coords, radius=1e-3)
-    ok = found is not None and abs((0.0 if zero_set else found["f"]) - expected) <= max(tol, 1e-4)
-    return {"target": list(coords), "found": found, "matched": bool(ok)}
-
-
 def cmd_verify_appendix(args) -> int:
     try:
         for name in ("starts", "stationary_starts"):  # each on its own: a sum could hide a negative
@@ -217,26 +207,19 @@ def cmd_verify_appendix(args) -> int:
         return 1
 
     fixtures = []
-    all_ok = True
     for coords, expected, tol in APPENDIX_FIXTURES:
         value = monogamy.f_pipeline(coords)
-        ok = abs(value - expected) <= tol
-        all_ok &= ok
         fixtures.append({
             "point": list(coords), "expected": expected, "value": value,
-            "tolerance": tol, "matched": bool(ok),
+            "tolerance": tol, "matched": abs(value - expected) <= tol,
         })
-
     result = monogamy.minimize_f(cfg)
-    recovered = [recover(result, *fixture) for fixture in APPENDIX_FIXTURES]
-    all_ok &= all(r["matched"] for r in recovered)
-
+    recovered = [result.recover(coords, expected) for coords, expected, _ in APPENDIX_FIXTURES]
     scan = monogamy.verify_monogamy(scan_cfg)
     search = result.to_dict()
-    all_ok &= search["pass"] and scan.passed
+    passed = all([*(r["matched"] for r in fixtures + recovered), search["pass"], scan.passed])
 
-    report = {"fixtures": fixtures, "recovered": recovered, "search": search, "scan": scan.to_dict(),
-              "pass": bool(all_ok)}
+    report = {"fixtures": fixtures, "recovered": recovered, "search": search, "scan": scan.to_dict(), "pass": passed}
     print("isolated critical points (f rounded to 1e-6):")
     for row in search["critical_points"]:
         print(f"  f={row['f']:+.6f}  at ({', '.join(f'{v:.6f}' for v in row['params'])})  [{row['location']}]")
@@ -248,10 +231,9 @@ def cmd_verify_appendix(args) -> int:
           f"scan min {scan.min_value:.3e} ({'PASS' if scan.passed else 'FAIL'})")
     if args.out is not None:
         path = _out_path(args.out, "verify_appendix.json")
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(report, indent=2))
         print(f"wrote {path}")
-    return 0 if all_ok else 3
+    return 0 if passed else 3
 
 
 def cmd_random(args) -> int:
@@ -277,15 +259,13 @@ def cmd_random(args) -> int:
 
     if args.jsonl:
         path = _out_path(args.out, "states.jsonl")
-        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as fh:
             fh.write(json.dumps({"meta": meta}) + "\n")
             for text in payloads():
                 fh.write(text + "\n")
         print(f"wrote {path}")
     else:
-        out_dir = _out_path(args.out, "states")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_path(args.out, "states", directory=True)
         (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2))
         for i, text in enumerate(payloads()):
             (out_dir / f"state_{i:05d}.json").write_text(text)
@@ -357,7 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a write under --out or QSTEER_OUT_DIR: analyze handles its own read
+        if exc.filename is None:  # not a path's error (a closed stdout, say)
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

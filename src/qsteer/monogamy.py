@@ -26,8 +26,8 @@ claim f >= 0 everywhere on that domain. This module provides:
                     test and counted, the endpoints on f's zero sets counted
                     per set and every other point reported once, in an order
                     that rounding noise cannot flip; its MinimizeResult is
-                    one array record of the points with its own JSON block
-                    and PASS/FAIL verdict,
+                    one array record of the points with its own JSON block,
+                    PASS/FAIL verdict and fixture recovery,
 * verify_monogamy - quasi-random sphere scan of the octant alone, with
                     per-region minima and its own PASS/FAIL verdict.
 """
@@ -67,6 +67,8 @@ _REGION_NAMES = np.array(ALL_SIGN_REGIONS + ["boundary", "undefined"], dtype=obj
 RADICAND_TOL = -1e-12  # rounding below 0 in a g/v radicand that still counts as defined
 SIGN_BOUNDARY_TOL = 1e-12  # |f+-g| or |w+-v| this small is a region boundary, not a sign
 FACE_TOL = 1e-6  # face/boundary slack for critical points, resolved only to ~1e-8
+RECOVER_RADIUS = 1e-3  # a fixture off every zero set is found at the closest row this near it (inclusive)
+RECOVER_TOL = 1e-4  # a found fixture matches when its f is this near the expected value
 GRAD_TOL = 1e-10  # every search start converges at this residual norm (_residual of the exact gradient)
 MAX_ITER = 400  # Newton iterations before a search start is given up
 DEDUP_RADIUS = 1e-6  # refined points closer than this in parameter space are one critical point
@@ -354,7 +356,8 @@ class MinimizeResult:
     (_residual), at most GRAD_TOL. starts counts every Newton start, free and
     face; each one either converged or was dropped, so converged + dropped ==
     starts. The converged starts that ended on a zero set are counted in zero_sets.
-    passed is the search's verdict and to_dict its verify-appendix JSON block."""
+    passed is the search's verdict, to_dict its verify-appendix JSON block and
+    recover a fixture's entry in the recovered block."""
 
     points: np.ndarray  # (n, 4) coordinates
     f: np.ndarray  # pipeline value (f_components)
@@ -391,18 +394,24 @@ class MinimizeResult:
                 "zero_sets": self.zero_sets, "critical_points": [self.row(i) for i in range(len(self.f))],
                 "pass": self.passed}
 
-    def best_matching(self, target, radius: float) -> dict | None:
-        """Row of the closest point within `radius` of the target coordinates;
-        of points at the same distance, the last."""
-        diff = self.points.reshape(-1, 1, 4) - np.asarray(target, dtype=float)
-        d = np.sqrt(diff @ diff.transpose(0, 2, 1))[:, 0, 0]  # sqrt(v @ v), as np.linalg.norm(v) takes it
-        hits = np.flatnonzero(d <= min(radius, d.min(initial=np.inf)))
-        return self.row(hits[-1]) if hits.size else None
-
-    def zero_set_of(self, target) -> str | None:
-        """Name of the first zero set that holds the target and that some start hit, else None."""
-        on = _on_zero_sets(np.asarray(target, dtype=float).reshape(1, 4))[0]
-        return next((name for name, o in zip(_ZERO_SETS, on) if o and self.zero_sets[name]["hits"]), None)
+    def recover(self, target, expected: float) -> dict:
+        """The recovered entry of a fixture. It is found on the first zero set that holds the
+        target and that some start hit, where f is 0, else as the row of the closest point
+        within RECOVER_RADIUS, the last of equal distances; it matches when that f is within
+        RECOVER_TOL of expected."""
+        t = np.asarray(target, dtype=float)
+        on = _on_zero_sets(t.reshape(1, 4))[0]
+        found = next((name for name, o in zip(_ZERO_SETS, on) if o and self.zero_sets[name]["hits"]), None)
+        f = 0.0  # f on a zero set
+        if found is None:
+            diff = self.points.reshape(-1, 1, 4) - t
+            d = np.sqrt(diff @ diff.transpose(0, 2, 1))[:, 0, 0]  # sqrt(v @ v), as np.linalg.norm(v) takes it
+            hits = np.flatnonzero(d <= min(RECOVER_RADIUS, d.min(initial=np.inf)))
+            if hits.size:
+                found = self.row(hits[-1])
+                f = found["f"]
+        matched = found is not None and abs(f - expected) <= RECOVER_TOL
+        return {"target": list(target), "found": found, "matched": matched}
 
 
 def _over(u, r):

@@ -36,6 +36,7 @@ __all__ = [
 HERM_TOL = 1e-12  # |rho - rho^+| entries: ~1e-16 rounding per amplitude product, 1e4 headroom
 TRACE_TOL = 1e-12  # |tr rho - 1|: a sum of eight ~1e-16-rounded diagonal entries, 1e3 headroom
 EIG_TOL = 1e-9  # negative eigenvalue still taken as 0: eigvalsh error ~1e-15, payload rounding ~1e-12
+SPHERE_TOL = 1e-9  # |x^2 + y^2 + z^2 + h^2 - 1| a Schmidt point may have; schmidt_state divides by the norm
 
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
 
@@ -57,11 +58,11 @@ class SchmidtParams(NamedTuple):
     def constraint_residual(self) -> float:
         return abs(self.x**2 + self.y**2 + self.z**2 + self.h**2 - 1.0)
 
-    def validate(self, tol: float = 1e-9) -> "SchmidtParams":
+    def validate(self) -> "SchmidtParams":
         if not (np.isfinite(self).all() and min(self) >= 0):
             raise ValueError(f"Schmidt coordinates must be finite and nonnegative, got {tuple(self)}")
         res = self.constraint_residual()
-        if res > tol:
+        if res > SPHERE_TOL:
             raise ValueError(f"Schmidt coordinates off the unit sphere by {res:.3e}")
         return self
 
@@ -95,7 +96,7 @@ def schmidt_state(p: SchmidtParams | tuple[float, float, float, float]) -> np.nd
     rows = np.atleast_2d(p)
     x, y, z, h = rows.T
     norm2 = x * x + y * y + z * z + h * h
-    bad = (rows < 0).any(axis=1) | ~(np.abs(norm2 - 1.0) <= 1e-9)  # ~(<=) flags NaN
+    bad = (rows < 0).any(axis=1) | ~(np.abs(norm2 - 1.0) <= SPHERE_TOL)  # ~(<=) flags NaN
     if bad.any():
         SchmidtParams(*rows[bad.argmax()].tolist()).validate()
     psi = np.zeros(p.shape[:-1] + (8,), dtype=complex)

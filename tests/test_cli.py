@@ -161,6 +161,17 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert out == json.dumps(steering_report(rho).to_dict(), indent=2) + "\n"
 
+    @pytest.mark.parametrize("eps,profile,code", [
+        (5e-13, "default", 0), (5e-13, "strict", 2), (1e-14, "strict", 0),
+    ])
+    def test_strict_profile(self, tmp_path, capsys, eps, profile, code):
+        # strict holds the Hermiticity residual to 1e-13: the default profile's
+        # limit of 1e-12 is rejected, a residual of 2e-14 passes
+        _, path = self._skew_file(tmp_path, eps)
+        got, out, err = run_cli(["analyze", str(path), "--tolerance-profile", profile], capsys)
+        assert got == code
+        assert (err == "") if code == 0 else (out == "" and err.startswith("error: invalid state: {"))
+
     def test_out_flag_rejected(self, ghz_file, tmp_path):
         # the report goes to stdout; an --out that wrote nothing would mislead
         out = tmp_path / "r.json"
@@ -412,6 +423,32 @@ class TestRandom:
         code, out, _ = run_cli(["analyze", str(tmp_path / "s" / "state_00000.json")], capsys)
         assert code == 0
         assert json.loads(out)["margin"] >= -1e-9
+
+
+_WRITERS = {
+    "sweep": ["sweep", "--family", "ghz", "--start", "0", "--stop", "1", "--points", "3"],
+    "montecarlo": ["montecarlo", "--count", "2"],
+    "verify-appendix": ["verify-appendix", "--starts", "2", "--face-starts", "0", "--samples", "16"],
+    "random-jsonl": ["random", "--count", "2", "--jsonl"],
+    "random": ["random", "--count", "2"],
+}
+
+
+@pytest.mark.parametrize("blocked", ["directory", "under-file"])
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_unwritable_out_exits_1(tmp_path, capsys, writer, blocked):
+    # a directory where a file is to be written (for random's directory mode,
+    # its first state file), or a path under a regular file: exit 1 with one
+    # error line, no traceback
+    if blocked == "directory":
+        out = tmp_path / "taken"
+        (out / "state_00000.json" if writer == "random" else out).mkdir(parents=True)
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    code, _, err = run_cli(_WRITERS[writer] + ["--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
 class TestVerifyAppendix:

@@ -17,6 +17,8 @@ from qsteer.monogamy import (
     FACE_TOL,
     GRAD_TOL,
     PASS_TOL,
+    RECOVER_RADIUS,
+    RECOVER_TOL,
     SIGN_BOUNDARY_TOL,
     MinimizeConfig,
     VerifyConfig,
@@ -483,22 +485,24 @@ class TestLabels:
 
 class TestMinimize:
     def test_recovers_interior_minimum(self, search):
-        hit = search.best_matching(INTERIOR, radius=1e-3)
-        assert hit is not None
+        rec = search.recover(INTERIOR, 0.361084)
+        hit = rec["found"]
+        assert isinstance(hit, dict) and rec["matched"] is True
         assert hit["f"] == pytest.approx(0.361084, abs=1e-4)
         assert hit["region"] == "++++"
 
     def test_recovers_face_saddle(self, search):
-        hit = search.best_matching(BELL, radius=1e-3)
-        assert hit is not None
+        rec = search.recover(BELL, 0.780239)
+        hit = rec["found"]
+        assert isinstance(hit, dict) and rec["matched"] is True
         assert hit["f"] == pytest.approx(0.780239, abs=1e-5)
         assert hit["location"] == "x=0"
 
     def test_recovers_zero_corner(self, search):
-        # the corner lies on both zero sets; it is found on the first, not as a row
-        assert search.zero_set_of(CORNER) == "z=0"
-        assert search.best_matching(CORNER, radius=1e-3) is None
-        assert cli.recover(search, CORNER, 0.0, 1e-9) == {"target": list(CORNER), "found": "z=0", "matched": True}
+        # the corner lies on both zero sets; it is found on the first, not as a
+        # row: no row lies within RECOVER_RADIUS of it
+        assert search.recover(CORNER, 0.0) == {"target": list(CORNER), "found": "z=0", "matched": True}
+        assert np.linalg.norm(search.points - np.array(CORNER), axis=1).min() > RECOVER_RADIUS
 
     def test_zero_sets_are_counted_not_listed(self, search):
         # no row lies on a zero set; the starts that ended there are counted,
@@ -509,20 +513,24 @@ class TestMinimize:
         for entry in search.zero_sets.values():
             assert entry["hits"] > 0 and 0.0 <= entry["max_abs_f"] <= 1e-12
         assert search.zero_sets["z=0"]["hits"] + len(search.points) <= search.converged
-        assert search.zero_set_of(INTERIOR) is None and search.zero_set_of(BELL) is None
-        assert search.zero_set_of((0.0, 0.6, 0.0, 0.8)) == "z=0"
-        assert search.zero_set_of((0.0, 0.6, 0.8, 0.0)) == "x=h=0"
+        # off the zero sets a fixture is found as a row; on one, as the set's name
+        assert isinstance(search.recover(INTERIOR, 0.0)["found"], dict)
+        assert isinstance(search.recover(BELL, 0.0)["found"], dict)
+        assert search.recover((0.0, 0.6, 0.0, 0.8), 0.0)["found"] == "z=0"
+        assert search.recover((0.0, 0.6, 0.8, 0.0), 0.0)["found"] == "x=h=0"
 
     def test_zero_set_lookup_needs_a_hit(self):
-        # a zero set no start ended on recovers nothing, on its own or through best_matching
+        # a zero set no start ended on recovers nothing, on its own or as a row
         result = _record([BELL], [0.780239], ["boundary"])
         result.zero_sets["z=0"]["hits"] = 1
-        assert result.zero_set_of(CORNER) == "z=0"
-        assert result.zero_set_of((0.0, 0.6, 0.8, 0.0)) is None
-        assert cli.recover(result, (0.0, 0.6, 0.8, 0.0), 0.0, 1e-9)["matched"] is False
+        assert result.recover(CORNER, 0.0) == {"target": list(CORNER), "found": "z=0", "matched": True}
+        # found on a zero set, f is taken as 0: it matches within RECOVER_TOL of 0
+        assert 2**-14 < RECOVER_TOL < 2**-13
+        assert [result.recover(CORNER, e)["matched"] for e in (-RECOVER_TOL, 2**-14, 2**-13)] == [True, True, False]
+        target = (0.0, 0.6, 0.8, 0.0)  # on x = h = 0 only
+        assert result.recover(target, 0.0) == {"target": list(target), "found": None, "matched": False}
         result.zero_sets["z=0"]["hits"] = 0
-        assert result.zero_set_of(CORNER) is None
-        assert cli.recover(result, CORNER, 0.0, 1e-9) == {"target": list(CORNER), "found": None, "matched": False}
+        assert result.recover(CORNER, 0.0) == {"target": list(CORNER), "found": None, "matched": False}
 
     def test_all_points_on_sphere_and_nonnegative(self, search):
         for q, f in zip(search.points, search.f):
@@ -530,30 +538,45 @@ class TestMinimize:
             assert f >= -1e-9
         assert search.dropped + search.converged == search.starts
 
-    def test_best_matching_matches_point_loop(self, search):
-        # the row of the closest point within the radius, the last one among equal distances
-        def loop(target, radius):
-            best, best_d = None, radius
+    def test_recover_matches_point_loop(self, search, rng):
+        # off the zero sets: the row of the closest point within RECOVER_RADIUS,
+        # the last one among equal distances. The targets are the fixtures off
+        # the zero sets, every row, and every row moved 0.2, 0.8 and 1.5 radii
+        def loop(target):
+            best, best_d = None, RECOVER_RADIUS
             for i, q in enumerate(search.points):
                 d = float(np.linalg.norm(q - np.asarray(target, dtype=float)))
                 if d <= best_d:
                     best, best_d = i, d
             return None if best is None else search.row(best)
 
-        targets = [INTERIOR, BELL, CORNER, *search.points[::7]]
-        for target in targets:
-            for radius in (1e-3, 0.3):
-                assert search.best_matching(target, radius) == loop(target, radius)
+        moves = [s * RECOVER_RADIUS * _unit(rng.standard_normal((1, 4)))[0] for s in (0.2, 0.8, 1.5)]
+        targets = [INTERIOR, BELL, *search.points, *(q + m for q in search.points for m in moves)]
+        found = [search.recover(target, 0.0)["found"] for target in targets]
+        assert found == [loop(target) for target in targets]
+        assert sum(f is None for f in found) == len(search.points)  # the moves of 1.5 radii
 
-    def test_best_matching_ties(self):
+    def test_recover_ties(self):
         # rows 0 and 2 share their coordinates; their values tell them apart
         coords = [BELL, (1.0, 0.0, 0.0, 0.0), BELL, (0.0, 0.0, 1.0, 0.0), INTERIOR]
         result = _record(coords, np.arange(5.0), ["++++"] * 5)
-        assert result.best_matching(BELL, radius=1e-3) == result.row(2) != result.row(0)
-        # (1, 0, 0, 0) and (0, 0, 1, 0) are both sqrt(2) from the corner; the radius is inclusive
-        assert result.best_matching(CORNER, radius=np.sqrt(2.0)) == result.row(3)
-        assert result.best_matching(CORNER, radius=1.4) is None
-        assert _record([], [], []).best_matching(CORNER, radius=1.0) is None
+        assert result.recover(BELL, 2.0) == {"target": list(BELL), "found": result.row(2), "matched": True}
+        assert result.row(2) != result.row(0)
+        # a found row matches within RECOVER_TOL of its f
+        assert [result.recover(BELL, 2.0 + e)["matched"] for e in (-2**-14, 2**-14, 2**-13, -2**-13)] == [
+            True, True, False, False]
+        # edge rows 0 and 1 are exactly RECOVER_RADIUS from the target (a diff of
+        # one coordinate, r - 0, and the square root of r * r is r) and row 2 a
+        # step beyond: the radius is inclusive, the last of the two is found, and
+        # a closer row wins wherever it stands
+        r, target = RECOVER_RADIUS, (0.6, 0.8, 0.0, 0.0)
+        assert np.sqrt(r * r) == r
+        edge = [(0.6, 0.8, r, 0.0), (0.6, 0.8, 0.0, r), (0.6, 0.8, np.nextafter(r, 1.0), 0.0)]
+        assert _record(edge, np.arange(3.0), ["++++"] * 3).recover(target, 0.0)["found"]["f"] == 1.0
+        result = _record([(0.6, 0.8, 0.0, r / 2), *edge], np.arange(4.0), ["++++"] * 4)
+        assert result.recover(target, 0.0)["found"] == result.row(0)
+        assert _record(edge[2:], [0.0], ["++++"]).recover(target, 0.0)["found"] is None
+        assert _record([], [], []).recover(CORNER, 0.0)["found"] is None
 
     def test_search_block_reads_the_record(self, search):
         # to_dict is the search block of the verify-appendix JSON, key for key
@@ -579,8 +602,8 @@ class TestMinimize:
         empty = minimize_f(MinimizeConfig(starts=0, face_starts=0))
         assert empty.points.shape == (0, 4) and len(empty.f) == len(empty.region) == 0
         assert empty.zero_sets == _zero_sets()
-        assert empty.best_matching(CORNER, radius=2.0) is None
-        assert empty.zero_set_of(CORNER) is None
+        assert empty.recover(CORNER, 0.0) == {"target": list(CORNER), "found": None, "matched": False}
+        assert empty.recover(INTERIOR, 0.361084)["found"] is None
         # no row and no hit: the search block lists nothing and passes
         assert empty.to_dict() == {
             "starts": 0, "converged": 0, "dropped": 0,
@@ -715,7 +738,7 @@ class TestSearchReach:
         # verify-appendix matches: the corner through its zero set
         for seed in range(40):
             result = minimize_f(MinimizeConfig(starts=16, face_starts=16, seed=seed))
-            found = [cli.recover(result, *fixture) for fixture in cli.APPENDIX_FIXTURES]
+            found = [result.recover(coords, expected) for coords, expected, _ in cli.APPENDIX_FIXTURES]
             assert all(r["matched"] for r in found), seed
             assert [isinstance(r["found"], str) for r in found] == [False, False, True], seed
 
