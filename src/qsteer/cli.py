@@ -15,6 +15,7 @@ verify-appendix gate (a fixture, a recovery, the search or the scan).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -121,11 +122,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.points < 2:
-        print("error: --points must be >= 2", file=sys.stderr)
-        return 1
+        raise ValueError("--points must be >= 2")
     if not np.all(np.isfinite([args.start, args.stop, args.theta])):
-        print("error: --start, --stop and --theta must be finite", file=sys.stderr)
-        return 1
+        raise ValueError("--start, --stop and --theta must be finite")
+    path = (_out_path(args.out, f"sweep_{args.family}.csv")
+            if args.out is not None or "QSTEER_OUT_DIR" in os.environ else None)
     grid = np.linspace(args.start, args.stop, args.points)
 
     def densities(start, stop):
@@ -133,48 +134,38 @@ def cmd_sweep(args) -> int:
             states.ghz_state(v) if args.family == "ghz" else states.w_state(args.theta, v)
             for v in grid[start:stop]]))
 
-    lines = ["param," + ",".join(_SWEEP_COLUMNS)]
-    row = _row_template(1 + len(_SWEEP_COLUMNS))
-    for idx, cols in _chunks(len(grid), densities):
-        table = np.column_stack([grid[idx.start:idx.stop]] + [cols[k] for k in _SWEEP_COLUMNS])
-        lines += [row % tuple(values) for values in table.tolist()]
-    text = "\n".join(lines) + "\n"
-    if args.out is None and "QSTEER_OUT_DIR" not in os.environ:
-        sys.stdout.write(text)
-    else:
-        path = _out_path(args.out, f"sweep_{args.family}.csv")
-        path.write_text(text)
+    row = _row_template(1 + len(_SWEEP_COLUMNS)) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if path is None else path.open("w")) as fh:
+        fh.write("param," + ",".join(_SWEEP_COLUMNS) + "\n")
+        for idx, cols in _chunks(len(grid), densities):
+            table = np.column_stack([grid[idx.start:idx.stop]] + [cols[k] for k in _SWEEP_COLUMNS])
+            fh.writelines(row % tuple(values) for values in table.tolist())
+    if path is not None:
         print(f"wrote {path}")
     return 0
 
 
 def cmd_montecarlo(args) -> int:
-    try:
-        spec = randgen.RandomStateSpec(seed=args.seed, mode=args.mode, count=args.count)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    spec = randgen.RandomStateSpec(seed=args.seed, mode=args.mode, count=args.count)
     started = time.perf_counter()
+    path = _out_path(args.out, "montecarlo.csv")
     counts = {"corollary1": 0, "corollary2": 0, "mixed": 0}
     min_margin = np.inf
     violations = 0
-    rows = ["index," + ",".join(_MC_COLUMNS) + ",classification"]
-    row = "%d," + _row_template(len(_MC_COLUMNS)) + ",%s"
+    row = "%d," + _row_template(len(_MC_COLUMNS)) + ",%s\n"
     written = 0
-    for idx, cols in _chunks(spec.count, lambda a, b: randgen.random_state_batch(spec, a, b)):
-        min_margin = min(min_margin, float(cols["margin"].min()))
-        violations += int(np.sum(cols["margin"] < monogamy.PASS_TOL))
-        table = np.column_stack([cols[k] for k in _MC_COLUMNS]).tolist()
-        for i, values, label in zip(idx, table, cols["classification"].tolist()):
-            counts[label] += 1
-            if args.filter != "all" and label != args.filter:
-                continue
-            rows.append(row % (i, *values, label))
-            written += 1
-
-    path = _out_path(args.out, "montecarlo.csv")
-    path.write_text("\n".join(rows) + "\n")
+    with path.open("w") as fh:
+        fh.write("index," + ",".join(_MC_COLUMNS) + ",classification\n")
+        for idx, cols in _chunks(spec.count, lambda a, b: randgen.random_state_batch(spec, a, b)):
+            min_margin = min(min_margin, float(cols["margin"].min()))
+            violations += int(np.sum(cols["margin"] < monogamy.PASS_TOL))
+            table = np.column_stack([cols[k] for k in _MC_COLUMNS]).tolist()
+            for i, values, label in zip(idx, table, cols["classification"].tolist()):
+                counts[label] += 1
+                if args.filter != "all" and label != args.filter:
+                    continue
+                fh.write(row % (i, *values, label))
+                written += 1
     elapsed = time.perf_counter() - started
     summary = {
         "count": spec.count,
@@ -195,53 +186,46 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
-    try:
-        for name in ("starts", "stationary_starts"):  # each on its own: a sum could hide a negative
-            if getattr(args, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        cfg = monogamy.MinimizeConfig(starts=args.starts + args.stationary_starts,
-                                      face_starts=args.face_starts, seed=args.seed)
-        scan_cfg = monogamy.VerifyConfig(samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for name in ("starts", "stationary_starts"):  # each on its own: a sum could hide a negative
+        if getattr(args, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
+    cfg = monogamy.MinimizeConfig(starts=args.starts + args.stationary_starts,
+                                  face_starts=args.face_starts, seed=args.seed)
+    scan_cfg = monogamy.VerifyConfig(samples=args.samples, seed=args.seed)
+    path = None if args.out is None else _out_path(args.out, "verify_appendix.json")
+    with (contextlib.nullcontext() if path is None else path.open("w")) as fh:  # opened before any work
+        fixtures = []
+        for coords, expected, tol in APPENDIX_FIXTURES:
+            value = monogamy.f_pipeline(coords)
+            fixtures.append({
+                "point": list(coords), "expected": expected, "value": value,
+                "tolerance": tol, "matched": abs(value - expected) <= tol,
+            })
+        result = monogamy.minimize_f(cfg)
+        recovered = [result.recover(coords, expected) for coords, expected, _ in APPENDIX_FIXTURES]
+        scan = monogamy.verify_monogamy(scan_cfg)
+        search = result.to_dict()
+        passed = all([*(r["matched"] for r in fixtures + recovered), search["pass"], scan.passed])
 
-    fixtures = []
-    for coords, expected, tol in APPENDIX_FIXTURES:
-        value = monogamy.f_pipeline(coords)
-        fixtures.append({
-            "point": list(coords), "expected": expected, "value": value,
-            "tolerance": tol, "matched": abs(value - expected) <= tol,
-        })
-    result = monogamy.minimize_f(cfg)
-    recovered = [result.recover(coords, expected) for coords, expected, _ in APPENDIX_FIXTURES]
-    scan = monogamy.verify_monogamy(scan_cfg)
-    search = result.to_dict()
-    passed = all([*(r["matched"] for r in fixtures + recovered), search["pass"], scan.passed])
-
-    report = {"fixtures": fixtures, "recovered": recovered, "search": search, "scan": scan.to_dict(), "pass": passed}
-    print("isolated critical points (f rounded to 1e-6):")
-    for row in search["critical_points"]:
-        print(f"  f={row['f']:+.6f}  at ({', '.join(f'{v:.6f}' for v in row['params'])})  [{row['location']}]")
-    for name, entry in search["zero_sets"].items():
-        print(f"  f=0 on {name}: {entry['hits']} starts, max |f| {entry['max_abs_f']:.1e}")
-    print(f"fixtures matched: {sum(f['matched'] for f in fixtures)}/{len(fixtures)}; "
-          f"recovered: {sum(r['matched'] for r in recovered)}/{len(recovered)}; "
-          f"search {'PASS' if search['pass'] else 'FAIL'}; "
-          f"scan min {scan.min_value:.3e} ({'PASS' if scan.passed else 'FAIL'})")
-    if args.out is not None:
-        path = _out_path(args.out, "verify_appendix.json")
-        path.write_text(json.dumps(report, indent=2))
+        print("isolated critical points (f rounded to 1e-6):")
+        for row in search["critical_points"]:
+            print(f"  f={row['f']:+.6f}  at ({', '.join(f'{v:.6f}' for v in row['params'])})  [{row['location']}]")
+        for name, entry in search["zero_sets"].items():
+            print(f"  f=0 on {name}: {entry['hits']} starts, max |f| {entry['max_abs_f']:.1e}")
+        print(f"fixtures matched: {sum(f['matched'] for f in fixtures)}/{len(fixtures)}; "
+              f"recovered: {sum(r['matched'] for r in recovered)}/{len(recovered)}; "
+              f"search {'PASS' if search['pass'] else 'FAIL'}; "
+              f"scan min {scan.min_value:.3e} ({'PASS' if scan.passed else 'FAIL'})")
+        if fh is not None:
+            fh.write(json.dumps({"fixtures": fixtures, "recovered": recovered, "search": search,
+                                 "scan": scan.to_dict(), "pass": passed}, indent=2))
+    if path is not None:
         print(f"wrote {path}")
     return 0 if passed else 3
 
 
 def cmd_random(args) -> int:
-    try:
-        spec = randgen.RandomStateSpec(seed=args.seed, mode=args.mode, count=args.count)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = randgen.RandomStateSpec(seed=args.seed, mode=args.mode, count=args.count)
     meta = {
         "seed": spec.seed,
         "mode": spec.mode,
@@ -266,9 +250,10 @@ def cmd_random(args) -> int:
         print(f"wrote {path}")
     else:
         out_dir = _out_path(args.out, "states", directory=True)
-        (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2))
         for i, text in enumerate(payloads()):
             (out_dir / f"state_{i:05d}.json").write_text(text)
+        # written last: a directory without it is an incomplete set
+        (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2))
         print(f"wrote {spec.count} states to {out_dir}")
     return 0
 
@@ -339,6 +324,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:  # a rejected argument: each subcommand checks its own before any work
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:  # a write under --out or QSTEER_OUT_DIR: analyze handles its own read
         if exc.filename is None:  # not a path's error (a closed stdout, say)
             raise

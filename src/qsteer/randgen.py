@@ -3,7 +3,8 @@
 Recipe: a probability vector comes from a multiplicative cascade of uniform
 draws, eigenvectors come from a random Hermitian matrix assembled out of a
 uniform[-1, 1] square matrix, and the state is the spectral mixture of the
-two. Pure mode keeps only the leading eigenvector.
+two. A pure state is the projector on the leading eigenvector: no cascade,
+64 uniforms.
 
 Determinism contract: state number i is generated from the child stream
 default_rng(SeedSequence(seed, spawn_key=(i,))), numpy's PCG64, so identical
@@ -31,7 +32,6 @@ __all__ = [
     "random_eigenvalues",
     "random_hermitian",
     "random_pure_batch",
-    "random_pure_vector",
     "random_state",
     "random_state_batch",
     "random_states",
@@ -176,35 +176,35 @@ def _hermitian(k: np.ndarray) -> np.ndarray:
     return d + (np.swapaxes(u, -1, -2) + u) + 1j * (np.swapaxes(lo, -1, -2) - lo)
 
 
-def _draws(spec: RandomStateSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (n, 8) and K matrices (n, 8, 8) of states start..stop - 1.
-
-    Each state's stream is read once: in mixed mode 8 uniforms for the
-    cascade, then 64 for K, which holds 2u - 1 (what uniform(-1, 1) returns
-    for the same doubles).
-    """
+def _draws(spec: RandomStateSpec, start: int, stop: int) -> np.ndarray:
+    """Uniforms of states start..stop - 1, one row per state: in mixed mode 8
+    for the cascade, then the 64 of K (each stream is read once)."""
     if not 0 <= start < stop <= spec.count:
         raise IndexError(f"indices {start}..{stop - 1} outside batch of {spec.count}")
-    u = _uniforms(spec.seed, start, stop, 72 if spec.mode == "mixed" else 64)
-    if spec.mode == "mixed":
-        lams = _cascade(u[:, :8])
-    else:
-        lams = np.zeros((stop - start, 8))
-        lams[:, 0] = 1.0
-    return lams, (2.0 * u[:, -64:] - 1.0).reshape(-1, 8, 8)
+    return _uniforms(spec.seed, start, stop, 72 if spec.mode == "mixed" else 64)
+
+
+def _eigenvectors(u: np.ndarray) -> np.ndarray:
+    """Eigenvectors (n, 8, 8) of each row's H, leading column first (descending
+    eigenvalues); K holds the last 64 uniforms as 2u - 1, what uniform(-1, 1)
+    returns for the same doubles."""
+    return np.linalg.eigh(_hermitian((2.0 * u[:, -64:] - 1.0).reshape(-1, 8, 8)))[1][..., ::-1]
 
 
 def random_state_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarray:
     """States start, ..., stop - 1 of the batch as an (n, 8, 8) stack.
 
     Each state is drawn from its own stream; the eigendecompositions and the
-    spectral sums run batched, and each state is bit-identical to
-    random_state(spec, i).
+    products run batched, and each state is bit-identical to
+    random_state(spec, i). A pure state is v v† of the leading eigenvector, a
+    mixed one the spectral sum with lambda_1 on the leading eigenvector.
     """
-    lams, ks = _draws(spec, start, stop)
-    # descending eigenvalue order; lambda_1 pairs with the top eigenvector
-    vecs = np.linalg.eigh(_hermitian(ks))[1][..., ::-1]
-    return (vecs * lams[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    u = _draws(spec, start, stop)
+    vecs = _eigenvectors(u)
+    if spec.mode == "pure":
+        v = vecs[..., :1]
+        return v @ v.conj().transpose(0, 2, 1)
+    return (vecs * _cascade(u[:, :8])[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def random_state(spec: RandomStateSpec, index: int) -> np.ndarray:
@@ -214,16 +214,10 @@ def random_state(spec: RandomStateSpec, index: int) -> np.ndarray:
 
 def random_pure_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarray:
     """State vectors start, ..., stop - 1 of a pure-mode batch as an (n, 8) stack:
-    the leading eigenvectors of the same H, each bit-identical to
-    random_pure_vector(spec, i)."""
+    the leading eigenvectors whose projectors random_state_batch returns."""
     if spec.mode != "pure":
         raise ValueError("state vectors exist only in pure mode")
-    return np.linalg.eigh(_hermitian(_draws(spec, start, stop)[1]))[1][..., -1]
-
-
-def random_pure_vector(spec: RandomStateSpec, index: int) -> np.ndarray:
-    """State vector for a pure-mode draw (leading eigenvector of the same H)."""
-    return random_pure_batch(spec, index, index + 1)[0]
+    return _eigenvectors(_draws(spec, start, stop))[..., 0]
 
 
 def random_states(spec: RandomStateSpec) -> Iterator[np.ndarray]:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsteer import cli, monogamy
+from qsteer import cli, monogamy, randgen, steering
 from qsteer.randgen import RandomStateSpec, random_eigenvalues, random_hermitian, random_state
 from qsteer.states import ghz_state, state_from_payload, state_to_payload, validate_state
 from qsteer.steering import steering_report
@@ -436,19 +436,30 @@ _WRITERS = {
 
 @pytest.mark.parametrize("blocked", ["directory", "under-file"])
 @pytest.mark.parametrize("writer", list(_WRITERS))
-def test_unwritable_out_exits_1(tmp_path, capsys, writer, blocked):
+def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, writer, blocked):
     # a directory where a file is to be written (for random's directory mode,
-    # its first state file), or a path under a regular file: exit 1 with one
-    # error line, no traceback
+    # its second state file), or a path under a regular file: exit 1 with one
+    # error line, no traceback and nothing on stdout. Every other writer opens
+    # its output before it computes anything; random's directory mode writes
+    # its state files as it goes and metadata.json last, so a cut set has none
+    def started(*args, **kwargs):
+        raise AssertionError(f"{writer} computed before opening its output")
+
+    if writer != "random":
+        for module, name in [(monogamy, "minimize_f"), (monogamy, "verify_monogamy"),
+                             (randgen, "random_state_batch"), (randgen, "random_pure_batch"),
+                             (steering, "steering_batch")]:
+            monkeypatch.setattr(module, name, started)
     if blocked == "directory":
         out = tmp_path / "taken"
-        (out / "state_00000.json" if writer == "random" else out).mkdir(parents=True)
+        (out / "state_00001.json" if writer == "random" else out).mkdir(parents=True)
     else:
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
-    code, _, err = run_cli(_WRITERS[writer] + ["--out", str(out)], capsys)
-    assert code == 1
+    code, stdout, err = run_cli(_WRITERS[writer] + ["--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
     assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert not (out / "metadata.json").exists()
 
 
 class TestVerifyAppendix:

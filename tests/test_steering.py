@@ -326,6 +326,43 @@ class TestHValues:
         assert steering_value(0.0) == 0.0
 
 
+class TestPureClosedForm:
+    def test_every_cut_from_one_schmidt_product(self):
+        # a pure state's cut q|pair has norm 2c + 2c^2 in both directions, with
+        # H_q->pair = c(2 + 2c - sqrt(2 + 4c^2)) and H_pair->q = c(2 + 2c - sqrt(6 + 4c^2)),
+        # c the product of the singular values of psi reshaped to (2, 4) with qubit q
+        # first; c comes from an SVD of psi, not from the kernel's deficits
+        rng = np.random.default_rng(11)
+        n = 5000
+        psi = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        q, r = np.linalg.qr(rng.standard_normal((n, 3, 2, 2)) + 1j * rng.standard_normal((n, 3, 2, 2)))
+        phases = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (phases / np.abs(phases))[..., None, :]  # Haar local unitaries, one per qubit
+        psi = np.einsum("nai,nbj,nck,nijk->nabc", u[:, 0], u[:, 1], u[:, 2], psi.reshape(n, 2, 2, 2))
+        flat = psi.reshape(n, 8)
+        rep = steering_batch(flat[:, :, None] * flat[:, None, :].conj(),
+                             include_all_cuts=True, include_two_to_one=True)
+        for qubit, one, two in [(0, "a_bc", "bc_to_a"), (1, "b_to_ca", "ca_to_b"), (2, "c_to_ab", "ab_to_c")]:
+            s = np.linalg.svd(np.moveaxis(psi, 1 + qubit, 1).reshape(n, 2, 4), compute_uv=False)
+            c = s[:, 0] * s[:, 1]
+            for key in (one, two):
+                assert np.max(np.abs(rep[f"norm_{key}"] - (2 * c + 2 * c * c))) <= 1e-14
+            assert np.max(np.abs(rep[f"h_{one}"] - c * (2 + 2 * c - np.sqrt(2 + 4 * c * c)))) <= 1e-14
+            assert np.max(np.abs(rep[f"h_{two}"] - c * (2 + 2 * c - np.sqrt(6 + 4 * c * c)))) <= 1e-14
+            # the 2->1 criterion misses exactly the states with c < 1/4
+            assert np.all((rep[f"h_{two}"] > 0) == (c > 0.25))
+            assert np.all(rep[f"h_{one}"] > 0)
+
+    def test_ghz_and_w_norms_are_special_cases(self):
+        # GHZ(pi/4) has c = 1/2 on every cut; the symmetric W state has c = sqrt(2)/3
+        for psi, c in [(ghz_state(np.pi / 4), 0.5), (w_state(np.pi / 4, np.arccos(3**-0.5)), 2**0.5 / 3)]:
+            rep = steering_report(density_from_pure(psi), include_all_cuts=True, include_two_to_one=True)
+            for key in ("a_bc", "bc_to_a", "b_to_ca", "c_to_ab"):
+                assert rep[f"norm_{key}"] == pytest.approx(2 * c + 2 * c * c, abs=1e-14)
+            assert rep["h_a_bc"] == pytest.approx(c * (2 + 2 * c - np.sqrt(2 + 4 * c * c)), abs=1e-14)
+
+
 class TestWPairNorms:
     def test_tt1_closed_forms(self):
         # the ac/bc forms need |sin 2a| to stay nonnegative past pi/2
