@@ -24,7 +24,6 @@ from .randgen import (
     random_states,
 )
 from .states import (
-    SchmidtParams,
     StateDiagnostics,
     density_from_pure,
     ghz_state,
@@ -32,6 +31,7 @@ from .states import (
     permute_qubits,
     purity,
     purity_deficit,
+    schmidt_points,
     schmidt_state,
     state_from_payload,
     state_to_payload,

@@ -84,11 +84,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (CSV or JSON, subcommand specific)")
 
 
-def _chunks(count: int, make_states):
-    """(indices, report columns) per CHUNK states; make_states(start, stop) gives (n, 8, 8)."""
-    for start in range(0, count, CHUNK):
-        stop = min(start + CHUNK, count)
-        yield range(start, stop), steering.steering_batch(make_states(start, stop)).to_dict()
+def _linspace(start: float, stop: float, num: int, lo: int, hi: int) -> np.ndarray:
+    """np.linspace(start, stop, num)[lo:hi], bit for bit, without the rest of the grid:
+    index times step plus start, as (index / (num - 1)) times (stop - start) where the
+    step is 0, and stop as the last point."""
+    delta, div = stop - start, num - 1
+    step = delta / div
+    i = np.arange(lo, hi, dtype=float)
+    grid = (i / div * delta if step == 0 else i * step) + start
+    if hi == num:
+        grid[-1] = stop
+    return grid
 
 
 def cmd_analyze(args) -> int:
@@ -127,18 +133,14 @@ def cmd_sweep(args) -> int:
         raise ValueError("--start, --stop and --theta must be finite")
     path = (_out_path(args.out, f"sweep_{args.family}.csv")
             if args.out is not None or "QSTEER_OUT_DIR" in os.environ else None)
-    grid = np.linspace(args.start, args.stop, args.points)
-
-    def densities(start, stop):
-        return states.density_from_pure(np.stack([
-            states.ghz_state(v) if args.family == "ghz" else states.w_state(args.theta, v)
-            for v in grid[start:stop]]))
-
+    family = states.ghz_state if args.family == "ghz" else functools.partial(states.w_state, args.theta)
     row = _row_template(1 + len(_SWEEP_COLUMNS)) + "\n"
     with (contextlib.nullcontext(sys.stdout) if path is None else path.open("w")) as fh:
         fh.write("param," + ",".join(_SWEEP_COLUMNS) + "\n")
-        for idx, cols in _chunks(len(grid), densities):
-            table = np.column_stack([grid[idx.start:idx.stop]] + [cols[k] for k in _SWEEP_COLUMNS])
+        for lo in range(0, args.points, CHUNK):
+            grid = _linspace(args.start, args.stop, args.points, lo, min(lo + CHUNK, args.points))
+            cols = steering.steering_batch(states.density_from_pure(family(grid))).to_dict()
+            table = np.column_stack([grid] + [cols[k] for k in _SWEEP_COLUMNS])
             fh.writelines(row % tuple(values) for values in table.tolist())
     if path is not None:
         print(f"wrote {path}")
@@ -156,11 +158,13 @@ def cmd_montecarlo(args) -> int:
     written = 0
     with path.open("w") as fh:
         fh.write("index," + ",".join(_MC_COLUMNS) + ",classification\n")
-        for idx, cols in _chunks(spec.count, lambda a, b: randgen.random_state_batch(spec, a, b)):
+        for start in range(0, spec.count, CHUNK):
+            stop = min(start + CHUNK, spec.count)
+            cols = steering.steering_batch(randgen.random_state_batch(spec, start, stop)).to_dict()
             min_margin = min(min_margin, float(cols["margin"].min()))
             violations += int(np.sum(cols["margin"] < monogamy.PASS_TOL))
             table = np.column_stack([cols[k] for k in _MC_COLUMNS]).tolist()
-            for i, values, label in zip(idx, table, cols["classification"].tolist()):
+            for i, values, label in zip(range(start, stop), table, cols["classification"].tolist()):
                 counts[label] += 1
                 if args.filter != "all" and label != args.filter:
                     continue

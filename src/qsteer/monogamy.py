@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import SchmidtParams, density_from_pure, schmidt_state
+from .states import density_from_pure, schmidt_points, schmidt_state
 from .states import partial_trace  # noqa: F401  kept: perfbench/spans.py patches this name here
 from .steering import h_pair  # noqa: F401  kept: perfbench/spans.py patches this name here
 from .steering import steering_batch
@@ -211,12 +211,6 @@ def _fgwv(cols, rad):
             x * z * common, x * np.sqrt(np.clip(v_rad, 0.0, None)))
 
 
-def _fgwv_arrays(params: np.ndarray):
-    cols = np.atleast_2d(np.asarray(params, dtype=float)).T
-    rad, defined = _radicands(cols)
-    return (*_fgwv(cols, rad), defined)
-
-
 def fgwv(p) -> tuple[float, float, float, float]:
     """Auxiliary quantities (f, g, w, v) behind the four absolute values.
 
@@ -224,10 +218,11 @@ def fgwv(p) -> tuple[float, float, float, float]:
     errors when genuinely negative (the printed expressions leave the real
     domain there).
     """
-    f, g, w, v, defined = _fgwv_arrays(SchmidtParams(*p).validate().as_array())
+    p = schmidt_points(p)
+    rad, defined = _radicands(p[:, None])
     if not defined[0]:
-        raise ValueError(f"negative radicand in auxiliary quantities at {tuple(p)}")
-    return float(f[0]), float(g[0]), float(w[0]), float(v[0])
+        raise ValueError(f"negative radicand in auxiliary quantities at {tuple(p.tolist())}")
+    return tuple(float(q[0]) for q in _fgwv(p[:, None], rad))
 
 
 def _region_ids(params: np.ndarray, tol: float = SIGN_BOUNDARY_TOL) -> np.ndarray:
@@ -258,9 +253,10 @@ def sign_region(p) -> str:
     point is 'undefined' (a ValueError here); that holds for 47,671 of the
     2^16 scan samples at seed 0 (73%).
     """
-    code = _REGION_NAMES[_region_ids(SchmidtParams(*p).validate().as_array())[0]]
+    p = schmidt_points(p)
+    code = _REGION_NAMES[_region_ids(p)[0]]
     if code == "undefined":
-        raise ValueError(f"negative radicand in auxiliary quantities at {tuple(p)}")
+        raise ValueError(f"negative radicand in auxiliary quantities at {tuple(p.tolist())}")
     return str(code)
 
 
@@ -282,8 +278,8 @@ def closed_form_f(p) -> float:
     expression is reliable only at special points, and the pipeline value is
     authoritative wherever the two disagree.
     """
-    x, y, z, h = SchmidtParams(*p).validate()
-    fa, ga, wa, va = fgwv(p)
+    fa, ga, wa, va = fgwv(p)  # checks p
+    x, y, z, h = np.asarray(p, dtype=float).tolist()
     s2 = np.sqrt(2.0)
     zh2 = z * z + h * h
     xh2 = x * x + h * h
@@ -314,7 +310,7 @@ def boundary_f(p, boundary: str) -> float:
       z=0: qubit C factorizes and both steered deficits vanish, so f == 0
       h=0: qubit B factorizes and f reduces to sqrt(2) x z
     """
-    x, y, z, h = SchmidtParams(*p).validate()
+    x, y, z, h = schmidt_points(p)
     if boundary not in _COORDS:
         raise ValueError(f"boundary must be one of {_COORDS}, got {boundary!r}")
     coord = dict(zip(_COORDS, (x, y, z, h)))[boundary]

@@ -13,15 +13,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "SchmidtParams",
     "StateDiagnostics",
     "ghz_state",
     "w_state",
+    "schmidt_points",
     "schmidt_state",
     "density_from_pure",
     "partial_trace",
@@ -41,66 +40,55 @@ SPHERE_TOL = 1e-9  # |x^2 + y^2 + z^2 + h^2 - 1| a Schmidt point may have; schmi
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
 
 
-class SchmidtParams(NamedTuple):
-    """Nonnegative coordinates (x, y, z, h) on the unit 3-sphere.
-
-    Parametrizes the pure-state family x|000> + y|100> + z|101> + h|110>.
-    """
-
-    x: float
-    y: float
-    z: float
-    h: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    def constraint_residual(self) -> float:
-        return abs(self.x**2 + self.y**2 + self.z**2 + self.h**2 - 1.0)
-
-    def validate(self) -> "SchmidtParams":
-        if not (np.isfinite(self).all() and min(self) >= 0):
-            raise ValueError(f"Schmidt coordinates must be finite and nonnegative, got {tuple(self)}")
-        res = self.constraint_residual()
-        if res > SPHERE_TOL:
-            raise ValueError(f"Schmidt coordinates off the unit sphere by {res:.3e}")
-        return self
-
-
-def ghz_state(theta: float) -> np.ndarray:
-    """Generalized GHZ state sin(theta)|000> + cos(theta)|111>."""
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = np.sin(theta)
-    psi[7] = np.cos(theta)
-    return psi
-
-
-def w_state(theta: float, alpha: float) -> np.ndarray:
-    """Generalized W state.
-
-    sin(theta)sin(alpha)|100> + sin(alpha)cos(theta)|010> + cos(alpha)|001>.
-    """
-    psi = np.zeros(8, dtype=complex)
-    psi[4] = np.sin(theta) * np.sin(alpha)
-    psi[2] = np.sin(alpha) * np.cos(theta)
-    psi[1] = np.cos(alpha)
-    return psi
-
-
-def schmidt_state(p: SchmidtParams | tuple[float, float, float, float]) -> np.ndarray:
-    """Pure state x|000> + y|100> + z|101> + h|110> from sphere coordinates,
-    divided by the norm the check reads; an (n, 4) stack of coordinates gives
-    an (n, 8) stack of states, each row the bits of its point alone. The first
-    row that SchmidtParams.validate rejects raises its ValueError."""
+def schmidt_points(p) -> np.ndarray:
+    """Schmidt coordinates (x, y, z, h) as floats, a (4,) point or an (n, 4)
+    stack, under the one rule of a family point: each row finite and
+    nonnegative, with |x^2 + y^2 + z^2 + h^2 - 1| <= SPHERE_TOL. The first
+    row that breaks it raises a ValueError that prints its plain floats."""
     p = np.asarray(p, dtype=float)
     rows = np.atleast_2d(p)
-    x, y, z, h = rows.T
-    norm2 = x * x + y * y + z * z + h * h
-    bad = (rows < 0).any(axis=1) | ~(np.abs(norm2 - 1.0) <= SPHERE_TOL)  # ~(<=) flags NaN
+    res = np.abs(ordered_sum(rows * rows) - 1.0)
+    bad = (rows < 0).any(axis=1) | ~(res <= SPHERE_TOL)  # ~(<=) flags NaN
     if bad.any():
-        SchmidtParams(*rows[bad.argmax()].tolist()).validate()
+        i = bad.argmax()
+        if not (np.isfinite(rows[i]).all() and rows[i].min() >= 0):
+            raise ValueError(f"Schmidt coordinates must be finite and nonnegative, got {tuple(rows[i].tolist())}")
+        raise ValueError(f"Schmidt coordinates off the unit sphere by {res[i]:.3e}")
+    return p
+
+
+def ghz_state(theta) -> np.ndarray:
+    """Generalized GHZ state sin(theta)|000> + cos(theta)|111>; an array of
+    angles gives a (..., 8) stack of states."""
+    theta = np.asarray(theta, dtype=float)
+    psi = np.zeros(theta.shape + (8,), dtype=complex)
+    psi[..., 0] = np.sin(theta)
+    psi[..., 7] = np.cos(theta)
+    return psi
+
+
+def w_state(theta, alpha) -> np.ndarray:
+    """Generalized W state.
+
+    sin(theta)sin(alpha)|100> + sin(alpha)cos(theta)|010> + cos(alpha)|001>;
+    arrays of angles broadcast and give a (..., 8) stack of states.
+    """
+    theta, alpha = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(alpha, dtype=float))
+    psi = np.zeros(theta.shape + (8,), dtype=complex)
+    psi[..., 4] = np.sin(theta) * np.sin(alpha)
+    psi[..., 2] = np.sin(alpha) * np.cos(theta)
+    psi[..., 1] = np.cos(alpha)
+    return psi
+
+
+def schmidt_state(p) -> np.ndarray:
+    """Pure state x|000> + y|100> + z|101> + h|110> from sphere coordinates
+    that schmidt_points accepts, divided by their norm; an (n, 4) stack of
+    coordinates gives an (n, 8) stack of states, each row the bits of its
+    point alone."""
+    p = schmidt_points(p)
     psi = np.zeros(p.shape[:-1] + (8,), dtype=complex)
-    psi[..., [0, 4, 5, 6]] = (rows / np.sqrt(norm2)[:, None]).reshape(p.shape)
+    psi[..., [0, 4, 5, 6]] = p / np.sqrt(ordered_sum(p * p))[..., None]
     return psi
 
 
@@ -326,7 +314,7 @@ def validate_state(
     )
 
 
-def state_to_payload(state: np.ndarray, kind: str | None = None) -> dict:
+def state_to_payload(state: np.ndarray) -> dict:
     """JSON-serializable payload for a pure state vector or density matrix.
 
     Pure: {"qubits": q, "kind": "pure", "amplitudes": [[re, im], ...]}
@@ -334,8 +322,7 @@ def state_to_payload(state: np.ndarray, kind: str | None = None) -> dict:
     Row-major, most-significant-qubit-first indexing.
     """
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1 or kind == "pure":
-        arr = arr.ravel()
+    if arr.ndim == 1:
         q = int(round(np.log2(arr.size)))
         if 2**q != arr.size or q not in (1, 2, 3):
             raise ValueError(f"amplitude vector length {arr.size} is not 2^q for q in 1..3")

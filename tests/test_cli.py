@@ -92,7 +92,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_non_finite_payload_exit_1(self, tmp_path, capsys, kind, bad):
-        payload = state_to_payload(ghz_state(np.pi / 4), kind="pure")
+        payload = state_to_payload(ghz_state(np.pi / 4))
         if kind == "mixed":
             payload = state_to_payload(state_from_payload(payload))
             payload["matrix"][7][0][0] = bad
@@ -274,6 +274,37 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+
+
+    def test_grid_is_built_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # 2^40 points would be an 8 TiB np.linspace grid; the first chunk's
+        # states reach the steering kernel without it
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(steering, "steering_batch", reached)
+        out = tmp_path / "huge.csv"
+        with pytest.raises(Reached):
+            cli.main(["sweep", "--family", "ghz", "--start", "0", "--stop", "1",
+                      "--points", str(2**40), "--out", str(out)])
+        assert out.read_text() == "param,h_a_bc,s_a_bc,h_ab,h_ac,h_bc,h_tot\n"
+
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_chunking_does_not_change_output(self, tmp_path, capsys, monkeypatch, family):
+        # chunks of 7 give the same bytes as chunks of CHUNK, and the grid is
+        # np.linspace's, bit for bit
+        argv = ["sweep", "--family", family, "--start", "0", "--stop", "pi/2", "--points", "1001"]
+        chunked, small = tmp_path / "chunked.csv", tmp_path / "small.csv"
+        run_cli(argv + ["--out", str(chunked)], capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "CHUNK", 7)
+            run_cli(argv + ["--out", str(small)], capsys)
+        assert chunked.read_bytes() == small.read_bytes()
+        param = [float(line.split(",")[0]) for line in chunked.read_text().splitlines()[1:]]
+        assert np.array_equal(param, np.linspace(0.0, np.pi / 2, 1001))
 
 
 class TestMonteCarlo:

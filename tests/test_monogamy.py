@@ -33,11 +33,11 @@ from qsteer.monogamy import (
     verify_monogamy,
 )
 from qsteer.monogamy import (
-    _REGION_NAMES, _fgwv_arrays, _grad_f, _labels, _pair_terms, _region_ids,
+    _REGION_NAMES, _fgwv, _grad_f, _labels, _pair_terms, _radicands, _region_ids,
     _residual, _search, _sobol_sphere, _y_terms,
 )
 from qsteer.randgen import RandomStateSpec
-from qsteer.states import SchmidtParams, density_from_pure, permute_qubits, schmidt_state
+from qsteer.states import density_from_pure, permute_qubits, schmidt_points, schmidt_state
 
 from conftest import SIGMA, oracle_ptrace, oracle_theta2, random_octant_point
 
@@ -212,6 +212,13 @@ def _zero_sets(hits=0, max_abs_f=0.0):
 
 def _rows(result):
     return [result.row(i) for i in range(len(result.points))]
+
+
+def _fgwv_arrays(pts):
+    """f, g, w, v over an (n, 4) stack, and the mask of points where both radicands are defined."""
+    cols = np.atleast_2d(np.asarray(pts, dtype=float)).T
+    rad, defined = _radicands(cols)
+    return (*_fgwv(cols, rad), defined)
 
 
 def _quads(pts):
@@ -423,14 +430,16 @@ class TestBoundaryForms:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [
         f_pipeline, fgwv, sign_region, closed_form_f, lambda p: boundary_f(p, "y"),
-        lambda p: SchmidtParams(*p).validate(), schmidt_state,
-        lambda p: schmidt_state(np.array([CORNER, p])),
-    ], ids=["f_pipeline", "fgwv", "sign_region", "closed_form_f", "boundary_f", "validate",
+        schmidt_points, schmidt_state, lambda p: schmidt_state(np.array([CORNER, p])),
+    ], ids=["f_pipeline", "fgwv", "sign_region", "closed_form_f", "boundary_f", "schmidt_points",
             "schmidt_state", "schmidt_stack"])
     def test_rejects_non_finite_coordinates(self, entry, bad):
-        # a NaN fails every comparison, so it used to pass the range checks
-        with pytest.raises(ValueError, match="finite"):
-            entry((bad, 0.0, 0.0, 1.0))
+        # a NaN fails every comparison, so it used to pass the range checks; a
+        # tuple and an array point both print plain floats, never np.float64(...)
+        for p in ((bad, 0.0, 0.0, 1.0), np.array([bad, 0.0, 0.0, 1.0])):
+            with pytest.raises(ValueError, match="finite") as err:
+                entry(p)
+            assert "np.float64" not in str(err.value)
 
 
 @pytest.fixture(scope="module")
@@ -534,7 +543,8 @@ class TestMinimize:
 
     def test_all_points_on_sphere_and_nonnegative(self, search):
         for q, f in zip(search.points, search.f):
-            assert SchmidtParams(*q).constraint_residual() < 1e-10
+            assert abs(q @ q - 1.0) < 1e-10
+            schmidt_points(q)
             assert f >= -1e-9
         assert search.dropped + search.converged == search.starts
 
@@ -741,6 +751,18 @@ class TestSearchReach:
             found = [result.recover(coords, expected) for coords, expected, _ in cli.APPENDIX_FIXTURES]
             assert all(r["matched"] for r in found), seed
             assert [isinstance(r["found"], str) for r in found] == [False, False, True], seed
+
+    def test_closed_form_critical_points(self):
+        # two of the three isolated critical points have closed forms: on the
+        # y = 0 face f(1/sqrt2, 0, 1/sqrt2, 0) = 1/sqrt2, and on the x = 0 face
+        # at z = h = 1/sqrt2 (t = zh = 1/2, boundary_f's x-face form)
+        # f = sqrt2 - 3/2 + sqrt3/2
+        exact = [((R2, 0.0, R2, 0.0), R2), ((0.0, 0.0, R2, R2), np.sqrt(2) - 1.5 + np.sqrt(3) / 2)]
+        result = minimize_f()
+        for row, (point, value) in enumerate(exact, start=1):
+            assert abs(f_pipeline(point) - value) <= 1e-15
+            assert abs(result.f[row] - value) <= 1e-14
+            assert np.max(np.abs(result.points[row] - point)) <= 1e-9
 
 
 class TestExactFaces:

@@ -8,13 +8,13 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from qsteer.states import (
-    SchmidtParams,
     density_from_pure,
     ghz_state,
     partial_trace,
     permute_qubits,
     purity,
     purity_deficit,
+    schmidt_points,
     schmidt_state,
     state_from_payload,
     state_to_payload,
@@ -57,6 +57,18 @@ class TestFamilies:
             assert_allclose(np.linalg.norm(ghz_state(th)), 1.0, atol=1e-12)
             assert_allclose(np.linalg.norm(w_state(th, al)), 1.0, atol=1e-12)
 
+    def test_builders_take_stacks(self, rng):
+        # an array of angles gives a (..., 8) stack, each row the bits of its
+        # angles alone; a scalar gives one (8,) state
+        theta, alpha = rng.uniform(-7.0, 7.0, (2, 3, 5))
+        for build, args in ((ghz_state, (theta,)), (w_state, (theta, alpha)), (w_state, (0.3, alpha))):
+            stack = build(*args)
+            assert stack.shape == (3, 5, 8)
+            for i in np.ndindex(3, 5):
+                one = build(*(float(a[i]) if np.ndim(a) else a for a in args))
+                assert one.shape == (8,)
+                assert one.tobytes() == stack[i].tobytes()
+
     def test_schmidt_placement(self):
         assert_allclose(schmidt_state((1, 0, 0, 0)), np.eye(8)[0], atol=1e-15)
         assert_allclose(schmidt_state((0, 1, 0, 0)), np.eye(8)[4], atol=1e-15)
@@ -76,10 +88,12 @@ class TestFamilies:
         assert_allclose(np.linalg.norm(stack, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_schmidt_rejects_bad_params(self):
-        with pytest.raises(ValueError):
+        # the rule's two messages, the point printed as plain floats
+        with pytest.raises(ValueError, match=r"^Schmidt coordinates off the unit sphere by 1\.100e-01$"):
             schmidt_state((0.5, 0.5, 0.5, 0.6))
-        with pytest.raises(ValueError):
-            SchmidtParams(-0.1, 0.994987, 0, 0).validate()
+        with pytest.raises(ValueError, match=r"^Schmidt coordinates must be finite and nonnegative, "
+                                             r"got \(-0\.1, 0\.994987, 0\.0, 0\.0\)$"):
+            schmidt_points(np.array([-0.1, 0.994987, 0, 0]))
 
     @pytest.mark.parametrize("rows", [
         [(0, 0, R2, R2), (0.6, -0.8, 0, 0), (0.5, 0.5, 0.5, 0.6)],
@@ -87,9 +101,9 @@ class TestFamilies:
         [(0, 0, R2, R2), (np.nan, 0, 0, 1), (0.6, -0.8, 0, 0)],
     ])
     def test_schmidt_stack_raises_for_first_bad_row(self, rows):
-        # the message a tuple of plain floats gives, not numpy scalar reprs
+        # the message of the first bad row alone, in plain floats, not numpy scalar reprs
         with pytest.raises(ValueError) as first:
-            SchmidtParams(*map(float, rows[1])).validate()
+            schmidt_points(rows[1])
         with pytest.raises(ValueError) as stack:
             schmidt_state(rows)
         assert str(stack.value) == str(first.value)

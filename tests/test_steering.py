@@ -363,6 +363,46 @@ class TestPureClosedForm:
             assert rep["h_a_bc"] == pytest.approx(c * (2 + 2 * c - np.sqrt(2 + 4 * c * c)), abs=1e-14)
 
 
+class TestWhiteNoiseThresholds:
+    """Where the criterion stops detecting a pure state mixed with white noise.
+
+    For GHZ(pi/4), rho(p) = p |psi><psi| + (1 - p) I/8 has both cut norms 3p/2,
+    d_A = 1/2 and d_BC = (3 - p^2)/4, so H_A->BC = 3p/2 - sqrt((1 + d_A) d_BC)
+    vanishes at p = sqrt(3/7) and H_BC->A = 3p/2 - sqrt((3 + d_BC) d_A) at
+    sqrt(15/19). The singlet Werner state's H_pair vanishes at 1/sqrt(3).
+    """
+
+    SIDES = (1 - 1e-12, 1 + 1e-12)  # just below and just above each threshold
+
+    @staticmethod
+    def _ghz(p):
+        return p * density_from_pure(ghz_state(np.pi / 4)) + (1 - p) * np.eye(8) / 8
+
+    @pytest.mark.parametrize("key,threshold", [("h_a_bc", np.sqrt(3 / 7)), ("h_bc_to_a", np.sqrt(15 / 19))],
+                             ids=["h_a_bc", "h_bc_to_a"])
+    def test_ghz_thresholds(self, key, threshold):
+        rhos = [self._ghz(threshold * side) for side in self.SIDES]
+        kernel = steering_batch(np.stack(rhos), include_two_to_one=True)[key]
+        direct = []
+        for rho in rhos:
+            theta = pauli_tensor(rho)
+            d_a, d_bc = purity_deficit(partial_trace(rho, "A")), purity_deficit(partial_trace(rho, "BC"))
+            if key == "h_a_bc":
+                direct.append(trace_norm(correlation_one_to_two(theta)) - np.sqrt((1 + d_a) * d_bc))
+            else:
+                direct.append(trace_norm(correlation_two_to_one(theta)) - np.sqrt((3 + d_bc) * d_a))
+        for h in (kernel, np.array(direct)):
+            assert h[0] < 0 < h[1]
+            assert np.max(np.abs(h)) <= 1e-11
+
+    def test_werner_pair_threshold(self):
+        singlet = np.array([0.0, R2, -R2, 0.0])
+        h = [h_pair(p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4)
+             for p in np.array(self.SIDES) / np.sqrt(3)]
+        assert h[0] < 0 < h[1]
+        assert max(map(abs, h)) <= 1e-11
+
+
 class TestWPairNorms:
     def test_tt1_closed_forms(self):
         # the ac/bc forms need |sin 2a| to stay nonnegative past pi/2
