@@ -139,7 +139,7 @@ def cmd_sweep(args) -> int:
         fh.write("param," + ",".join(_SWEEP_COLUMNS) + "\n")
         for lo in range(0, args.points, CHUNK):
             grid = _linspace(args.start, args.stop, args.points, lo, min(lo + CHUNK, args.points))
-            cols = steering.steering_batch(states.density_from_pure(family(grid))).to_dict()
+            cols = steering.steering_batch(states.density_from_pure(family(grid)))
             table = np.column_stack([grid] + [cols[k] for k in _SWEEP_COLUMNS])
             fh.writelines(row % tuple(values) for values in table.tolist())
     if path is not None:
@@ -160,7 +160,7 @@ def cmd_montecarlo(args) -> int:
         fh.write("index," + ",".join(_MC_COLUMNS) + ",classification\n")
         for start in range(0, spec.count, CHUNK):
             stop = min(start + CHUNK, spec.count)
-            cols = steering.steering_batch(randgen.random_state_batch(spec, start, stop)).to_dict()
+            cols = steering.steering_batch(randgen.random_state_batch(spec, start, stop))
             min_margin = min(min_margin, float(cols["margin"].min()))
             violations += int(np.sum(cols["margin"] < monogamy.PASS_TOL))
             table = np.column_stack([cols[k] for k in _MC_COLUMNS]).tolist()
@@ -289,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="steering quantities over a parameter grid (CSV)")
     p.add_argument("--family", choices=("ghz", "w"), required=True)
     p.add_argument("--theta", type=parse_angle, default=np.pi / 3,
-                   help="fixed theta for the w family (default pi/3)")
-    p.add_argument("--start", type=parse_angle, required=True)
-    p.add_argument("--stop", type=parse_angle, required=True)
+                   help="fixed theta for the w family (default pi/3); a negative angle as --theta=-pi/3")
+    p.add_argument("--start", type=parse_angle, required=True, help="first angle; a negative one as --start=-pi/3")
+    p.add_argument("--stop", type=parse_angle, required=True, help="last angle; a negative one as --stop=-pi/3")
     p.add_argument("--points", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

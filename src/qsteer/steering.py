@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import _signed, _trace_table, _traces, pauli_tensor_pair
-from .states import _deficit_tables, _minor_sum, _minor_terms, ordered_sum, purity_deficit, validate_state
+from .states import _deficit_tables, _minor_sum, _minor_terms, ordered_sum, purity, purity_deficit, validate_state
 
 # kept for perfbench/spans.py, which patches pauli_tensor, partial_trace and
 # permute_qubits here, as it does purity_deficit
@@ -52,11 +52,6 @@ __all__ = [
 
 ONE_TWO_SCALE = 1.0 / (2.0 * np.sqrt(2.0))  # 1/sqrt(2) qubit LOOs times 1/2 pair LOOs
 PAIR_SCALE = 0.5  # two 1/sqrt(2) qubit LOO factors
-
-# full-state deficit at or below which the pure-state route runs: rounding
-# leaves a pure state's deficit near 1e-16, and swapping a pair deficit for its
-# complement's at 1e-12 moves H by at most ~sqrt(1e-12) where a deficit is ~0
-_PURE_DEFICIT_TOL = 1e-12
 
 # _trace_norms: a row norm below 2^-500 would square into underflow. Its
 # products n1 2n2, n1 2c, n1 2n3, a 2n3, n2 2n3, a 2c, n2 2b and 2n2 2n3 take
@@ -202,8 +197,7 @@ def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
     norm = trace_norm(correlation_pair(rho2))
     m0, m1 = _pair_marginals(rho2)
     steer, steered = (m0, m1) if steering_side == 0 else (m1, m0)
-    p_steer = float(np.real(np.einsum("ij,ji->", steer, steer)))
-    return norm - float(np.sqrt((2.0 - p_steer) * purity_deficit(steered)))
+    return norm - float(np.sqrt((2.0 - purity(steer)) * purity_deficit(steered)))
 
 
 def steering_value(h) -> float | np.ndarray:
@@ -266,7 +260,6 @@ class _Plan:
     offset: np.ndarray  # (3 + k, 1) 1 for a qubit, 3 for a pair: 2 or 4 - tr r^2 is offset + deficit
     minors: np.ndarray  # (4, minors) states._deficit_tables parts: floats of every minor
     deficits: np.ndarray  # (28, 3 + k + 1) minors of A, B, C, each cut's steered pair, rho
-    steer: np.ndarray  # steering qubit of each cut
     pcol: np.ndarray  # per bound: the deficit row of its steering side
     dcol: np.ndarray  # per bound: the deficit row of its steered side
     ncol: np.ndarray  # per bound: its trace norm row (its block)
@@ -290,12 +283,12 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
                                                     for t in pair_flat]
     cov = np.stack([np.broadcast_arrays(b[1:, 1:], b[1:, :1], b[:1, 1:]) for b in blocks], axis=-1)
 
-    steer = [_CUTS[c][0] for c in names]
     # (name, steering deficit row, steered deficit row, norm row) per bound;
-    # deficit rows 3.. hold each cut's pair (or, for a pure state, steering qubit)
-    bounds = [(c, steer[i], 3 + i, i) for i, c in enumerate(names)]
+    # deficit rows 3.. hold each cut's pair (or, for a pure state, steering
+    # qubit), and the cuts' steering qubits are A, B, C in order: rows 0..k-1
+    bounds = [(c, i, 3 + i, i) for i, c in enumerate(names)]
     if two_to_one:
-        bounds += [(_TWO_TO_ONE[c], 3 + i, steer[i], i) for i, c in enumerate(names)]
+        bounds += [(_TWO_TO_ONE[c], 3 + i, i, i) for i, c in enumerate(names)]
     bounds.sort(key=lambda b: _CUT_ORDER.index(b[0]))
     cuts = len(bounds)
     bounds += [(p, a, b, k + i) for i, (p, (a, b)) in enumerate(_PAIRS.items())]
@@ -321,7 +314,6 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
         offset=np.array([1.0] * 3 + [3.0] * k)[:, None],
         minors=minors,
         deficits=deficits,
-        steer=np.array(steer),
         pcol=np.array(table[1]),
         dcol=np.array(table[2]),
         ncol=np.array(table[3]),
@@ -349,9 +341,10 @@ def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     # 3 + d for a pair at unit trace: the steering side's own deficit, taken
     # before the pure-state switch swaps a pair's for its complement's
     first = (plan.offset + deficit[:-1]).take(plan.pcol, 0)
-    # for a globally pure state (last row) a pair's deficit equals its
-    # complement's 2 det, which stays exact where the cut factorizes
-    np.copyto(deficit[3:-1], deficit.take(plan.steer, 0), where=deficit[-1] <= _PURE_DEFICIT_TOL)
+    # rho is pure where its own deficit (last row) reads 0 under the
+    # DEFICIT_FLOOR clamp, like every marginal's; then a pair's deficit equals
+    # its complement's 2 det, which stays exact where the cut factorizes
+    np.copyto(deficit[3:-1], deficit[:blocks - 3], where=deficit[-1] == _ZERO)
     norm = norm.take(plan.ncol, 0)
     bound = np.sqrt(first * deficit.take(plan.dcol, 0))
     # H and S = max(H, 0) of every bound side by side: max(H, -inf) is H
@@ -393,8 +386,9 @@ def steering_batch(
       every principal minor of those reduced states and of rho, and one
       take lays them out in rows of 28, the marginals' padded with a zero
       minor, for purity_deficit's minor sum (states._minor_sum); a state is
-      globally pure when its own deficit, the last, is at most 1e-12, and
-      then a pair's deficit is its complement's;
+      pure when its own deficit, the last, reads 0 under the same
+      DEFICIT_FLOOR clamp as every marginal's, and then a pair's deficit is
+      its complement's;
     - bounds: sqrt((1 + d_s) d_t), or sqrt((3 + d_pair) d_q) for a pair
       steering a qubit, from one take per factor of the deficit table: at
       unit trace 2 - tr rho_s^2 = 1 + d_s and 4 - tr rho_pair^2 = 3 + d_pair;

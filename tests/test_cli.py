@@ -275,6 +275,18 @@ class TestSweep:
         assert out == ""
         assert "must be finite" in err
 
+    def test_negative_angles_in_equals_form(self, tmp_path, capsys):
+        # argparse takes -pi/3 and -1e-3 after a space for options; after = they are values
+        out_file = tmp_path / "neg.csv"
+        code, _, _ = run_cli(["sweep", "--family", "ghz", "--start=-pi/3", "--stop=-1e-3",
+                              "--points", "2", "--out", str(out_file)], capsys)
+        assert code == 0
+        params = [float(line.split(",")[0]) for line in out_file.read_text().splitlines()[1:]]
+        assert np.array(params).tobytes() == np.array([-np.pi / 3, -1e-3]).tobytes()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--family", "ghz", "--start", "-pi/3", "--stop", "0", "--points", "2"])
+        assert exc.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_grid_is_built_one_chunk_at_a_time(self, tmp_path, monkeypatch):
         # 2^40 points would be an 8 TiB np.linspace grid; the first chunk's

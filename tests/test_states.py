@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from qsteer.randgen import RandomStateSpec, random_pure_batch, random_state_batch
 from qsteer.states import (
     density_from_pure,
     ghz_state,
@@ -128,6 +129,27 @@ class TestDensity:
             assert_allclose(np.trace(rho).real, 1.0, atol=1e-12)
             assert_allclose(purity(rho), 1.0, atol=1e-12)
             assert validate_state(rho).passed
+
+    def test_every_built_pure_state_reads_zero_deficit(self, rng):
+        # the steering kernel takes rho as pure exactly where purity_deficit
+        # reads 0.0 under the DEFICIT_FLOOR clamp; every pure 8x8 state the
+        # package builds must land there
+        spec = RandomStateSpec(seed=7, mode="pure", count=2000)
+        angles = np.linspace(-np.pi, np.pi, 1001)
+        points = np.abs(rng.standard_normal((1000, 4)))
+        vectors = random_pure_batch(spec, 0, 1000)
+        sources = {
+            "random_state_batch": random_state_batch(spec, 0, spec.count),
+            "random_pure_batch": density_from_pure(random_pure_batch(spec, 1000, 2000)),
+            "ghz": density_from_pure(ghz_state(angles)),
+            "w": density_from_pure(w_state(angles[::25, None], angles[None, ::25]).reshape(-1, 8)),
+            "schmidt": density_from_pure(schmidt_state(points / np.linalg.norm(points, axis=1, keepdims=True))),
+            "payload": np.stack([state_from_payload(json.loads(json.dumps(state_to_payload(v))))
+                                 for v in vectors[:200]]),
+        }
+        for name, rhos in sources.items():
+            assert rhos.shape[1:] == (8, 8), name
+            assert np.count_nonzero(purity_deficit(rhos)) == 0, name
 
 
 class TestPartialTrace:

@@ -22,7 +22,6 @@ from qsteer.states import (
 )
 from qsteer.steering import (
     PAIR_SCALE,
-    _PURE_DEFICIT_TOL,
     _trace_norms,
     SteeringReport,
     classify_pairs,
@@ -606,11 +605,11 @@ def direct_h(rho, first=deficit_factor):
     pair's 3x3 block padded with zero columns to 3x15 (the route itself is
     checked against LAPACK in TestTraceNorms). first(rho, theta, keep) gives
     a bound's first factor for the steering subsystem keep. A steered pair's
-    deficit is its complement's for a globally pure state
-    (purity_deficit(rho) <= 1e-12), as in steering_batch.
+    deficit is its complement's for a pure state, one whose own deficit reads
+    0 (purity_deficit(rho) == 0.0), as in steering_batch.
     """
     theta = pauli_tensor(rho)
-    pure = purity_deficit(rho) <= 1e-12
+    pure = purity_deficit(rho) == 0.0
     d_q = [purity_deficit(partial_trace(rho, (q,))) for q in range(3)]
     blocks = [correlation_one_to_two(theta.transpose(axes))[1:, 1:] for _, axes, _ in CUT_AXES]
     for (a, b), _, _ in PAIR_KEYS:
@@ -735,7 +734,7 @@ class TestBatchKernel:
     @settings(max_examples=40, deadline=None)
     @given(states(pure=True))
     def test_continuous_across_pure_switch(self, drawn):
-        # the full deficit crosses the 1e-12 switch near eps = 5.7e-13
+        # the full deficit leaves 0, the pure-state switch, near eps = 5.7e-15
         rho, _ = drawn
         base = _h_values(steering_report(rho, validate=False, **ALL).to_dict())
         entangled = min(purity_deficit(partial_trace(rho, (q,))) for q in range(3)) >= 1e-2
@@ -750,9 +749,9 @@ class TestBatchKernel:
     def test_every_h_bit_identical_to_direct_route(self, rng):
         pure = np.stack([random_pure_density(rng) for _ in range(200)])
         mixed = np.stack([random_mixed_density(rng) for _ in range(200)])
-        eps = 10.0 ** np.arange(-16, -7.75, 0.5)  # the full deficit crosses the switch near 5.7e-13
+        eps = 10.0 ** np.arange(-16, -7.75, 0.5)  # the full deficit leaves 0 near eps = 5.7e-15
         sweep = np.stack([(1 - e) * rho + e * np.eye(8) / 8 for rho in pure[:6] for e in eps])
-        assert {purity_deficit(rho) <= 1e-12 for rho in sweep} == {True, False}
+        assert {purity_deficit(rho) == 0.0 for rho in sweep} == {True, False}
         # product states A x B x C, A x BC and AB x C reach the deficit floor
         q = [random_pure_density(rng, 2) for _ in range(6)] + [random_mixed_density(rng, 2) for _ in range(6)]
         p = [random_pure_density(rng, 4) for _ in range(3)] + [random_mixed_density(rng, 4) for _ in range(3)]
@@ -775,7 +774,7 @@ class TestBatchKernel:
         # on both sides of the pure-state switch, and exact products keep H = 0
         pure = [random_pure_density(rng) for _ in range(40)]
         mixed = [random_mixed_density(rng) for _ in range(40)]
-        eps = 10.0 ** np.arange(-16, -7.75, 0.5)  # the full deficit crosses the switch near 5.7e-13
+        eps = 10.0 ** np.arange(-16, -7.75, 0.5)  # the full deficit leaves 0 near eps = 5.7e-15
         sweep = [(1 - e) * rho + e * np.eye(8) / 8 for rho in pure[:4] for e in eps]
         q = [random_pure_density(rng, 2) for _ in range(4)] + [random_mixed_density(rng, 2) for _ in range(4)]
         p = [random_pure_density(rng, 4) for _ in range(2)] + [random_mixed_density(rng, 4) for _ in range(2)]
@@ -785,7 +784,7 @@ class TestBatchKernel:
                  "AxBC": [np.kron(a, bc) for a in EXACT_QUBITS for bc in EXACT_PAIRS],
                  "ABxC": [np.kron(ab, c) for ab in EXACT_PAIRS for c in EXACT_QUBITS]}
         rhos = np.stack(pure + mixed + sweep + product + [rho for group in exact.values() for rho in group])
-        assert {purity_deficit(rho) <= _PURE_DEFICIT_TOL for rho in sweep} == {True, False}
+        assert {purity_deficit(rho) == 0.0 for rho in sweep} == {True, False}
         got = steering_batch(rhos, **ALL)
         for i, rho in enumerate(rhos):
             for key, value in direct_h(rho, parseval_factor).items():
@@ -825,17 +824,17 @@ class TestBatchKernel:
 
     def test_pure_switch_edge_bisected(self, rng):
         # bisect eps in (1 - eps) rho + eps I/8 down to adjacent floats, so the
-        # full deficit lands on each side of the switch as close as it can
-        tol = _PURE_DEFICIT_TOL
+        # full deficit lands on each side of the DEFICIT_FLOOR clamp, the
+        # switch, as close as it can
         edge = []
         for rho in [random_pure_density(rng) for _ in range(6)]:
             def deficit(e):
                 return purity_deficit((1 - e) * rho + e * np.eye(8) / 8)
-            lo, hi = 0.0, 1e-11
-            assert deficit(lo) <= tol < deficit(hi)
+            lo, hi = 0.0, 1e-13
+            assert deficit(lo) == 0.0 < deficit(hi)
             while lo < (mid := (lo + hi) / 2) < hi:
-                lo, hi = (mid, hi) if deficit(mid) <= tol else (lo, mid)
-            assert tol - deficit(lo) <= 4 * np.spacing(1.0) and deficit(hi) - tol <= 4 * np.spacing(1.0)
+                lo, hi = (mid, hi) if deficit(mid) == 0.0 else (lo, mid)
+            assert deficit(lo) == 0.0 and deficit(hi) - DEFICIT_FLOOR <= 4 * np.spacing(1.0)
             edge += [(1 - e) * rho + e * np.eye(8) / 8 for e in (lo, hi)]
         edge = np.stack(edge)
         got = steering_batch(edge, **ALL)
@@ -843,13 +842,31 @@ class TestBatchKernel:
             for key, value in direct_h(rho).items():
                 assert got[key][i].tobytes() == np.float64(value).tobytes(), (key, i)
             # the two routes differ here, and the kernel takes the one that
-            # purity_deficit(rho) <= _PURE_DEFICIT_TOL picks
+            # purity_deficit(rho) == 0.0 picks
             f_a = 1.0 + purity_deficit(partial_trace(rho, (0,)))
             route = {d: got["norm_a_bc"][i] - np.sqrt(f_a * purity_deficit(partial_trace(rho, d)))
                      for d in ((0,), (1, 2))}
             assert route[(0,)] != route[(1, 2)]
-            assert got["h_a_bc"][i] == route[(0,) if purity_deficit(rho) <= tol else (1, 2)]
-        assert [purity_deficit(rho) <= tol for rho in edge] == [True, False] * 6
+            assert got["h_a_bc"][i] == route[(0,) if purity_deficit(rho) == 0.0 else (1, 2)]
+        assert [purity_deficit(rho) == 0.0 for rho in edge] == [True, False] * 6
+
+    @pytest.mark.parametrize("eps", [1e-13, 4e-13])
+    @pytest.mark.parametrize("name, axes", [cut[:2] for cut in CUT_AXES], ids=[cut[0] for cut in CUT_AXES])
+    def test_mixed_near_pure_keeps_pair_deficit(self, name, axes, eps, rng):
+        # a pure steering qubit times a rank-2 pair (1 - eps)|chi><chi| +
+        # eps|chi'><chi'| is mixed, with a full deficit of 2 eps (1 - eps) below
+        # 1e-12 but above the floor: the pair keeps its own deficit, so the
+        # bound reads sqrt(2 eps) and not the steering qubit's 0
+        chi = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0].T
+        pair = (1 - eps) * density_from_pure(chi[0]) + eps * density_from_pure(chi[1])
+        rho = permute_qubits(np.kron(random_pure_density(rng, 2), pair), tuple(np.argsort(axes)))
+        assert DEFICIT_FLOOR < purity_deficit(rho) < 1e-12
+        got = steering_report(rho, include_all_cuts=True)
+        d_q = purity_deficit(partial_trace(rho, axes[:1]))
+        d_pair = purity_deficit(partial_trace(rho, axes[1:]))
+        expect = got[f"norm_{name}"] - np.sqrt((1.0 + d_q) * d_pair)
+        assert np.float64(got[f"h_{name}"]).tobytes() == expect.tobytes()
+        assert got[f"s_{name}"] == 0.0 and got[f"bound_{name}"] > 0.0
 
     @pytest.mark.parametrize("t", [1e-7, 3e-7, 1e-6])
     def test_pure_route_exact_near_product(self, t):
