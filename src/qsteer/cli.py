@@ -122,7 +122,7 @@ def cmd_analyze(args) -> int:
         include_reverse_pairs=args.reverse_pairs,
         validate=False,
     )
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 

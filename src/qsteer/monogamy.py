@@ -45,7 +45,6 @@ from .steering import h_pair  # noqa: F401  kept: perfbench/spans.py patches thi
 from .steering import steering_batch
 
 __all__ = [
-    "ALL_SIGN_REGIONS",
     "MinimizeConfig",
     "MinimizeResult",
     "VerifyConfig",

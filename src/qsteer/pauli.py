@@ -1,8 +1,7 @@
 """Pauli-basis decomposition of two- and three-qubit states.
 
 The three-qubit coefficient tensor is theta[i, j, k] = tr(rho s_i x s_j x s_k)
-with s_0 the identity and s_1, s_2, s_3 the standard Pauli matrices. Parseval
-identities link sums of squared coefficients to reduced-state purities.
+with s_0 the identity and s_1, s_2, s_3 the standard Pauli matrices.
 
 Every nonzero entry of a Pauli string is +-1 or +-i, so the real and the
 imaginary part of each term rho[c, r] P[r, c] of tr(rho P) is plus or minus
@@ -19,13 +18,7 @@ import numpy as np
 
 from .states import HERM_TOL
 
-__all__ = [
-    "PAULI",
-    "pauli_tensor",
-    "pauli_tensor_pair",
-    "density_from_theta",
-    "purity_from_theta",
-]
+__all__ = ["pauli_tensor", "pauli_tensor_pair"]
 
 PAULI = np.array(
     [
@@ -153,25 +146,3 @@ def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
     return _traces(_signed(rho2), _TRACE_TABLE[4])[0][:16].reshape(4, 4)
 
-
-def density_from_theta(theta: np.ndarray) -> np.ndarray:
-    """Reconstruct the 8x8 state rho = (1/8) sum theta_ijk s_i x s_j x s_k."""
-    theta = np.asarray(theta, dtype=float)
-    return np.einsum("n,nij->ij", theta.ravel(), PAULI3) / 8.0
-
-
-def purity_from_theta(theta: np.ndarray, cut: str = "full") -> float:
-    """Reduced-state purity from squared Pauli coefficients.
-
-    cut "A":   tr(rho_a^2)  = (1/2) sum_i theta[i, 0, 0]^2
-    cut "BC":  tr(rho_bc^2) = (1/4) sum_jk theta[0, j, k]^2
-    cut "full": tr(rho^2)   = (1/8) sum theta^2
-    """
-    theta = np.asarray(theta, dtype=float)
-    if cut == "A":
-        return float(np.sum(theta[:, 0, 0] ** 2) / 2.0)
-    if cut == "BC":
-        return float(np.sum(theta[0] ** 2) / 4.0)
-    if cut == "full":
-        return float(np.sum(theta**2) / 8.0)
-    raise ValueError(f"unknown cut {cut!r}; expected 'A', 'BC', or 'full'")

@@ -26,22 +26,12 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = [
-    "GENERATOR_NAME",
-    "RandomStateSpec",
-    "random_eigenvalues",
-    "random_hermitian",
-    "random_pure_batch",
-    "random_state",
-    "random_state_batch",
-    "random_states",
-]
+__all__ = ["RandomStateSpec", "random_state", "random_state_batch"]
 
 GENERATOR_NAME = "pcg64-seedseq-spawn"
 
 # index of the cascade entry each N_n multiplies; N_7 restarts from N_5
 _CASCADE_PARENTS = (None, 0, 1, 2, 3, 4, 4, 6)
-_CHUNK = 256  # states per random_state_batch call in random_states
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
 # (numpy/random/src/pcg64), which _uniforms reproduces
@@ -139,19 +129,12 @@ def _uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     return u
 
 
-def random_eigenvalues(rng: np.random.Generator) -> np.ndarray:
-    """Eight probabilities from the multiplicative uniform cascade.
-
-    N_1 = U, N_{n+1} = N_n * U for n up to 6, then N_7 = N_5 * U and
-    N_8 = N_7 * U, as the recipe prints it. Normalized to sum 1;
-    nonincreasing except possibly at n = 7.
-    """
-    return _cascade(rng.random(8))
-
-
 def _cascade(u: np.ndarray) -> np.ndarray:
-    """The random_eigenvalues cascade on a stack of uniform rows (..., 8),
-    one column product per step."""
+    """Eight probabilities from each row of uniforms u (..., 8), one column
+    product per step: N_1 = U, N_{n+1} = N_n * U for n up to 6, then
+    N_7 = N_5 * U and N_8 = N_7 * U, as the recipe prints it. Normalized to
+    sum 1; nonincreasing except possibly at n = 7.
+    """
     n = np.empty_like(u)
     n[..., 0] = u[..., 0]
     for i in range(1, 8):
@@ -159,17 +142,13 @@ def _cascade(u: np.ndarray) -> np.ndarray:
     return n / n.sum(axis=-1, keepdims=True)
 
 
-def random_hermitian(rng: np.random.Generator) -> np.ndarray:
-    """8x8 Hermitian H = D + (U^T + U) + i(L^T - L) from uniform[-1, 1] K.
+def _hermitian(k: np.ndarray) -> np.ndarray:
+    """8x8 Hermitian H = D + (U^T + U) + i(L^T - L) from each uniform[-1, 1]
+    matrix K of a stack (..., 8, 8).
 
     D, U, L are the diagonal, strictly upper, and strictly lower parts of K;
     the diagonal of H equals the diagonal of K.
     """
-    return _hermitian(rng.uniform(-1.0, 1.0, size=(8, 8)))
-
-
-def _hermitian(k: np.ndarray) -> np.ndarray:
-    """The random_hermitian construction on a stack of K matrices (..., 8, 8)."""
     d = k * np.eye(8)
     u = np.triu(k, 1)
     lo = np.tril(k, -1)
@@ -207,6 +186,7 @@ def random_state_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarr
     return (vecs * _cascade(u[:, :8])[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
+# kept: the tests and perfbench/spans.py's tracing are its only callers; goes with ROADMAP item 3
 def random_state(spec: RandomStateSpec, index: int) -> np.ndarray:
     """Density matrix number `index` of the batch described by `spec`."""
     return random_state_batch(spec, index, index + 1)[0]
@@ -219,8 +199,3 @@ def random_pure_batch(spec: RandomStateSpec, start: int, stop: int) -> np.ndarra
         raise ValueError("state vectors exist only in pure mode")
     return _eigenvectors(_draws(spec, start, stop))[..., 0]
 
-
-def random_states(spec: RandomStateSpec) -> Iterator[np.ndarray]:
-    """All states of the batch, in index order, generated _CHUNK at a time."""
-    for start in range(0, spec.count, _CHUNK):
-        yield from random_state_batch(spec, start, min(start + _CHUNK, spec.count))

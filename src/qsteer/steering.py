@@ -37,15 +37,10 @@ from .states import partial_trace, permute_qubits  # noqa: F401
 
 __all__ = [
     "SteeringReport",
-    "classify_pairs",
     "correlation_one_to_two",
-    "correlation_two_to_one",
     "correlation_pair",
     "trace_norm",
-    "h_one_to_two",
-    "h_two_to_one",
     "h_pair",
-    "steering_value",
     "steering_batch",
     "steering_report",
 ]
@@ -159,12 +154,6 @@ def correlation_one_to_two(theta: np.ndarray) -> np.ndarray:
     return ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16))
 
 
-def correlation_two_to_one(theta: np.ndarray) -> np.ndarray:
-    """16x4 covariance matrix for steering the pair into the leading qubit:
-    the transpose of correlation_one_to_two, stacks included."""
-    return np.swapaxes(correlation_one_to_two(theta), -1, -2)
-
-
 def correlation_pair(rho2: np.ndarray) -> np.ndarray:
     """4x4 covariance matrix c_ij = (theta_ij - theta_i0 * theta_0j) / 2."""
     theta = pauli_tensor_pair(rho2)
@@ -174,16 +163,6 @@ def correlation_pair(rho2: np.ndarray) -> np.ndarray:
 def _pair_marginals(rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.asarray(rho2, dtype=complex).reshape(2, 2, 2, 2)
     return np.einsum("abcb->ac", r), np.einsum("abac->bc", r)
-
-
-def h_one_to_two(rho: np.ndarray) -> float:
-    """H for steering qubit A into the BC pair: ||M||_tr - sqrt((2 - tr rho_a^2)(1 - tr rho_bc^2))."""
-    return steering_report(rho, validate=False)["h_a_bc"]
-
-
-def h_two_to_one(rho: np.ndarray) -> float:
-    """H for steering the BC pair into qubit A: ||M'||_tr - sqrt((4 - tr rho_bc^2)(1 - tr rho_a^2))."""
-    return steering_report(rho, include_two_to_one=True, validate=False)["h_bc_to_a"]
 
 
 def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
@@ -200,12 +179,6 @@ def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
     return norm - float(np.sqrt((2.0 - purity(steer)) * purity_deficit(steered)))
 
 
-def steering_value(h) -> float | np.ndarray:
-    """Steering quantifier max(H, 0), elementwise on arrays."""
-    s = np.maximum(h, 0.0)
-    return float(s) if s.ndim == 0 else s
-
-
 class SteeringReport(dict):
     """Every requested H and S value plus the monogamy verdict, keyed and
     ordered as in the qsteer analyze JSON.
@@ -215,6 +188,7 @@ class SteeringReport(dict):
     array with one entry per state, and row(i) gives state i's report.
     """
 
+    # kept: perfbench/workloads.py is its only caller outside the tests; goes with ROADMAP item 3
     def to_dict(self) -> dict:
         return dict(self)
 
@@ -230,20 +204,13 @@ _LABELS = np.array(["mixed", "corollary1", "corollary2"])  # codes 0, 1 and -1 (
 _H_AND_S = np.array([-np.inf, 0.0])[:, None]
 
 
-def _classes(h: np.ndarray, axis: int) -> np.ndarray:
+def _classes(h: np.ndarray) -> np.ndarray:
+    """The label of each column of pair H values h (3, n): corollary1 when all
+    three H >= 0, corollary2 when all < 0, else mixed."""
     # code 1 when every H >= 0, -1 when every H < 0, else 0: a NaN is neither,
     # as it is the minimum and the maximum of its set
-    low, high = np.minimum.reduce(h, axis), np.maximum.reduce(h, axis)
+    low, high = np.minimum.reduce(h, 0), np.maximum.reduce(h, 0)
     return _LABELS.take(np.subtract(low >= _ZERO, high < _ZERO, dtype=np.intp))
-
-
-def classify_pairs(h_ab, h_ac, h_bc) -> str | np.ndarray:
-    """corollary1 when all pair H >= 0, corollary2 when all < 0, else mixed.
-
-    Elementwise on arrays of H values.
-    """
-    label = _classes(np.array([h_ab, h_ac, h_bc], dtype=float), axis=0)
-    return str(label) if label.ndim == 0 else label
 
 
 @dataclass(frozen=True)
@@ -355,7 +322,7 @@ def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     total = np.add.reduce(hs[c:c + 3], 0)
     margin = hs[0, 1:] - total[:1]  # bound 0 is a_bc
     table = np.concatenate((hs.reshape(2 * len(plan.pcol), n), norm, bound, total, margin))
-    return table.take(plan.columns, 0), _classes(hs[c:c + 3, 0], 0)
+    return table.take(plan.columns, 0), _classes(hs[c:c + 3, 0])
 
 
 def steering_batch(

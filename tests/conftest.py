@@ -2,8 +2,9 @@
 
 The oracle helpers here deliberately avoid the package's vectorized code
 paths: Pauli expectations go through explicit np.kron products, partial
-traces through index loops, so expected values are computed by a route the
-implementation under test never touches.
+traces and the random-state recipe through index loops, so expected values
+are computed by a route the implementation under test never touches. Nothing
+here imports qsteer.
 """
 
 import numpy as np
@@ -35,6 +36,60 @@ def oracle_theta2(rho2):
         for j in range(4):
             t[i, j] = np.trace(rho2 @ np.kron(SIGMA[i], SIGMA[j])).real
     return t
+
+
+def density_from_theta(theta):
+    """The 8x8 state rho = (1/8) sum theta_ijk s_i x s_j x s_k."""
+    return sum(theta[i, j, k] * kron3(i, j, k) for i, j, k in np.ndindex(4, 4, 4)) / 8.0
+
+
+def purity_from_theta(theta, cut="full"):
+    """Reduced-state purity from squared Pauli coefficients (Parseval).
+
+    cut "A":   tr(rho_a^2)  = (1/2) sum_i theta[i, 0, 0]^2
+    cut "BC":  tr(rho_bc^2) = (1/4) sum_jk theta[0, j, k]^2
+    cut "full": tr(rho^2)   = (1/8) sum theta^2
+    """
+    theta = np.asarray(theta, dtype=float)
+    if cut == "A":
+        return float(np.sum(theta[:, 0, 0] ** 2) / 2.0)
+    if cut == "BC":
+        return float(np.sum(theta[0] ** 2) / 4.0)
+    if cut == "full":
+        return float(np.sum(theta**2) / 8.0)
+    raise ValueError(f"unknown cut {cut!r}; expected 'A', 'BC', or 'full'")
+
+
+def recipe_cascade(u):
+    """Eight probabilities from eight uniforms: N_1 = u_1, N_{n+1} = N_n u_{n+1}
+    up to N_6, then N_7 = N_5 u_7 and N_8 = N_7 u_8, normalized to sum 1."""
+    n = [u[0]]
+    for i in range(1, 8):
+        n.append((n[4] if i == 6 else n[i - 1]) * u[i])
+    n = np.array(n)
+    return n / n.sum()
+
+
+def recipe_hermitian(k):
+    """The recipe's 8x8 Hermitian matrix from K: H[i, i] = K[i, i] and, for
+    i < j, H[i, j] = K[i, j] + i K[j, i] with H[j, i] its conjugate."""
+    h = np.zeros((8, 8), dtype=complex)
+    for i in range(8):
+        h[i, i] = k[i, i]
+        for j in range(i + 1, 8):
+            h[i, j] = complex(k[i, j], k[j, i])
+            h[j, i] = complex(k[i, j], -k[j, i])
+    return h
+
+
+def recipe_spectrum(seed, mode, index):
+    """State number index of a (seed, mode) random batch, one state at a time
+    from its own child stream: the eigenvalues (e_1 for a pure state) and the
+    eigenvectors of the recipe's H, leading column first."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    lams = recipe_cascade(rng.random(8)) if mode == "mixed" else np.eye(8)[0]
+    vecs = np.linalg.eigh(recipe_hermitian(rng.uniform(-1.0, 1.0, size=(8, 8))))[1][:, ::-1]
+    return lams, vecs
 
 
 def oracle_ptrace(rho, keep):

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from qsteer import cli
 from qsteer.monogamy import GRAD_TOL, f_components, schmidt_f_batch
-from qsteer.pauli import density_from_theta, pauli_tensor, purity_from_theta
-from qsteer.randgen import RandomStateSpec, random_state, random_states
+from qsteer.pauli import pauli_tensor
+from qsteer.randgen import RandomStateSpec, random_state, random_state_batch
 from qsteer.states import (
     density_from_pure,
     ghz_state,
@@ -26,14 +26,12 @@ from qsteer.states import (
 from qsteer.steering import (
     correlation_one_to_two,
     correlation_pair,
-    correlation_two_to_one,
-    h_one_to_two,
     h_pair,
     steering_report,
     trace_norm,
 )
 
-from conftest import random_octant_point, random_unitary_2
+from conftest import density_from_theta, purity_from_theta, random_octant_point, random_unitary_2
 
 
 def _report(name):
@@ -60,7 +58,7 @@ def test_criterion_1_ghz_closed_form_grid():
 
         composite = (2 * abs(c * s) + 2 * c**2 * s**2
                      - np.sqrt((5 - np.cos(4 * th)) / 4 * 2 * c**2 * s**2))
-        assert h_one_to_two(rho) == pytest.approx(composite, abs=1e-10)
+        assert steering_report(rho, validate=False)["h_a_bc"] == pytest.approx(composite, abs=1e-10)
 
         p4 = c**4 + s**4
         pair_expect = 2 * c**2 * s**2 - np.sqrt((2 - p4) * (1 - p4))
@@ -181,16 +179,17 @@ def test_criterion_5_monogamy_monte_carlo():
     t0 = time.monotonic()
     spec = RandomStateSpec(seed=20250101, mode="pure", count=10_000)
     worst = np.inf
-    for rho in random_states(spec):
-        rep = steering_report(rho, validate=False)
-        worst = min(worst, rep["margin"])
-        assert rep["margin"] >= -1e-9
-        # corollary inequalities hold on every member of each filtered subset
-        if rep["classification"] == "corollary1":
-            assert rep["s_a_bc"] >= rep["s_tot"] - 1e-9
-        elif rep["classification"] == "corollary2":
-            assert rep["s_tot"] == 0.0
-            assert rep["s_a_bc"] >= 0.0
+    for start in range(0, spec.count, cli.CHUNK):
+        for rho in random_state_batch(spec, start, min(start + cli.CHUNK, spec.count)):
+            rep = steering_report(rho, validate=False)
+            worst = min(worst, rep["margin"])
+            assert rep["margin"] >= -1e-9
+            # corollary inequalities hold on every member of each filtered subset
+            if rep["classification"] == "corollary1":
+                assert rep["s_a_bc"] >= rep["s_tot"] - 1e-9
+            elif rep["classification"] == "corollary2":
+                assert rep["s_tot"] == 0.0
+                assert rep["s_a_bc"] >= 0.0
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"criterion 5 runtime {elapsed:.0f}s exceeds 5min"
     print(f"[criterion 5] min margin over 10^4 pure states: {worst:.6f} ({elapsed:.0f}s)")
@@ -216,7 +215,7 @@ def test_criterion_6_property_suite():
         rho = random_mixed() if rng.uniform() < 0.5 else random_pure()
         theta = pauli_tensor(rho)
         m = correlation_one_to_two(theta)
-        mp = correlation_two_to_one(theta)
+        mp = correlation_one_to_two(theta).swapaxes(-1, -2)
         c = correlation_pair(partial_trace(rho, ("A", "B")))
         assert max(np.abs(m[0]).max(), np.abs(m[:, 0]).max()) < 1e-12
         assert max(np.abs(mp[0]).max(), np.abs(mp[:, 0]).max()) < 1e-12
@@ -253,8 +252,8 @@ def test_criterion_6_property_suite():
 
     # random state determinism per seed
     spec = RandomStateSpec(seed=42, mode="mixed", count=5)
-    first = list(random_states(spec))
-    second = list(random_states(spec))
+    first = random_state_batch(spec, 0, spec.count)
+    second = random_state_batch(spec, 0, spec.count)
     for x, y in zip(first, second):
         assert np.array_equal(x, y)
     assert np.array_equal(random_state(spec, 2), first[2])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qsteer import cli, monogamy, randgen, steering
-from qsteer.randgen import RandomStateSpec, random_eigenvalues, random_hermitian, random_state
+from qsteer.randgen import RandomStateSpec, random_state
 from qsteer.states import ghz_state, state_from_payload, state_to_payload, validate_state
 from qsteer.steering import steering_report
+
+from conftest import recipe_spectrum
 
 
 def run_cli(args, capsys):
@@ -402,12 +404,10 @@ class TestMonteCarlo:
 
 
 def _loop_payload(seed, mode, index):
-    """One state's payload from its own numpy stream and 2-D numpy calls, as the recipe reads."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    """One state's payload from the recipe written out in conftest."""
+    lams, vecs = recipe_spectrum(seed, mode, index)
     if mode == "pure":
-        return state_to_payload(np.linalg.eigh(random_hermitian(rng))[1][:, -1])
-    lams = random_eigenvalues(rng)
-    vecs = np.linalg.eigh(random_hermitian(rng))[1][:, ::-1]
+        return state_to_payload(vecs[:, 0])
     return state_to_payload((vecs * lams) @ vecs.conj().T)
 
 

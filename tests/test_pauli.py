@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qsteer.pauli import (
-    PAULI2, PAULI3, density_from_theta, pauli_tensor, pauli_tensor_pair, purity_from_theta,
-)
+from qsteer.pauli import PAULI2, PAULI3, pauli_tensor, pauli_tensor_pair
 from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import (
     HERM_TOL, density_from_pure, ghz_state, ordered_sum, partial_trace, permute_qubits, purity,
     validate_state, w_state,
 )
 
-from conftest import oracle_theta3, random_mixed_density
+from conftest import density_from_theta, oracle_theta3, purity_from_theta, random_mixed_density
 
 
 def test_basis_state_pattern():
@@ -123,8 +121,6 @@ def test_bad_shape():
         pauli_tensor(np.eye(4) / 4)
     with pytest.raises(ValueError):
         pauli_tensor_pair(np.eye(8) / 8)
-    with pytest.raises(ValueError):
-        purity_from_theta(np.zeros((4, 4, 4)), "AB")
 
 
 def _complex_route(rho, strings):

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,21 +6,22 @@ from numpy.testing import assert_allclose
 
 from qsteer.randgen import (
     RandomStateSpec,
+    _cascade,
+    _draws,
+    _hermitian,
     _uniforms,
-    random_eigenvalues,
-    random_hermitian,
     random_pure_batch,
     random_state,
     random_state_batch,
-    random_states,
 )
 from qsteer.states import purity, validate_state
 
+from conftest import recipe_cascade, recipe_spectrum
+
 
 def test_eigenvalue_cascade_properties():
-    rng = np.random.default_rng(5)
-    for _ in range(10_000):
-        lam = random_eigenvalues(rng)
+    lams = _cascade(np.random.default_rng(5).random((10_000, 8)))
+    for lam in lams:
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(lam >= 0)
         # the cascade is nonincreasing up to n=6 and from 7 to 8; the restart
@@ -33,32 +32,35 @@ def test_eigenvalue_cascade_properties():
 
 
 def test_eigenvalues_match_index_loop_cascade():
-    # the documented recipe, one index at a time on a copy of the stream
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        u = copy.deepcopy(rng).uniform(0.0, 1.0, size=8)
-        n = [u[0]]
-        for i in range(1, 8):
-            parent = n[4] if i == 6 else n[i - 1]
-            n.append(parent * u[i])
-        n = np.array(n)
-        assert np.array_equal(random_eigenvalues(rng), n / n.sum())
+    # the documented recipe, one index at a time, on the cascade uniforms of a mixed batch
+    spec = RandomStateSpec(seed=21, mode="mixed", count=200)
+    u = _draws(spec, 0, spec.count)[:, :8]
+    for row, lam in zip(u, _cascade(u)):
+        assert np.array_equal(lam, recipe_cascade(row))
 
 
 def test_hermitian_construction():
-    rng = np.random.default_rng(12)
-    probe = copy.deepcopy(rng)
-    h = random_hermitian(rng)
-    assert_allclose(h, h.conj().T, atol=1e-15)
+    # K from state 3's stream, probed with numpy's own generator for that stream
+    spec = RandomStateSpec(seed=12, mode="pure", count=4)
+    h = _hermitian((2.0 * _draws(spec, 3, 4) - 1.0).reshape(8, 8))
+    probe = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(3,)))
     k = probe.uniform(-1.0, 1.0, size=(8, 8))
+    assert_allclose(h, h.conj().T, atol=1e-15)
     assert_allclose(np.diag(h).real, np.diag(k), atol=1e-15)
     assert np.max(np.abs(np.diag(h).imag)) == 0.0
+    for i, j in zip(*np.triu_indices(8, 1)):  # exact: H[i, j] = K[i, j] + i K[j, i]
+        assert h[i, j].real == k[i, j] and h[i, j].imag == k[j, i]
     assert np.all(np.isreal(np.linalg.eigvalsh(h)))
+
+
+def _states(spec):
+    """Every state of the batch, random_state_batch over chunks of 7."""
+    return np.concatenate([random_state_batch(spec, s, min(s + 7, spec.count)) for s in range(0, spec.count, 7)])
 
 
 def test_pure_mode():
     spec = RandomStateSpec(seed=100, mode="pure", count=20)
-    for rho in random_states(spec):
+    for rho in _states(spec):
         assert purity(rho) == pytest.approx(1.0, abs=1e-10)
         eig = np.linalg.eigvalsh(rho)
         assert eig[-2] < 1e-10  # rank one
@@ -76,7 +78,7 @@ def test_pure_vector_matches_state():
 
 def test_mixed_mode():
     spec = RandomStateSpec(seed=101, mode="mixed", count=20)
-    for rho in random_states(spec):
+    for rho in _states(spec):
         p = purity(rho)
         assert 1 / 8 < p <= 1 + 1e-12
         assert validate_state(rho).passed
@@ -84,8 +86,8 @@ def test_mixed_mode():
 
 def test_determinism_and_order_independence():
     spec = RandomStateSpec(seed=77, mode="mixed", count=6)
-    batch1 = list(random_states(spec))
-    batch2 = list(random_states(spec))
+    batch1 = _states(spec)
+    batch2 = _states(spec)
     for a, b in zip(batch1, batch2):
         assert np.array_equal(a, b)  # bit identical
     # single-index access equals its batch position
@@ -111,10 +113,8 @@ def test_spec_validation():
 
 
 def _reference_state(spec, index):
-    """The recipe for one state with 2-D numpy calls, as the generator ran before batching."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(index,)))
-    lams = random_eigenvalues(rng) if spec.mode == "mixed" else np.eye(8)[0]
-    vecs = np.linalg.eigh(random_hermitian(rng))[1][:, ::-1]
+    """The recipe for one state, written out in conftest with index loops and 2-D numpy calls."""
+    lams, vecs = recipe_spectrum(spec.seed, spec.mode, index)
     return (vecs * lams) @ vecs.conj().T
 
 

@@ -39,3 +39,25 @@ def test_quick_start_comments_match_output():
             assert f"{printed:.{len(comment[2])}f}" == comment[1], (lines[node.end_lineno - 1], printed)
             checked += 1
     assert checked >= 4
+
+
+def test_public_api():
+    # qsteer's public names are the union of its modules' export lists, every
+    # entry resolves, and README's Public API section names each one
+    import types
+
+    import qsteer
+    from qsteer import monogamy, pauli, randgen, states, steering
+
+    modules = (monogamy, pauli, randgen, states, steering)
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed))
+    public = {name for name, value in vars(qsteer).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(listed)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qsteer, name) is getattr(module, name)
+    section = re.search(r"^## Public API\n(.*?)^## ", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    named = set(re.findall(r"`([A-Za-z_]\w*)", section[1]))
+    assert sorted(public - named) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from qsteer.pauli import pauli_tensor, purity_from_theta
+from qsteer.pauli import pauli_tensor
 from qsteer.states import (
     DEFICIT_FLOOR,
     density_from_pure,
@@ -24,16 +24,12 @@ from qsteer.steering import (
     PAIR_SCALE,
     _trace_norms,
     SteeringReport,
-    classify_pairs,
+    _classes,
     correlation_one_to_two,
     correlation_pair,
-    correlation_two_to_one,
-    h_one_to_two,
     h_pair,
-    h_two_to_one,
     steering_batch,
     steering_report,
-    steering_value,
     trace_norm,
 )
 
@@ -43,6 +39,7 @@ from conftest import (
     oracle_ptrace,
     oracle_theta2,
     oracle_theta3,
+    purity_from_theta,
     random_mixed_density,
     random_pure_density,
     random_unitary_2,
@@ -95,7 +92,7 @@ class TestCorrelationMatrices:
             m = correlation_one_to_two(pauli_tensor(rho))
             assert np.max(np.abs(m[0, :])) < 1e-12
             assert np.max(np.abs(m[:, 0])) < 1e-12
-            mp = correlation_two_to_one(pauli_tensor(rho))
+            mp = correlation_one_to_two(pauli_tensor(rho)).swapaxes(-1, -2)
             assert np.max(np.abs(mp[0, :])) < 1e-12
             assert np.max(np.abs(mp[:, 0])) < 1e-12
             c = correlation_pair(partial_trace(rho, ("A", "B")))
@@ -105,7 +102,7 @@ class TestCorrelationMatrices:
     def test_product_state_vanishes(self):
         theta = pauli_tensor(density_from_pure(np.eye(8)[0]))
         assert np.max(np.abs(correlation_one_to_two(theta))) < 1e-14
-        assert np.max(np.abs(correlation_two_to_one(theta))) < 1e-14
+        assert np.max(np.abs(correlation_one_to_two(theta).swapaxes(-1, -2))) < 1e-14
 
     def test_maximally_mixed_vanishes(self):
         theta = pauli_tensor(np.eye(8, dtype=complex) / 8)
@@ -118,12 +115,13 @@ class TestCorrelationMatrices:
         assert trace_norm(m) == pytest.approx(1.5, abs=1e-12)
 
     def test_two_to_one_is_transpose(self, rng):
+        # the pair -> qubit matrix is the transpose, so a cut's two directions share one norm
         rho = random_mixed_density(rng)
-        theta = pauli_tensor(rho)
-        assert np.array_equal(correlation_two_to_one(theta),
-                              correlation_one_to_two(theta).T)
+        rep = steering_report(rho, include_all_cuts=True, include_two_to_one=True)
+        for name, _, reverse in CUT_AXES:
+            assert rep[f"norm_{reverse}"] == rep[f"norm_{name}"]
         stack = pauli_tensor(np.stack([random_mixed_density(rng) for _ in range(7)]))
-        m = correlation_two_to_one(stack)
+        m = correlation_one_to_two(stack).swapaxes(-1, -2)
         assert m.shape == (7, 16, 4)
         for i in range(7):
             assert np.array_equal(m[i], correlation_one_to_two(stack[i]).T)
@@ -138,7 +136,7 @@ class TestCorrelationMatrices:
             j, k = divmod(n, 4)
             for m in range(4):
                 direct[n, m] = scale * (tp[j, k, m] - tp[j, k, 0] * tp[0, 0, m])
-        assert_allclose(correlation_two_to_one(pauli_tensor(rho)), direct, atol=1e-12)
+        assert_allclose(correlation_one_to_two(pauli_tensor(rho)).swapaxes(-1, -2), direct, atol=1e-12)
 
     def test_pair_matches_definition(self, rng):
         rho2 = partial_trace(random_mixed_density(rng), ("A", "C"))
@@ -279,10 +277,11 @@ class TestTraceNorms:
 class TestHValues:
     def test_ghz_point(self):
         rho = density_from_pure(ghz_state(np.pi / 4))
-        assert h_one_to_two(rho) == pytest.approx(GHZ_H, abs=1e-9)
+        assert steering_report(rho, validate=False)["h_a_bc"] == pytest.approx(GHZ_H, abs=1e-9)
 
     def test_product_zero(self):
-        assert h_one_to_two(density_from_pure(np.eye(8)[0])) == pytest.approx(0.0, abs=1e-12)
+        rep = steering_report(density_from_pure(np.eye(8)[0]), validate=False)
+        assert rep["h_a_bc"] == pytest.approx(0.0, abs=1e-12)
 
     def test_w_half_pi(self):
         # oracle: definition-level covariance matrix + marginal purities
@@ -293,15 +292,18 @@ class TestHValues:
         pbc = np.trace(oracle_ptrace(rho, (1, 2)) @ oracle_ptrace(rho, (1, 2))).real
         oracle = norm - np.sqrt((2 - pa) * (1 - pbc))
         assert oracle == pytest.approx(W_HALFPI_H, abs=1e-12)
-        assert h_one_to_two(rho) == pytest.approx(oracle, abs=1e-10)
+        assert steering_report(rho, validate=False)["h_a_bc"] == pytest.approx(oracle, abs=1e-10)
         assert norm == pytest.approx(np.sqrt(3) / 2 + 3 / 8, abs=1e-12)
 
     def test_two_to_one(self, rng):
-        assert h_two_to_one(density_from_pure(np.eye(8)[0])) == pytest.approx(0.0, abs=1e-12)
+        def h_bc_to_a(rho):
+            return steering_report(rho, include_two_to_one=True, validate=False)["h_bc_to_a"]
+
+        assert h_bc_to_a(density_from_pure(np.eye(8)[0])) == pytest.approx(0.0, abs=1e-12)
         mixed = np.eye(8, dtype=complex) / 8
-        assert h_two_to_one(mixed) == pytest.approx(-np.sqrt(3.75 * 0.5), abs=1e-12)
+        assert h_bc_to_a(mixed) == pytest.approx(-np.sqrt(3.75 * 0.5), abs=1e-12)
         rho = density_from_pure(ghz_state(np.pi / 4))
-        assert h_two_to_one(rho) == pytest.approx(1.5 - np.sqrt(1.75), abs=1e-10)
+        assert h_bc_to_a(rho) == pytest.approx(1.5 - np.sqrt(1.75), abs=1e-10)
 
     def test_pair_values(self):
         bell = np.zeros(4, dtype=complex)
@@ -320,9 +322,15 @@ class TestHValues:
             assert h_pair(rho2) == pytest.approx(expect, abs=1e-10)
 
     def test_steering_value(self):
-        assert steering_value(0.634) == 0.634
-        assert steering_value(-0.7) == 0.0
-        assert steering_value(0.0) == 0.0
+        # S = max(H, 0) on a steerable (H > 0), an unsteerable (H < 0) and a product (H = 0) state
+        states = (density_from_pure(ghz_state(np.pi / 4)), np.eye(8, dtype=complex) / 8,
+                  density_from_pure(np.eye(8)[0]))
+        h = [steering_report(rho)["h_a_bc"] for rho in states]
+        assert h[0] > 0 > h[1] and h[2] == 0.0
+        for rho in states:
+            rep = steering_report(rho, include_all_cuts=True, include_two_to_one=True)
+            for key in (k for k in rep if k.startswith("h_") and k != "h_tot"):
+                assert rep["s_" + key[2:]] == np.maximum(rep[key], 0.0)
 
 
 class TestPureClosedForm:
@@ -389,7 +397,7 @@ class TestWhiteNoiseThresholds:
             if key == "h_a_bc":
                 direct.append(trace_norm(correlation_one_to_two(theta)) - np.sqrt((1 + d_a) * d_bc))
             else:
-                direct.append(trace_norm(correlation_two_to_one(theta)) - np.sqrt((3 + d_bc) * d_a))
+                direct.append(trace_norm(correlation_one_to_two(theta).swapaxes(-1, -2)) - np.sqrt((3 + d_bc) * d_a))
         for h in (kernel, np.array(direct)):
             assert h[0] < 0 < h[1]
             assert np.max(np.abs(h)) <= 1e-11
@@ -450,9 +458,9 @@ class TestReport:
         assert rep["classification"] == "corollary1"
 
     def test_classification_rule(self):
-        assert classify_pairs(0.0, 0.1, 0.2) == "corollary1"
-        assert classify_pairs(-0.1, -0.2, -0.3) == "corollary2"
-        assert classify_pairs(-0.1, 0.2, 0.3) == "mixed"
+        # one column of pair H values (h_ab, h_ac, h_bc) per state; H = 0 counts as steerable
+        h = np.array([[0.0, -0.1, -0.1], [0.1, -0.2, 0.2], [0.2, -0.3, 0.3]])
+        assert _classes(h).tolist() == ["corollary1", "corollary2", "mixed"]
 
     def test_report_keys(self, rng):
         rep = steering_report(random_mixed_density(rng), include_all_cuts=True,
@@ -463,13 +471,13 @@ class TestReport:
         assert core <= set(d)
         for extra in ("h_b_to_ca", "h_c_to_ab", "h_bc_to_a", "h_ba"):
             assert extra in d
-        assert d["s_ab"] == steering_value(d["h_ab"])
+        assert d["s_ab"] == np.maximum(d["h_ab"], 0.0)
 
     def test_cut_consistency_via_permutation(self, rng):
         # the B->CA cut equals the A->BC cut of the relabeled state
         rho = random_mixed_density(rng)
         rep = steering_report(rho, include_all_cuts=True)
-        direct = h_one_to_two(permute_qubits(rho, ("B", "C", "A")))
+        direct = steering_report(permute_qubits(rho, ("B", "C", "A")), validate=False)["h_a_bc"]
         assert rep["h_b_to_ca"] == pytest.approx(direct, abs=1e-12)
 
     def test_invalid_state_rejected(self, rng):
@@ -878,7 +886,7 @@ class TestBatchKernel:
         c, s = np.cos(t), np.sin(t)
         norm = 2 * c * s + 2 * c**2 * s**2
         expect = norm - np.sqrt((5 - np.cos(4 * t)) / 4 * 2 * c**2 * s**2)
-        assert abs(h_one_to_two(rho) - expect) <= 1e-12
+        assert abs(steering_report(rho, validate=False)["h_a_bc"] - expect) <= 1e-12
 
     def test_batch_values_are_arrays(self, rng):
         rhos = np.stack([random_mixed_density(rng) for _ in range(3)])
