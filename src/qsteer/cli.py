@@ -28,12 +28,6 @@ import numpy as np
 
 from . import monogamy, randgen, states, steering
 
-_TOLERANCE_PROFILES = {
-    "default": {"herm_tol": states.HERM_TOL, "trace_tol": states.TRACE_TOL, "eig_tol": states.EIG_TOL},
-    "strict": {"herm_tol": 1e-13, "trace_tol": 1e-13, "eig_tol": 1e-12},
-    "loose": {"herm_tol": 1e-9, "trace_tol": 1e-9, "eig_tol": 1e-6},
-}
-
 CHUNK = 256  # states per batch call in montecarlo, random and sweep
 
 _PI_RE = re.compile(r"^(-?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?$", re.IGNORECASE)
@@ -104,16 +98,15 @@ def cmd_analyze(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:  # json.loads on deep nesting
         print(f"error: cannot parse state file: {exc}", file=sys.stderr)
         return 1
-    tols = _TOLERANCE_PROFILES[args.tolerance_profile]
-    diag = states.validate_state(rho, **tols)
-    if not diag.passed:
-        print(f"error: invalid state: {json.dumps(diag.as_dict())}", file=sys.stderr)
+    diag = states.validate_state(rho, args.tolerance_profile)
+    if not diag["passed"]:
+        print(f"error: invalid state: {json.dumps(diag)}", file=sys.stderr)
         return 2
     if rho.shape != (8, 8):
         print(f"error: steering analysis needs a three-qubit state, got dim {rho.shape[0]}",
               file=sys.stderr)
         return 2
-    if diag.hermiticity_residual > states.HERM_TOL:  # only loose gets here: analyse the Hermitian part
+    if diag["hermiticity_residual"] > states.HERM_TOL:  # only loose gets here: analyse the Hermitian part
         rho = (rho + rho.conj().T) / 2.0
     report = steering.steering_report(
         rho,
@@ -281,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-to-one", action="store_true", help="include pair-to-qubit directions")
     p.add_argument("--reverse-pairs", action="store_true", help="include B->A, C->A, C->B")
     p.add_argument(
-        "--tolerance-profile", choices=sorted(_TOLERANCE_PROFILES), default="default",
+        "--tolerance-profile", choices=sorted(states.TOLERANCE_PROFILES), default="default",
         help="state validation tolerances",
     )
     p.set_defaults(func=cmd_analyze)

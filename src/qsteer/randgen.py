@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -63,23 +62,25 @@ class RandomStateSpec:
             raise ValueError("seed must be >= 0")
 
 
-def _hash_constants(h: int, mult: int) -> Iterator[tuple[int, int]]:
-    """(xor, multiplier) of successive SeedSequence hashmix steps: the hash
-    constant before and after each multiplication by mult."""
-    while True:
-        h_next = h * mult & _MASK32
-        yield h, h_next
-        h = h_next
+def _hash_constants(h: int, mult: int, skip: int, count: int) -> np.ndarray:
+    """(xor, multiplier) of SeedSequence hashmix steps skip..skip + count - 1,
+    the hash constant before and after each multiplication by mult, as a
+    (2, count, 1) uint32 array."""
+    steps = []
+    for _ in range(skip + count):
+        steps.append((h, h * mult & _MASK32))
+        h = steps[-1][1]
+    return np.array(steps[skip:], np.uint32).T[..., None]
 
 
 def _hashmix(value, xor, mul):
-    """SeedSequence's hashmix on Python ints or uint32 arrays (which wrap)."""
+    """SeedSequence's hashmix on uint32 arrays (which wrap)."""
     value = (value ^ xor) * mul & _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix on Python ints or uint32 arrays (which wrap)."""
+    """SeedSequence's mix on uint32 arrays (which wrap)."""
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return r ^ r >> 16
 
@@ -90,29 +91,21 @@ def _uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
 
     SeedSequence mixes the seed's 32-bit words, zero-padded to the pool size,
     then the spawn word i. Only that last phase depends on i, so the seed
-    phases run once in Python ints, and the spawn phase and generate_state's
-    8 output words run as (4, n) and (8, n) uint32 steps over all indices.
+    phases are numpy's own SeedSequence(seed).pool, taken once, and the spawn
+    phase and generate_state's 8 output words run as (4, n) and (8, n) uint32
+    steps over all indices.
     PCG64's seeding step runs in Python ints, and numpy's own PCG64 and
     Generator draw each row.
     """
     seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, *next(consts)) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
-    xor, mul = np.array([next(consts) for _ in range(_POOL_SIZE)], np.uint32).T[..., None]
+    pool = np.random.SeedSequence(seed).pool[:, None]  # the seed phases, a (4, 1) uint32 column
+    # the spawn word's hashmix constants follow the 4 * max(4, words) the seed phases used
+    skip = _POOL_SIZE * max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, skip, _POOL_SIZE)
     index = np.arange(start, stop, dtype=np.uint32)
-    pools = _mix(np.array(pool, np.uint32)[:, None], _hashmix(index, xor, mul))
+    pools = _mix(pool, _hashmix(index, xor, mul))
     # generate_state(4, np.uint64): 8 words from the cycled pool, paired little-endian
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    xor, mul = np.array([next(consts) for _ in range(8)], np.uint32).T[..., None]
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 0, 8)
     w = _hashmix(np.concatenate((pools, pools)), xor, mul).astype(np.uint64)
     seeds = (w[0::2] | w[1::2] << 32).T.tolist()
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "StateDiagnostics",
     "ghz_state",
     "w_state",
     "schmidt_points",
@@ -35,6 +33,12 @@ __all__ = [
 HERM_TOL = 1e-12  # |rho - rho^+| entries: ~1e-16 rounding per amplitude product, 1e4 headroom
 TRACE_TOL = 1e-12  # |tr rho - 1|: a sum of eight ~1e-16-rounded diagonal entries, 1e3 headroom
 EIG_TOL = 1e-9  # negative eigenvalue still taken as 0: eigvalsh error ~1e-15, payload rounding ~1e-12
+# validate_state's (HERM_TOL, TRACE_TOL, EIG_TOL) by profile name, as `qsteer analyze --tolerance-profile` takes it
+TOLERANCE_PROFILES = {
+    "default": (HERM_TOL, TRACE_TOL, EIG_TOL),
+    "strict": (1e-13, 1e-13, 1e-12),
+    "loose": (1e-9, 1e-9, 1e-6),
+}
 SPHERE_TOL = 1e-9  # |x^2 + y^2 + z^2 + h^2 - 1| a Schmidt point may have; schmidt_state divides by the norm
 
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
@@ -257,43 +261,17 @@ def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
     return r6.transpose(p + tuple(q + 3 for q in p)).reshape(8, 8)
 
 
-@dataclass
-class StateDiagnostics:
-    """Validity report for a candidate density matrix."""
+def validate_state(rho: np.ndarray, profile: str = "default") -> dict:
+    """Check Hermiticity, unit trace, and positivity of a square matrix under
+    the tolerances of one of TOLERANCE_PROFILES.
 
-    dim: int
-    hermiticity_residual: float
-    trace_residual: float
-    min_eigenvalue: float
-    hermitian_ok: bool
-    trace_ok: bool
-    positive_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.positive_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "hermiticity_residual": self.hermiticity_residual,
-            "trace_residual": self.trace_residual,
-            "min_eigenvalue": self.min_eigenvalue,
-            "passed": self.passed,
-        }
-
-
-def validate_state(
-    rho: np.ndarray,
-    herm_tol: float = HERM_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_tol: float = EIG_TOL,
-) -> StateDiagnostics:
-    """Check Hermiticity, unit trace, and positivity of a square matrix.
-
-    A matrix with a NaN or an infinite entry fails, with hermiticity_residual
-    and min_eigenvalue NaN.
+    Returns {"dim", "hermiticity_residual", "trace_residual",
+    "min_eigenvalue", "passed"}. A matrix with a NaN or an infinite entry
+    fails, with hermiticity_residual and min_eigenvalue NaN.
     """
+    if profile not in TOLERANCE_PROFILES:
+        raise ValueError(f"unknown tolerance profile {profile!r}: choose from {', '.join(TOLERANCE_PROFILES)}")
+    herm_tol, trace_tol, eig_tol = TOLERANCE_PROFILES[profile]
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
@@ -303,15 +281,13 @@ def validate_state(
     herm = float(np.abs(rho - rho_h).max()) if finite else math.nan
     tr = float(abs(rho.trace() - 1.0))
     min_eig = float(np.linalg.eigvalsh((rho + rho_h) / 2.0)[0]) if finite else math.nan
-    return StateDiagnostics(
-        dim=rho.shape[0],
-        hermiticity_residual=herm,
-        trace_residual=tr,
-        min_eigenvalue=min_eig,
-        hermitian_ok=herm <= herm_tol,
-        trace_ok=tr <= trace_tol,
-        positive_ok=min_eig >= -eig_tol,
-    )
+    return {
+        "dim": rho.shape[0],
+        "hermiticity_residual": herm,
+        "trace_residual": tr,
+        "min_eigenvalue": min_eig,
+        "passed": herm <= herm_tol and tr <= trace_tol and min_eig >= -eig_tol,
+    }
 
 
 def state_to_payload(state: np.ndarray) -> dict:

@@ -403,8 +403,8 @@ def steering_report(
     rho = np.asarray(rho, dtype=complex)
     if validate:
         diag = validate_state(rho)
-        if not diag.passed:
-            raise ValueError(f"invalid density matrix: {diag.as_dict()}")
+        if not diag["passed"]:
+            raise ValueError(f"invalid density matrix: {diag}")
     plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
     table, labels = _columns(rho[None], plan)
     values = table[:, 0].tolist()

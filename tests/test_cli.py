@@ -149,16 +149,23 @@ class TestAnalyze:
         assert out == json.dumps(steering_report((rho + rho.conj().T) / 2).to_dict(), indent=2) + "\n"
 
     def test_loose_profile_rejects_larger_skew(self, tmp_path, capsys):
-        _, path = self._skew_file(tmp_path, 1e-8)
+        # stderr is one line: the prefix, then validate_state's five keys in order
+        rho, path = self._skew_file(tmp_path, 1e-8)
         code, out, err = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("error: invalid state: {")
+        prefix = "error: invalid state: "
+        [line] = err.splitlines()
+        assert line.startswith(prefix)
+        diag = json.loads(line[len(prefix):])
+        assert list(diag) == ["dim", "hermiticity_residual", "trace_residual", "min_eigenvalue", "passed"]
+        assert diag["dim"] == 8 and diag["passed"] is False
+        assert diag == validate_state(rho, "loose")
 
     def test_default_profile_skew_at_herm_tol(self, tmp_path, capsys):
         # a residual of exactly HERM_TOL passes validation, and the Pauli traces'
         # imaginary parts (4e-12) stay within the kernel's limit, unprojected
         rho, path = self._skew_file(tmp_path, 5e-13)
-        assert validate_state(rho).hermiticity_residual == 1e-12
+        assert validate_state(rho)["hermiticity_residual"] == 1e-12
         code, out, err = run_cli(["analyze", str(path)], capsys)
         assert (code, err) == (0, "")
         assert out == json.dumps(steering_report(rho).to_dict(), indent=2) + "\n"
@@ -432,7 +439,7 @@ class TestRandom:
         for i in range(4):
             payload = json.loads((tmp_path / "states" / f"state_{i:05d}.json").read_text())
             rho = state_from_payload(payload)
-            assert validate_state(rho).passed
+            assert validate_state(rho)["passed"]
             assert np.linalg.eigvalsh(rho)[-2] < 1e-10  # rank one
 
     def test_mixed_files_unit_eigenvalue_sum(self, tmp_path, capsys):
@@ -459,7 +466,7 @@ class TestRandom:
         assert len(lines) == 4
         assert json.loads(lines[0])["meta"]["seed"] == 5
         for line in lines[1:]:
-            assert validate_state(state_from_payload(json.loads(line))).passed
+            assert validate_state(state_from_payload(json.loads(line)))["passed"]
 
     def test_analyze_accepts_emitted_state(self, tmp_path, capsys):
         run_cli(["random", "--count", "1", "--seed", "13", "--out", str(tmp_path / "s")], capsys)

@@ -111,7 +111,7 @@ def test_residual_within_herm_tol_accepted(rng):
     # diagonal rho keeps both exact
     rho = np.diag(rng.dirichlet(np.ones(8))).astype(complex)
     skewed = rho + 0.5j * HERM_TOL * PAULI3
-    assert all(validate_state(s).hermiticity_residual == HERM_TOL for s in skewed)
+    assert all(validate_state(s)["hermiticity_residual"] == HERM_TOL for s in skewed)
     theta = pauli_tensor(skewed)
     assert_allclose(theta, np.broadcast_to(pauli_tensor(rho), theta.shape), rtol=0, atol=1e-15)
 

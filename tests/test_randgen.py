@@ -64,7 +64,7 @@ def test_pure_mode():
         assert purity(rho) == pytest.approx(1.0, abs=1e-10)
         eig = np.linalg.eigvalsh(rho)
         assert eig[-2] < 1e-10  # rank one
-        assert validate_state(rho).passed
+        assert validate_state(rho)["passed"]
 
 
 def test_pure_vector_matches_state():
@@ -81,7 +81,7 @@ def test_mixed_mode():
     for rho in _states(spec):
         p = purity(rho)
         assert 1 / 8 < p <= 1 + 1e-12
-        assert validate_state(rho).passed
+        assert validate_state(rho)["passed"]
 
 
 def test_determinism_and_order_independence():

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from qsteer.randgen import RandomStateSpec, random_pure_batch, random_state_batch
 from qsteer.states import (
+    TRACE_TOL,
     density_from_pure,
     ghz_state,
     partial_trace,
@@ -128,7 +129,7 @@ class TestDensity:
             rho = density_from_pure(v / np.linalg.norm(v))
             assert_allclose(np.trace(rho).real, 1.0, atol=1e-12)
             assert_allclose(purity(rho), 1.0, atol=1e-12)
-            assert validate_state(rho).passed
+            assert validate_state(rho)["passed"]
 
     def test_every_built_pure_state_reads_zero_deficit(self, rng):
         # the steering kernel takes rho as pure exactly where purity_deficit
@@ -222,18 +223,24 @@ class TestPermute:
 
 class TestValidate:
     def test_valid_state_passes(self, rng):
-        assert validate_state(random_mixed_density(rng)).passed
+        diag = validate_state(random_mixed_density(rng))
+        assert list(diag) == ["dim", "hermiticity_residual", "trace_residual", "min_eigenvalue", "passed"]
+        assert diag["dim"] == 8 and diag["passed"] is True
 
     def test_hermiticity_failure_reports_residual(self, rng):
         rho = random_mixed_density(rng)
         rho[0, 1] += 1e-3
         diag = validate_state(rho)
-        assert not diag.passed
-        assert diag.hermiticity_residual == pytest.approx(1e-3, rel=0.1)
+        assert not diag["passed"]
+        assert diag["hermiticity_residual"] == pytest.approx(1e-3, rel=0.1)
+
+    def test_unknown_profile_rejected(self, rng):
+        with pytest.raises(ValueError, match="'nope': choose from default, strict, loose"):
+            validate_state(random_mixed_density(rng), "nope")
 
     def test_trace_failure(self, rng):
         diag = validate_state(0.9 * random_mixed_density(rng))
-        assert not diag.trace_ok and not diag.passed
+        assert diag["trace_residual"] > TRACE_TOL and not diag["passed"]
 
     def test_diagnostics_bit_identical_to_definitions(self, rng):
         psi = ghz_state(np.pi / 4)
@@ -245,9 +252,9 @@ class TestValidate:
         for rho in mats:
             diag = validate_state(rho)
             rho_h = rho.conj().T
-            for got, expect in ((diag.hermiticity_residual, np.max(np.abs(rho - rho_h))),
-                                (diag.trace_residual, abs(np.trace(rho) - 1)),
-                                (diag.min_eigenvalue, np.linalg.eigvalsh((rho + rho_h) / 2)[0])):
+            for got, expect in ((diag["hermiticity_residual"], np.max(np.abs(rho - rho_h))),
+                                (diag["trace_residual"], abs(np.trace(rho) - 1)),
+                                (diag["min_eigenvalue"], np.linalg.eigvalsh((rho + rho_h) / 2)[0])):
                 assert type(got) is float
                 assert np.float64(got).tobytes() == np.float64(expect).tobytes()
 

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from qsteer.pauli import pauli_tensor
+from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import (
     DEFICIT_FLOOR,
     density_from_pure,
@@ -408,6 +409,89 @@ class TestWhiteNoiseThresholds:
              for p in np.array(self.SIDES) / np.sqrt(3)]
         assert h[0] < 0 < h[1]
         assert max(map(abs, h)) <= 1e-11
+
+
+def _direct_one_to_two(rho):
+    """Each 1->2 cut's (H, norm, bound) through trace_norm's SVD, keyed as the report."""
+    theta = pauli_tensor(rho)
+    out = {}
+    for name, axes, _ in CUT_AXES:
+        q, pair = axes[0], axes[1:]
+        norm = trace_norm(correlation_one_to_two(theta.transpose(axes)))
+        bound = np.sqrt((1 + purity_deficit(partial_trace(rho, (q,)))) * purity_deficit(partial_trace(rho, pair)))
+        out[name] = (norm - bound, norm, bound)
+    return out
+
+
+class TestBiseparableCounterexample:
+    """rho = 1/2 |0>_B Phi+_CA + 1/2 |0>_C Phi+_AB mixes a product across B|CA
+    with a product across C|AB, so it is biseparable, yet every 1->2 cut
+    detects it: passing every cut is no test of genuine multipartite steering.
+    Closed forms (sympy): A->BC has the norm (2 sqrt 2 + sqrt 3)/4 and the
+    bound sqrt 15/4; B->CA and C->AB the norm (2 + sqrt 2)/4 and the bound
+    sqrt 11/4."""
+
+    H_A_BC = (2 * np.sqrt(2) + np.sqrt(3) - np.sqrt(15)) / 4  # 0.17187364652691263
+    H_B_C = (2 + np.sqrt(2) - np.sqrt(11)) / 4  # 0.0243971930044238
+
+    @staticmethod
+    def _rho():
+        b_product = np.zeros(8)
+        b_product[[0, 5]] = R2  # |0>_B (|00> + |11>)_CA / sqrt 2 = (|000> + |101>) / sqrt 2
+        c_product = np.zeros(8)
+        c_product[[0, 6]] = R2  # |0>_C (|00> + |11>)_AB / sqrt 2 = (|000> + |110>) / sqrt 2
+        return (density_from_pure(b_product) + density_from_pure(c_product)) / 2
+
+    def test_valid_rank_two(self):
+        rho = self._rho()
+        assert validate_state(rho)["passed"]
+        assert_allclose(np.linalg.eigvalsh(rho), [0] * 6 + [0.25, 0.75], rtol=0, atol=1e-15)
+
+    def test_every_one_to_two_cut_detects_it(self):
+        rho = self._rho()
+        kernel = steering_batch(rho[None], include_all_cuts=True)
+        direct = _direct_one_to_two(rho)
+        expect = {"a_bc": (self.H_A_BC, (2 * np.sqrt(2) + np.sqrt(3)) / 4, np.sqrt(15) / 4),
+                  "b_to_ca": (self.H_B_C, (2 + np.sqrt(2)) / 4, np.sqrt(11) / 4),
+                  "c_to_ab": (self.H_B_C, (2 + np.sqrt(2)) / 4, np.sqrt(11) / 4)}
+        for name, (h, norm, bound) in expect.items():
+            got = [kernel[f"{key}_{name}"][0] for key in ("h", "norm", "bound")]
+            assert_allclose(got, [h, norm, bound], rtol=0, atol=1e-14)
+            assert_allclose(direct[name], [h, norm, bound], rtol=0, atol=1e-14)
+        assert min(self.H_A_BC, self.H_B_C) > 0.024
+
+
+class TestCKWMonogamy:
+    """The Coffman-Kundu-Wootters form S_A->BC >= S_A->B + S_A->C fails where
+    the paper's S_A->BC >= H_A->B + H_A->C + H_B->C holds: pure state 464 of
+    RandomStateSpec(seed=5), the worst of the 5 CKW failures in its first
+    20,000 states. The paper's relation holds there only through its
+    negative H_B->C term."""
+
+    @staticmethod
+    def _rho():
+        return random_state_batch(RandomStateSpec(seed=5, mode="pure", count=465), 464, 465)[0]
+
+    def test_ckw_fails_paper_holds(self):
+        rho = self._rho()
+        r = steering_report(rho)
+        ckw = r["s_a_bc"] - r["s_ab"] - r["s_ac"]
+        assert_allclose([r["s_a_bc"], r["s_ab"], r["s_ac"], ckw], [0.38273, 0.24594, 0.15103, -0.0142471],
+                        rtol=0, atol=1e-5)
+        # both pair H >= 0, so S = H there, and the relation survives on h_bc < 0
+        assert r["h_ab"] > 0 and r["h_ac"] > 0
+        assert_allclose(r["h_bc"], -0.18957, rtol=0, atol=1e-5)
+        assert r["margin"] == r["s_a_bc"] - r["h_tot"] and r["margin"] > 0.17
+
+    def test_direct_route_agrees(self):
+        rho = self._rho()
+        r = steering_report(rho)
+        s_a_bc = max(_direct_one_to_two(rho)["a_bc"][0], 0.0)
+        s_ab, s_ac = (max(h_pair(partial_trace(rho, pair)), 0.0) for pair in ("AB", "AC"))
+        assert abs((s_a_bc - s_ab - s_ac) - (r["s_a_bc"] - r["s_ab"] - r["s_ac"])) <= 1e-12
+        h_bc = h_pair(partial_trace(rho, "BC"))
+        assert abs(h_bc - r["h_bc"]) <= 1e-12
+        assert s_a_bc - (s_ab + s_ac + h_bc) >= 0
 
 
 class TestWPairNorms:
@@ -821,8 +905,8 @@ class TestBatchKernel:
         rho = random_mixed_density(rng)
         rho[at] = value
         diag = validate_state(rho)
-        assert not diag.passed and np.isnan(diag.min_eigenvalue)
-        assert np.isnan(diag.hermiticity_residual)
+        assert not diag["passed"] and np.isnan(diag["min_eigenvalue"])
+        assert np.isnan(diag["hermiticity_residual"])
         with pytest.raises(ValueError, match="invalid density matrix"):
             steering_report(rho)
         with pytest.raises(ValueError, match="non-finite input"):
