@@ -399,8 +399,7 @@ class MinimizeResult:
         found = next((name for name, o in zip(_ZERO_SETS, on) if o and self.zero_sets[name]["hits"]), None)
         f = 0.0  # f on a zero set
         if found is None:
-            diff = self.points.reshape(-1, 1, 4) - t
-            d = np.sqrt(diff @ diff.transpose(0, 2, 1))[:, 0, 0]  # sqrt(v @ v), as np.linalg.norm(v) takes it
+            d = np.array([np.linalg.norm(v) for v in self.points - t])
             hits = np.flatnonzero(d <= min(RECOVER_RADIUS, d.min(initial=np.inf)))
             if hits.size:
                 found = self.row(hits[-1])
@@ -632,22 +631,17 @@ def _sobol_base(n: int, dim: int, seed: int) -> np.ndarray:
 
 def _fold(g: np.ndarray) -> np.ndarray:
     """Take (dim, k) rows of _sobol_base to the sphere in place: clipped, folded through
-    |ndtri| and divided by their row norm, whose squares add in coordinate order, as
-    np.linalg.norm does. Each point's bits do not depend on the block it is in."""
+    |ndtri| and divided by their row norm. Each point's bits do not depend on the block it is in."""
     from scipy.special import ndtri
 
     np.abs(ndtri(np.clip(g, 1e-12, 1.0 - 1e-12, out=g), out=g), out=g)
-    norm, sq = np.multiply(g[0], g[0]), np.empty_like(g[0])
-    for row in g[1:]:
-        norm += np.multiply(row, row, out=sq)
-    g /= np.sqrt(norm, out=norm)
+    g /= np.linalg.norm(g, axis=0)
     return g
 
 
 def _sobol_sphere(n: int, dim: int, seed: int) -> np.ndarray:
     """Quasi-uniform points on the positive octant of the unit (dim-1)-sphere: the first n of
-    2^m scrambled Sobol points, clipped, folded through |ndtri| and divided by their row norm,
-    computed in place on contiguous (dim, n) rows (_fold), as verify_monogamy's blocks are,
+    2^m scrambled Sobol points folded onto the sphere (_fold), as verify_monogamy's blocks are,
     and returned as their (n, dim) transpose."""
     return _fold(_sobol_base(n, dim, seed)).T
 

@@ -11,9 +11,9 @@ default_rng(SeedSequence(seed, spawn_key=(i,))), numpy's PCG64, so identical
 (seed, mode, count) specs give bit-identical output regardless of batching or
 ordering. The stream is read once per state, 8 cascade uniforms (mixed mode
 only) then the 64 of K, the same doubles in the same order as separate
-uniform calls. The seeding runs vectorised over a whole index range (the
-SeedSequence hash and PCG64's seeding step, see `_uniforms`) and numpy's own
-PCG64 draws each state's doubles, so the streams are numpy's, bit for bit.
+uniform calls. The SeedSequence hash runs vectorised over a whole index
+range (see `_uniforms`), and numpy's own PCG64 seeds itself from each state's
+hashed words and draws its doubles, so the streams are numpy's, bit for bit.
 State indices stay below 2**32 (count <= 2**32), where the spawn key is one
 32-bit word.
 """
@@ -32,15 +32,12 @@ GENERATOR_NAME = "pcg64-seedseq-spawn"
 # index of the cascade entry each N_n multiplies; N_7 restarts from N_5
 _CASCADE_PARENTS = (None, 0, 1, 2, 3, 4, 4, 6)
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
-# (numpy/random/src/pcg64), which _uniforms reproduces
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which _uniforms reproduces
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,18 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 one stream's (4,) uint64 words, those of
+    SeedSequence.generate_state(4, np.uint64); PCG64 reads them from the array's
+    buffer, so the array is contiguous."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     """Row i - start holds default_rng(SeedSequence(seed, spawn_key=(i,))).random(width),
     bit for bit, for i = start..stop - 1 below 2**32.
@@ -93,9 +102,8 @@ def _uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     then the spawn word i. Only that last phase depends on i, so the seed
     phases are numpy's own SeedSequence(seed).pool, taken once, and the spawn
     phase and generate_state's 8 output words run as (4, n) and (8, n) uint32
-    steps over all indices.
-    PCG64's seeding step runs in Python ints, and numpy's own PCG64 and
-    Generator draw each row.
+    steps over all indices. numpy's own PCG64 seeds itself from each row's
+    words (_Words) and draws the row.
     """
     seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
     pool = np.random.SeedSequence(seed).pool[:, None]  # the seed phases, a (4, 1) uint32 column
@@ -107,18 +115,10 @@ def _uniforms(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     # generate_state(4, np.uint64): 8 words from the cycled pool, paired little-endian
     xor, mul = _hash_constants(_INIT_B, _MULT_B, 0, 8)
     w = _hashmix(np.concatenate((pools, pools)), xor, mul).astype(np.uint64)
-    seeds = (w[0::2] | w[1::2] << 32).T.tolist()
-
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
+    seeds = np.ascontiguousarray((w[0::2] | w[1::2] << 32).T)
     u = np.empty((stop - start, width))
-    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(u, seeds):
-        # pcg64_set_seed: inc = 2 initseq + 1, state = (initstate + inc) M + inc, mod 2^128
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        gen.random(out=row)
+    for row, words in zip(u, seeds):
+        np.random.Generator(np.random.PCG64(_Words(words))).random(out=row)
     return u
 
 

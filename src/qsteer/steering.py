@@ -405,6 +405,8 @@ def steering_report(
         diag = validate_state(rho)
         if not diag["passed"]:
             raise ValueError(f"invalid density matrix: {diag}")
+    if rho.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 density matrix, got shape {rho.shape}")
     plan = _plan(bool(include_all_cuts), bool(include_two_to_one), bool(include_reverse_pairs))
     table, labels = _columns(rho[None], plan)
     values = table[:, 0].tolist()

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +108,13 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(path)], capsys)
         assert code == 1
         assert "non-finite" in err
+
+    def test_non_object_payload_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: cannot parse state file: state payload must be a JSON object\n"
 
     def test_invalid_state_exit_2(self, tmp_path, capsys):
         payload = state_to_payload(ghz_state(np.pi / 4))
@@ -510,6 +520,19 @@ def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, writer, blocked):
     assert (code, stdout) == (1, "")
     assert err.startswith("error: cannot write ") and "Traceback" not in err
     assert not (out / "metadata.json").exists()
+
+
+def test_pathless_os_error_propagates(monkeypatch):
+    # an OSError that names no file (a closed stdout, say) is no --out problem: main re-raises it
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.delenv("QSTEER_OUT_DIR", raising=False)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError) as exc:
+        cli.main(["sweep", "--family", "ghz", "--start", "0", "--stop", "1", "--points", "2"])
+    assert exc.value.filename is None
 
 
 class TestVerifyAppendix:

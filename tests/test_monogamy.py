@@ -285,6 +285,11 @@ class TestAuxiliaries:
         assert sign_region(CORNER) == "boundary"
         assert sign_region((0.0, 0.3, 0.6, np.sqrt(1 - 0.09 - 0.36))) == "boundary"
 
+    def test_undefined_region_rejected(self):
+        # the equal-weight point lies outside the printed expression's real domain
+        with pytest.raises(ValueError, match=r"^negative radicand in auxiliary quantities at \(0\.5, 0\.5, 0\.5, 0\.5\)$"):
+            sign_region((0.5, 0.5, 0.5, 0.5))
+
 
 class TestClosedForm:
     def test_matches_pipeline_at_special_points(self):

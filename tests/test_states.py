@@ -196,6 +196,10 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, ("A", "B", "C"))
 
+    def test_non_three_qubit_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected an 8x8 three-qubit density matrix, got \(4, 4\)$"):
+            partial_trace(np.eye(4) / 4, ("A",))
+
 
 class TestPermute:
     def test_ghz_symmetric(self):
@@ -220,6 +224,10 @@ class TestPermute:
         with pytest.raises(ValueError):
             permute_qubits(rho, ("A", "A", "B"))
 
+    def test_non_three_qubit_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected an 8x8 three-qubit density matrix, got \(4, 4\)$"):
+            permute_qubits(np.eye(4) / 4, ("B", "C", "A"))
+
 
 class TestValidate:
     def test_valid_state_passes(self, rng):
@@ -237,6 +245,10 @@ class TestValidate:
     def test_unknown_profile_rejected(self, rng):
         with pytest.raises(ValueError, match="'nope': choose from default, strict, loose"):
             validate_state(random_mixed_density(rng), "nope")
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4, 2\)$"):
+            validate_state(np.ones((4, 2)) / 4)
 
     def test_trace_failure(self, rng):
         diag = validate_state(0.9 * random_mixed_density(rng))
@@ -308,3 +320,11 @@ class TestPayload:
             state_from_payload({"qubits": 2, "kind": "mixed", "matrix": [[[1, 0]] * 3] * 4})
         with pytest.raises(ValueError):
             state_from_payload({"qubits": 2, "kind": "funky"})
+        with pytest.raises(ValueError, match="^state payload must be a JSON object$"):
+            state_from_payload([])
+
+    def test_to_payload_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match=r"^amplitude vector length 6 is not 2\^q for q in 1..3$"):
+            state_to_payload(np.ones(6) / 6**0.5)
+        with pytest.raises(ValueError, match=r"^matrix shape \(4, 2\) is not 2\^q x 2\^q for q in 1..3$"):
+            state_to_payload(np.ones((4, 2)))

@@ -314,6 +314,8 @@ class TestHValues:
             assert h_pair(rho2, side) == pytest.approx(1.5 - np.sqrt(0.75), abs=1e-10)
         prod = np.kron(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]) + 0.5 * np.array([[0, 1], [1, 0]]))
         assert h_pair(prod.astype(complex)) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ValueError, match="^steering_side must be 0 or 1$"):
+            h_pair(rho2, steering_side=2)
 
     def test_pair_ghz_closed_form(self):
         for th in np.linspace(0, np.pi / 2, 21):
@@ -494,6 +496,35 @@ class TestCKWMonogamy:
         assert s_a_bc - (s_ab + s_ac + h_bc) >= 0
 
 
+class TestTwoToOneMonogamy:
+    """The 2->1 analogue S_BC->A >= H_B->A + H_C->A + H_B->C of the paper's
+    relation fails where the paper's own relation holds: pure state 1950 of
+    RandomStateSpec(seed=5), the worst of the 5123 2->1 failures in its first
+    20,000 states."""
+
+    @staticmethod
+    def _rho():
+        return random_state_batch(RandomStateSpec(seed=5, mode="pure", count=1951), 1950, 1951)
+
+    def test_two_to_one_fails_paper_holds(self):
+        r = steering_batch(self._rho(), True, True, True)
+        gap = r["s_bc_to_a"] - (r["h_ba"] + r["h_ca"] + r["h_bc"])
+        assert_allclose(gap, [-0.510005], rtol=0, atol=1e-6)
+        assert_allclose(r["margin"], [0.47525], rtol=0, atol=1e-5)
+
+    def test_direct_route_agrees(self):
+        rhos = self._rho()
+        r = steering_batch(rhos, True, True, True)
+        rho = rhos[0]
+        norm = trace_norm(correlation_one_to_two(pauli_tensor(rho)))
+        bound = np.sqrt((3 + purity_deficit(partial_trace(rho, "BC"))) * purity_deficit(partial_trace(rho, "A")))
+        s_bc_to_a = max(norm - bound, 0.0)
+        h_ba, h_ca = (h_pair(partial_trace(rho, pair), steering_side=1) for pair in ("AB", "AC"))
+        h_bc = h_pair(partial_trace(rho, "BC"))
+        direct = s_bc_to_a - (h_ba + h_ca + h_bc)
+        assert abs(direct - (r["s_bc_to_a"] - (r["h_ba"] + r["h_ca"] + r["h_bc"]))[0]) <= 1e-12
+
+
 class TestWPairNorms:
     def test_tt1_closed_forms(self):
         # the ac/bc forms need |sin 2a| to stay nonnegative past pi/2
@@ -569,6 +600,16 @@ class TestReport:
         rho[0, 0] += 0.2
         with pytest.raises(ValueError, match="invalid density matrix"):
             steering_report(rho)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_non_three_qubit_rejected(self, validate):
+        # a valid one-qubit state: the message names the caller's shape, not the batch of one
+        with pytest.raises(ValueError, match=r"^expected an 8x8 density matrix, got shape \(2, 2\)$"):
+            steering_report(np.eye(2) / 2, validate=validate)
+
+    def test_stack_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected an 8x8 density matrix, got shape \(3, 8, 8\)$"):
+            steering_report(np.stack([np.eye(8) / 8] * 3), validate=False)
 
 
 class TestInvariance:
