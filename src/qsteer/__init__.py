@@ -4,7 +4,6 @@ The public names are those each module lists in its __all__.
 """
 
 from .monogamy import *  # noqa: F403
-from .pauli import *  # noqa: F403
 from .randgen import *  # noqa: F403
 from .states import *  # noqa: F403
 from .steering import *  # noqa: F403

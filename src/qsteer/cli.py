@@ -30,7 +30,8 @@ from . import monogamy, randgen, states, steering
 
 CHUNK = 256  # states per batch call in montecarlo, random and sweep
 
-_PI_RE = re.compile(r"^(-?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?$", re.IGNORECASE)
+_NUMBER = r"(\d+(?:\.\d*)?|\.\d+)"  # 2, 2., 2.5 or .5
+_PI_RE = re.compile(rf"^(-?){_NUMBER}?\s*\*?\s*pi\s*(?:/\s*{_NUMBER})?$", re.IGNORECASE)
 
 APPENDIX_FIXTURES = [
     # (coordinates, expected f, tolerance)
@@ -183,9 +184,7 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
-    for name in ("starts", "stationary_starts"):  # each on its own: a sum could hide a negative
-        if getattr(args, name) < 0:
-            raise ValueError(f"{name} must be >= 0")
+    states._check_integers(args, 0, "starts", "stationary_starts")  # each on its own: a sum could hide a negative
     cfg = monogamy.MinimizeConfig(starts=args.starts + args.stationary_starts,
                                   face_starts=args.face_starts, seed=args.seed)
     scan_cfg = monogamy.VerifyConfig(samples=args.samples, seed=args.seed)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import density_from_pure, schmidt_points, schmidt_state
+from .states import _check_integers, density_from_pure, schmidt_points, schmidt_state
 from .states import partial_trace  # noqa: F401  kept: perfbench/spans.py patches this name here
 from .steering import h_pair  # noqa: F401  kept: perfbench/spans.py patches this name here
 from .steering import steering_batch
@@ -210,6 +210,14 @@ def _fgwv(cols, rad):
             x * z * common, x * np.sqrt(np.clip(v_rad, 0.0, None)))
 
 
+def _point(p) -> np.ndarray:
+    """One point under schmidt_points' rule; any other shape than (4,), a stack too, raises a ValueError."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (4,):
+        raise ValueError(f"expected one (4,) Schmidt point, got shape {p.shape}")
+    return schmidt_points(p)
+
+
 def fgwv(p) -> tuple[float, float, float, float]:
     """Auxiliary quantities (f, g, w, v) behind the four absolute values.
 
@@ -217,7 +225,7 @@ def fgwv(p) -> tuple[float, float, float, float]:
     errors when genuinely negative (the printed expressions leave the real
     domain there).
     """
-    p = schmidt_points(p)
+    p = _point(p)
     rad, defined = _radicands(p[:, None])
     if not defined[0]:
         raise ValueError(f"negative radicand in auxiliary quantities at {tuple(p.tolist())}")
@@ -252,7 +260,7 @@ def sign_region(p) -> str:
     point is 'undefined' (a ValueError here); that holds for 47,671 of the
     2^16 scan samples at seed 0 (73%).
     """
-    p = schmidt_points(p)
+    p = _point(p)
     code = _REGION_NAMES[_region_ids(p)[0]]
     if code == "undefined":
         raise ValueError(f"negative radicand in auxiliary quantities at {tuple(p.tolist())}")
@@ -309,7 +317,7 @@ def boundary_f(p, boundary: str) -> float:
       z=0: qubit C factorizes and both steered deficits vanish, so f == 0
       h=0: qubit B factorizes and f reduces to sqrt(2) x z
     """
-    x, y, z, h = schmidt_points(p)
+    x, y, z, h = _point(p)
     if boundary not in _COORDS:
         raise ValueError(f"boundary must be one of {_COORDS}, got {boundary!r}")
     coord = dict(zip(_COORDS, (x, y, z, h)))[boundary]
@@ -339,9 +347,7 @@ class MinimizeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "face_starts", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _check_integers(self, 0, "starts", "face_starts", "seed")
 
 
 @dataclass
@@ -586,10 +592,10 @@ class VerifyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.samples <= 2**30:  # scipy's Sobol sequence gives at most 2^30 points
+        _check_integers(self, 1, "samples")
+        if self.samples > 2**30:  # scipy's Sobol sequence gives at most 2^30 points
             raise ValueError("samples must be >= 1 and at most 2**30 (1073741824)")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_integers(self, 0, "seed")
 
 
 @dataclass

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _check_integers
+
 __all__ = ["RandomStateSpec", "random_state", "random_state_batch"]
 
 GENERATOR_NAME = "pcg64-seedseq-spawn"
@@ -51,12 +53,10 @@ class RandomStateSpec:
     def __post_init__(self):
         if self.mode not in ("pure", "mixed"):
             raise ValueError(f"mode must be 'pure' or 'mixed', got {self.mode!r}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        _check_integers(self, 1, "count")
         if self.count > 2**32:
             raise ValueError("count must be <= 2**32: state indices are one spawn-key word")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_integers(self, 0, "seed")
 
 
 def _hash_constants(h: int, mult: int, skip: int, count: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -59,6 +60,20 @@ def schmidt_points(p) -> np.ndarray:
             raise ValueError(f"Schmidt coordinates must be finite and nonnegative, got {tuple(rows[i].tolist())}")
         raise ValueError(f"Schmidt coordinates off the unit sphere by {res[i]:.3e}")
     return p
+
+
+def _check_integers(config, low: int, *names: str) -> None:
+    """Raise a TypeError naming the first of config's fields in names that is
+    not an integer (operator.index takes numpy's too), or a ValueError naming
+    the first below low."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
 
 
 def ghz_state(theta) -> np.ndarray:
@@ -124,12 +139,6 @@ def _trace_terms(keep: tuple[int, ...]) -> np.ndarray:
 
 # keys are the subsystems partial_trace can keep, as sorted qubit indices
 _TRACE_TERMS = {k: _trace_terms(k) for k in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
-
-
-def _as_qubit_tensor(rho: np.ndarray) -> np.ndarray:
-    if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
-    return rho.reshape(2, 2, 2, 2, 2, 2)
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
@@ -208,46 +217,6 @@ def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     return float(deficit) if deficit.ndim == 0 else deficit
 
 
-def _deficit_tables(subsystems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables of steering_batch's deficits: those of a list of
-    subsystems, each a tuple of qubit indices, then the full state's.
-
-    terms[e] holds the flat 8x8 indices summed into reduced-state entry e, in
-    partial_trace's order, padded with 64: the index of a zero appended to
-    rho. The last entry is all padding, so it is exactly 0. parts is the
-    _minor_terms input of every minor, as float indices into the real parts
-    of the entry sums, then their imaginary parts, then the 128 floats of rho
-    itself: each subsystem's principal minors in purity_deficit's order,
-    rho's 28, and a zero minor read from the zero entry. Column s of rows
-    lists the minors of subsystem s, padded with the zero minor to the 28 of
-    rho, whose column is the last. So the deficits are
-    purity_deficit(partial_trace(rho, keep)) and purity_deficit(rho) bit for
-    bit: appended to a left-to-right sum, the zeros change at most the sign
-    of a zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
-    """
-    entries, minors = [], []
-    for keep in subsystems:
-        d = 2 ** len(keep)
-        terms = _TRACE_TERMS[tuple(sorted(keep))].reshape(d * d, -1)
-        flat = _minor_entries(d)
-        used = np.unique(np.concatenate(flat))  # the d x d entries the minors read
-        position = np.zeros(d * d, dtype=int)
-        position[used] = len(entries) + np.arange(len(used))
-        entries += [terms[f] for f in used]
-        minors.append(position[np.stack(flat)])
-    zero = len(entries)
-    terms = np.full((zero + 1, max(len(t) for t in entries)), 64)
-    for e, t in enumerate(entries):
-        terms[e, :len(t)] = t
-    parts = [np.stack([ii, jj, ij, len(terms) + ij]) for ii, jj, ij in minors]
-    parts += [2 * len(terms) + _minor_floats(8), np.full((4, 1), zero)]
-    start = np.cumsum([0] + [p.shape[1] for p in parts])
-    rows = np.full((parts[-2].shape[1], len(minors) + 1), start[-2])
-    for s, p in enumerate(parts[:-1]):
-        rows[:p.shape[1], s] = start[s] + np.arange(p.shape[1])
-    return terms, np.concatenate(parts, axis=1), rows
-
-
 def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
     """Relabel qubits so that qubit k of the output is qubit perm[k] of the input.
 
@@ -257,8 +226,10 @@ def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
     p = tuple(_QUBIT_NAMES.get(k, k) for k in perm)
     if sorted(p) != [0, 1, 2]:
         raise ValueError(f"invalid qubit permutation {perm!r}")
-    r6 = _as_qubit_tensor(np.asarray(rho, dtype=complex))
-    return r6.transpose(p + tuple(q + 3 for q in p)).reshape(8, 8)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
+    return rho.reshape((2,) * 6).transpose(p + tuple(q + 3 for q in p)).reshape(8, 8)
 
 
 def validate_state(rho: np.ndarray, profile: str = "default") -> dict:

@@ -7,6 +7,11 @@ purity bound. For a qubit the LOO set is {s_m / sqrt(2)}, for a qubit pair
 front of the raw Pauli covariances below. A positive H value certifies
 steerability in the stated direction; S = max(H, 0) is the quantifier.
 
+The Pauli coefficients theta[i, j, k] = tr(rho s_i x s_j x s_k), s_0 the
+identity and s_1, s_2, s_3 the Pauli matrices, are one gather from rho and
+-rho viewed as floats and one sum in column order (_traces): each term of a
+trace is plus or minus the real or imaginary part of one entry of rho.
+
 A report is one flat dict with the keys of the qsteer analyze JSON, in its
 order: h_, s_, norm_ and bound_ of each cut and direction (a_bc for A->BC,
 bc_to_a for BC->A, b_to_ca, and so on), H and S of the pairs (h_ab, s_ab,
@@ -23,17 +28,14 @@ which h_pair and the tests use.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _signed, _trace_table, _traces, pauli_tensor_pair
-from .states import _deficit_tables, _minor_sum, _minor_terms, ordered_sum, purity, purity_deficit, validate_state
-
-# kept for perfbench/spans.py, which patches pauli_tensor, partial_trace and
-# permute_qubits here, as it does purity_deficit
-from .pauli import pauli_tensor  # noqa: F401
-from .states import partial_trace, permute_qubits  # noqa: F401
+from .states import (HERM_TOL, _TRACE_TERMS, _minor_entries, _minor_floats, _minor_sum, _minor_terms,
+                     ordered_sum, purity, purity_deficit, validate_state)
+from .states import partial_trace, permute_qubits  # noqa: F401  kept: perfbench/spans.py patches these names here
 
 __all__ = [
     "SteeringReport",
@@ -41,9 +43,138 @@ __all__ = [
     "correlation_pair",
     "trace_norm",
     "h_pair",
+    "pauli_tensor",
+    "pauli_tensor_pair",
     "steering_batch",
     "steering_report",
 ]
+
+PAULI = np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ],
+    dtype=complex,
+)
+
+# stacked Pauli strings: PAULI3[16*i + 4*j + k] = s_i x s_j x s_k
+PAULI2 = np.stack([np.kron(PAULI[i], PAULI[j]) for i in range(4) for j in range(4)])
+PAULI3 = np.stack(
+    [np.kron(np.kron(PAULI[i], PAULI[j]), PAULI[k])
+     for i in range(4) for j in range(4) for k in range(4)]
+)
+
+# the 8 columns of a Pauli string pair up by Hermitian conjugation, so
+# |Im tr(rho P)| <= 4 max|rho - rho^+|; the factor 2 on top is rounding headroom
+_IMAG_TOL = 8 * HERM_TOL
+
+
+def _signed(rho: np.ndarray) -> np.ndarray:
+    """The floats of [rho, -rho, 0], each d x d matrix of a complex stack
+    flattened, float axis first: (4 d^2 + 2, ...).
+
+    Float 2e is the real and 2e + 1 the imaginary part of flat entry e,
+    2 d^2 further on lies its negative, and 4 d^2 is an exact zero.
+    """
+    d2 = rho.shape[-1] ** 2
+    out = np.zeros(rho.shape[:-2] + (2 * d2 + 1,), dtype=complex)
+    out[..., :d2] = rho.reshape(rho.shape[:-2] + (d2,))
+    signed = out.view(float)
+    np.negative(signed[..., :2 * d2], out=signed[..., 2 * d2:4 * d2])
+    return signed.transpose((-1,) + tuple(range(signed.ndim - 1)))
+
+
+def _gather_table(strings: np.ndarray) -> np.ndarray:
+    """Float indices into _signed(rho) of the real and imaginary part of every
+    trace term: (2, d, strings).
+
+    Each Pauli string has one nonzero entry per column c, in row r(c), so
+    tr(rho P) = sum_c rho[c, r(c)] P[r(c), c]. With P = +-1 the term is
+    +-(re + i im) of that entry; with P = +-i it is +-(-im + i re).
+    """
+    d = strings.shape[-1]
+    rows = np.argmax(strings != 0, axis=1)
+    values = np.take_along_axis(strings, rows[:, None, :], axis=1)[:, 0, :]
+    re = 2 * (np.arange(d) * d + rows)  # float index of re rho[c, r(c)]
+    one = values.imag == 0  # P[r(c), c] is +-1, else +-i
+    negative = 2 * d * d  # offset of -rho
+    table = np.stack([
+        np.where(one, re, re + 1) + negative * np.where(one, values.real < 0, values.imag > 0),
+        np.where(one, re + 1, re) + negative * np.where(one, values.real < 0, values.imag < 0),
+    ])
+    return table.transpose(0, 2, 1)
+
+
+def _trace_table(d: int, entries: np.ndarray | None = None) -> np.ndarray:
+    """Float indices into _signed(rho) of the terms that _traces adds: (d, sums).
+
+    The sums are the real parts of the d^2 Pauli traces, a zero, the
+    imaginary parts of the traces, then the real parts and after them the
+    imaginary parts of the entry sums sum_t rho.flat[entries[e, t]], each of
+    at most d terms. Flat index d^2 stands for a zero, which also pads the
+    shorter sums.
+    """
+    real, imag = _gather_table({4: PAULI2, 8: PAULI3}[d])
+    zero = 4 * d * d
+    sums = [real, np.full((d, 1), zero), imag]
+    if entries is not None:
+        terms = np.pad(entries, ((0, 0), (0, d - entries.shape[1])), constant_values=d * d).T
+        pad = terms == d * d
+        sums += [np.where(pad, zero, 2 * terms), np.where(pad, zero, 2 * terms + 1)]
+    return np.concatenate(sums, axis=1)
+
+
+_TRACE_TABLE = {d: _trace_table(d) for d in (4, 8)}
+
+
+def _traces(signed: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of a _trace_table over the floats _signed(rho) of a complex
+    stack rho, sum axis first: theta, the d^2 Pauli coefficients followed by
+    a zero, and the entry sums.
+
+    Raises ValueError where rho has a NaN or an infinite entry, and where a
+    trace has an imaginary part above _IMAG_TOL, which neither a Hermitian
+    rho nor one within HERM_TOL of it has.
+    """
+    # a gather and a sum, not a BLAS product, whose blocking (and so rounding)
+    # would depend on how many states are stacked; the term axis is outermost
+    # in memory, so numpy adds it slab by slab, left to right, not pairwise
+    s = len(table) ** 2
+    vals = np.add.reduce(signed.take(table, axis=0), axis=0)
+    size = np.abs(vals[:2 * s + 1])
+    worst = float(np.maximum.reduce(size[s + 1:], axis=None, initial=0.0))
+    # every float of rho is a term of a real or an imaginary part of a trace, so a
+    # NaN or an infinity in rho leaves worst or the real parts' largest magnitude
+    # non-finite (their sum could meet inf - inf)
+    if not math.isfinite(worst + float(np.maximum.reduce(size[:s], axis=None, initial=0.0))):
+        raise ValueError("non-finite input: NaN or infinity in a Pauli trace")
+    if worst > _IMAG_TOL:
+        raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")
+    return vals[:s + 1], vals[2 * s + 1:]
+
+
+def pauli_tensor(rho: np.ndarray) -> np.ndarray:
+    """All 64 coefficients of an 8x8 state as a real (4, 4, 4) array.
+
+    A stack of states (..., 8, 8) gives (..., 4, 4, 4); each state's
+    coefficients are bit-identical to those it gets on its own.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 density matrix, got {rho.shape}")
+    theta = _traces(_signed(rho), _TRACE_TABLE[8])[0][:64]
+    return np.moveaxis(theta, 0, -1).reshape(rho.shape[:-2] + (4, 4, 4))
+
+
+def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
+    """All 16 coefficients of a 4x4 state as a real (4, 4) array."""
+    rho2 = np.asarray(rho2, dtype=complex)
+    if rho2.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
+    return _traces(_signed(rho2), _TRACE_TABLE[4])[0][:16].reshape(4, 4)
+
 
 ONE_TWO_SCALE = 1.0 / (2.0 * np.sqrt(2.0))  # 1/sqrt(2) qubit LOOs times 1/2 pair LOOs
 PAIR_SCALE = 0.5  # two 1/sqrt(2) qubit LOO factors
@@ -219,13 +350,13 @@ class _Plan:
     see steering_batch. Every table indexes the first axis of an array whose
     last axis runs over the states."""
 
-    front: np.ndarray  # pauli._trace_table of the 64 traces and the reduced-state entries
+    front: np.ndarray  # _trace_table of the 64 traces and the reduced-state entries
     theta: np.ndarray  # theta rows of the one covariance gather, 64 the appended zero: entry,
     # row factor and column factor of every covariance entry, each a (3 rows, 15 columns,
     # k + 3 blocks) table
     scale: np.ndarray  # (45 (k + 3), 1) LOO normalization of each covariance entry
     offset: np.ndarray  # (3 + k, 1) 1 for a qubit, 3 for a pair: 2 or 4 - tr r^2 is offset + deficit
-    minors: np.ndarray  # (4, minors) states._deficit_tables parts: floats of every minor
+    minors: np.ndarray  # (4, minors) _deficit_tables parts: floats of every minor
     deficits: np.ndarray  # (28, 3 + k + 1) minors of A, B, C, each cut's steered pair, rho
     pcol: np.ndarray  # per bound: the deficit row of its steering side
     dcol: np.ndarray  # per bound: the deficit row of its steered side
@@ -233,6 +364,46 @@ class _Plan:
     pairs: int  # bound of the AB pair; AC and BC follow it
     keys: tuple  # report keys, in analyze JSON order
     columns: np.ndarray  # per key but "classification": its row of the stacked table
+
+
+def _deficit_tables(subsystems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of steering_batch's deficits: those of a list of
+    subsystems, each a tuple of qubit indices, then the full state's.
+
+    terms[e] holds the flat 8x8 indices summed into reduced-state entry e, in
+    partial_trace's order, padded with 64: the index of a zero appended to
+    rho. The last entry is all padding, so it is exactly 0. parts is the
+    _minor_terms input of every minor, as float indices into the real parts
+    of the entry sums, then their imaginary parts, then the 128 floats of rho
+    itself: each subsystem's principal minors in purity_deficit's order,
+    rho's 28, and a zero minor read from the zero entry. Column s of rows
+    lists the minors of subsystem s, padded with the zero minor to the 28 of
+    rho, whose column is the last. So the deficits are
+    purity_deficit(partial_trace(rho, keep)) and purity_deficit(rho) bit for
+    bit: appended to a left-to-right sum, the zeros change at most the sign
+    of a zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
+    """
+    entries, minors = [], []
+    for keep in subsystems:
+        d = 2 ** len(keep)
+        terms = _TRACE_TERMS[tuple(sorted(keep))].reshape(d * d, -1)
+        flat = _minor_entries(d)
+        used = np.unique(np.concatenate(flat))  # the d x d entries the minors read
+        position = np.zeros(d * d, dtype=int)
+        position[used] = len(entries) + np.arange(len(used))
+        entries += [terms[f] for f in used]
+        minors.append(position[np.stack(flat)])
+    zero = len(entries)
+    terms = np.full((zero + 1, max(len(t) for t in entries)), 64)
+    for e, t in enumerate(entries):
+        terms[e, :len(t)] = t
+    parts = [np.stack([ii, jj, ij, len(terms) + ij]) for ii, jj, ij in minors]
+    parts += [2 * len(terms) + _minor_floats(8), np.full((4, 1), zero)]
+    start = np.cumsum([0] + [p.shape[1] for p in parts])
+    rows = np.full((parts[-2].shape[1], len(minors) + 1), start[-2])
+    for s, p in enumerate(parts[:-1]):
+        rows[:p.shape[1], s] = start[s] + np.arange(p.shape[1])
+    return terms, np.concatenate(parts, axis=1), rows
 
 
 @functools.cache
@@ -337,7 +508,7 @@ def steering_batch(
     combination (_plan) on first use; arrays hold one column per state, so
     every gather copies whole rows:
     - front: one gather from [rho, -rho, 0] viewed as floats and one sum
-      over 8 terms (pauli._traces) give the 64 Pauli coefficients theta
+      over 8 terms (_traces) give the 64 Pauli coefficients theta
       (plus a zero), their imaginary parts, which must vanish, and every
       entry of the reduced states of qubits A, B, C and each cut's steered
       pair that a principal 2x2 minor reads;
@@ -349,13 +520,12 @@ def steering_batch(
       each pair, with theta_AB = theta[:,:,0] and so on, padded with the
       zero. One _trace_norms pass gives every norm (both directions of a
       cut share one);
-    - deficits: one take from the entry sums and rho's own floats gives
-      every principal minor of those reduced states and of rho, and one
-      take lays them out in rows of 28, the marginals' padded with a zero
-      minor, for purity_deficit's minor sum (states._minor_sum); a state is
-      pure when its own deficit, the last, reads 0 under the same
-      DEFICIT_FLOOR clamp as every marginal's, and then a pair's deficit is
-      its complement's;
+    - deficits: two takes (_deficit_tables) from the entry sums and rho's
+      own floats lay out every principal minor of those reduced states and
+      of rho in rows of 28 for purity_deficit's minor sum; a state is pure
+      when its own deficit, the last, reads 0 under the same DEFICIT_FLOOR
+      clamp as every marginal's, and then a pair's deficit is its
+      complement's;
     - bounds: sqrt((1 + d_s) d_t), or sqrt((3 + d_pair) d_q) for a pair
       steering a qubit, from one take per factor of the deficit table: at
       unit trace 2 - tr rho_s^2 = 1 + d_s and 4 - tr rho_pair^2 = 3 + d_pair;
@@ -367,11 +537,8 @@ def steering_batch(
     Every entry is computed with the same operations in the same order as
     by the direct per-quantity route (pauli_tensor, partial_trace and
     purity_deficit, theta slices, _trace_norms on one state's stacked
-    blocks), so the values are bit-identical to it.
-    A marginal's minors are padded with exact zeros at the end of a
-    left-to-right sum: adding +0.0 changes at most the sign of a zero partial
-    sum, and a zero deficit is clamped to 0.0.
-    A state's values are also bit-identical to those it gets alone: every sum
+    blocks), so the values are bit-identical to it; _deficit_tables says why
+    its zero padding keeps them so. A state's values are also bit-identical to those it gets alone: every sum
     runs in a fixed order per state, with no BLAS product, whose rounding
     depends on the stack size. Returns a SteeringReport of arrays, one entry
     per state, keyed as the analyze JSON. The states are not validated.

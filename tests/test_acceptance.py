@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from qsteer import cli
 from qsteer.monogamy import GRAD_TOL, f_components, schmidt_f_batch
-from qsteer.pauli import pauli_tensor
 from qsteer.randgen import RandomStateSpec, random_state, random_state_batch
 from qsteer.states import (
     density_from_pure,
@@ -27,6 +26,7 @@ from qsteer.steering import (
     correlation_one_to_two,
     correlation_pair,
     h_pair,
+    pauli_tensor,
     steering_report,
     trace_norm,
 )

@@ -36,6 +36,9 @@ class TestParseAngle:
         ("2*pi/5", 2 * np.pi / 5),
         ("0.5", 0.5),
         ("1e-3", 1e-3),
+        (".5pi", np.pi / 2),
+        ("-.25pi", -np.pi / 4),
+        ("pi/.5", 2 * np.pi),
     ])
     def test_accepted(self, text, expect):
         assert cli.parse_angle(text) == pytest.approx(expect, abs=0)
@@ -322,6 +325,18 @@ class TestSweep:
             cli.main(["sweep", "--family", "ghz", "--start", "0", "--stop", "1",
                       "--points", str(2**40), "--out", str(out)])
         assert out.read_text() == "param,h_a_bc,s_a_bc,h_ab,h_ac,h_bc,h_tot\n"
+
+    @pytest.mark.parametrize("start,stop,points", [("0", "1e-323", 1000), ("1", "1", 3)])
+    def test_zero_step_grid(self, tmp_path, capsys, start, stop, points):
+        # the step underflows to 0 (or is 0), so the grid is index / (points - 1)
+        # times (stop - start), as np.linspace takes it
+        assert (float(stop) - float(start)) / (points - 1) == 0.0
+        out_file = tmp_path / "grid.csv"
+        code, _, _ = run_cli(["sweep", "--family", "ghz", "--start", start, "--stop", stop,
+                              "--points", str(points), "--out", str(out_file)], capsys)
+        assert code == 0
+        param = [float(line.split(",")[0]) for line in out_file.read_text().splitlines()[1:]]
+        assert np.array(param).tobytes() == np.linspace(float(start), float(stop), points).tobytes()
 
     @pytest.mark.parametrize("family", ["ghz", "w"])
     def test_chunking_does_not_change_output(self, tmp_path, capsys, monkeypatch, family):

@@ -285,6 +285,15 @@ class TestAuxiliaries:
         assert sign_region(CORNER) == "boundary"
         assert sign_region((0.0, 0.3, 0.6, np.sqrt(1 - 0.09 - 0.36))) == "boundary"
 
+    @pytest.mark.parametrize("entry", [fgwv, sign_region, closed_form_f, lambda p: boundary_f(p, "y")],
+                             ids=["fgwv", "sign_region", "closed_form_f", "boundary_f"])
+    def test_rejects_a_stack(self, entry):
+        # row 0 alone is a boundary point and row 1 alone undefined: a stack
+        # used to get row 0's region, or fail to unpack its rows into x, y, z, h
+        for p in ([[0.6, 0.0, 0.8, 0.0], [0.5, 0.5, 0.5, 0.5]], [CORNER] * 4, [[0.6, 0.0, 0.8, 0.0]], 1.0):
+            with pytest.raises(ValueError, match=r"^expected one \(4,\) Schmidt point, got shape \("):
+                entry(p)
+
     def test_undefined_region_rejected(self):
         # the equal-weight point lies outside the printed expression's real domain
         with pytest.raises(ValueError, match=r"^negative radicand in auxiliary quantities at \(0\.5, 0\.5, 0\.5, 0\.5\)$"):
@@ -909,6 +918,26 @@ class TestVerify:
     def test_rejects_negative_start_counts(self, config, name):
         with pytest.raises(ValueError, match=name):
             config(**{name: -1})
+
+    @pytest.mark.parametrize("config,name", [
+        *(pytest.param(MinimizeConfig, n, id=n) for n in ("starts", "face_starts", "seed")),
+        *(pytest.param(VerifyConfig, n, id=f"verify-{n}") for n in ("samples", "seed")),
+        *(pytest.param(RandomStateSpec, n, id=f"random-{n}") for n in ("seed", "count")),
+    ])
+    def test_rejects_non_integer_fields(self, config, name):
+        # a float used to construct and fail later, as a slice bound or a range length
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+                config(**{"seed": 1, name: bad})
+        assert getattr(config(**{"seed": 1, name: np.int64(2)}), name) == 2
+
+    def test_numpy_integer_fields_run(self):
+        # numpy integers pass the check and give what Python integers give
+        assert (verify_monogamy(VerifyConfig(samples=np.int64(64), seed=np.uint8(1))).to_dict()
+                == verify_monogamy(VerifyConfig(samples=64, seed=1)).to_dict())
+        got = minimize_f(MinimizeConfig(starts=np.int32(3), face_starts=np.int64(1), seed=np.uint16(2)))
+        want = minimize_f(MinimizeConfig(starts=3, face_starts=1, seed=2))
+        assert got.to_dict() == want.to_dict()
 
     def test_report_serializes(self):
         # the scan's block carries no critical points: they are the search's

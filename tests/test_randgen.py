@@ -112,6 +112,14 @@ def test_spec_validation():
         random_state(RandomStateSpec(seed=0, mode="pure", count=2), 2)
 
 
+def test_spec_numpy_integers():
+    # the spec's integer check passes numpy integers, which give the states
+    # Python integers give (TestVerify checks that a float is rejected)
+    for mode in ("pure", "mixed"):
+        got = random_state_batch(RandomStateSpec(np.uint64(2**40), mode, np.int32(3)), 0, 3)
+        assert got.tobytes() == random_state_batch(RandomStateSpec(2**40, mode, 3), 0, 3).tobytes()
+
+
 def _reference_state(spec, index):
     """The recipe for one state, written out in conftest with index loops and 2-D numpy calls."""
     lams, vecs = recipe_spectrum(spec.seed, spec.mode, index)

@@ -47,9 +47,9 @@ def test_public_api():
     import types
 
     import qsteer
-    from qsteer import monogamy, pauli, randgen, states, steering
+    from qsteer import monogamy, randgen, states, steering
 
-    modules = (monogamy, pauli, randgen, states, steering)
+    modules = (monogamy, randgen, states, steering)
     listed = [name for module in modules for name in module.__all__]
     assert len(listed) == len(set(listed))
     public = {name for name, value in vars(qsteer).items()

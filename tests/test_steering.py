@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from qsteer.pauli import pauli_tensor
 from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import (
     DEFICIT_FLOOR,
@@ -29,6 +28,7 @@ from qsteer.steering import (
     correlation_one_to_two,
     correlation_pair,
     h_pair,
+    pauli_tensor,
     steering_batch,
     steering_report,
     trace_norm,
