@@ -30,7 +30,7 @@ from . import monogamy, randgen, states, steering
 
 CHUNK = 256  # states per batch call in montecarlo, random and sweep
 
-_NUMBER = r"(\d+(?:\.\d*)?|\.\d+)"  # 2, 2., 2.5 or .5
+_NUMBER = r"((?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)"  # 2, 2., 2.5 or .5, each with an optional exponent (1e-3)
 _PI_RE = re.compile(rf"^(-?){_NUMBER}?\s*\*?\s*pi\s*(?:/\s*{_NUMBER})?$", re.IGNORECASE)
 
 APPENDIX_FIXTURES = [

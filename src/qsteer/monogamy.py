@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import _check_integers, density_from_pure, schmidt_points, schmidt_state
-from .states import partial_trace  # noqa: F401  kept: perfbench/spans.py patches this name here
-from .steering import h_pair  # noqa: F401  kept: perfbench/spans.py patches this name here
+from .steering import h_pair, partial_trace  # noqa: F401  kept: perfbench/spans.py patches these names here
 from .steering import steering_batch
 
 __all__ = [

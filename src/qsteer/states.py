@@ -1,4 +1,4 @@
-"""Construction and manipulation of one-, two-, and three-qubit states.
+"""Building, checking and serializing one-, two-, and three-qubit states.
 
 Index convention: the leftmost ket label is the most significant bit, so
 |abc> sits at amplitude index 4a + 2b + c. Qubit A is the leftmost (most
@@ -6,11 +6,13 @@ significant) qubit everywhere in this package.
 
 States are plain numpy arrays: pure states are complex vectors of length
 2**q, density matrices are (2**q, 2**q) complex arrays with q in {1, 2, 3}.
+Reduced states and purities (partial_trace, permute_qubits, purity,
+purity_deficit) live in steering, beside the kernel that reproduces them.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
 
@@ -22,10 +24,6 @@ __all__ = [
     "schmidt_points",
     "schmidt_state",
     "density_from_pure",
-    "partial_trace",
-    "purity",
-    "purity_deficit",
-    "permute_qubits",
     "validate_state",
     "state_to_payload",
     "state_from_payload",
@@ -41,8 +39,6 @@ TOLERANCE_PROFILES = {
     "loose": (1e-9, 1e-9, 1e-6),
 }
 SPHERE_TOL = 1e-9  # |x^2 + y^2 + z^2 + h^2 - 1| a Schmidt point may have; schmidt_state divides by the norm
-
-_QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
 
 
 def schmidt_points(p) -> np.ndarray:
@@ -127,111 +123,6 @@ def ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
 
 
-def _trace_terms(keep: tuple[int, ...]) -> np.ndarray:
-    """Flat 8x8 indices of the terms of each reduced-state entry: (d, d, terms)."""
-    out, qubits = np.arange(64).reshape((2,) * 6), 3
-    for q in sorted({0, 1, 2} - set(keep), reverse=True):  # row axis q, column axis qubits + q
-        out = out.diagonal(axis1=q, axis2=qubits + q)
-        qubits -= 1
-    d = 2 ** len(keep)
-    return out.reshape(d, d, -1)
-
-
-# keys are the subsystems partial_trace can keep, as sorted qubit indices
-_TRACE_TERMS = {k: _trace_terms(k) for k in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
-
-
-def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
-    """Reduced state of a three-qubit density matrix.
-
-    `keep` is a subset of {"A","B","C"} (or qubit indices {0,1,2}); the
-    remaining qubits are traced out. Result dimension is 2 or 4. A stack of
-    states (..., 8, 8) gives a stack of reduced states.
-    """
-    idx = tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep))
-    if idx not in _TRACE_TERMS:
-        raise ValueError(f"invalid subsystem set {keep!r}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
-    return ordered_sum(rho.reshape(rho.shape[:-2] + (64,))[..., _TRACE_TERMS[idx]])
-
-
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2)."""
-    rho = np.asarray(rho)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
-
-
-# deficits below this are within entry-rounding of an exactly pure marginal;
-# flooring them keeps sqrt(deficit) from turning 1e-17 of matrix noise into 1e-8
-DEFICIT_FLOOR = 1e-14
-# _minor_sum's constants as 0-d arrays, which numpy combines with arrays faster than floats
-_TWO, _FLOOR, _ZERO = np.array(2.0), np.array(DEFICIT_FLOOR), np.array(0.0)
-
-
-@functools.cache
-def _minor_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of rho[i, i], rho[j, j] and rho[i, j] for the i < j minors."""
-    i, j = np.triu_indices(d, 1)
-    return i * (d + 1), j * (d + 1), i * d + j
-
-
-@functools.cache
-def _minor_floats(d: int) -> np.ndarray:
-    """(4, minors) indices of re rho[i, i], re rho[j, j], re rho[i, j] and
-    im rho[i, j] in the flat complex matrix viewed as floats."""
-    ii, jj, ij = _minor_entries(d)
-    return np.stack([2 * ii, 2 * jj, 2 * ij, 2 * ij + 1])
-
-
-def _minor_terms(parts: np.ndarray) -> np.ndarray:
-    """The principal 2x2 minors rho_ii rho_jj - |rho_ij|^2, given parts[0:4]
-    = re rho_ii, re rho_jj, re rho_ij, im rho_ij."""
-    ii, jj, re, im = parts
-    return ii * jj - (np.square(re) + np.square(im))
-
-
-def _minor_sum(minors: np.ndarray, add=ordered_sum) -> np.ndarray:
-    """Twice the sum of principal minors, added in order over the first axis,
-    clamped at DEFICIT_FLOOR. add may be np.add.reduce where a non-reduced
-    axis longer than 1 remains, which keeps that sum in order (same bits);
-    on a (minors, 1) array the reduce adds pairwise."""
-    deficit = _TWO * add(minors, axis=0)
-    return np.where(deficit < _FLOOR, _ZERO, deficit)
-
-
-def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
-    """1 - tr(rho^2) for a unit-trace matrix, clamped at 0.
-
-    Computed as twice the sum of principal 2x2 minors, which is an exact
-    identity and, unlike 1 - sum|rho_ij|^2, does not cancel catastrophically
-    when rho is nearly pure. That matters because this quantity sits under a
-    square root in the steering bounds. For a qubit it is 2 det(rho). A stack
-    (..., d, d) gives one deficit per matrix.
-    """
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    d = rho.shape[-1]
-    flat = rho.reshape(rho.shape[:-2] + (d * d,)).view(float)
-    deficit = _minor_sum(_minor_terms(np.moveaxis(flat, -1, 0).take(_minor_floats(d), axis=0)))
-    return float(deficit) if deficit.ndim == 0 else deficit
-
-
-def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
-    """Relabel qubits so that qubit k of the output is qubit perm[k] of the input.
-
-    `perm` is a permutation of ("A","B","C") or of (0,1,2); e.g. ("B","C","A")
-    moves the original qubit B into the leading slot.
-    """
-    p = tuple(_QUBIT_NAMES.get(k, k) for k in perm)
-    if sorted(p) != [0, 1, 2]:
-        raise ValueError(f"invalid qubit permutation {perm!r}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
-    return rho.reshape((2,) * 6).transpose(p + tuple(q + 3 for q in p)).reshape(8, 8)
-
-
 def validate_state(rho: np.ndarray, profile: str = "default") -> dict:
     """Check Hermiticity, unit trace, and positivity of a square matrix under
     the tolerances of one of TOLERANCE_PROFILES.
@@ -283,12 +174,19 @@ def state_to_payload(state: np.ndarray) -> dict:
 
 
 def _pairs_to_complex(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Complex array of `shape` from nested lists of finite [re, im] numbers."""
+    """Complex array of `shape` from nested lists of finite [re, im] numbers.
+    A boolean is no number, though np.array reads true as 1 beside numbers."""
     try:
         arr = np.array(value)
     except (TypeError, ValueError) as exc:  # ragged nesting
         raise ValueError(f"malformed {what}: {exc}") from None
-    if arr.shape != shape + (2,) or arr.dtype.kind not in "iuf":
+    numbers = arr.shape == shape + (2,) and arr.dtype.kind in "iuf"
+    if numbers:
+        flat = value
+        for _ in shape:  # rows of the checked shape, one nesting level per axis
+            flat = itertools.chain.from_iterable(flat)
+        numbers = {bool, np.bool_}.isdisjoint(map(type, flat))
+    if not numbers:
         dims = "x".join(map(str, shape))
         raise ValueError(f"expected {what} as {dims} [re, im] number pairs")
     arr = np.ascontiguousarray(arr, dtype=float)

@@ -11,6 +11,9 @@ The Pauli coefficients theta[i, j, k] = tr(rho s_i x s_j x s_k), s_0 the
 identity and s_1, s_2, s_3 the Pauli matrices, are one gather from rho and
 -rho viewed as floats and one sum in column order (_traces): each term of a
 trace is plus or minus the real or imaginary part of one entry of rho.
+partial_trace and purity_deficit (twice the sum of principal 2x2 minors)
+are the direct route to the purity bounds; _deficit_tables gathers the same
+terms for the kernel, bit for bit.
 
 A report is one flat dict with the keys of the qsteer analyze JSON, in its
 order: h_, s_, norm_ and bound_ of each cut and direction (a_bc for A->BC,
@@ -33,9 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (HERM_TOL, _TRACE_TERMS, _minor_entries, _minor_floats, _minor_sum, _minor_terms,
-                     ordered_sum, purity, purity_deficit, validate_state)
-from .states import partial_trace, permute_qubits  # noqa: F401  kept: perfbench/spans.py patches these names here
+from .states import HERM_TOL, ordered_sum, validate_state
 
 __all__ = [
     "SteeringReport",
@@ -45,6 +46,10 @@ __all__ = [
     "h_pair",
     "pauli_tensor",
     "pauli_tensor_pair",
+    "partial_trace",
+    "permute_qubits",
+    "purity",
+    "purity_deficit",
     "steering_batch",
     "steering_report",
 ]
@@ -174,6 +179,114 @@ def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
     if rho2.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
     return _traces(_signed(rho2), _TRACE_TABLE[4])[0][:16].reshape(4, 4)
+
+
+_QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
+
+
+def _trace_terms(keep: tuple[int, ...]) -> np.ndarray:
+    """Flat 8x8 indices of the terms of each reduced-state entry: (d, d, terms)."""
+    out, qubits = np.arange(64).reshape((2,) * 6), 3
+    for q in sorted({0, 1, 2} - set(keep), reverse=True):  # row axis q, column axis qubits + q
+        out = out.diagonal(axis1=q, axis2=qubits + q)
+        qubits -= 1
+    d = 2 ** len(keep)
+    return out.reshape(d, d, -1)
+
+
+# keys are the subsystems partial_trace can keep, as sorted qubit indices
+_TRACE_TERMS = {k: _trace_terms(k) for k in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
+
+
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
+    """Reduced state of a three-qubit density matrix.
+
+    `keep` is a subset of {"A","B","C"} (or qubit indices {0,1,2}); the
+    remaining qubits are traced out. Result dimension is 2 or 4. A stack of
+    states (..., 8, 8) gives a stack of reduced states.
+    """
+    idx = tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep))
+    if idx not in _TRACE_TERMS:
+        raise ValueError(f"invalid subsystem set {keep!r}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
+    return ordered_sum(rho.reshape(rho.shape[:-2] + (64,))[..., _TRACE_TERMS[idx]])
+
+
+def purity(rho: np.ndarray) -> float:
+    """tr(rho^2)."""
+    rho = np.asarray(rho)
+    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+
+
+# deficits below this are within entry-rounding of an exactly pure marginal;
+# flooring them keeps sqrt(deficit) from turning 1e-17 of matrix noise into 1e-8
+DEFICIT_FLOOR = 1e-14
+# _minor_sum's constants (and _ZERO below) as 0-d arrays, which numpy combines with arrays faster than floats
+_TWO, _FLOOR = np.array(2.0), np.array(DEFICIT_FLOOR)
+
+
+@functools.cache
+def _minor_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of rho[i, i], rho[j, j] and rho[i, j] for the i < j minors."""
+    i, j = np.triu_indices(d, 1)
+    return i * (d + 1), j * (d + 1), i * d + j
+
+
+@functools.cache
+def _minor_floats(d: int) -> np.ndarray:
+    """(4, minors) indices of re rho[i, i], re rho[j, j], re rho[i, j] and
+    im rho[i, j] in the flat complex matrix viewed as floats."""
+    ii, jj, ij = _minor_entries(d)
+    return np.stack([2 * ii, 2 * jj, 2 * ij, 2 * ij + 1])
+
+
+def _minor_terms(parts: np.ndarray) -> np.ndarray:
+    """The principal 2x2 minors rho_ii rho_jj - |rho_ij|^2, given parts[0:4]
+    = re rho_ii, re rho_jj, re rho_ij, im rho_ij."""
+    ii, jj, re, im = parts
+    return ii * jj - (np.square(re) + np.square(im))
+
+
+def _minor_sum(minors: np.ndarray, add=ordered_sum) -> np.ndarray:
+    """Twice the sum of principal minors, added in order over the first axis,
+    clamped at DEFICIT_FLOOR. add may be np.add.reduce where a non-reduced
+    axis longer than 1 remains, which keeps that sum in order (same bits);
+    on a (minors, 1) array the reduce adds pairwise."""
+    deficit = _TWO * add(minors, axis=0)
+    return np.where(deficit < _FLOOR, _ZERO, deficit)
+
+
+def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
+    """1 - tr(rho^2) for a unit-trace matrix, clamped at 0.
+
+    Computed as twice the sum of principal 2x2 minors, which is an exact
+    identity and, unlike 1 - sum|rho_ij|^2, does not cancel catastrophically
+    when rho is nearly pure. That matters because this quantity sits under a
+    square root in the steering bounds. For a qubit it is 2 det(rho). A stack
+    (..., d, d) gives one deficit per matrix.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    d = rho.shape[-1]
+    flat = rho.reshape(rho.shape[:-2] + (d * d,)).view(float)
+    deficit = _minor_sum(_minor_terms(np.moveaxis(flat, -1, 0).take(_minor_floats(d), axis=0)))
+    return float(deficit) if deficit.ndim == 0 else deficit
+
+
+def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
+    """Relabel qubits so that qubit k of the output is qubit perm[k] of the input.
+
+    `perm` is a permutation of ("A","B","C") or of (0,1,2); e.g. ("B","C","A")
+    moves the original qubit B into the leading slot.
+    """
+    p = tuple(_QUBIT_NAMES.get(k, k) for k in perm)
+    if sorted(p) != [0, 1, 2]:
+        raise ValueError(f"invalid qubit permutation {perm!r}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (8, 8):
+        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
+    return rho.reshape((2,) * 6).transpose(p + tuple(q + 3 for q in p)).reshape(8, 8)
 
 
 ONE_TWO_SCALE = 1.0 / (2.0 * np.sqrt(2.0))  # 1/sqrt(2) qubit LOOs times 1/2 pair LOOs

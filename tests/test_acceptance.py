@@ -14,19 +14,15 @@ from numpy.testing import assert_allclose
 from qsteer import cli
 from qsteer.monogamy import GRAD_TOL, f_components, schmidt_f_batch
 from qsteer.randgen import RandomStateSpec, random_state, random_state_batch
-from qsteer.states import (
-    density_from_pure,
-    ghz_state,
-    partial_trace,
-    permute_qubits,
-    purity,
-    w_state,
-)
+from qsteer.states import density_from_pure, ghz_state, w_state
 from qsteer.steering import (
     correlation_one_to_two,
     correlation_pair,
     h_pair,
+    partial_trace,
     pauli_tensor,
+    permute_qubits,
+    purity,
     steering_report,
     trace_norm,
 )

@@ -39,6 +39,10 @@ class TestParseAngle:
         (".5pi", np.pi / 2),
         ("-.25pi", -np.pi / 4),
         ("pi/.5", 2 * np.pi),
+        ("1e-3pi", 1e-3 * np.pi),
+        ("2.5e0*pi", 2.5 * np.pi),
+        ("pi/1e1", np.pi / 10),
+        ("-1E-3*PI/2", -1e-3 * np.pi / 2),
     ])
     def test_accepted(self, text, expect):
         assert cli.parse_angle(text) == pytest.approx(expect, abs=0)
@@ -89,7 +93,10 @@ class TestAnalyze:
         {"qubits": 3, "kind": "mixed", "matrix": list(range(8))},
         {"qubits": 3, "kind": "mixed", "matrix": [[[0.0, 0.0]] * 8] * 7 + [[[0.0, 0.0]] * 7 + [7]]},
         {"qubits": True, "kind": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
-    ], ids=["non-list-rows", "non-pair-entry", "bool-qubits"])
+        # np.array reads true beside numbers as 1: each would analyze as |000>
+        {"qubits": 3, "kind": "pure", "amplitudes": [[True, 0]] + [[0, 0]] * 7},
+        {"qubits": 3, "kind": "mixed", "matrix": [[[1.0, False]] + [[0.0, 0.0]] * 7] + [[[0.0, 0.0]] * 8] * 7},
+    ], ids=["non-list-rows", "non-pair-entry", "bool-qubits", "bool-amplitude", "bool-matrix-entry"])
     def test_malformed_payload_exit_1(self, tmp_path, capsys, payload):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))

@@ -37,7 +37,8 @@ from qsteer.monogamy import (
     _residual, _search, _sobol_sphere, _y_terms,
 )
 from qsteer.randgen import RandomStateSpec
-from qsteer.states import density_from_pure, permute_qubits, schmidt_points, schmidt_state
+from qsteer.states import density_from_pure, schmidt_points, schmidt_state
+from qsteer.steering import permute_qubits
 
 from conftest import SIGMA, oracle_ptrace, oracle_theta2, random_octant_point
 

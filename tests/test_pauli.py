@@ -3,11 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qsteer.randgen import RandomStateSpec, random_state_batch
-from qsteer.states import (
-    HERM_TOL, density_from_pure, ghz_state, ordered_sum, partial_trace, permute_qubits, purity,
-    validate_state, w_state,
+from qsteer.states import HERM_TOL, density_from_pure, ghz_state, ordered_sum, validate_state, w_state
+from qsteer.steering import (
+    PAULI2, PAULI3, partial_trace, pauli_tensor, pauli_tensor_pair, permute_qubits, purity,
 )
-from qsteer.steering import PAULI2, PAULI3, pauli_tensor, pauli_tensor_pair
 
 from conftest import density_from_theta, oracle_theta3, purity_from_theta, random_mixed_density
 

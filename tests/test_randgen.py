@@ -14,7 +14,8 @@ from qsteer.randgen import (
     random_state,
     random_state_batch,
 )
-from qsteer.states import purity, validate_state
+from qsteer.states import validate_state
+from qsteer.steering import purity
 
 from conftest import recipe_cascade, recipe_spectrum
 

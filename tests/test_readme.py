@@ -61,3 +61,29 @@ def test_public_api():
     section = re.search(r"^## Public API\n(.*?)^## ", README.read_text(encoding="utf-8"), flags=re.S | re.M)
     named = set(re.findall(r"`([A-Za-z_]\w*)", section[1]))
     assert sorted(public - named) == []
+
+
+def test_private_names_stay_in_their_module():
+    # no qsteer module imports or reads another's underscore names, so a rule
+    # that two modules would have to keep bit for bit cannot span them; the one
+    # exception is the config-field check that randgen, monogamy and cli share
+    allowed = {("states", "_check_integers")}
+    crossings = []
+    for path in sorted((README.parent / "src" / "qsteer").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the qsteer module it binds (from . import states)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            # ".states" for from .states, "qsteer.states" for from qsteer.states
+            source = "." * node.level + (node.module or "")
+            if source in (".", "qsteer"):
+                modules.update({a.asname or a.name: a.name for a in node.names})
+            elif source.startswith((".", "qsteer.")):
+                crossings += [f"{path.name}:{node.lineno} imports {source}.{a.name}" for a in node.names
+                              if a.name.startswith("_") and (source.rpartition(".")[2], a.name) not in allowed]
+        crossings += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                      and isinstance(node.value, ast.Name) and node.value.id in modules
+                      and (modules[node.value.id], node.attr) not in allowed]
+    assert crossings == []

@@ -12,10 +12,6 @@ from qsteer.states import (
     TRACE_TOL,
     density_from_pure,
     ghz_state,
-    partial_trace,
-    permute_qubits,
-    purity,
-    purity_deficit,
     schmidt_points,
     schmidt_state,
     state_from_payload,
@@ -23,6 +19,7 @@ from qsteer.states import (
     validate_state,
     w_state,
 )
+from qsteer.steering import partial_trace, permute_qubits, purity, purity_deficit
 
 from conftest import oracle_ptrace, random_mixed_density, random_pure_density
 

@@ -10,17 +10,14 @@ from numpy.testing import assert_allclose
 
 from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import (
-    DEFICIT_FLOOR,
     density_from_pure,
     ghz_state,
-    partial_trace,
-    permute_qubits,
-    purity_deficit,
     schmidt_state,
     validate_state,
     w_state,
 )
 from qsteer.steering import (
+    DEFICIT_FLOOR,
     PAIR_SCALE,
     _trace_norms,
     SteeringReport,
@@ -28,7 +25,10 @@ from qsteer.steering import (
     correlation_one_to_two,
     correlation_pair,
     h_pair,
+    partial_trace,
     pauli_tensor,
+    permute_qubits,
+    purity_deficit,
     steering_batch,
     steering_report,
     trace_norm,
@@ -411,6 +411,32 @@ class TestWhiteNoiseThresholds:
              for p in np.array(self.SIDES) / np.sqrt(3)]
         assert h[0] < 0 < h[1]
         assert max(map(abs, h)) <= 1e-11
+
+
+class TestBellDiagonal:
+    """The pair criterion on Bell-diagonal states rho = (I + sum_i t_i s_i x s_i)/4.
+
+    Both marginals are I/2, so every deficit is 1/2 and the pair covariance
+    is diag(t)/2: H = (sum |t_i| - sqrt(3))/2 in either direction. The
+    points are Dirichlet-uniform in the tetrahedron of valid t, whose
+    vertices are the four Bell states.
+    """
+
+    def test_closed_form_and_cjwr_inclusion(self):
+        vertices = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+        t = np.random.default_rng(0).dirichlet(np.ones(4), size=1500) @ vertices
+        rho = (np.eye(4) + np.einsum("ni,ijk->njk", t, np.stack([np.kron(s, s) for s in SIGMA[1:]]))) / 4
+        closed = (np.abs(t).sum(1) - np.sqrt(3)) / 2
+        direct = np.array([h_pair(r) for r in rho])
+        # rho_AB x |0><0|_C: the kernel's A->B pair
+        kernel = steering_batch(np.einsum("nij,kl->nikjl", rho, np.diag([1.0, 0.0])).reshape(-1, 8, 8))["h_ab"]
+        for h in (direct, kernel):
+            assert np.max(np.abs(h - closed)) <= 1e-14
+        # sum |t_i| > sqrt(3) implies sum t_i^2 > 1 (Cauchy-Schwarz): every
+        # point the pair criterion detects violates the CJWR inequality
+        detected = kernel > 0
+        assert detected.any()
+        assert np.all((t * t).sum(1)[detected] > 1)
 
 
 def _direct_one_to_two(rho):
