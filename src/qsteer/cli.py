@@ -75,6 +75,20 @@ def _out_path(name: str | None, default_name: str, directory: bool = False) -> P
     return path
 
 
+@contextlib.contextmanager
+def _open_out(path: Path):
+    """path opened for writing. An OSError raised inside without a file name,
+    as a full disk fails a write or the close (ENOSPC), gets path as its
+    filename, so main reports the path and exits 1."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (CSV or JSON, subcommand specific)")
 
@@ -129,7 +143,7 @@ def cmd_sweep(args) -> int:
             if args.out is not None or "QSTEER_OUT_DIR" in os.environ else None)
     family = states.ghz_state if args.family == "ghz" else functools.partial(states.w_state, args.theta)
     row = _row_template(1 + len(_SWEEP_COLUMNS)) + "\n"
-    with (contextlib.nullcontext(sys.stdout) if path is None else path.open("w")) as fh:
+    with (contextlib.nullcontext(sys.stdout) if path is None else _open_out(path)) as fh:
         fh.write("param," + ",".join(_SWEEP_COLUMNS) + "\n")
         for lo in range(0, args.points, CHUNK):
             grid = _linspace(args.start, args.stop, args.points, lo, min(lo + CHUNK, args.points))
@@ -150,7 +164,7 @@ def cmd_montecarlo(args) -> int:
     violations = 0
     row = "%d," + _row_template(len(_MC_COLUMNS)) + ",%s\n"
     written = 0
-    with path.open("w") as fh:
+    with _open_out(path) as fh:
         fh.write("index," + ",".join(_MC_COLUMNS) + ",classification\n")
         for start in range(0, spec.count, CHUNK):
             stop = min(start + CHUNK, spec.count)
@@ -189,7 +203,7 @@ def cmd_verify_appendix(args) -> int:
                                   face_starts=args.face_starts, seed=args.seed)
     scan_cfg = monogamy.VerifyConfig(samples=args.samples, seed=args.seed)
     path = None if args.out is None else _out_path(args.out, "verify_appendix.json")
-    with (contextlib.nullcontext() if path is None else path.open("w")) as fh:  # opened before any work
+    with (contextlib.nullcontext() if path is None else _open_out(path)) as fh:  # opened before any work
         fixtures = []
         for coords, expected, tol in APPENDIX_FIXTURES:
             value = monogamy.f_pipeline(coords)
@@ -202,19 +216,19 @@ def cmd_verify_appendix(args) -> int:
         scan = monogamy.verify_monogamy(scan_cfg)
         search = result.to_dict()
         passed = all([*(r["matched"] for r in fixtures + recovered), search["pass"], scan.passed])
-
-        print("isolated critical points (f rounded to 1e-6):")
-        for row in search["critical_points"]:
-            print(f"  f={row['f']:+.6f}  at ({', '.join(f'{v:.6f}' for v in row['params'])})  [{row['location']}]")
-        for name, entry in search["zero_sets"].items():
-            print(f"  f=0 on {name}: {entry['hits']} starts, max |f| {entry['max_abs_f']:.1e}")
-        print(f"fixtures matched: {sum(f['matched'] for f in fixtures)}/{len(fixtures)}; "
-              f"recovered: {sum(r['matched'] for r in recovered)}/{len(recovered)}; "
-              f"search {'PASS' if search['pass'] else 'FAIL'}; "
-              f"scan min {scan.min_value:.3e} ({'PASS' if scan.passed else 'FAIL'})")
         if fh is not None:
             fh.write(json.dumps({"fixtures": fixtures, "recovered": recovered, "search": search,
                                  "scan": scan.to_dict(), "pass": passed}, indent=2))
+    # printed once the file is closed, so a stdout error is not taken for the file's
+    print("isolated critical points (f rounded to 1e-6):")
+    for row in search["critical_points"]:
+        print(f"  f={row['f']:+.6f}  at ({', '.join(f'{v:.6f}' for v in row['params'])})  [{row['location']}]")
+    for name, entry in search["zero_sets"].items():
+        print(f"  f=0 on {name}: {entry['hits']} starts, max |f| {entry['max_abs_f']:.1e}")
+    print(f"fixtures matched: {sum(f['matched'] for f in fixtures)}/{len(fixtures)}; "
+          f"recovered: {sum(r['matched'] for r in recovered)}/{len(recovered)}; "
+          f"search {'PASS' if search['pass'] else 'FAIL'}; "
+          f"scan min {scan.min_value:.3e} ({'PASS' if scan.passed else 'FAIL'})")
     if path is not None:
         print(f"wrote {path}")
     return 0 if passed else 3
@@ -239,7 +253,7 @@ def cmd_random(args) -> int:
 
     if args.jsonl:
         path = _out_path(args.out, "states.jsonl")
-        with path.open("w") as fh:
+        with _open_out(path) as fh:
             fh.write(json.dumps({"meta": meta}) + "\n")
             for text in payloads():
                 fh.write(text + "\n")
@@ -247,9 +261,11 @@ def cmd_random(args) -> int:
     else:
         out_dir = _out_path(args.out, "states", directory=True)
         for i, text in enumerate(payloads()):
-            (out_dir / f"state_{i:05d}.json").write_text(text)
+            with _open_out(out_dir / f"state_{i:05d}.json") as fh:
+                fh.write(text)
         # written last: a directory without it is an incomplete set
-        (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2))
+        with _open_out(out_dir / "metadata.json") as fh:
+            fh.write(json.dumps(meta, indent=2))
         print(f"wrote {spec.count} states to {out_dir}")
     return 0
 

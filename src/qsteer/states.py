@@ -160,14 +160,13 @@ def state_to_payload(state: np.ndarray) -> dict:
     Row-major, most-significant-qubit-first indexing.
     """
     arr = np.asarray(state, dtype=complex)
+    q = arr.shape[0].bit_length() - 1 if arr.ndim else 0  # the largest 2^q <= the leading length
     if arr.ndim == 1:
-        q = int(round(np.log2(arr.size)))
-        if 2**q != arr.size or q not in (1, 2, 3):
+        if q not in (1, 2, 3) or arr.size != 2**q:
             raise ValueError(f"amplitude vector length {arr.size} is not 2^q for q in 1..3")
         amps = [[float(a.real), float(a.imag)] for a in arr]
         return {"qubits": q, "kind": "pure", "amplitudes": amps}
-    q = int(round(np.log2(arr.shape[0])))
-    if arr.shape != (2**q, 2**q) or q not in (1, 2, 3):
+    if q not in (1, 2, 3) or arr.shape != (2**q, 2**q):
         raise ValueError(f"matrix shape {arr.shape} is not 2^q x 2^q for q in 1..3")
     mat = [[[float(v.real), float(v.imag)] for v in row] for row in arr]
     return {"qubits": q, "kind": "mixed", "matrix": mat}

@@ -10,10 +10,12 @@ steerability in the stated direction; S = max(H, 0) is the quantifier.
 The Pauli coefficients theta[i, j, k] = tr(rho s_i x s_j x s_k), s_0 the
 identity and s_1, s_2, s_3 the Pauli matrices, are one gather from rho and
 -rho viewed as floats and one sum in column order (_traces): each term of a
-trace is plus or minus the real or imaginary part of one entry of rho.
-partial_trace and purity_deficit (twice the sum of principal 2x2 minors)
-are the direct route to the purity bounds; _deficit_tables gathers the same
-terms for the kernel, bit for bit.
+trace is plus or minus the real or imaginary part of one entry of rho, and
+that gather holds the traces alone. partial_trace and purity_deficit (twice
+the sum of principal 2x2 minors) are the direct route to the purity bounds;
+the kernel's deficit gather (_deficit_tables) composes their two tables,
+partial_trace's terms (_TRACE_TERMS) with purity_deficit's minors
+(_minor_floats), so it adds the same floats in the same order, bit for bit.
 
 A report is one flat dict with the keys of the qsteer analyze JSON, in its
 order: h_, s_, norm_ and bound_ of each cut and direction (a_bc for A->BC,
@@ -88,7 +90,8 @@ def _signed(rho: np.ndarray) -> np.ndarray:
     out[..., :d2] = rho.reshape(rho.shape[:-2] + (d2,))
     signed = out.view(float)
     np.negative(signed[..., :2 * d2], out=signed[..., 2 * d2:4 * d2])
-    return signed.transpose((-1,) + tuple(range(signed.ndim - 1)))
+    # contiguous, so the gathers read whole rows; one state's transpose already is
+    return np.ascontiguousarray(signed.transpose((-1,) + tuple(range(signed.ndim - 1))))
 
 
 def _gather_table(strings: np.ndarray) -> np.ndarray:
@@ -112,32 +115,17 @@ def _gather_table(strings: np.ndarray) -> np.ndarray:
     return table.transpose(0, 2, 1)
 
 
-def _trace_table(d: int, entries: np.ndarray | None = None) -> np.ndarray:
-    """Float indices into _signed(rho) of the terms that _traces adds: (d, sums).
-
-    The sums are the real parts of the d^2 Pauli traces, a zero, the
-    imaginary parts of the traces, then the real parts and after them the
-    imaginary parts of the entry sums sum_t rho.flat[entries[e, t]], each of
-    at most d terms. Flat index d^2 stands for a zero, which also pads the
-    shorter sums.
-    """
-    real, imag = _gather_table({4: PAULI2, 8: PAULI3}[d])
-    zero = 4 * d * d
-    sums = [real, np.full((d, 1), zero), imag]
-    if entries is not None:
-        terms = np.pad(entries, ((0, 0), (0, d - entries.shape[1])), constant_values=d * d).T
-        pad = terms == d * d
-        sums += [np.where(pad, zero, 2 * terms), np.where(pad, zero, 2 * terms + 1)]
-    return np.concatenate(sums, axis=1)
+# float indices into _signed(rho) of the terms that _traces adds, (d, 2 d^2 + 1):
+# the real parts of the d^2 Pauli traces, a zero, then their imaginary parts
+_TRACE_TABLE = {d: np.concatenate((real, np.full((d, 1), 4 * d * d), imag), axis=1)
+                for d, (real, imag) in ((4, _gather_table(PAULI2)), (8, _gather_table(PAULI3)))}
 
 
-_TRACE_TABLE = {d: _trace_table(d) for d in (4, 8)}
-
-
-def _traces(signed: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of a _trace_table over the floats _signed(rho) of a complex
+def _traces(signed: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The sums of _TRACE_TABLE[d] over the floats _signed(rho) of a complex
     stack rho, sum axis first: theta, the d^2 Pauli coefficients followed by
-    a zero, and the entry sums.
+    a zero. The trace gather holds no other sums; _deficit_tables gathers
+    the reduced-state entries itself.
 
     Raises ValueError where rho has a NaN or an infinite entry, and where a
     trace has an imaginary part above _IMAG_TOL, which neither a Hermitian
@@ -148,7 +136,7 @@ def _traces(signed: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # in memory, so numpy adds it slab by slab, left to right, not pairwise
     s = len(table) ** 2
     vals = np.add.reduce(signed.take(table, axis=0), axis=0)
-    size = np.abs(vals[:2 * s + 1])
+    size = np.abs(vals)
     worst = float(np.maximum.reduce(size[s + 1:], axis=None, initial=0.0))
     # every float of rho is a term of a real or an imaginary part of a trace, so a
     # NaN or an infinity in rho leaves worst or the real parts' largest magnitude
@@ -157,7 +145,7 @@ def _traces(signed: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ValueError("non-finite input: NaN or infinity in a Pauli trace")
     if worst > _IMAG_TOL:
         raise ValueError(f"non-Hermitian input: Pauli trace imaginary part {worst:.3e}")
-    return vals[:s + 1], vals[2 * s + 1:]
+    return vals[:s + 1]
 
 
 def pauli_tensor(rho: np.ndarray) -> np.ndarray:
@@ -169,7 +157,7 @@ def pauli_tensor(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 density matrix, got {rho.shape}")
-    theta = _traces(_signed(rho), _TRACE_TABLE[8])[0][:64]
+    theta = _traces(_signed(rho), _TRACE_TABLE[8])[:64]
     return np.moveaxis(theta, 0, -1).reshape(rho.shape[:-2] + (4, 4, 4))
 
 
@@ -178,7 +166,7 @@ def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
     rho2 = np.asarray(rho2, dtype=complex)
     if rho2.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
-    return _traces(_signed(rho2), _TRACE_TABLE[4])[0][:16].reshape(4, 4)
+    return _traces(_signed(rho2), _TRACE_TABLE[4])[:16].reshape(4, 4)
 
 
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
@@ -228,18 +216,12 @@ _TWO, _FLOOR = np.array(2.0), np.array(DEFICIT_FLOOR)
 
 
 @functools.cache
-def _minor_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of rho[i, i], rho[j, j] and rho[i, j] for the i < j minors."""
-    i, j = np.triu_indices(d, 1)
-    return i * (d + 1), j * (d + 1), i * d + j
-
-
-@functools.cache
 def _minor_floats(d: int) -> np.ndarray:
-    """(4, minors) indices of re rho[i, i], re rho[j, j], re rho[i, j] and
-    im rho[i, j] in the flat complex matrix viewed as floats."""
-    ii, jj, ij = _minor_entries(d)
-    return np.stack([2 * ii, 2 * jj, 2 * ij, 2 * ij + 1])
+    """(4, minors) float indices of re rho_ii, re rho_jj, re rho_ij and
+    im rho_ij of the i < j minors in the flat complex matrix."""
+    i, j = np.triu_indices(d, 1)
+    ij = 2 * (i * d + j)
+    return np.stack([2 * i * (d + 1), 2 * j * (d + 1), ij, ij + 1])
 
 
 def _minor_terms(parts: np.ndarray) -> np.ndarray:
@@ -463,13 +445,12 @@ class _Plan:
     see steering_batch. Every table indexes the first axis of an array whose
     last axis runs over the states."""
 
-    front: np.ndarray  # _trace_table of the 64 traces and the reduced-state entries
     theta: np.ndarray  # theta rows of the one covariance gather, 64 the appended zero: entry,
     # row factor and column factor of every covariance entry, each a (3 rows, 15 columns,
     # k + 3 blocks) table
     scale: np.ndarray  # (45 (k + 3), 1) LOO normalization of each covariance entry
     offset: np.ndarray  # (3 + k, 1) 1 for a qubit, 3 for a pair: 2 or 4 - tr r^2 is offset + deficit
-    minors: np.ndarray  # (4, minors) _deficit_tables parts: floats of every minor
+    minors: np.ndarray  # (4 terms, 4, minors) _deficit_tables parts: floats of every minor
     deficits: np.ndarray  # (28, 3 + k + 1) minors of A, B, C, each cut's steered pair, rho
     pcol: np.ndarray  # per bound: the deficit row of its steering side
     dcol: np.ndarray  # per bound: the deficit row of its steered side
@@ -479,44 +460,33 @@ class _Plan:
     columns: np.ndarray  # per key but "classification": its row of the stacked table
 
 
-def _deficit_tables(subsystems) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _deficit_tables(subsystems) -> tuple[np.ndarray, np.ndarray]:
     """Gather tables of steering_batch's deficits: those of a list of
     subsystems, each a tuple of qubit indices, then the full state's.
 
-    terms[e] holds the flat 8x8 indices summed into reduced-state entry e, in
-    partial_trace's order, padded with 64: the index of a zero appended to
-    rho. The last entry is all padding, so it is exactly 0. parts is the
-    _minor_terms input of every minor, as float indices into the real parts
-    of the entry sums, then their imaginary parts, then the 128 floats of rho
-    itself: each subsystem's principal minors in purity_deficit's order,
-    rho's 28, and a zero minor read from the zero entry. Column s of rows
-    lists the minors of subsystem s, padded with the zero minor to the 28 of
-    rho, whose column is the last. So the deficits are
-    purity_deficit(partial_trace(rho, keep)) and purity_deficit(rho) bit for
-    bit: appended to a left-to-right sum, the zeros change at most the sign
-    of a zero, and the DEFICIT_FLOOR clamp maps every zero to 0.0.
+    parts (4 terms, 4, minors) composes partial_trace's table with
+    purity_deficit's: each float of _minor_floats(d) maps through its entry's
+    _trace_terms to 8 / d floats of _signed(rho), padded to 4 terms with the
+    zero float 256. The minors are each subsystem's, rho's 28 and a zero
+    minor; column s of rows lists subsystem s's, padded with the zero minor
+    to 28, rho's last. The terms add in partial_trace's order and the minors
+    in purity_deficit's, so the deficits are theirs bit for bit: appended to
+    a left-to-right sum, the zeros change at most the sign of a zero, and
+    the DEFICIT_FLOOR clamp maps every zero to 0.0.
     """
-    entries, minors = [], []
-    for keep in subsystems:
+    parts = []
+    for keep in (*subsystems, (0, 1, 2)):
         d = 2 ** len(keep)
-        terms = _TRACE_TERMS[tuple(sorted(keep))].reshape(d * d, -1)
-        flat = _minor_entries(d)
-        used = np.unique(np.concatenate(flat))  # the d x d entries the minors read
-        position = np.zeros(d * d, dtype=int)
-        position[used] = len(entries) + np.arange(len(used))
-        entries += [terms[f] for f in used]
-        minors.append(position[np.stack(flat)])
-    zero = len(entries)
-    terms = np.full((zero + 1, max(len(t) for t in entries)), 64)
-    for e, t in enumerate(entries):
-        terms[e, :len(t)] = t
-    parts = [np.stack([ii, jj, ij, len(terms) + ij]) for ii, jj, ij in minors]
-    parts += [2 * len(terms) + _minor_floats(8), np.full((4, 1), zero)]
+        floats = _minor_floats(d)
+        terms = _trace_terms(keep).reshape(d * d, -1)[floats // 2]  # (4, minors, 8 / d)
+        parts.append(np.pad(2 * terms + floats[..., None] % 2, ((0, 0), (0, 0), (0, 4 - 8 // d)),
+                            constant_values=256))
     start = np.cumsum([0] + [p.shape[1] for p in parts])
-    rows = np.full((parts[-2].shape[1], len(minors) + 1), start[-2])
-    for s, p in enumerate(parts[:-1]):
+    rows = np.full((28, len(parts)), start[-1])
+    for s, p in enumerate(parts):
         rows[:p.shape[1], s] = start[s] + np.arange(p.shape[1])
-    return terms, np.concatenate(parts, axis=1), rows
+    parts.append(np.full((4, 1, 4), 256))
+    return np.concatenate(parts, axis=1).transpose(2, 0, 1).copy(), rows
 
 
 @functools.cache
@@ -556,10 +526,9 @@ def _plan(all_cuts: bool, two_to_one: bool, reverse_pairs: bool) -> _Plan:
     keys = list(_REPORT_HEAD)
     keys += [f"{q}_{name}" for name in table[0][1:cuts] for q in ("h", "s", "norm", "bound")]
     keys += ["h_ba", "h_ca", "h_cb"] * reverse_pairs
-    # entries of the reduced states of qubits A, B, C and each cut's steered pair
-    terms, minors, deficits = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
+    # minors of the reduced states of qubits A, B, C and each cut's steered pair, then rho's
+    minors, deficits = _deficit_tables(((0,), (1,), (2,)) + tuple(_CUTS[c][1:] for c in names))
     return _Plan(
-        front=_trace_table(8, terms),
         theta=cov.ravel(),
         scale=np.tile(np.repeat([ONE_TWO_SCALE, PAIR_SCALE], [k, 3]), 45)[:, None],
         offset=np.array([1.0] * 3 + [3.0] * k)[:, None],
@@ -582,11 +551,11 @@ def _columns(rho: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     n, m = len(rho), len(plan.scale)
     blocks = m // 45  # k cuts, then the pairs AB, AC, BC
     signed = _signed(rho)
-    theta, entries = _traces(signed, plan.front)
+    theta = _traces(signed, _TRACE_TABLE[8])
     factors = theta.take(plan.theta, 0)
     cov = plan.scale * (factors[:m] - factors[m:2 * m] * factors[2 * m:])
     norm = _trace_norms(cov.reshape(3, 15, blocks * n)).reshape(blocks, n)
-    minors = _minor_terms(np.concatenate((entries, signed[:128])).take(plan.minors, 0))
+    minors = _minor_terms(np.add.reduce(signed.take(plan.minors, 0), 0))
     deficit = _minor_sum(minors.take(plan.deficits, 0), np.add.reduce)
     # a bound's first factor, 2 - tr r^2 = 1 + d for a qubit and 4 - tr r^2 =
     # 3 + d for a pair at unit trace: the steering side's own deficit, taken
@@ -620,11 +589,10 @@ def steering_batch(
     Each kind of quantity comes from one index table, built once per flag
     combination (_plan) on first use; arrays hold one column per state, so
     every gather copies whole rows:
-    - front: one gather from [rho, -rho, 0] viewed as floats and one sum
-      over 8 terms (_traces) give the 64 Pauli coefficients theta
-      (plus a zero), their imaginary parts, which must vanish, and every
-      entry of the reduced states of qubits A, B, C and each cut's steered
-      pair that a principal 2x2 minor reads;
+    - traces: one gather from [rho, -rho, 0] viewed as floats and one sum
+      over 8 terms (_traces, _TRACE_TABLE[8], as pauli_tensor) give the 64
+      Pauli coefficients theta (plus a zero) and their imaginary parts,
+      which must vanish;
     - covariances: one take from theta gives the entry, row and column
       factor of every covariance entry as one (3 rows, 15 columns, k + 3
       blocks) table: rows 1-3 and columns 1-15 of the 4x16 matrix of each
@@ -633,12 +601,14 @@ def steering_batch(
       each pair, with theta_AB = theta[:,:,0] and so on, padded with the
       zero. One _trace_norms pass gives every norm (both directions of a
       cut share one);
-    - deficits: two takes (_deficit_tables) from the entry sums and rho's
-      own floats lay out every principal minor of those reduced states and
-      of rho in rows of 28 for purity_deficit's minor sum; a state is pure
-      when its own deficit, the last, reads 0 under the same DEFICIT_FLOOR
-      clamp as every marginal's, and then a pair's deficit is its
-      complement's;
+    - deficits: one gather from the same floats and one sum over 4 terms
+      give the parts of every principal 2x2 minor of the reduced states of
+      qubits A, B, C and each cut's steered pair, and of rho: _deficit_tables
+      composes partial_trace's terms with purity_deficit's minors. One
+      take lays the minors out in rows of 28 for purity_deficit's minor
+      sum; a state is pure when its own deficit, the last, reads 0 under
+      the same DEFICIT_FLOOR clamp as every marginal's, and then a pair's
+      deficit is its complement's;
     - bounds: sqrt((1 + d_s) d_t), or sqrt((3 + d_pair) d_q) for a pair
       steering a qubit, from one take per factor of the deficit table: at
       unit trace 2 - tr rho_s^2 = 1 + d_s and 4 - tr rho_pair^2 = 3 + d_pair;
@@ -651,9 +621,9 @@ def steering_batch(
     by the direct per-quantity route (pauli_tensor, partial_trace and
     purity_deficit, theta slices, _trace_norms on one state's stacked
     blocks), so the values are bit-identical to it; _deficit_tables says why
-    its zero padding keeps them so. A state's values are also bit-identical to those it gets alone: every sum
-    runs in a fixed order per state, with no BLAS product, whose rounding
-    depends on the stack size. Returns a SteeringReport of arrays, one entry
+    its zero padding keeps them so. A state's values are also bit-identical
+    to those it gets alone: every sum runs in a fixed order per state, with
+    no BLAS product, whose rounding depends on the stack size. Returns a SteeringReport of arrays, one entry
     per state, keyed as the analyze JSON. The states are not validated.
     steering_report runs the same kernel on one state and reports Python
     floats, equal to row(i) of any batch.

@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -516,18 +517,38 @@ _WRITERS = {
 }
 
 
-@pytest.mark.parametrize("blocked", ["directory", "under-file"])
+def _full_device(at_close: bool):
+    """cli's open for a file on a full disk: each write, or with
+    at_close only the close, raises ENOSPC naming no file, as a real one does."""
+    def fail():
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class FullDevice(io.StringIO):
+        def write(self, text):
+            return super().write(text) if at_close else fail()
+
+        def close(self):
+            if not self.closed:
+                super().close()
+                if at_close:
+                    fail()
+
+    return lambda path, *args, **kwargs: FullDevice()
+
+
+@pytest.mark.parametrize("blocked", ["directory", "under-file", "full-at-write", "full-at-close"])
 @pytest.mark.parametrize("writer", list(_WRITERS))
 def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, writer, blocked):
     # a directory where a file is to be written (for random's directory mode,
-    # its second state file), or a path under a regular file: exit 1 with one
-    # error line, no traceback and nothing on stdout. Every other writer opens
-    # its output before it computes anything; random's directory mode writes
-    # its state files as it goes and metadata.json last, so a cut set has none
+    # its second state file), a path under a regular file, or a full disk:
+    # exit 1 with one error line, no traceback and nothing on stdout. Every
+    # other writer opens its output before it computes anything; random's
+    # directory mode writes its state files as it goes and metadata.json
+    # last, so a cut set has none
     def started(*args, **kwargs):
         raise AssertionError(f"{writer} computed before opening its output")
 
-    if writer != "random":
+    if writer != "random" and not blocked.startswith("full"):
         for module, name in [(monogamy, "minimize_f"), (monogamy, "verify_monogamy"),
                              (randgen, "random_state_batch"), (randgen, "random_pure_batch"),
                              (steering, "steering_batch")]:
@@ -535,12 +556,18 @@ def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, writer, blocked):
     if blocked == "directory":
         out = tmp_path / "taken"
         (out / "state_00001.json" if writer == "random" else out).mkdir(parents=True)
-    else:
+    elif blocked == "under-file":
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
+    else:
+        out = tmp_path / "full"
+        monkeypatch.setattr(cli, "open", _full_device(blocked == "full-at-close"), raising=False)
     code, stdout, err = run_cli(_WRITERS[writer] + ["--out", str(out)], capsys)
     assert (code, stdout) == (1, "")
     assert err.startswith("error: cannot write ") and "Traceback" not in err
+    if blocked.startswith("full"):
+        written = out / "state_00000.json" if writer == "random" else out
+        assert err == f"error: cannot write {written}: No space left on device\n"
     assert not (out / "metadata.json").exists()
 
 

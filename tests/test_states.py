@@ -325,3 +325,8 @@ class TestPayload:
             state_to_payload(np.ones(6) / 6**0.5)
         with pytest.raises(ValueError, match=r"^matrix shape \(4, 2\) is not 2\^q x 2\^q for q in 1..3$"):
             state_to_payload(np.ones((4, 2)))
+        # no log2 of the length: an empty vector and a 0-d array are shape errors too
+        with pytest.raises(ValueError, match=r"^amplitude vector length 0 is not 2\^q for q in 1..3$"):
+            state_to_payload(np.ones(0))
+        with pytest.raises(ValueError, match=r"^matrix shape \(\) is not 2\^q x 2\^q for q in 1..3$"):
+            state_to_payload(np.array(1.0))

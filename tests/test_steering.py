@@ -489,6 +489,57 @@ class TestBiseparableCounterexample:
         assert min(self.H_A_BC, self.H_B_C) > 0.024
 
 
+def _t3_norm(rho):
+    """||T3||_HS, the norm of the three-body block theta[1:, 1:, 1:] of the
+    Pauli tensor; one per state of a stack."""
+    return np.sqrt(np.square(pauli_tensor(rho)[..., 1:, 1:, 1:]).sum(axis=(-3, -2, -1)))
+
+
+def _pure_products(rng, n, q):
+    """n pure products of a Haar qubit q and a Haar pair of the other two
+    qubits, as density matrices (n, 8, 8)."""
+    v = [rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)) for d in (2, 4)]
+    qubit, pair = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in v)
+    psi = qubit[:, :, None] * pair[:, None, :]
+    # axes (qubit q, the pair's first, its second) moved into A, B, C order
+    return density_from_pure(np.moveaxis(psi.reshape(n, 2, 2, 2), 1, 1 + q).reshape(n, 8))
+
+
+class TestThreeBodyFloor:
+    """||T3||_HS <= sqrt 3 on every biseparable state, so ||T3||_HS > sqrt 3
+    certifies genuine tripartite entanglement. A pure product across A|BC
+    has T3 = a x t with |a| = 1, and 4 tr rho_BC^2 = 1 + |b|^2 + |c|^2 +
+    |t|^2 = 4 gives |t|^2 <= 3; likewise across B|CA and C|AB, and the norm
+    is convex in rho. Under white noise T3 scales by p, so the floor
+    certifies GHZ(pi/4) from p > sqrt 3 / 2 and W from p > sqrt(9/11)."""
+
+    W = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3)
+
+    def test_closed_forms(self):
+        phi = np.zeros(8)
+        phi[[0, 3]] = R2  # |0>_A x Phi+_BC, a product on the floor
+        rhos = [density_from_pure(ghz_state(np.pi / 4)), density_from_pure(self.W),
+                TestBiseparableCounterexample._rho(), density_from_pure(phi)]
+        assert_allclose(_t3_norm(np.stack(rhos)), [2, np.sqrt(11 / 3), np.sqrt(2), np.sqrt(3)],
+                        rtol=0, atol=1e-14)
+
+    def test_biseparable_at_most_sqrt_3(self):
+        rng = np.random.default_rng(15)
+        for q in range(3):  # 10^4 pure products across each cut, 1000 at a time
+            for _ in range(10):
+                assert _t3_norm(_pure_products(rng, 1000, q)).max() <= np.sqrt(3) + 1e-12
+        for _ in range(3):  # mixtures of one pure product across each cut
+            weights = rng.dirichlet(np.ones(3), 1000).T[:, :, None, None]
+            rho = np.add.reduce(weights * np.stack([_pure_products(rng, 1000, q) for q in range(3)]))
+            assert _t3_norm(rho).max() <= np.sqrt(3) + 1e-12
+
+    def test_white_noise_threshold(self):
+        for psi, p in ((ghz_state(np.pi / 4), np.sqrt(3) / 2), (self.W, np.sqrt(9 / 11))):
+            below, above = (_t3_norm(q * density_from_pure(psi) + (1 - q) * np.eye(8) / 8)
+                            for q in (p * (1 - 1e-12), p * (1 + 1e-12)))
+            assert below < np.sqrt(3) < above
+
+
 class TestCKWMonogamy:
     """The Coffman-Kundu-Wootters form S_A->BC >= S_A->B + S_A->C fails where
     the paper's S_A->BC >= H_A->B + H_A->C + H_B->C holds: pure state 464 of
@@ -755,9 +806,10 @@ def parseval_factor(rho, theta, keep):
 
 
 def direct_h(rho, first=deficit_factor):
-    """Every H of steering_batch(..., **ALL) for one state, one quantity at a
-    time from the public helpers: pauli_tensor and theta slices, partial_trace
-    and purity_deficit, correlation_one_to_two and the pair covariance.
+    """Every H and cut bound of steering_batch(..., **ALL) for one state, one
+    quantity at a time from the public helpers: pauli_tensor and theta slices,
+    partial_trace and purity_deficit, correlation_one_to_two and the pair
+    covariance.
 
     The trace norms come from the kernel's _trace_norms on this state's six
     blocks, stacked: each cut's 4x16 matrix less row 0 and column 0, and each
@@ -779,8 +831,9 @@ def direct_h(rho, first=deficit_factor):
     for norm, (name, axes, key21) in zip(norms[:3], CUT_AXES):
         q, pair = axes[0], axes[1:]
         d_pair = d_q[q] if pure else purity_deficit(partial_trace(rho, pair))
-        out[f"h_{name}"] = norm - np.sqrt(first(rho, theta, (q,)) * d_pair)
-        out[f"h_{key21}"] = norm - np.sqrt(first(rho, theta, pair) * d_q[q])
+        for key, bound in ((name, np.sqrt(first(rho, theta, (q,)) * d_pair)),
+                           (key21, np.sqrt(first(rho, theta, pair) * d_q[q]))):
+            out[f"h_{key}"], out[f"bound_{key}"] = norm - bound, bound
     for norm, ((a, b), fwd, rev) in zip(norms[3:], PAIR_KEYS):
         out[fwd] = norm - np.sqrt(first(rho, theta, (a,)) * d_q[b])
         out[rev] = norm - np.sqrt(first(rho, theta, (b,)) * d_q[a])
@@ -919,11 +972,20 @@ class TestBatchKernel:
         product += [density_from_pure(ghz_state(t)) for t in (0.0, np.pi / 2)] + [np.eye(8) / 8]
         product = np.stack(product)
         assert any(purity_deficit(partial_trace(rho, (k,))) == 0.0 for rho in product for k in range(3))
-        for rhos in (pure, mixed, sweep, product):
-            got = _h_values(steering_batch(rhos, **ALL).to_dict())
+        # the same states with every exact-zero real and imaginary part -0.0:
+        # the kernel pads its reduced-state sums with +0.0, which turns a -0.0
+        # sum into +0.0, a change the DEFICIT_FLOOR clamp must erase; the cut
+        # bounds, compared too, carry a deficit's sign (sqrt(-0.0) is -0.0)
+        negative = []
+        for rhos in (sweep, product):
+            parts = rhos.view(float)
+            negative.append(np.copysign(parts, np.where(parts == 0.0, -1.0, parts)).view(complex))
+            assert np.signbit(negative[-1].view(float)[parts == 0.0]).all()
+        for rhos in (pure, mixed, sweep, product, *negative):
+            got = steering_batch(rhos, **ALL)
             for i, rho in enumerate(rhos):
                 expect = direct_h(rho)
-                assert set(got) == set(expect)
+                assert set(expect) == set(_h_values(got)) | {key for key in got if key.startswith("bound_")}
                 for key, value in expect.items():
                     assert got[key][i].tobytes() == np.float64(value).tobytes(), (key, i)
 
