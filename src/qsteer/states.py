@@ -137,6 +137,8 @@ def validate_state(rho: np.ndarray, profile: str = "default") -> dict:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    if not rho.size:  # numpy's maximum has no identity to reduce an empty matrix to
+        raise ValueError(f"expected a nonempty matrix, got shape {rho.shape}")
     rho_h = rho.conj().T
     # an infinity would meet inf - inf in rho - rho^+, and eigvalsh fails on a non-finite entry
     finite = bool(np.isfinite(rho).all())

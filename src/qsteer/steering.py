@@ -47,7 +47,6 @@ __all__ = [
     "trace_norm",
     "h_pair",
     "pauli_tensor",
-    "pauli_tensor_pair",
     "partial_trace",
     "permute_qubits",
     "purity",
@@ -149,24 +148,18 @@ def _traces(signed: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def pauli_tensor(rho: np.ndarray) -> np.ndarray:
-    """All 64 coefficients of an 8x8 state as a real (4, 4, 4) array.
+    """All coefficients of a two- or three-qubit state, one axis per qubit:
+    a real (4, 4) array for a 4x4 state, (4, 4, 4) for an 8x8 one.
 
-    A stack of states (..., 8, 8) gives (..., 4, 4, 4); each state's
-    coefficients are bit-identical to those it gets on its own.
+    A stack of states (..., d, d) gives (..., 4, 4) or (..., 4, 4, 4); each
+    state's coefficients are bit-identical to those it gets on its own.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError(f"expected an 8x8 density matrix, got {rho.shape}")
-    theta = _traces(_signed(rho), _TRACE_TABLE[8])[:64]
-    return np.moveaxis(theta, 0, -1).reshape(rho.shape[:-2] + (4, 4, 4))
-
-
-def pauli_tensor_pair(rho2: np.ndarray) -> np.ndarray:
-    """All 16 coefficients of a 4x4 state as a real (4, 4) array."""
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho2.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got {rho2.shape}")
-    return _traces(_signed(rho2), _TRACE_TABLE[4])[:16].reshape(4, 4)
+    d = rho.shape[-1] if rho.ndim >= 2 else 0
+    if d not in _TRACE_TABLE or rho.shape[-2] != d:
+        raise ValueError(f"expected a 4x4 or 8x8 density matrix or a stack of either, got {rho.shape}")
+    theta = _traces(_signed(rho), _TRACE_TABLE[d])[:d * d]
+    return np.moveaxis(theta, 0, -1).reshape(rho.shape[:-2] + (4,) * (d.bit_length() - 1))
 
 
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
@@ -382,7 +375,9 @@ def correlation_one_to_two(theta: np.ndarray) -> np.ndarray:
 
 def correlation_pair(rho2: np.ndarray) -> np.ndarray:
     """4x4 covariance matrix c_ij = (theta_ij - theta_i0 * theta_0j) / 2."""
-    theta = pauli_tensor_pair(rho2)
+    theta = pauli_tensor(rho2)
+    if theta.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got {np.shape(rho2)}")
     return PAIR_SCALE * (theta - np.outer(theta[:, 0], theta[0]))
 
 

@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import HERM_TOL, density_from_pure, ghz_state, ordered_sum, validate_state, w_state
 from qsteer.steering import (
-    PAULI2, PAULI3, partial_trace, pauli_tensor, pauli_tensor_pair, permute_qubits, purity,
+    PAULI2, PAULI3, correlation_pair, partial_trace, pauli_tensor, permute_qubits, purity,
 )
 
-from conftest import density_from_theta, oracle_theta3, purity_from_theta, random_mixed_density
+from conftest import density_from_theta, oracle_theta2, oracle_theta3, purity_from_theta, random_mixed_density
 
 
 def test_basis_state_pattern():
@@ -92,7 +92,9 @@ def test_ghz_marginal_closed_form():
 def test_pair_tensor(rng):
     rho = random_mixed_density(rng)
     pair = partial_trace(rho, ("A", "B"))
-    t2 = pauli_tensor_pair(pair)
+    t2 = pauli_tensor(pair)
+    assert t2.shape == (4, 4)
+    assert_allclose(t2, oracle_theta2(pair), rtol=0, atol=1e-13)
     assert t2[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(t2)) <= 1 + 1e-9
 
@@ -116,10 +118,14 @@ def test_residual_within_herm_tol_accepted(rng):
 
 
 def test_bad_shape():
-    with pytest.raises(ValueError):
-        pauli_tensor(np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        pauli_tensor_pair(np.eye(8) / 8)
+    # neither a 4x4 nor an 8x8 matrix, nor a stack of one of them
+    for shape in ((), (4,), (2, 2), (8, 4), (4, 8), (16, 16), (3, 2, 2), (5, 8, 4)):
+        with pytest.raises(ValueError, match=r"^expected a 4x4 or 8x8 density matrix or a stack of either, got "):
+            pauli_tensor(np.zeros(shape))
+    # the pair matrix takes one 4x4 state
+    for rho in (np.eye(8) / 8, np.stack([np.eye(4) / 4] * 2)):
+        with pytest.raises(ValueError, match=r"^expected a 4x4 density matrix, got "):
+            correlation_pair(rho)
 
 
 def _complex_route(rho, strings):
@@ -155,7 +161,13 @@ def test_matches_complex_route():
 
 
 def test_pair_matches_complex_route():
+    # a stack of pairs gives each pair's coefficients as it gets them alone,
+    # and those are the complex route's bit for bit
     for rho in _stacks():
         for keep in (("A", "B"), ("A", "C"), ("B", "C")):
-            for pair in partial_trace(rho[:: max(1, len(rho) // 16)], keep):
-                assert np.array_equal(pauli_tensor_pair(pair).ravel(), _complex_route(pair, PAULI2))
+            pairs = partial_trace(rho[:: max(1, len(rho) // 16)], keep)
+            theta = pauli_tensor(pairs)
+            assert theta.shape == (len(pairs), 4, 4)
+            assert np.array_equal(theta.reshape(len(pairs), 16), _complex_route(pairs, PAULI2))
+            for pair, t in zip(pairs, theta):
+                assert np.array_equal(pauli_tensor(pair), t)

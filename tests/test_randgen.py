@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from qsteer.randgen import (
     random_state_batch,
 )
 from qsteer.states import validate_state
-from qsteer.steering import purity
+from qsteer.steering import partial_trace, purity
 
 from conftest import recipe_cascade, recipe_spectrum
 
@@ -75,6 +77,19 @@ def test_pure_vector_matches_state():
         assert_allclose(np.outer(v, v.conj()), random_state(spec, i), atol=1e-12)
     with pytest.raises(ValueError):
         random_pure_batch(RandomStateSpec(seed=4, mode="mixed", count=1), 0, 1)
+
+
+def test_pure_measure_is_not_haar():
+    # the recipe's pure states are not unitarily invariant: their mean tr rho_A^2
+    # sits 21 standard errors below Haar's (2 + 4) / (2 * 4 + 1) = 2/3 on this
+    # batch, favouring more-entangled A|BC cuts (200,000 states read 0.65126
+    # +- 0.00022); the mean is the recipe's, bit for bit
+    n = 20000
+    rho_a = partial_trace(random_state_batch(RandomStateSpec(seed=11, mode="pure", count=n), 0, n), "A")
+    values = np.square(np.abs(rho_a)).sum(axis=(1, 2))
+    mean = math.fsum(values) / n
+    assert mean == 0.6518556837309429
+    assert 2 / 3 - mean >= 10 * values.std(ddof=1) / math.sqrt(n)
 
 
 def test_mixed_mode():

@@ -19,7 +19,7 @@ from qsteer.states import (
     validate_state,
     w_state,
 )
-from qsteer.steering import partial_trace, permute_qubits, purity, purity_deficit
+from qsteer.steering import partial_trace, permute_qubits, purity, purity_deficit, steering_report
 
 from conftest import oracle_ptrace, random_mixed_density, random_pure_density
 
@@ -246,6 +246,12 @@ class TestValidate:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4, 2\)$"):
             validate_state(np.ones((4, 2)) / 4)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+            validate_state(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+            steering_report(np.zeros((0, 0)))
 
     def test_trace_failure(self, rng):
         diag = validate_state(0.9 * random_mixed_density(rng))

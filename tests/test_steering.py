@@ -1,5 +1,9 @@
+import decimal
+import functools
 import itertools
 import json
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from qsteer.steering import (
 
 from conftest import (
     SIGMA,
+    exact_report,
     kron3,
     oracle_ptrace,
     oracle_theta2,
@@ -545,7 +550,7 @@ class TestCKWMonogamy:
     the paper's S_A->BC >= H_A->B + H_A->C + H_B->C holds: pure state 464 of
     RandomStateSpec(seed=5), the worst of the 5 CKW failures in its first
     20,000 states. The paper's relation holds there only through its
-    negative H_B->C term."""
+    negative H_B->C term. Mixed states fail it more often and by more."""
 
     @staticmethod
     def _rho():
@@ -571,6 +576,20 @@ class TestCKWMonogamy:
         h_bc = h_pair(partial_trace(rho, "BC"))
         assert abs(h_bc - r["h_bc"]) <= 1e-12
         assert s_a_bc - (s_ab + s_ac + h_bc) >= 0
+
+    def test_worst_mixed_state(self):
+        # mixed state 5560 of RandomStateSpec(seed=5, mode="mixed"), the worst of
+        # the 75 CKW failures in its first 20,000 states: A->C is detected while
+        # A->BC is not, and the paper's relation holds on two negative pair H
+        rho = random_state_batch(RandomStateSpec(seed=5, mode="mixed", count=5561), 5560, 5561)[0]
+        r = steering_report(rho)
+        assert_allclose([r["h_a_bc"], r["s_ac"], r["h_ab"], r["h_bc"], r["margin"]],
+                        [-0.0640814, 0.2382672, -0.5655557, -0.5407306, 0.8680191], rtol=0, atol=1e-7)
+        assert r["s_a_bc"] == r["s_ab"] == 0.0 and r["s_ac"] == r["h_ac"]
+        h_a_bc = _direct_one_to_two(rho)["a_bc"][0]
+        h_ac = h_pair(partial_trace(rho, "AC"))
+        assert abs(h_a_bc - r["h_a_bc"]) <= 1e-12 and abs(h_ac - r["h_ac"]) <= 1e-12
+        assert max(h_a_bc, 0.0) - max(h_ac, 0.0) < -0.238
 
 
 class TestTwoToOneMonogamy:
@@ -600,6 +619,83 @@ class TestTwoToOneMonogamy:
         h_bc = h_pair(partial_trace(rho, "BC"))
         direct = s_bc_to_a - (h_ba + h_ca + h_bc)
         assert abs(direct - (r["s_bc_to_a"] - (r["h_ba"] + r["h_ca"] + r["h_bc"]))[0]) <= 1e-12
+
+
+@functools.cache
+def _exact_states():
+    """(float rho, exact report) of a few seeded states: Hilbert-Schmidt mixed
+    and Haar pure ones (the pure ones exact from psi), and the recipe's."""
+    rng = np.random.default_rng(13)
+    out = []
+    for _ in range(3):
+        rho = random_mixed_density(rng)
+        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        psi /= np.linalg.norm(psi)
+        out += [(rho, exact_report(rho)), (density_from_pure(psi), exact_report(psi=psi))]
+    for mode in ("mixed", "pure"):
+        out += [(rho, exact_report(rho)) for rho in random_state_batch(RandomStateSpec(seed=1, mode=mode, count=2), 0, 2)]
+    return out
+
+
+class TestExactOracle:
+    """Forward error of every route against exact_report, the 80-digit
+    decimal reference of tests/conftest.py. The kernel reads tr rho as 1, so
+    a trace residual e moves a value by up to ~e; the recipe's states carry
+    e up to ~1.5e-15. Each route stays within EXACT_BUDGET + 2e."""
+
+    # measured on 80 generic and 240 recipe states: error - 2e <= 5.4e-16 on
+    # every route, and error <= 6.4e-16 on the generic ones
+    EXACT_BUDGET = 1e-15
+
+    @staticmethod
+    def _error(value, exact):
+        return abs(float(Decimal(float(value)) - exact))
+
+    def test_oracle_closed_forms(self):
+        # GHZ(pi/4): H = 3/2 - sqrt 3/2 on each 1->2 cut, 3/2 - sqrt 7/2 on each
+        # 2->1 cut, 1/2 - sqrt 3/2 on each pair; |000> gives zeros. The norms of
+        # GHZ's cuts are a triple root, which bisection pins to ~1e-27
+        with decimal.localcontext(decimal.Context(prec=80)):
+            root3, root7 = Decimal(3).sqrt() / 2, Decimal(7).sqrt() / 2
+            ghz = exact_report(psi=ghz_state(np.pi / 4))
+            for name in ("a_bc", "b_to_ca", "c_to_ab"):
+                assert abs(ghz[f"h_{name}"] - (Decimal(3) / 2 - root3)) < Decimal("1e-25")
+            for name in ("bc_to_a", "ca_to_b", "ab_to_c"):
+                assert abs(ghz[f"h_{name}"] - (Decimal(3) / 2 - root7)) < Decimal("1e-25")
+            for name in ("ab", "ba", "ac", "ca", "bc", "cb"):
+                assert abs(ghz[f"h_{name}"] - (Decimal(1) / 2 - root3)) < Decimal("1e-30")
+        assert all(v == 0 for v in exact_report(psi=np.eye(8)[0]).values())
+
+    def test_kernel_within_budget(self):
+        states = _exact_states()
+        batch = steering_batch(np.stack([rho for rho, _ in states]), True, True, True)
+        for i, (rho, exact) in enumerate(states):
+            budget = self.EXACT_BUDGET + 2 * abs(math.fsum(np.diag(rho).real) - 1)
+            expect = dict(exact)
+            for name in ("a_bc", "bc_to_a", "b_to_ca", "ca_to_b", "c_to_ab", "ab_to_c", "ab", "ac", "bc"):
+                expect[f"s_{name}"] = max(exact[f"h_{name}"], Decimal(0))
+            pairs = [exact[k] for k in ("h_ab", "h_ac", "h_bc")]
+            expect.update(h_tot=sum(pairs), s_tot=expect["s_ab"] + expect["s_ac"] + expect["s_bc"],
+                          margin=expect["s_a_bc"] - sum(pairs))
+            label = "corollary1" if min(pairs) >= 0 else "corollary2" if max(pairs) < 0 else "mixed"
+            for report in (batch.row(i), steering_report(rho, True, True, True)):
+                assert report.pop("classification") == label
+                errors = {key: self._error(value, expect[key]) for key, value in report.items()}
+                assert max(errors.values()) <= budget, (i, max(errors, key=errors.get))
+
+    def test_reference_routes_within_budget(self):
+        for rho, exact in _exact_states():
+            budget = self.EXACT_BUDGET + 2 * abs(math.fsum(np.diag(rho).real) - 1)
+            theta = pauli_tensor(rho)
+            for name, axes, reverse in CUT_AXES:
+                norm = trace_norm(correlation_one_to_two(theta.transpose(axes)))
+                assert self._error(norm, exact[f"norm_{name}"]) <= budget
+                assert self._error(norm, exact[f"norm_{reverse}"]) <= budget
+            for pair, forward, backward in PAIR_KEYS:
+                rho2 = partial_trace(rho, pair)
+                assert self._error(trace_norm(correlation_pair(rho2)), exact[f"norm{forward[1:]}"]) <= budget
+                assert self._error(h_pair(rho2), exact[forward]) <= budget
+                assert self._error(h_pair(rho2, steering_side=1), exact[backward]) <= budget
 
 
 class TestWPairNorms:
