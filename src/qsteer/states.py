@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -59,15 +58,12 @@ def schmidt_points(p) -> np.ndarray:
 
 
 def _check_integers(config, low: int, *names: str) -> None:
-    """Raise a TypeError naming the first of config's fields in names that is
-    not an integer (operator.index takes numpy's too), or a ValueError naming
-    the first below low."""
+    """Raise a TypeError naming the first field in names that is not an integer
+    (numpy's are, a bool is not), or a ValueError naming the first below low."""
     for name in names:
         value = getattr(config, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # bool subclasses int
+            raise TypeError(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be >= {low}")
 
@@ -120,6 +116,8 @@ def ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     summed alone and inside a stack can differ in the last bit; the running
     sum of np.add.accumulate is computed elementwise and does not.
     """
+    if not x.shape[axis]:  # no terms: the empty sum, 0.0
+        return np.add.reduce(x, axis=axis)
     return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
 
 

@@ -33,6 +33,7 @@ which h_pair and the tests use.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,14 @@ def _traces(signed: np.ndarray, table: np.ndarray) -> np.ndarray:
     return vals[:s + 1]
 
 
+def _qubits(rho: np.ndarray) -> int:
+    """2 for a (..., 4, 4) stack of states, 3 for (..., 8, 8); any other shape raises ValueError."""
+    d = rho.shape[-1] if rho.ndim >= 2 else 0
+    if d not in _TRACE_TABLE or rho.shape[-2] != d:
+        raise ValueError(f"expected a 4x4 or 8x8 density matrix or a stack of either, got {rho.shape}")
+    return d.bit_length() - 1
+
+
 def pauli_tensor(rho: np.ndarray) -> np.ndarray:
     """All coefficients of a two- or three-qubit state, one axis per qubit:
     a real (4, 4) array for a 4x4 state, (4, 4, 4) for an 8x8 one.
@@ -155,44 +164,38 @@ def pauli_tensor(rho: np.ndarray) -> np.ndarray:
     state's coefficients are bit-identical to those it gets on its own.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[-1] if rho.ndim >= 2 else 0
-    if d not in _TRACE_TABLE or rho.shape[-2] != d:
-        raise ValueError(f"expected a 4x4 or 8x8 density matrix or a stack of either, got {rho.shape}")
-    theta = _traces(_signed(rho), _TRACE_TABLE[d])[:d * d]
-    return np.moveaxis(theta, 0, -1).reshape(rho.shape[:-2] + (4,) * (d.bit_length() - 1))
+    qubits = _qubits(rho)
+    theta = _traces(_signed(rho), _TRACE_TABLE[2 ** qubits])[:4 ** qubits]
+    return np.moveaxis(theta, 0, -1).reshape(rho.shape[:-2] + (4,) * qubits)
 
 
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
 
 
-def _trace_terms(keep: tuple[int, ...]) -> np.ndarray:
-    """Flat 8x8 indices of the terms of each reduced-state entry: (d, d, terms)."""
-    out, qubits = np.arange(64).reshape((2,) * 6), 3
-    for q in sorted({0, 1, 2} - set(keep), reverse=True):  # row axis q, column axis qubits + q
+def _trace_terms(qubits: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Flat indices into a qubits-qubit state of the terms of each reduced-state entry: (d, d, terms)."""
+    out = np.arange(4 ** qubits).reshape((2,) * (2 * qubits))
+    for q in sorted(set(range(qubits)) - set(keep), reverse=True):  # row axis q, column axis qubits + q
         out = out.diagonal(axis1=q, axis2=qubits + q)
         qubits -= 1
-    d = 2 ** len(keep)
-    return out.reshape(d, d, -1)
+    return out.reshape((2 ** len(keep),) * 2 + (-1,))
 
 
-# keys are the subsystems partial_trace can keep, as sorted qubit indices
-_TRACE_TERMS = {k: _trace_terms(k) for k in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
+# keys are (qubits, kept qubits as sorted indices), the subsystems partial_trace can keep
+_TRACE_TERMS = {(n, k): _trace_terms(n, k) for n in (2, 3) for size in range(1, n)
+                for k in itertools.combinations(range(n), size)}
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
-    """Reduced state of a three-qubit density matrix.
-
-    `keep` is a subset of {"A","B","C"} (or qubit indices {0,1,2}); the
-    remaining qubits are traced out. Result dimension is 2 or 4. A stack of
-    states (..., 8, 8) gives a stack of reduced states.
-    """
-    idx = tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep))
-    if idx not in _TRACE_TERMS:
-        raise ValueError(f"invalid subsystem set {keep!r}")
+    """Reduced state of a two- or three-qubit density matrix, or a stack of
+    reduced states for a stack (..., d, d). `keep` is a subset of {"A","B"}
+    for a 4x4 pair or of {"A","B","C"} for an 8x8 state (or qubit indices);
+    the other qubits are traced out, each entry a sum of its terms in order."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError(f"expected an 8x8 three-qubit density matrix, got {rho.shape}")
-    return ordered_sum(rho.reshape(rho.shape[:-2] + (64,))[..., _TRACE_TERMS[idx]])
+    key = (_qubits(rho), tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep)))
+    if key not in _TRACE_TERMS:
+        raise ValueError(f"invalid subsystem set {keep!r}")
+    return ordered_sum(rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))[..., _TRACE_TERMS[key]])
 
 
 def purity(rho: np.ndarray) -> float:
@@ -240,9 +243,11 @@ def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     identity and, unlike 1 - sum|rho_ij|^2, does not cancel catastrophically
     when rho is nearly pure. That matters because this quantity sits under a
     square root in the steering bounds. For a qubit it is 2 det(rho). A stack
-    (..., d, d) gives one deficit per matrix.
+    (..., d, d) gives one deficit per matrix; a 1x1 state's is 0.0.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex, order="C")
+    if rho.ndim < 2 or not rho.shape[-1] or rho.shape[-2] != rho.shape[-1]:
+        raise ValueError(f"expected a nonempty square matrix or a stack of them, got shape {rho.shape}")
     d = rho.shape[-1]
     flat = rho.reshape(rho.shape[:-2] + (d * d,)).view(float)
     deficit = _minor_sum(_minor_terms(np.moveaxis(flat, -1, 0).take(_minor_floats(d), axis=0)))
@@ -293,7 +298,7 @@ _LABEL_AT = _REPORT_HEAD.index("classification")
 
 
 def trace_norm(matrix) -> float | np.ndarray:
-    """Sum of singular values; one per matrix of a stack (..., m, n).
+    """Sum of singular values, 0.0 for an empty matrix; one per matrix of a stack (..., m, n).
 
     The LAPACK reference route (one SVD per matrix): h_pair and the tests
     use it, while the steering kernel takes its norms from _trace_norms.
@@ -366,9 +371,11 @@ def correlation_one_to_two(theta: np.ndarray) -> np.ndarray:
 
     M[m, 4j+k] = (theta[m,j,k] - theta[m,0,0] * theta[0,j,k]) / (2*sqrt(2)).
     Row m=0 and column n=0 vanish identically. A stack of tensors
-    (..., 4, 4, 4) gives a stack of matrices.
+    (..., 4, 4, 4) gives a stack of matrices; any other shape raises ValueError.
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.shape[-3:] != (4, 4, 4):
+        raise ValueError(f"expected a 4x4x4 Pauli tensor or a stack of them, got {theta.shape}")
     cov = theta - theta[..., :, 0, 0, None, None] * theta[..., None, 0, :, :]
     return ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16))
 
@@ -381,22 +388,16 @@ def correlation_pair(rho2: np.ndarray) -> np.ndarray:
     return PAIR_SCALE * (theta - np.outer(theta[:, 0], theta[0]))
 
 
-def _pair_marginals(rho2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    r = np.asarray(rho2, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("abcb->ac", r), np.einsum("abac->bc", r)
-
-
 def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
     """H for one qubit of a pair steering the other.
 
-    steering_side selects which marginal drives the bound: H equals
-    ||c||_tr - sqrt((2 - tr rho_steer^2)(1 - tr rho_steered^2)).
+    steering_side selects which marginal (each from partial_trace) drives the
+    bound: H = ||c||_tr - sqrt((2 - tr rho_steer^2)(1 - tr rho_steered^2)).
     """
     if steering_side not in (0, 1):
         raise ValueError("steering_side must be 0 or 1")
     norm = trace_norm(correlation_pair(rho2))
-    m0, m1 = _pair_marginals(rho2)
-    steer, steered = (m0, m1) if steering_side == 0 else (m1, m0)
+    steer, steered = (partial_trace(rho2, (q,)) for q in (steering_side, 1 - steering_side))
     return norm - float(np.sqrt((2.0 - purity(steer)) * purity_deficit(steered)))
 
 
@@ -473,7 +474,7 @@ def _deficit_tables(subsystems) -> tuple[np.ndarray, np.ndarray]:
     for keep in (*subsystems, (0, 1, 2)):
         d = 2 ** len(keep)
         floats = _minor_floats(d)
-        terms = _trace_terms(keep).reshape(d * d, -1)[floats // 2]  # (4, minors, 8 / d)
+        terms = _trace_terms(3, keep).reshape(d * d, -1)[floats // 2]  # (4, minors, 8 / d)
         parts.append(np.pad(2 * terms + floats[..., None] % 2, ((0, 0), (0, 0), (0, 4 - 8 // d)),
                             constant_values=256))
     start = np.cumsum([0] + [p.shape[1] for p in parts])

@@ -96,16 +96,17 @@ def recipe_spectrum(seed, mode, index):
     return lams, vecs
 
 
-def oracle_ptrace(rho, keep):
-    """Index-loop partial trace of an 8x8 state; keep is a tuple of qubit ids."""
+def oracle_ptrace(rho, keep, qubits=3):
+    """Index-loop partial trace of a state of the given number of qubits
+    (an 8x8 state by default); keep is a tuple of qubit ids."""
     keep = tuple(sorted(keep))
-    traced = [q for q in range(3) if q not in keep]
+    traced = [q for q in range(qubits) if q not in keep]
     dk = 2 ** len(keep)
     out = np.zeros((dk, dk), dtype=complex)
-    for row in range(8):
-        for col in range(8):
-            rb = [(row >> (2 - q)) & 1 for q in range(3)]
-            cb = [(col >> (2 - q)) & 1 for q in range(3)]
+    for row in range(2**qubits):
+        for col in range(2**qubits):
+            rb = [(row >> (qubits - 1 - q)) & 1 for q in range(qubits)]
+            cb = [(col >> (qubits - 1 - q)) & 1 for q in range(qubits)]
             if any(rb[q] != cb[q] for q in traced):
                 continue
             r_idx = 0

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -926,9 +927,10 @@ class TestVerify:
         *(pytest.param(RandomStateSpec, n, id=f"random-{n}") for n in ("seed", "count")),
     ])
     def test_rejects_non_integer_fields(self, config, name):
-        # a float used to construct and fail later, as a slice bound or a range length
-        for bad in (2.5, 2.0, "2"):
-            with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+        # a float used to construct and fail later, as a slice bound or a range
+        # length, and a bool passed as 1 or 0
+        for bad in (2.5, 2.0, "2", True, False, np.True_):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
                 config(**{"seed": 1, name: bad})
         assert getattr(config(**{"seed": 1, name: np.int64(2)}), name) == 2
 

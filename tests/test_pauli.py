@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,8 @@ from numpy.testing import assert_allclose
 from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import HERM_TOL, density_from_pure, ghz_state, ordered_sum, validate_state, w_state
 from qsteer.steering import (
-    PAULI2, PAULI3, correlation_pair, partial_trace, pauli_tensor, permute_qubits, purity,
+    PAULI2, PAULI3, correlation_one_to_two, correlation_pair, partial_trace, pauli_tensor, permute_qubits,
+    purity,
 )
 
 from conftest import density_from_theta, oracle_theta2, oracle_theta3, purity_from_theta, random_mixed_density
@@ -126,6 +129,11 @@ def test_bad_shape():
     for rho in (np.eye(8) / 8, np.stack([np.eye(4) / 4] * 2)):
         with pytest.raises(ValueError, match=r"^expected a 4x4 density matrix, got "):
             correlation_pair(rho)
+    # the 1->2 matrix takes a 4x4x4 tensor or a stack of them
+    for shape in ((4, 4), (4, 4, 3), (2, 4, 4, 5), (64,)):
+        message = f"expected a 4x4x4 Pauli tensor or a stack of them, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            correlation_one_to_two(np.zeros(shape))
 
 
 def _complex_route(rho, strings):

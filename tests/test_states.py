@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -193,9 +194,30 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, ("A", "B", "C"))
 
-    def test_non_three_qubit_rejected(self):
-        with pytest.raises(ValueError, match=r"^expected an 8x8 three-qubit density matrix, got \(4, 4\)$"):
-            partial_trace(np.eye(4) / 4, ("A",))
+    def test_pair_keeps_one_qubit(self):
+        # a 4x4 pair keeps A or B; C, both qubits, and any shape but 4x4 or 8x8 raise
+        pair = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+        assert np.array_equal(partial_trace(pair, "A"), np.diag([0.75, 0.25]))
+        assert np.array_equal(partial_trace(pair, (1,)), np.diag([0.625, 0.375]))
+        for keep in ("C", ("A", "B")):
+            with pytest.raises(ValueError, match=r"^invalid subsystem set "):
+                partial_trace(pair, keep)
+        for shape in ((2, 2), (8, 4), (16, 16)):
+            with pytest.raises(ValueError, match=r"^expected a 4x4 or 8x8 density matrix or a stack of either, got "):
+                partial_trace(np.eye(*shape), ("A",))
+
+    def test_pair_matches_oracle(self, rng):
+        # a stack of pairs gives each pair bit for bit as it gets it alone, and
+        # the index-loop oracle's values; real product states carry signed zeros
+        minus, zero = np.array([[0.5, -0.5], [-0.5, 0.5]]), np.diag([1.0, 0.0])
+        pairs = np.stack([random_mixed_density(rng, dim=4) for _ in range(6)] + [random_pure_density(rng, dim=4)]
+                         + [np.kron(minus, zero), np.kron(zero, minus)])
+        for keep in ((0,), (1,)):
+            got = partial_trace(pairs, keep)
+            assert got.shape == (len(pairs), 2, 2)
+            for pair, g in zip(pairs, got):
+                assert partial_trace(pair, keep).tobytes() == g.tobytes()
+                assert_allclose(g, oracle_ptrace(pair, keep, qubits=2), rtol=0, atol=1e-15)
 
 
 class TestPermute:
@@ -278,6 +300,16 @@ class TestValidate:
             rho = random_mixed_density(rng, dim=4)
             assert_allclose(purity_deficit(rho), 1 - purity(rho), atol=1e-12)
         assert purity_deficit(random_pure_density(rng, dim=4)) == 0.0
+
+    def test_deficit_shapes(self):
+        # a 1x1 state has no minors and deficit 0.0; an empty, non-square or
+        # 1-D input is no matrix
+        assert purity_deficit(np.ones((1, 1))) == 0.0
+        assert np.array_equal(purity_deficit(np.ones((3, 1, 1))), np.zeros(3))
+        for shape in ((0, 0), (2, 0, 0), (4, 2), (4,), ()):
+            message = f"expected a nonempty square matrix or a stack of them, got shape {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                purity_deficit(np.zeros(shape))
 
 
 # any finite double, subnormals included, small enough that |psi><psi| stays finite

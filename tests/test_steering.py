@@ -175,6 +175,13 @@ class TestTraceNorm:
         m = rng.standard_normal((4, 16))
         assert trace_norm(m) > 0
 
+    def test_empty_is_zero(self):
+        # a sum of no singular values: 0.0, and one zero per matrix of a stack
+        for shape in ((0, 3), (3, 0)):
+            got = trace_norm(np.zeros(shape))
+            assert type(got) is float and got == 0.0
+        assert np.array_equal(trace_norm(np.zeros((2, 0, 3))), np.zeros(2))
+
 
 def _blocks(rng, cols, count, sigma=None, rank=3):
     """(3, cols, count) stack of blocks: Gaussian of the given rank, or
@@ -619,6 +626,45 @@ class TestTwoToOneMonogamy:
         h_bc = h_pair(partial_trace(rho, "BC"))
         direct = s_bc_to_a - (h_ba + h_ca + h_bc)
         assert abs(direct - (r["s_bc_to_a"] - (r["h_ba"] + r["h_ca"] + r["h_bc"]))[0]) <= 1e-12
+
+
+class TestInvariantMeasures:
+    """The monogamy findings under unitarily invariant measures, which the
+    recipe's is not (test_randgen.test_pure_measure_is_not_haar): 20,000 Haar
+    pure states (normalised complex Gaussian vectors) and 20,000
+    Hilbert-Schmidt mixed states (G G^+ / tr G G^+, G a complex Gaussian
+    matrix), each drawn from a fresh default_rng(5)."""
+
+    N = 20_000
+
+    @staticmethod
+    def _gaps(rho):
+        """The CKW gap S_A->BC - S_A->B - S_A->C, the paper's margin and the
+        2->1 gap S_BC->A - (H_B->A + H_C->A + H_B->C) of every state, in blocks
+        of 4000 (a state's values do not depend on its stack)."""
+        parts = []
+        for block in np.split(rho, len(rho) // 4000):
+            r = steering_batch(block, True, True, True)
+            parts.append((r["s_a_bc"] - r["s_ab"] - r["s_ac"], r["margin"],
+                          r["s_bc_to_a"] - (r["h_ba"] + r["h_ca"] + r["h_bc"])))
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    def test_haar_pure(self):
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal((self.N, 8)) + 1j * rng.standard_normal((self.N, 8))
+        ckw, margin, two_to_one = self._gaps(density_from_pure(psi / np.linalg.norm(psi, axis=1, keepdims=True)))
+        assert np.count_nonzero(ckw < 0) == 18 and ckw.argmin() == 11305
+        assert np.count_nonzero(two_to_one < 0) == 5631
+        assert_allclose([ckw.min(), margin.min(), two_to_one.min()], [-0.0254637, 0.0560991, -0.515115],
+                        rtol=0, atol=1e-6)
+
+    def test_hilbert_schmidt_mixed(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((self.N, 8, 8)) + 1j * rng.standard_normal((self.N, 8, 8))
+        m = g @ g.conj().transpose(0, 2, 1)
+        ckw, margin, two_to_one = self._gaps(m / np.trace(m, axis1=1, axis2=2).real[:, None, None])
+        assert np.count_nonzero(ckw < 0) == 0 and np.count_nonzero(two_to_one < 0) == 0
+        assert_allclose(margin.min(), 1.20204, rtol=0, atol=1e-5)
 
 
 @functools.cache
