@@ -172,6 +172,20 @@ def pauli_tensor(rho: np.ndarray) -> np.ndarray:
 _QUBIT_NAMES = {"A": 0, "B": 1, "C": 2}
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool, though it subclasses int, is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _qubit_index(label) -> int:
+    """A qubit label's index: "A", "B" and "C" read 0, 1 and 2, an integer
+    reads itself, and any other label (a bool too) -1, which no subsystem
+    set or permutation holds."""
+    if isinstance(label, str):
+        return _QUBIT_NAMES.get(label, -1)
+    return int(label) if _is_integer(label) else -1
+
+
 def _trace_terms(qubits: int, keep: tuple[int, ...]) -> np.ndarray:
     """Flat indices into a qubits-qubit state of the terms of each reduced-state entry: (d, d, terms)."""
     out = np.arange(4 ** qubits).reshape((2,) * (2 * qubits))
@@ -192,7 +206,7 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     for a 4x4 pair or of {"A","B","C"} for an 8x8 state (or qubit indices);
     the other qubits are traced out, each entry a sum of its terms in order."""
     rho = np.asarray(rho, dtype=complex)
-    key = (_qubits(rho), tuple(sorted(_QUBIT_NAMES.get(k, k) for k in keep)))
+    key = (_qubits(rho), tuple(sorted(map(_qubit_index, keep))))
     if key not in _TRACE_TERMS:
         raise ValueError(f"invalid subsystem set {keep!r}")
     return ordered_sum(rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))[..., _TRACE_TERMS[key]])
@@ -260,7 +274,7 @@ def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
     `perm` is a permutation of ("A","B","C") or of (0,1,2); e.g. ("B","C","A")
     moves the original qubit B into the leading slot.
     """
-    p = tuple(_QUBIT_NAMES.get(k, k) for k in perm)
+    p = tuple(map(_qubit_index, perm))
     if sorted(p) != [0, 1, 2]:
         raise ValueError(f"invalid qubit permutation {perm!r}")
     rho = np.asarray(rho, dtype=complex)
@@ -394,7 +408,7 @@ def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
     steering_side selects which marginal (each from partial_trace) drives the
     bound: H = ||c||_tr - sqrt((2 - tr rho_steer^2)(1 - tr rho_steered^2)).
     """
-    if steering_side not in (0, 1):
+    if not _is_integer(steering_side) or steering_side not in (0, 1):
         raise ValueError("steering_side must be 0 or 1")
     norm = trace_norm(correlation_pair(rho2))
     steer, steered = (partial_trace(rho2, (q,)) for q in (steering_side, 1 - steering_side))

@@ -1,8 +1,13 @@
+import contextlib
 import errno
 import io
+import itertools
 import json
+import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +66,7 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(out)
         assert report["s_a_bc"] == pytest.approx(0.6339746, abs=1e-7)
+        assert abs(report["h_a_bc"] - (1.5 - 0.75 ** 0.5)) <= 1e-12
         assert report["classification"] == "corollary2"
 
     def test_product_state_all_zero(self, tmp_path, capsys):
@@ -97,7 +103,9 @@ class TestAnalyze:
         # np.array reads true beside numbers as 1: each would analyze as |000>
         {"qubits": 3, "kind": "pure", "amplitudes": [[True, 0]] + [[0, 0]] * 7},
         {"qubits": 3, "kind": "mixed", "matrix": [[[1.0, False]] + [[0.0, 0.0]] * 7] + [[[0.0, 0.0]] * 8] * 7},
-    ], ids=["non-list-rows", "non-pair-entry", "bool-qubits", "bool-amplitude", "bool-matrix-entry"])
+        {"qubits": 1, "kind": "pure", "amplitudes": [["1.0", 0.0], [0.0, 0.0]]},
+    ], ids=["non-list-rows", "non-pair-entry", "bool-qubits", "bool-amplitude", "bool-matrix-entry",
+            "string-number"])
     def test_malformed_payload_exit_1(self, tmp_path, capsys, payload):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
@@ -168,6 +176,7 @@ class TestAnalyze:
         code, out, err = run_cli(["analyze", str(path), "--tolerance-profile", "loose"], capsys)
         assert (code, err) == (0, "")
         assert out == json.dumps(steering_report((rho + rho.conj().T) / 2).to_dict(), indent=2) + "\n"
+        assert len(json.loads(out)) == 14
 
     def test_loose_profile_rejects_larger_skew(self, tmp_path, capsys):
         # stderr is one line: the prefix, then validate_state's five keys in order
@@ -201,6 +210,46 @@ class TestAnalyze:
         got, out, err = run_cli(["analyze", str(path), "--tolerance-profile", profile], capsys)
         assert got == code
         assert (err == "") if code == 0 else (out == "" and err.startswith("error: invalid state: {"))
+
+    def test_all_flags_report(self, tmp_path, capsys):
+        # a state as random writes it: every key of the three flags, the bytes
+        # of steering_report, and each 1->2 norm equal to its 2->1 transpose's
+        assert run_cli(["random", "--count", "1", "--mode", "mixed", "--seed", "3",
+                        "--out", str(tmp_path / "st")], capsys)[0] == 0
+        path = tmp_path / "st" / "state_00000.json"
+        code, out, err = run_cli(["analyze", str(path), "--all-cuts", "--two-to-one", "--reverse-pairs"], capsys)
+        assert (code, err) == (0, "")
+        rho = state_from_payload(json.loads(path.read_text()))
+        assert out == json.dumps(steering_report(rho, True, True, True).to_dict(), indent=2) + "\n"
+        r = json.loads(out)
+        assert len(r) == 37
+        assert r["margin"] == r["s_a_bc"] - r["h_tot"]
+        assert (r["norm_bc_to_a"], r["norm_ca_to_b"], r["norm_ab_to_c"]) == (
+            r["norm_a_bc"], r["norm_b_to_ca"], r["norm_c_to_ab"])
+
+    def test_product_state_all_flags_exact_zero(self, tmp_path, capsys):
+        # GHZ(0) = |111>: every one of the 37 values is +0.0, none -0.0 or a rounding residue
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(state_to_payload(ghz_state(0.0))))
+        code, out, _ = run_cli(["analyze", str(path), "--all-cuts", "--two-to-one", "--reverse-pairs"], capsys)
+        assert code == 0
+        r = json.loads(out)
+        assert len(r) == 37 and r.pop("classification") == "corollary1"
+        assert {repr(v) for v in r.values()} == {"0.0"}
+
+    def test_near_pure_band_state(self, tmp_path, capsys):
+        # |0>_A x a pair 1e-13 from pure: the pair's deficit (2e-13) is above
+        # DEFICIT_FLOOR, so the A|BC bound keeps its square root, sqrt(2e-13)
+        # ~ 4.5e-7 > 0, and H is that far below 0
+        e = 1e-13
+        chi, chi2 = np.array([1, 0, 0, 1]) / 2 ** 0.5, np.array([0, 1, 1, 0]) / 2 ** 0.5
+        pair = (1 - e) * np.outer(chi, chi) + e * np.outer(chi2, chi2)
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(state_to_payload(np.kron(np.diag([1.0, 0.0]), pair))))
+        code, out, _ = run_cli(["analyze", str(path), "--all-cuts"], capsys)
+        assert code == 0
+        r = json.loads(out)
+        assert r["s_a_bc"] == 0.0 and r["bound_a_bc"] > 0
 
     def test_out_flag_rejected(self, ghz_file, tmp_path):
         # the report goes to stdout; an --out that wrote nothing would mislead
@@ -240,16 +289,20 @@ class TestSweep:
     def test_ghz_grid(self, tmp_path, capsys):
         out_file = tmp_path / "ghz.csv"
         code, _, _ = run_cli(["sweep", "--family", "ghz", "--start", "0", "--stop", "pi/2",
-                              "--points", "5", "--out", str(out_file)], capsys)
+                              "--points", "1001", "--out", str(out_file)], capsys)
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "param,h_a_bc,s_a_bc,h_ab,h_ac,h_bc,h_tot"
         rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 5
-        mid = [float(v) for v in rows[2][:7]]  # theta = pi/4
+        assert len(rows) == 1001
+        mid = [float(v) for v in rows[500][:7]]  # theta = pi/4
         assert mid[0] == pytest.approx(np.pi / 4)
+        assert abs(mid[1] - (1.5 - 0.75 ** 0.5)) <= 1e-12
         assert mid[2] == pytest.approx(0.6339746, abs=1e-7)
         assert mid[3] == pytest.approx(-0.3660254, abs=1e-7)
+        for row in rows:  # h_tot is the sum of the printed pair values, in order
+            h_ab, h_ac, h_bc, h_tot = map(float, row[3:7])
+            assert h_tot == (h_ab + h_ac) + h_bc
         first = [float(v) for v in rows[0][:7]]  # theta = 0, separable
         assert first[2] == 0.0
         assert all(v <= 1e-12 for v in first[1:])
@@ -317,6 +370,14 @@ class TestSweep:
             cli.main(["sweep", "--family", "ghz", "--start", "-pi/3", "--stop", "0", "--points", "2"])
         assert exc.value.code == 1
         assert "expected one argument" in capsys.readouterr().err
+
+    def test_exponent_angles_are_exact_end_points(self, tmp_path, capsys):
+        out_file = tmp_path / "exp.csv"
+        code, _, _ = run_cli(["sweep", "--family", "ghz", "--start", "1e-3pi", "--stop", "pi/1e1",
+                              "--points", "3", "--out", str(out_file)], capsys)
+        assert code == 0
+        param = [float(line.split(",")[0]) for line in out_file.read_text().splitlines()[1:]]
+        assert len(param) == 3 and (param[0], param[-1]) == (1e-3 * math.pi, math.pi / 10)
 
     def test_grid_is_built_one_chunk_at_a_time(self, tmp_path, monkeypatch):
         # 2^40 points would be an 8 TiB np.linspace grid; the first chunk's
@@ -571,6 +632,15 @@ def test_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, writer, blocked):
     assert not (out / "metadata.json").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("writer", ["sweep", "montecarlo"])
+def test_real_full_device_exits_1(capsys, writer):
+    # the kernel's own ENOSPC, which names no file, reported as --out's in one line
+    code, out, err = run_cli(_WRITERS[writer] + ["--out", "/dev/full"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_pathless_os_error_propagates(monkeypatch):
     # an OSError that names no file (a closed stdout, say) is no --out problem: main re-raises it
     class ClosedPipe(io.StringIO):
@@ -584,7 +654,72 @@ def test_pathless_os_error_propagates(monkeypatch):
     assert exc.value.filename is None
 
 
+@pytest.mark.parametrize("argv,code,out,err", [
+    pytest.param(["analyze", "ghz.json"], 0, "{\n", "", id="report"),
+    pytest.param(["montecarlo", "--count", "2", "--seed", "-1"], 1, "", "error: seed must be >= 0\n",
+                 id="rejected-argument"),
+    pytest.param(["sweep"], 1, "", "usage: qsteer sweep", id="usage"),
+    pytest.param(["analyze", "invalid.json"], 2, "", "error: invalid state: {", id="invalid-state"),
+])
+def test_module_entry_point(tmp_path, argv, code, out, err):
+    # python -m qsteer.cli: sys.exit(main()) hands each exit code to the process;
+    # a report or summary goes to stdout, an error line to stderr, never both
+    payload = state_to_payload(ghz_state(np.pi / 4))
+    (tmp_path / "ghz.json").write_text(json.dumps(payload))
+    payload["amplitudes"][0] = [3.0, 0.0]
+    (tmp_path / "invalid.json").write_text(json.dumps(payload))
+    env = {name: value for name, value in os.environ.items() if name != "QSTEER_OUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-m", "qsteer.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == code
+    assert run.stdout.startswith(out) if out else run.stdout == ""
+    assert run.stderr.startswith(err) if err else run.stderr == ""
+
+
 class TestVerifyAppendix:
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        """The JSON of a small run: 16 free and 4 x 16 face starts, 2^14 samples, seed 0."""
+        path = tmp_path_factory.mktemp("appendix") / "appendix.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify-appendix", "--starts", "16", "--stationary-starts", "0", "--face-starts", "16",
+                             "--samples", "16384", "--seed", "0", "--out", str(path)])
+        assert code == 0
+        return path.read_text()
+
+    def test_report_is_finite_json_with_one_verdict(self, report):
+        def non_finite(constant):
+            raise AssertionError(f"non-finite JSON constant {constant}")
+
+        r = json.loads(report, parse_constant=non_finite)
+        assert list(r) == ["fixtures", "recovered", "search", "scan", "pass"]
+        assert r["pass"] is (r["search"]["pass"] and r["scan"]["pass"]
+                             and all(x["matched"] for x in r["fixtures"] + r["recovered"]))
+
+    def test_search_block(self, report):
+        r = json.loads(report)
+        search, rows, zero_sets = r["search"], r["search"]["critical_points"], r["search"]["zero_sets"]
+        # every start counted once, each row a converged critical point, one row per value
+        assert search["converged"] + search["dropped"] == search["starts"]
+        assert all(row["grad_norm"] <= 1e-10 for row in rows)
+        keys = [round(row["f"], 6) + 0.0 for row in rows]
+        assert keys == sorted(set(keys))
+        # f vanishes on each zero set, whose hits are converged starts, and
+        # every recovered fixture is a listed row or a zero set's name
+        assert all(entry["max_abs_f"] <= 1e-9 for entry in zero_sets.values())
+        assert sum(entry["hits"] for entry in zero_sets.values()) <= search["converged"]
+        assert all(x["found"] in rows + list(zero_sets) for x in r["recovered"])
+
+    def test_scan_block(self, report):
+        scan = json.loads(report)["scan"]
+        regions = scan["regions"]
+        order = ["".join(p) for p in itertools.product("+-", repeat=4)] + ["boundary", "undefined"]
+        assert sum(entry["samples"] for entry in regions.values()) == scan["samples"]
+        assert list(regions) == [name for name in order if name in regions]
+        lowest = min(regions.values(), key=lambda entry: entry["sampled_min"])
+        assert (lowest["sampled_min"], lowest["sampled_argmin"]) == (scan["min"], scan["argmin"])
+
     def test_degenerate_search_misses_fixtures(self, capsys):
         # two Newton starts find the y = 0 face saddle (0.361084) on seeds 0-4 but
         # miss the other two fixtures: fixture mismatch exit code

@@ -248,6 +248,18 @@ class TestPermute:
             permute_qubits(np.eye(4) / 4, ("B", "C", "A"))
 
 
+@pytest.mark.parametrize("call,labels,message", [
+    (partial_trace, ("A", "D"), "invalid subsystem set"),
+    (partial_trace, (True,), "invalid subsystem set"),
+    (permute_qubits, ("A", "B", "D"), "invalid qubit permutation"),
+    (permute_qubits, (True, 0, 2), "invalid qubit permutation"),
+], ids=["trace-unknown-name", "trace-bool", "permute-unknown-name", "permute-bool"])
+def test_label_is_a_name_or_an_integer(call, labels, message):
+    # an unknown name beside the others, or a bool (which would pass as 1), is no qubit
+    with pytest.raises(ValueError, match=f"^{message} {re.escape(repr(labels))}$"):
+        call(np.eye(8) / 8, labels)
+
+
 class TestValidate:
     def test_valid_state_passes(self, rng):
         diag = validate_state(random_mixed_density(rng))

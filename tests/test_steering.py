@@ -329,6 +329,15 @@ class TestHValues:
         with pytest.raises(ValueError, match="^steering_side must be 0 or 1$"):
             h_pair(rho2, steering_side=2)
 
+    @pytest.mark.parametrize("side", [True, 1.0, np.True_, "1"], ids=["bool", "float", "numpy-bool", "str"])
+    def test_pair_side_is_an_integer(self, side):
+        # a bool or a float equal to 1 would pass as 1
+        bell = np.zeros(4, dtype=complex)
+        bell[[0, 3]] = R2
+        with pytest.raises(ValueError, match="^steering_side must be 0 or 1$"):
+            h_pair(np.outer(bell, bell), side)
+        assert h_pair(np.outer(bell, bell), np.int64(1)) == h_pair(np.outer(bell, bell), 1)
+
     def test_pair_ghz_closed_form(self):
         for th in np.linspace(0, np.pi / 2, 21):
             rho2 = partial_trace(density_from_pure(ghz_state(th)), ("A", "B"))
@@ -434,10 +443,15 @@ class TestBellDiagonal:
     vertices are the four Bell states.
     """
 
+    VERTICES = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
+
+    @staticmethod
+    def _states(t):
+        return (np.eye(4) + np.einsum("ni,ijk->njk", t, np.stack([np.kron(s, s) for s in SIGMA[1:]]))) / 4
+
     def test_closed_form_and_cjwr_inclusion(self):
-        vertices = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float)
-        t = np.random.default_rng(0).dirichlet(np.ones(4), size=1500) @ vertices
-        rho = (np.eye(4) + np.einsum("ni,ijk->njk", t, np.stack([np.kron(s, s) for s in SIGMA[1:]]))) / 4
+        t = np.random.default_rng(0).dirichlet(np.ones(4), size=1500) @ self.VERTICES
+        rho = self._states(t)
         closed = (np.abs(t).sum(1) - np.sqrt(3)) / 2
         direct = np.array([h_pair(r) for r in rho])
         # rho_AB x |0><0|_C: the kernel's A->B pair
@@ -449,6 +463,34 @@ class TestBellDiagonal:
         detected = kernel > 0
         assert detected.any()
         assert np.all((t * t).sum(1)[detected] > 1)
+
+    def test_detected_points_are_projectively_steerable(self):
+        # all projective measurements steer the state iff (1/2pi) int_{S^2} |T n| dn
+        # > 1, T = diag(t) (Jevtic et al., JOSA B 32, A40 (2015)); |T n| is even in
+        # each coordinate, so the sphere's integral is 8 times the first octant's
+        from scipy import integrate
+
+        def steering_integral(t):
+            a, b, c = np.square(t)
+
+            def octant(theta, phi):  # |T n| sin(theta), n at polar angle theta and azimuth phi
+                xy = a * np.cos(phi) ** 2 + b * np.sin(phi) ** 2
+                return np.sqrt(xy * np.sin(theta) ** 2 + c * np.cos(theta) ** 2) * np.sin(theta)
+
+            octant_integral = integrate.dblquad(octant, 0, np.pi / 2, 0, np.pi / 2, epsabs=1e-13, epsrel=1e-13)[0]
+            return 8 * octant_integral / (2 * np.pi)
+
+        # the Werner point T = -p I integrates to 2p, steerable iff p > 1/2;
+        # T = diag(0, 0, c) integrates to c
+        for p in (0.5, 0.3, 0.9):
+            assert abs(steering_integral(np.full(3, -p)) - 2 * p) <= 1e-10
+        assert abs(steering_integral([0.0, 0.0, 0.7]) - 0.7) <= 1e-10
+        # Dirichlet(1/2) weights put more points near the Bell vertices, where the criterion detects
+        t = np.random.default_rng(0).dirichlet(np.full(4, 0.5), size=20) @ self.VERTICES
+        detected = np.array([h_pair(rho) for rho in self._states(t)]) > 0
+        steerable = np.array([steering_integral(x) for x in t]) > 1
+        assert detected.sum() >= 5
+        assert np.all(steerable[detected])
 
 
 def _direct_one_to_two(rho):
