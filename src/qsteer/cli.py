@@ -137,8 +137,8 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     if args.points < 2:
         raise ValueError("--points must be >= 2")
-    if not np.all(np.isfinite([args.start, args.stop, args.theta])):
-        raise ValueError("--start, --stop and --theta must be finite")
+    if not np.all(np.isfinite([args.start, args.stop, args.stop - args.start, args.theta])):
+        raise ValueError("--start, --stop, their span and --theta must be finite")
     path = (_out_path(args.out, f"sweep_{args.family}.csv")
             if args.out is not None or "QSTEER_OUT_DIR" in os.environ else None)
     family = states.ghz_state if args.family == "ghz" else functools.partial(states.w_state, args.theta)

@@ -155,6 +155,8 @@ def schmidt_f_batch(params: np.ndarray) -> dict:
     points, the faces and edges, the c_xx = 0 set, the sign-region boundaries,
     and signed coordinates.
     """
+    if np.ndim(params) not in (1, 2) or np.shape(params)[-1] != 4:  # schmidt_points' shapes, not its sphere
+        raise ValueError(f"expected a (4,) Schmidt point or an (n, 4) stack of them, got shape {np.shape(params)}")
     p = np.atleast_2d(np.asarray(params, dtype=float))
     ws = np.empty((21, len(p)))
     x, y, z, h = np.abs(p.T, out=ws[:4])  # contiguous rows: strided ones are ~1/3 slower at 2^16 points

@@ -42,10 +42,12 @@ SPHERE_TOL = 1e-9  # |x^2 + y^2 + z^2 + h^2 - 1| a Schmidt point may have; schmi
 
 def schmidt_points(p) -> np.ndarray:
     """Schmidt coordinates (x, y, z, h) as floats, a (4,) point or an (n, 4)
-    stack, under the one rule of a family point: each row finite and
-    nonnegative, with |x^2 + y^2 + z^2 + h^2 - 1| <= SPHERE_TOL. The first
-    row that breaks it raises a ValueError that prints its plain floats."""
+    stack (another shape raises a ValueError naming it), under the one rule of
+    a family point: each row finite and nonnegative, |x^2 + y^2 + z^2 + h^2 - 1|
+    <= SPHERE_TOL. The first row that breaks it raises a ValueError printing its plain floats."""
     p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 4:
+        raise ValueError(f"expected a (4,) Schmidt point or an (n, 4) stack of them, got shape {p.shape}")
     rows = np.atleast_2d(p)
     res = np.abs(ordered_sum(rows * rows) - 1.0)
     bad = (rows < 0).any(axis=1) | ~(res <= SPHERE_TOL)  # ~(<=) flags NaN

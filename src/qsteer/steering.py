@@ -26,8 +26,8 @@ one array entry per state, steering_report with floats and a str label.
 The kernel calls no LAPACK routine: _trace_norms takes every cut and pair
 trace norm from one modified Gram-Schmidt pass over the three rows of each
 block, then two fixed-point and two Newton steps on a closed-form equation
-for the sum of the singular values. trace_norm (one SVD per matrix) is the reference route,
-which h_pair and the tests use.
+for the sum of the singular values; trace_norm (one SVD per matrix) of
+correlation_matrix is the reference route, which h_pair and the tests use.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .states import HERM_TOL, ordered_sum, validate_state
 
 __all__ = [
     "SteeringReport",
-    "correlation_one_to_two",
-    "correlation_pair",
+    "correlation_matrix",
     "trace_norm",
     "h_pair",
     "pauli_tensor",
@@ -177,13 +176,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _qubit_index(label) -> int:
-    """A qubit label's index: "A", "B" and "C" read 0, 1 and 2, an integer
-    reads itself, and any other label (a bool too) -1, which no subsystem
-    set or permutation holds."""
-    if isinstance(label, str):
-        return _QUBIT_NAMES.get(label, -1)
-    return int(label) if _is_integer(label) else -1
+def _qubit_indices(labels) -> tuple[int, ...]:
+    """Each label's qubit index: "A", "B", "C" read 0, 1, 2, an integer itself, any other label (a bool
+    too) -1, and a non-iterable (a bare index, None) (). No subsystem set or permutation holds -1 or is ()."""
+    try:
+        return tuple(int(q) if _is_integer(q) else _QUBIT_NAMES.get(q, -1) for q in labels)
+    except TypeError:  # labels not iterable, or a label unhashable
+        return ()
 
 
 def _trace_terms(qubits: int, keep: tuple[int, ...]) -> np.ndarray:
@@ -206,16 +205,24 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     for a 4x4 pair or of {"A","B","C"} for an 8x8 state (or qubit indices);
     the other qubits are traced out, each entry a sum of its terms in order."""
     rho = np.asarray(rho, dtype=complex)
-    key = (_qubits(rho), tuple(sorted(map(_qubit_index, keep))))
+    key = (_qubits(rho), tuple(sorted(_qubit_indices(keep))))
     if key not in _TRACE_TERMS:
         raise ValueError(f"invalid subsystem set {keep!r}")
     return ordered_sum(rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))[..., _TRACE_TERMS[key]])
 
 
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2)."""
-    rho = np.asarray(rho)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
+def _square(rho: np.ndarray) -> np.ndarray:
+    """rho if it is a nonempty square matrix or a stack of them; any other shape raises ValueError."""
+    if rho.ndim < 2 or not rho.shape[-1] or rho.shape[-2] != rho.shape[-1]:
+        raise ValueError(f"expected a nonempty square matrix or a stack of them, got shape {rho.shape}")
+    return rho
+
+
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """tr(rho^2); a stack (..., d, d) gives one per matrix."""
+    rho = _square(np.asarray(rho))
+    p = np.real(np.einsum("...ij,...ji->...", rho, rho))
+    return float(p) if p.ndim == 0 else p
 
 
 # deficits below this are within entry-rounding of an exactly pure marginal;
@@ -259,9 +266,7 @@ def purity_deficit(rho: np.ndarray) -> float | np.ndarray:
     square root in the steering bounds. For a qubit it is 2 det(rho). A stack
     (..., d, d) gives one deficit per matrix; a 1x1 state's is 0.0.
     """
-    rho = np.asarray(rho, dtype=complex, order="C")
-    if rho.ndim < 2 or not rho.shape[-1] or rho.shape[-2] != rho.shape[-1]:
-        raise ValueError(f"expected a nonempty square matrix or a stack of them, got shape {rho.shape}")
+    rho = _square(np.asarray(rho, dtype=complex, order="C"))
     d = rho.shape[-1]
     flat = rho.reshape(rho.shape[:-2] + (d * d,)).view(float)
     deficit = _minor_sum(_minor_terms(np.moveaxis(flat, -1, 0).take(_minor_floats(d), axis=0)))
@@ -274,7 +279,7 @@ def permute_qubits(rho: np.ndarray, perm) -> np.ndarray:
     `perm` is a permutation of ("A","B","C") or of (0,1,2); e.g. ("B","C","A")
     moves the original qubit B into the leading slot.
     """
-    p = tuple(map(_qubit_index, perm))
+    p = _qubit_indices(perm)
     if sorted(p) != [0, 1, 2]:
         raise ValueError(f"invalid qubit permutation {perm!r}")
     rho = np.asarray(rho, dtype=complex)
@@ -380,37 +385,28 @@ def _trace_norms(m: np.ndarray) -> np.ndarray:
     return t
 
 
-def correlation_one_to_two(theta: np.ndarray) -> np.ndarray:
-    """4x16 covariance matrix for steering the leading qubit into the pair.
-
-    M[m, 4j+k] = (theta[m,j,k] - theta[m,0,0] * theta[0,j,k]) / (2*sqrt(2)).
-    Row m=0 and column n=0 vanish identically. A stack of tensors
-    (..., 4, 4, 4) gives a stack of matrices; any other shape raises ValueError.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-3:] != (4, 4, 4):
-        raise ValueError(f"expected a 4x4x4 Pauli tensor or a stack of them, got {theta.shape}")
-    cov = theta - theta[..., :, 0, 0, None, None] * theta[..., None, 0, :, :]
-    return ONE_TWO_SCALE * cov.reshape(theta.shape[:-3] + (4, 16))
-
-
-def correlation_pair(rho2: np.ndarray) -> np.ndarray:
-    """4x4 covariance matrix c_ij = (theta_ij - theta_i0 * theta_0j) / 2."""
-    theta = pauli_tensor(rho2)
-    if theta.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got {np.shape(rho2)}")
-    return PAIR_SCALE * (theta - np.outer(theta[:, 0], theta[0]))
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    """LOO covariance matrix s (theta - theta[:, :1] theta[:1, :]) of theta =
+    pauli_tensor(rho) read as 4 x 4^(q-1): for a pair (..., 4, 4) the 4x4 c_ij
+    = (theta_ij - theta_i0 theta_0j) / 2; for an 8x8 state the 4x16 A -> BC
+    matrix, s = 1/(2 sqrt 2), whose transpose is BC -> A. A stack gives a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    qubits = _qubits(rho)
+    theta = pauli_tensor(rho).reshape(rho.shape[:-2] + (4, 4 ** (qubits - 1)))
+    return (PAIR_SCALE if qubits == 2 else ONE_TWO_SCALE) * (theta - theta[..., :, :1] * theta[..., :1, :])
 
 
 def h_pair(rho2: np.ndarray, steering_side: int = 0) -> float:
-    """H for one qubit of a pair steering the other.
+    """H for one qubit of a 4x4 pair state steering the other.
 
     steering_side selects which marginal (each from partial_trace) drives the
     bound: H = ||c||_tr - sqrt((2 - tr rho_steer^2)(1 - tr rho_steered^2)).
     """
     if not _is_integer(steering_side) or steering_side not in (0, 1):
         raise ValueError("steering_side must be 0 or 1")
-    norm = trace_norm(correlation_pair(rho2))
+    if np.shape(rho2) != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got {np.shape(rho2)}")
+    norm = trace_norm(correlation_matrix(rho2))
     steer, steered = (partial_trace(rho2, (q,)) for q in (steering_side, 1 - steering_side))
     return norm - float(np.sqrt((2.0 - purity(steer)) * purity_deficit(steered)))
 

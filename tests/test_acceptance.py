@@ -16,8 +16,7 @@ from qsteer.monogamy import GRAD_TOL, f_components, schmidt_f_batch
 from qsteer.randgen import RandomStateSpec, random_state, random_state_batch
 from qsteer.states import density_from_pure, ghz_state, w_state
 from qsteer.steering import (
-    correlation_one_to_two,
-    correlation_pair,
+    correlation_matrix,
     h_pair,
     partial_trace,
     pauli_tensor,
@@ -43,7 +42,7 @@ def test_criterion_1_ghz_closed_form_grid():
         theta = pauli_tensor(rho)
         c, s = np.cos(th), np.sin(th)
 
-        norm = trace_norm(correlation_one_to_two(theta))
+        norm = trace_norm(correlation_matrix(rho))
         assert norm == pytest.approx(2 * abs(c * s) + 2 * c**2 * s**2, abs=1e-10)
 
         lam_a = 2.0 - purity_from_theta(theta, "A")
@@ -100,7 +99,7 @@ def test_criterion_3_w_closed_form_grid():
         c2a, c4a = np.cos(2 * al), np.cos(4 * al)
         base = (5 + 3 * c2a) * np.sin(al) ** 2
 
-        norm = trace_norm(correlation_one_to_two(theta))
+        norm = trace_norm(correlation_matrix(rho))
         assert norm == pytest.approx(np.sqrt(3 / 8 * base) + 3 / 16 * base, abs=1e-10)
 
         lam_a = 2.0 - purity_from_theta(theta, "A")
@@ -209,10 +208,9 @@ def test_criterion_6_property_suite():
     # zero borders of all three correlation matrices
     for _ in range(100):
         rho = random_mixed() if rng.uniform() < 0.5 else random_pure()
-        theta = pauli_tensor(rho)
-        m = correlation_one_to_two(theta)
-        mp = correlation_one_to_two(theta).swapaxes(-1, -2)
-        c = correlation_pair(partial_trace(rho, ("A", "B")))
+        m = correlation_matrix(rho)
+        mp = m.swapaxes(-1, -2)
+        c = correlation_matrix(partial_trace(rho, ("A", "B")))
         assert max(np.abs(m[0]).max(), np.abs(m[:, 0]).max()) < 1e-12
         assert max(np.abs(mp[0]).max(), np.abs(mp[:, 0]).max()) < 1e-12
         assert max(np.abs(c[0]).max(), np.abs(c[:, 0]).max()) < 1e-12

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,16 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+
+    def test_non_finite_span_exit_1(self, capsys):
+        # both ends are finite, but stop - start overflows: nothing is written
+        # and no overflow warning reaches the user
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["sweep", "--family", "ghz", "--start=-1e308", "--stop=1e308",
+                                      "--points", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --start, --stop, their span and --theta must be finite\n"
 
     def test_negative_angles_in_equals_form(self, tmp_path, capsys):
         # argparse takes -pi/3 and -1e-3 after a space for options; after = they are values

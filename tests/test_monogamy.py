@@ -457,6 +457,19 @@ class TestBoundaryForms:
                 entry(p)
             assert "np.float64" not in str(err.value)
 
+    @pytest.mark.parametrize("p", [
+        np.array([1.0, 0.0, 0.0]), np.tile([1.0, 0.0, 0.0], (5, 1)), np.ones((5, 3)), np.array(1.0),
+        np.full((2, 1, 4), 0.5),
+    ], ids=["three", "three-rows", "off-sphere-rows", "scalar", "three-axes"])
+    @pytest.mark.parametrize("entry", [schmidt_points, schmidt_state, f_components, schmidt_f_batch])
+    def test_rejects_a_shape_other_than_points(self, entry, p):
+        # one (4,) point or an (n, 4) stack: a point of another length is no
+        # family point even on the unit sphere, and schmidt_f_batch, which takes
+        # signed and off-sphere rows, takes no other shape either
+        message = f"expected a (4,) Schmidt point or an (n, 4) stack of them, got shape {p.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(p)
+
 
 @pytest.fixture(scope="module")
 def search():

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from qsteer.randgen import RandomStateSpec, random_state_batch
 from qsteer.states import HERM_TOL, density_from_pure, ghz_state, ordered_sum, validate_state, w_state
 from qsteer.steering import (
-    PAULI2, PAULI3, correlation_one_to_two, correlation_pair, partial_trace, pauli_tensor, permute_qubits,
-    purity,
+    PAULI2, PAULI3, correlation_matrix, h_pair, partial_trace, pauli_tensor, permute_qubits, purity,
+    purity_deficit,
 )
 
 from conftest import density_from_theta, oracle_theta2, oracle_theta3, purity_from_theta, random_mixed_density
@@ -123,17 +123,44 @@ def test_residual_within_herm_tol_accepted(rng):
 def test_bad_shape():
     # neither a 4x4 nor an 8x8 matrix, nor a stack of one of them
     for shape in ((), (4,), (2, 2), (8, 4), (4, 8), (16, 16), (3, 2, 2), (5, 8, 4)):
-        with pytest.raises(ValueError, match=r"^expected a 4x4 or 8x8 density matrix or a stack of either, got "):
-            pauli_tensor(np.zeros(shape))
-    # the pair matrix takes one 4x4 state
+        for call in (pauli_tensor, correlation_matrix):
+            with pytest.raises(ValueError, match=r"^expected a 4x4 or 8x8 density matrix or a stack of either, got "):
+                call(np.zeros(shape))
+    # the pair criterion takes one 4x4 state
     for rho in (np.eye(8) / 8, np.stack([np.eye(4) / 4] * 2)):
         with pytest.raises(ValueError, match=r"^expected a 4x4 density matrix, got "):
-            correlation_pair(rho)
-    # the 1->2 matrix takes a 4x4x4 tensor or a stack of them
-    for shape in ((4, 4), (4, 4, 3), (2, 4, 4, 5), (64,)):
-        message = f"expected a 4x4x4 Pauli tensor or a stack of them, got {shape}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            correlation_one_to_two(np.zeros(shape))
+            h_pair(rho)
+
+
+# the functions that read a state, or a stack of states, under one input rule
+ONE_RULE = {
+    "pauli_tensor": pauli_tensor,
+    "partial_trace": lambda rho: partial_trace(rho, "A"),
+    "purity": purity,
+    "purity_deficit": purity_deficit,
+    "correlation_matrix": correlation_matrix,
+}
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("name", ONE_RULE)
+def test_stack_entry_is_the_state_alone(name, d, rng):
+    # each state of a stack gives the bytes it gets on its own
+    call = ONE_RULE[name]
+    stack = np.stack([random_mixed_density(rng, dim=d) for _ in range(5)])
+    got = np.asarray(call(stack))
+    assert len(got) == 5
+    for rho, g in zip(stack, got):
+        alone = np.asarray(call(rho))
+        assert alone.shape == g.shape and alone.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (8, 4), (2, 8, 4)])
+@pytest.mark.parametrize("name", ONE_RULE)
+def test_bad_shape_is_named(name, shape):
+    # the function's own ValueError, which names the shape, not one of numpy's
+    with pytest.raises(ValueError, match=f"^expected .*, got (shape )?{re.escape(str(shape))}$"):
+        ONE_RULE[name](np.zeros(shape))
 
 
 def _complex_route(rho, strings):

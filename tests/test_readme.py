@@ -51,7 +51,7 @@ def test_public_api():
 
     modules = (monogamy, randgen, states, steering)
     listed = [name for module in modules for name in module.__all__]
-    assert len(listed) == len(set(listed)) == 36
+    assert len(listed) == len(set(listed)) == 35
     public = {name for name, value in vars(qsteer).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(listed)

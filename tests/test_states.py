@@ -253,9 +253,14 @@ class TestPermute:
     (partial_trace, (True,), "invalid subsystem set"),
     (permute_qubits, ("A", "B", "D"), "invalid qubit permutation"),
     (permute_qubits, (True, 0, 2), "invalid qubit permutation"),
-], ids=["trace-unknown-name", "trace-bool", "permute-unknown-name", "permute-bool"])
+    (partial_trace, 1, "invalid subsystem set"),
+    (partial_trace, None, "invalid subsystem set"),
+    (permute_qubits, None, "invalid qubit permutation"),
+], ids=["trace-unknown-name", "trace-bool", "permute-unknown-name", "permute-bool", "trace-bare-index",
+        "trace-none", "permute-none"])
 def test_label_is_a_name_or_an_integer(call, labels, message):
-    # an unknown name beside the others, or a bool (which would pass as 1), is no qubit
+    # an unknown name beside the others, or a bool (which would pass as 1), is
+    # no qubit; a bare index or None is no set of labels
     with pytest.raises(ValueError, match=f"^{message} {re.escape(repr(labels))}$"):
         call(np.eye(8) / 8, labels)
 

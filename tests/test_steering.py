@@ -22,12 +22,12 @@ from qsteer.states import (
 )
 from qsteer.steering import (
     DEFICIT_FLOOR,
+    ONE_TWO_SCALE,
     PAIR_SCALE,
     _trace_norms,
     SteeringReport,
     _classes,
-    correlation_one_to_two,
-    correlation_pair,
+    correlation_matrix,
     h_pair,
     partial_trace,
     pauli_tensor,
@@ -86,37 +86,51 @@ def oracle_pair_entries(rho2):
 
 
 class TestCorrelationMatrices:
+    def test_is_the_two_theta_formulas(self):
+        # the qubit -> pair matrix of a three-qubit state and the pair matrix,
+        # each as it was once computed from a Pauli tensor: the same products
+        # and subtraction, so the same bytes, for stacks and for one state
+        for n, mode in ((7, "pure"), (200, "mixed")):
+            rho = random_state_batch(RandomStateSpec(seed=n, mode=mode, count=n), 0, n)
+            theta = pauli_tensor(rho)
+            cov = theta - theta[..., :, 0, 0, None, None] * theta[..., None, 0, :, :]
+            expect = (1.0 / (2.0 * np.sqrt(2.0))) * cov.reshape(n, 4, 16)
+            assert correlation_matrix(rho).tobytes() == expect.tobytes()
+            assert correlation_matrix(rho[0]).tobytes() == expect[0].tobytes()
+            pairs = np.concatenate([partial_trace(rho, keep) for keep in ("AB", "AC", "BC")])
+            expect = np.stack([0.5 * (t - np.outer(t[:, 0], t[0])) for t in pauli_tensor(pairs)])
+            assert correlation_matrix(pairs).tobytes() == expect.tobytes()
+            assert correlation_matrix(pairs[-1]).tobytes() == expect[-1].tobytes()
+
     def test_matches_definition(self, rng):
         for maker in (random_pure_density, random_mixed_density):
             rho = maker(rng)
-            m = correlation_one_to_two(pauli_tensor(rho))
+            m = correlation_matrix(rho)
             assert_allclose(m, oracle_one_to_two_entries(rho), atol=1e-12)
 
     def test_zero_borders(self, rng):
         for _ in range(10):
             rho = random_mixed_density(rng)
-            m = correlation_one_to_two(pauli_tensor(rho))
+            m = correlation_matrix(rho)
             assert np.max(np.abs(m[0, :])) < 1e-12
             assert np.max(np.abs(m[:, 0])) < 1e-12
-            mp = correlation_one_to_two(pauli_tensor(rho)).swapaxes(-1, -2)
+            mp = correlation_matrix(rho).swapaxes(-1, -2)
             assert np.max(np.abs(mp[0, :])) < 1e-12
             assert np.max(np.abs(mp[:, 0])) < 1e-12
-            c = correlation_pair(partial_trace(rho, ("A", "B")))
+            c = correlation_matrix(partial_trace(rho, ("A", "B")))
             assert np.max(np.abs(c[0, :])) < 1e-12
             assert np.max(np.abs(c[:, 0])) < 1e-12
 
     def test_product_state_vanishes(self):
-        theta = pauli_tensor(density_from_pure(np.eye(8)[0]))
-        assert np.max(np.abs(correlation_one_to_two(theta))) < 1e-14
-        assert np.max(np.abs(correlation_one_to_two(theta).swapaxes(-1, -2))) < 1e-14
+        m = correlation_matrix(density_from_pure(np.eye(8)[0]))
+        assert np.max(np.abs(m)) < 1e-14
+        assert np.max(np.abs(m.swapaxes(-1, -2))) < 1e-14
 
     def test_maximally_mixed_vanishes(self):
-        theta = pauli_tensor(np.eye(8, dtype=complex) / 8)
-        assert np.max(np.abs(correlation_one_to_two(theta))) < 1e-14
+        assert np.max(np.abs(correlation_matrix(np.eye(8, dtype=complex) / 8))) < 1e-14
 
     def test_ghz_rows_and_norm(self):
-        theta = pauli_tensor(density_from_pure(ghz_state(np.pi / 4)))
-        m = correlation_one_to_two(theta)
+        m = correlation_matrix(density_from_pure(ghz_state(np.pi / 4)))
         assert np.max(np.abs(m[0])) < 1e-14
         assert trace_norm(m) == pytest.approx(1.5, abs=1e-12)
 
@@ -126,11 +140,11 @@ class TestCorrelationMatrices:
         rep = steering_report(rho, include_all_cuts=True, include_two_to_one=True)
         for name, _, reverse in CUT_AXES:
             assert rep[f"norm_{reverse}"] == rep[f"norm_{name}"]
-        stack = pauli_tensor(np.stack([random_mixed_density(rng) for _ in range(7)]))
-        m = correlation_one_to_two(stack).swapaxes(-1, -2)
+        stack = np.stack([random_mixed_density(rng) for _ in range(7)])
+        m = correlation_matrix(stack).swapaxes(-1, -2)
         assert m.shape == (7, 16, 4)
         for i in range(7):
-            assert np.array_equal(m[i], correlation_one_to_two(stack[i]).T)
+            assert np.array_equal(m[i], correlation_matrix(stack[i]).T)
 
     def test_two_to_one_via_permutation_pipeline(self, rng):
         # same matrix out of the relabeled-state tensor and the direct formula
@@ -142,26 +156,26 @@ class TestCorrelationMatrices:
             j, k = divmod(n, 4)
             for m in range(4):
                 direct[n, m] = scale * (tp[j, k, m] - tp[j, k, 0] * tp[0, 0, m])
-        assert_allclose(correlation_one_to_two(pauli_tensor(rho)).swapaxes(-1, -2), direct, atol=1e-12)
+        assert_allclose(correlation_matrix(rho).swapaxes(-1, -2), direct, atol=1e-12)
 
     def test_pair_matches_definition(self, rng):
         rho2 = partial_trace(random_mixed_density(rng), ("A", "C"))
-        c = correlation_pair(rho2)
+        c = correlation_matrix(rho2)
         assert_allclose(c, oracle_pair_entries(rho2), atol=1e-12)
 
     def test_pair_examples(self):
         prod = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2).astype(complex)
-        assert np.max(np.abs(correlation_pair(prod))) < 1e-14
+        assert np.max(np.abs(correlation_matrix(prod))) < 1e-14
         bell = np.zeros(4, dtype=complex)
         bell[1] = bell[2] = R2
-        c = correlation_pair(np.outer(bell, bell.conj()))
+        c = correlation_matrix(np.outer(bell, bell.conj()))
         assert trace_norm(c) == pytest.approx(1.5, abs=1e-12)
 
     def test_ghz_pair_norm_closed_form(self):
         for th in np.linspace(0, np.pi / 2, 21):
             rho2 = partial_trace(density_from_pure(ghz_state(th)), ("A", "B"))
             expect = 2 * np.cos(th) ** 2 * np.sin(th) ** 2
-            assert trace_norm(correlation_pair(rho2)) == pytest.approx(expect, abs=1e-12)
+            assert trace_norm(correlation_matrix(rho2)) == pytest.approx(expect, abs=1e-12)
 
 
 class TestTraceNorm:
@@ -282,7 +296,7 @@ class TestTraceNorms:
                 theta = pauli_tensor(rho)
                 got = steering_batch(rho[None], include_all_cuts=True)
                 for name, axes, _ in CUT_AXES:
-                    full = trace_norm(correlation_one_to_two(theta.transpose(axes)))
+                    full = trace_norm(correlation_matrix(permute_qubits(rho, axes)))
                     budget = 1e-12 * np.linalg.norm(theta) / 2 + 1e-14
                     assert abs(got[f"norm_{name}"][0] - full) <= budget, name
 
@@ -416,12 +430,11 @@ class TestWhiteNoiseThresholds:
         kernel = steering_batch(np.stack(rhos), include_two_to_one=True)[key]
         direct = []
         for rho in rhos:
-            theta = pauli_tensor(rho)
             d_a, d_bc = purity_deficit(partial_trace(rho, "A")), purity_deficit(partial_trace(rho, "BC"))
             if key == "h_a_bc":
-                direct.append(trace_norm(correlation_one_to_two(theta)) - np.sqrt((1 + d_a) * d_bc))
+                direct.append(trace_norm(correlation_matrix(rho)) - np.sqrt((1 + d_a) * d_bc))
             else:
-                direct.append(trace_norm(correlation_one_to_two(theta).swapaxes(-1, -2)) - np.sqrt((3 + d_bc) * d_a))
+                direct.append(trace_norm(correlation_matrix(rho).swapaxes(-1, -2)) - np.sqrt((3 + d_bc) * d_a))
         for h in (kernel, np.array(direct)):
             assert h[0] < 0 < h[1]
             assert np.max(np.abs(h)) <= 1e-11
@@ -495,11 +508,10 @@ class TestBellDiagonal:
 
 def _direct_one_to_two(rho):
     """Each 1->2 cut's (H, norm, bound) through trace_norm's SVD, keyed as the report."""
-    theta = pauli_tensor(rho)
     out = {}
     for name, axes, _ in CUT_AXES:
         q, pair = axes[0], axes[1:]
-        norm = trace_norm(correlation_one_to_two(theta.transpose(axes)))
+        norm = trace_norm(correlation_matrix(permute_qubits(rho, axes)))
         bound = np.sqrt((1 + purity_deficit(partial_trace(rho, (q,)))) * purity_deficit(partial_trace(rho, pair)))
         out[name] = (norm - bound, norm, bound)
     return out
@@ -661,7 +673,7 @@ class TestTwoToOneMonogamy:
         rhos = self._rho()
         r = steering_batch(rhos, True, True, True)
         rho = rhos[0]
-        norm = trace_norm(correlation_one_to_two(pauli_tensor(rho)))
+        norm = trace_norm(correlation_matrix(rho))
         bound = np.sqrt((3 + purity_deficit(partial_trace(rho, "BC"))) * purity_deficit(partial_trace(rho, "A")))
         s_bc_to_a = max(norm - bound, 0.0)
         h_ba, h_ca = (h_pair(partial_trace(rho, pair), steering_side=1) for pair in ("AB", "AC"))
@@ -774,14 +786,13 @@ class TestExactOracle:
     def test_reference_routes_within_budget(self):
         for rho, exact in _exact_states():
             budget = self.EXACT_BUDGET + 2 * abs(math.fsum(np.diag(rho).real) - 1)
-            theta = pauli_tensor(rho)
             for name, axes, reverse in CUT_AXES:
-                norm = trace_norm(correlation_one_to_two(theta.transpose(axes)))
+                norm = trace_norm(correlation_matrix(permute_qubits(rho, axes)))
                 assert self._error(norm, exact[f"norm_{name}"]) <= budget
                 assert self._error(norm, exact[f"norm_{reverse}"]) <= budget
             for pair, forward, backward in PAIR_KEYS:
                 rho2 = partial_trace(rho, pair)
-                assert self._error(trace_norm(correlation_pair(rho2)), exact[f"norm{forward[1:]}"]) <= budget
+                assert self._error(trace_norm(correlation_matrix(rho2)), exact[f"norm{forward[1:]}"]) <= budget
                 assert self._error(h_pair(rho2), exact[forward]) <= budget
                 assert self._error(h_pair(rho2, steering_side=1), exact[backward]) <= budget
 
@@ -792,9 +803,9 @@ class TestWPairNorms:
         for al in np.linspace(0.05, np.pi - 0.05, 29):
             rho = density_from_pure(w_state(np.pi / 3, al))
             s, s2 = np.sin(al), np.sin(2 * al)
-            nab = trace_norm(correlation_pair(partial_trace(rho, ("A", "B"))))
-            nac = trace_norm(correlation_pair(partial_trace(rho, ("A", "C"))))
-            nbc = trace_norm(correlation_pair(partial_trace(rho, ("B", "C"))))
+            nab = trace_norm(correlation_matrix(partial_trace(rho, ("A", "B"))))
+            nac = trace_norm(correlation_matrix(partial_trace(rho, ("A", "C"))))
+            nbc = trace_norm(correlation_matrix(partial_trace(rho, ("B", "C"))))
             assert nab == pytest.approx(np.sqrt(3) / 2 * s**2 + 3 / 8 * s**4, abs=1e-10)
             assert nac == pytest.approx(np.sqrt(3) / 2 * abs(s2) + 3 / 8 * s2**2, abs=1e-10)
             assert nbc == pytest.approx(0.5 * abs(s2) + 0.5 * s**2 * np.cos(al) ** 2, abs=1e-10)
@@ -992,8 +1003,8 @@ def parseval_factor(rho, theta, keep):
 def direct_h(rho, first=deficit_factor):
     """Every H and cut bound of steering_batch(..., **ALL) for one state, one
     quantity at a time from the public helpers: pauli_tensor and theta slices,
-    partial_trace and purity_deficit, correlation_one_to_two and the pair
-    covariance.
+    partial_trace and purity_deficit, and correlation_matrix's formula on
+    theta slices.
 
     The trace norms come from the kernel's _trace_norms on this state's six
     blocks, stacked: each cut's 4x16 matrix less row 0 and column 0, and each
@@ -1006,7 +1017,10 @@ def direct_h(rho, first=deficit_factor):
     theta = pauli_tensor(rho)
     pure = purity_deficit(rho) == 0.0
     d_q = [purity_deficit(partial_trace(rho, (q,))) for q in range(3)]
-    blocks = [correlation_one_to_two(theta.transpose(axes))[1:, 1:] for _, axes, _ in CUT_AXES]
+    blocks = []
+    for _, axes, _ in CUT_AXES:  # as correlation_matrix takes them, from theta slices
+        t = theta.transpose(axes).reshape(4, 16)
+        blocks.append(ONE_TWO_SCALE * (t[1:, 1:] - t[1:, :1] * t[:1, 1:]))
     for (a, b), _, _ in PAIR_KEYS:
         t2 = np.take(theta, 0, axis=3 - a - b)  # theta_AB = theta[:, :, 0] and so on
         blocks.append(np.pad(PAIR_SCALE * (t2[1:, 1:] - t2[1:, :1] * t2[:1, 1:]), ((0, 0), (0, 12))))
